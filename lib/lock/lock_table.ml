@@ -78,6 +78,9 @@ type t = {
   (* all resources of a table that currently carry holds or waiters: the
      hierarchical checks and cross-level promotion need them *)
   by_table : (string, unit Resource_id.Tbl.t) Hashtbl.t;
+  (* the entries of a table whose queue is non-empty — all that promotion
+     visits, so a release in a table without waiters sweeps nothing *)
+  queued : (string, entry Resource_id.Tbl.t) Hashtbl.t;
   mutable next_ticket : int;
   tickets : (ticket, waiter) Hashtbl.t; (* outstanding waits only *)
   by_txn : (int, unit Resource_id.Tbl.t) Hashtbl.t; (* txn -> resources held *)
@@ -97,6 +100,7 @@ let create ?(max_bypass = Lock_core.default_max_bypass) ?(clock = fun () -> 0.) 
     sem;
     entries = Resource_id.Tbl.create 1024;
     by_table = Hashtbl.create 64;
+    queued = Hashtbl.create 16;
     next_ticket = 0;
     tickets = Hashtbl.create 64;
     by_txn = Hashtbl.create 64;
@@ -140,6 +144,21 @@ let gc_entry t e =
         if Resource_id.Tbl.length set = 0 then Hashtbl.remove t.by_table tname
     | None -> ()
   end
+
+(* Keep [e]'s membership of the queued-entry index in step with its queue;
+   called wherever a queue changes (enqueue, promotion, cancel). *)
+let note_queue t e =
+  let tname = Resource_id.table_of e.e_resource in
+  match (e.queue, Hashtbl.find_opt t.queued tname) with
+  | [], None -> ()
+  | [], Some set ->
+      Resource_id.Tbl.remove set e.e_resource;
+      if Resource_id.Tbl.length set = 0 then Hashtbl.remove t.queued tname
+  | _ :: _, Some set -> Resource_id.Tbl.replace set e.e_resource e
+  | _ :: _, None ->
+      let set = Resource_id.Tbl.create 8 in
+      Resource_id.Tbl.add set e.e_resource e;
+      Hashtbl.add t.queued tname set
 
 let note_held t ~txn res =
   let set =
@@ -411,6 +430,7 @@ let submit t (r : Lock_request.t) =
         (* upgrades wait at the head so they cannot deadlock behind requests
            that conflict with the lock they already hold *)
         e.queue <- (if upgrade then w :: e.queue else e.queue @ [ w ]);
+        note_queue t e;
         note_entry_active t res;
         Hashtbl.replace t.tickets ticket w;
         act t txn 1;
@@ -436,6 +456,15 @@ let attach_req t (r : Lock_request.t) =
   | Some h -> h.h_count <- h.h_count + 1
   | None -> add_hold t e ~txn ~step_type ~mode res
 
+(* The same-queue waiters a grant of queued waiter [w] overtakes.  An
+   upgrade waits at the head, so its grant passes every other waiter of the
+   entry (as [submit]'s gate already counts it); any other waiter passes
+   only those ahead of it.  Promotion's fairness gate, its bypass accounting
+   and the gate's wait edges all use this set, so a gate-deferred upgrade
+   stays deferred and shows its starved waiters as blockers. *)
+let overtaken_in_queue e w ~ahead ~behind =
+  if List.exists (fun h -> h.h_txn = w.w_txn) e.holds then ahead @ behind else ahead
+
 (* Grant the maximal FIFO-respecting set of waiters on [e].  A promotion
    grant is subject to the same fairness gate as a fresh request: it may not
    overtake (again) a starved waiter it was already counted past — skipped
@@ -443,16 +472,20 @@ let attach_req t (r : Lock_request.t) =
 let promote_entry t e =
   let rec loop granted still_waiting = function
     | [] ->
-        e.queue <- List.rev still_waiting;
+        if granted <> [] then begin
+          e.queue <- List.rev still_waiting;
+          note_queue t e
+        end;
         List.rev granted
     | w :: rest ->
+        let ahead = List.rev still_waiting in
         let overtaken =
-          List.rev still_waiting @ cross_level_waiters t w.w_resource ~mode:w.w_mode
+          overtaken_in_queue e w ~ahead ~behind:rest
+          @ cross_level_waiters t w.w_resource ~mode:w.w_mode
         in
         let compatible =
           holds_compatible t w.w_resource ~txn:w.w_txn ~mode:w.w_mode ~requester:w.w_requester
-          && queue_ahead_compatible t ~txn:w.w_txn ~mode:w.w_mode ~requester:w.w_requester
-               (List.rev still_waiting)
+          && queue_ahead_compatible t ~txn:w.w_txn ~mode:w.w_mode ~requester:w.w_requester ahead
         in
         let fair =
           w.w_compensating
@@ -476,56 +509,28 @@ let promote_entry t e =
 
 (* A release on any resource of a table can unblock waiters anywhere in that
    table (cross-level conflicts), so promotion sweeps the table's queued
-   entries to a fixpoint. *)
-let promote_table t tname =
+   entries to a fixpoint.  The queued-entry index makes that sweep visit only
+   entries with waiters: none at all when the table has no queue.  The
+   sharded table also calls this without a triggering release, after a
+   lock-free fast-path retreat (a rolled-back optimistic install may have
+   transiently blocked a grantable waiter). *)
+let promote t ~table =
   let rec sweep acc =
-    let entries_with_queues =
-      match Hashtbl.find_opt t.by_table tname with
-      | Some set ->
-          Resource_id.Tbl.fold
-            (fun r () acc ->
-              match Resource_id.Tbl.find_opt t.entries r with
-              | Some e when e.queue <> [] -> e :: acc
-              | Some _ | None -> acc)
-            set []
+    match Hashtbl.find_opt t.queued table with
+    | None -> acc
+    | Some set ->
+        let entries_with_queues =
+          Resource_id.Tbl.fold (fun _ e acc -> e :: acc) set []
           |> List.sort (fun a b -> Resource_id.compare a.e_resource b.e_resource)
-      | None -> []
-    in
-    let woken = List.concat_map (fun e -> promote_entry t e) entries_with_queues in
-    if woken = [] then acc else sweep (acc @ woken)
+        in
+        let woken = List.concat_map (fun e -> promote_entry t e) entries_with_queues in
+        if woken = [] then acc else sweep (acc @ woken)
   in
   sweep []
 
-(* gc every drained entry of the table *)
-let gc_table_drained t tname =
-  match Hashtbl.find_opt t.by_table tname with
-  | Some set ->
-      let drained =
-        Resource_id.Tbl.fold
-          (fun r () acc ->
-            match Resource_id.Tbl.find_opt t.entries r with
-            | Some e when e.holds = [] && e.queue = [] -> e :: acc
-            | Some _ -> acc
-            | None -> acc)
-          set []
-      in
-      List.iter (gc_entry t) drained
-  | None -> ()
-
 let after_change t e =
-  let tname = Resource_id.table_of e.e_resource in
-  let woken = promote_table t tname in
+  let woken = promote t ~table:(Resource_id.table_of e.e_resource) in
   gc_entry t e;
-  gc_table_drained t tname;
-  woken
-
-(* Promotion poke without a triggering release: run the table's promotion
-   sweep to a fixpoint and gc what drained.  The sharded table calls this
-   after a lock-free fast-path retreat (a rolled-back optimistic install may
-   have transiently blocked a grantable waiter). *)
-let promote t ~table =
-  let woken = promote_table t table in
-  gc_table_drained t table;
   woken
 
 (* Unconditional install of an already-granted hold, used when the sharded
@@ -613,6 +618,7 @@ let cancel t ~ticket =
       | Some f -> f (Ob_cancel { oc_txn = w.w_txn; oc_resource = w.w_resource }));
       let e = entry t w.w_resource in
       e.queue <- List.filter (fun w' -> w'.w_ticket <> ticket) e.queue;
+      note_queue t e;
       after_change t e
 
 let release_all t ~txn =
@@ -666,12 +672,12 @@ let waiter_blockers t w =
       (relevant_holds t w.w_resource ~mode:w.w_mode)
   in
   let e = entry t w.w_resource in
-  let rec ahead acc = function
-    | [] -> [] (* w not queued here anymore *)
-    | w' :: _ when w'.w_ticket = w.w_ticket -> List.rev acc
-    | w' :: rest -> ahead (w' :: acc) rest
+  let rec split acc = function
+    | [] -> ([], []) (* w not queued here anymore *)
+    | w' :: rest when w'.w_ticket = w.w_ticket -> (List.rev acc, rest)
+    | w' :: rest -> split (w' :: acc) rest
   in
-  let ahead_ws = ahead [] e.queue in
+  let ahead_ws, behind_ws = split [] e.queue in
   let from_queue =
     List.filter_map
       (fun w' ->
@@ -694,7 +700,8 @@ let waiter_blockers t w =
             && Lock_core.grant_blocks_waiter t.sem ~mode:w.w_mode ~step_type:w.w_step s
           then Some s.w_txn
           else None)
-        (ahead_ws @ cross_level_waiters t w.w_resource ~mode:w.w_mode)
+        (overtaken_in_queue e w ~ahead:ahead_ws ~behind:behind_ws
+        @ cross_level_waiters t w.w_resource ~mode:w.w_mode)
   in
   gc_entry t e;
   List.sort_uniq compare (from_holds @ from_queue @ from_fairness)

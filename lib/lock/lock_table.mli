@@ -133,10 +133,9 @@ val cancel : t -> ticket:ticket -> wakeup list
     victim); no-op if the ticket is no longer outstanding. *)
 
 val promote : t -> table:string -> wakeup list
-(** Run the table's promotion sweep to a fixpoint (and gc drained entries)
-    without a triggering release.  Used by the sharded table after rolling
-    back an optimistic fast-path install that may have transiently blocked a
-    grantable waiter. *)
+(** Run the table's promotion sweep to a fixpoint without a triggering
+    release.  Used by the sharded table after rolling back an optimistic
+    fast-path install that may have transiently blocked a grantable waiter. *)
 
 val import_hold :
   t -> txn:int -> step_type:int -> mode:Mode.t -> count:int -> Resource_id.t -> unit

@@ -309,11 +309,16 @@ let retreat t idx s res (fh : fhold) =
         else undo ()
     | _ ->
         lock_shard t s;
-        (try ignore (Lock_table.release s.table ~txn:fh.f_txn fh.f_mode res)
-         with Invalid_argument _ -> ());
+        (* the release's own wakeups must be published too: the waiter it
+           promotes is the one that queued behind the phantom, and it sleeps
+           until its ticket shows up in [s.granted] *)
+        let woken =
+          try Lock_table.release s.table ~txn:fh.f_txn fh.f_mode res
+          with Invalid_argument _ -> []
+        in
         ignore
           (publish t idx s
-             (Lock_table.promote s.table ~table:(Resource_id.table_of res)));
+             (woken @ Lock_table.promote s.table ~table:(Resource_id.table_of res)));
         unlock_shard s
   in
   undo ()
@@ -508,32 +513,31 @@ let fast_release t idx s ~txn mode res =
 (* Remove every fast record of [txn] accepted by [pred], emitting the
    release observations and activity decrements.  Safe under the shard mutex
    (no migration can race) and safe lock-free (the CAS retries absorb racing
-   installers; each record is removed exactly once). *)
+   installers; each record is removed exactly once).  A slot holding none of
+   the txn's matching records is only read: no closure, no partition. *)
+let rec matches_txn ~txn pred res = function
+  | [] -> false
+  | fh :: rest -> (fh.f_txn = txn && pred res fh.f_mode) || matches_txn ~txn pred res rest
+
+let rec sweep_slot t s ~txn pred slot =
+  match Atomic.get slot with
+  | Some (res, fhs) as old when matches_txn ~txn pred res fhs ->
+      let mine, kept = List.partition (fun fh -> fh.f_txn = txn && pred res fh.f_mode) fhs in
+      let next = match kept with [] -> None | _ -> Some (res, kept) in
+      if Atomic.compare_and_set slot old next then
+        List.iter
+          (fun fh ->
+            ignore (Atomic.fetch_and_add s.activity.(txn_slot txn) (-1));
+            observe t
+              (Lock_table.Ob_release { ol_txn = txn; ol_mode = fh.f_mode; ol_resource = res }))
+          mine
+      else sweep_slot t s ~txn pred slot
+  | Some _ | None -> ()
+
 let sweep_fast t s ~txn pred =
-  Array.iter
-    (fun slot ->
-      let rec go () =
-        match Atomic.get slot with
-        | Some (res, fhs) as old ->
-            let mine, kept =
-              List.partition (fun fh -> fh.f_txn = txn && pred res fh.f_mode) fhs
-            in
-            if mine <> [] then begin
-              let next = match kept with [] -> None | _ -> Some (res, kept) in
-              if Atomic.compare_and_set slot old next then
-                List.iter
-                  (fun fh ->
-                    ignore (Atomic.fetch_and_add s.activity.(txn_slot txn) (-1));
-                    observe t
-                      (Lock_table.Ob_release
-                         { ol_txn = txn; ol_mode = fh.f_mode; ol_resource = res }))
-                  mine
-              else go ()
-            end
-        | None -> ()
-      in
-      go ())
-    s.fast
+  for i = 0 to n_fast - 1 do
+    sweep_slot t s ~txn pred s.fast.(i)
+  done
 
 (* --- the synchronous surface (parity tests, detector, introspection) ---- *)
 
@@ -546,10 +550,18 @@ let submit t (r : Lock_request.t) =
       | Lock_table.Granted -> Lock_table.Granted
       | Lock_table.Queued local -> Lock_table.Queued (globalize t idx local))
 
+(* A mutex-path attach first drains the resource's fast slot, so an attach
+   re-entering a fast hold merges into it in the table instead of splitting
+   one (txn, mode) hold across slot and table.  Caller holds [s.mu] inside a
+   slow section. *)
+let slow_attach s (r : Lock_request.t) =
+  drain_res s r.Lock_request.resource;
+  Lock_table.attach_req s.table r
+
 let attach_req t (r : Lock_request.t) =
   let s = t.shards.(shard_index t r.Lock_request.resource) in
   if t.use_fast && fast_eligible r && fast_attach t s r then ()
-  else with_shard t s (fun () -> Lock_table.attach_req s.table r)
+  else with_shard t s (fun () -> slow_attach s r)
 
 (* Attaches are unconditional, so batching is just per-shard grouping (caller
    order preserved within each shard) under one mutex acquisition each; each
@@ -572,8 +584,7 @@ let attach_batch t reqs =
           | [] -> ()
           | group ->
               let s = t.shards.(idx) in
-              with_shard t s (fun () ->
-                  List.iter (Lock_table.attach_req s.table) group))
+              with_shard t s (fun () -> List.iter (slow_attach s) group))
         groups
 
 let release t ~txn mode res =

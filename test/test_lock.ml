@@ -776,6 +776,32 @@ let test_bounded_bypass_gate () =
   Alcotest.(check int) "no residue locks" 0 (Lock_table.lock_count t);
   Alcotest.(check int) "no residue waiters" 0 (Lock_table.waiter_count t)
 
+(* An upgrade waits at the head of its queue, so the gate defers it for a
+   starved waiter behind it.  That waiter is then a blocker (the two form a
+   cycle the detector can break), and a promotion pass must keep the upgrade
+   deferred rather than grant it past the starved waiter uncounted. *)
+let test_gate_deferred_upgrade () =
+  let t = Lock_table.create ~max_bypass:2 Mode.no_semantics in
+  ignore (req t ~txn:4 Mode.S tbl);
+  let starved = ticket_exn (req t ~txn:1 Mode.X tbl) in
+  (* two direct tuple readers overtake the queued table writer *)
+  ignore (req t ~txn:2 Mode.S res_a);
+  ignore (req t ~txn:3 Mode.S res_b);
+  Alcotest.(check int) "writer starved" 2 (Lock_table.max_bypassed t);
+  let upgrade = ticket_exn (req t ~txn:4 Mode.X tbl) in
+  Alcotest.(check (list int)) "deferred upgrade waits on the starved writer" [ 1 ]
+    (Lock_table.blockers t ~ticket:upgrade);
+  Alcotest.(check bool) "the two form a cycle" true
+    (Lock_table.find_cycle t ~from:4 <> None);
+  ignore (Lock_table.release_all t ~txn:2);
+  Alcotest.(check bool) "promotion keeps the upgrade deferred" true
+    (Lock_table.outstanding t ~ticket:upgrade);
+  Alcotest.(check int) "no uncounted overtake" 2 (Lock_table.max_bypassed t);
+  (* the detector's resolution: withdrawing the starved writer lets the
+     upgrade through *)
+  ignore (Lock_table.cancel t ~ticket:starved);
+  Alcotest.(check bool) "upgrade granted" false (Lock_table.outstanding t ~ticket:upgrade)
+
 (* The fairness bound as a property: with every request from a fresh
    transaction (so no re-entrant/upgrade exemptions apply), no waiter is ever
    overtaken more than max_bypass times, across any interleaving of grants,
@@ -826,6 +852,131 @@ let prop_bounded_bypass =
             (fun ticket -> ignore (Lock_table.cancel t ~ticket))
             (Lock_table.outstanding_tickets t ~txn))
         ~max_bypassed:(fun () -> Lock_table.max_bypassed t)
+        ops)
+
+(* Two bookkeeping invariants, checked after every operation of a random
+   sequence (one outstanding wait per transaction, as the engines
+   guarantee):
+   - no waiter is stranded: every outstanding ticket has a blocker.  A
+     waiter with none should have been promoted; promotion visits only the
+     entries the queued-entry index lists, so an index that missed an entry
+     strands its waiters here;
+   - no empty entry survives: [entry_count] is exactly the number of
+     resources carrying a hold or a waiter. *)
+type inv_op =
+  | ISubmit of { txn : int; step : int; mode : int; res : int; deadline : bool }
+  | IAttach of { txn : int; step : int; mode : int; res : int }
+  | IRelease of { txn : int; pick : int }
+  | IRelease_where of { txn : int; res : int; scope : int }
+  | ICancel of int
+  | IExpire
+
+let inv_modes = [| Mode.S; Mode.X; Mode.IS; Mode.IX; Mode.A 100; Mode.A 200; Mode.Comp 10 |]
+let inv_attach_modes = [| Mode.A 100; Mode.A 200; Mode.Comp 10 |]
+
+let inv_resources =
+  let tuple t k = Resource_id.Tuple (t, [ Value.Int k ]) in
+  [| Resource_id.Table "t"; tuple "t" 1; tuple "t" 2; Resource_id.Table "u"; tuple "u" 1 |]
+
+let inv_op_gen =
+  QCheck2.Gen.(
+    let txn = int_range 1 4 and step = oneofl [ 0; 10; 11 ] and res = int_range 0 4 in
+    oneof
+      [
+        map
+          (fun (txn, step, mode, res, deadline) -> ISubmit { txn; step; mode; res; deadline })
+          (tup5 txn step (int_range 0 6) res bool);
+        map
+          (fun (txn, step, mode, res) -> IAttach { txn; step; mode; res })
+          (quad txn step (int_range 0 2) res);
+        map2 (fun txn pick -> IRelease { txn; pick }) txn nat;
+        map3 (fun txn res scope -> IRelease_where { txn; res; scope }) txn res (int_range 0 2);
+        map (fun txn -> ICancel txn) txn;
+        pure IExpire;
+      ])
+
+let show_inv_op = function
+  | ISubmit { txn; step; mode; res; deadline } ->
+      Format.asprintf "submit(T%d step%d %a %a%s)" txn step Mode.pp inv_modes.(mode)
+        Resource_id.pp inv_resources.(res)
+        (if deadline then " deadline" else "")
+  | IAttach { txn; step; mode; res } ->
+      Format.asprintf "attach(T%d step%d %a %a)" txn step Mode.pp inv_attach_modes.(mode)
+        Resource_id.pp inv_resources.(res)
+  | IRelease { txn; pick } -> Printf.sprintf "release(T%d #%d)" txn pick
+  | IRelease_where { txn; res; scope } ->
+      Format.asprintf "release_where(T%d %s)" txn
+        (match scope with
+        | 0 -> Format.asprintf "%a" Resource_id.pp inv_resources.(res)
+        | 1 -> "conventional"
+        | _ -> "all")
+  | ICancel txn -> Printf.sprintf "cancel(T%d)" txn
+  | IExpire -> "expire"
+
+let prop_no_stranded_waiter =
+  QCheck2.Test.make
+    ~name:"lock_table: no stranded waiter, no empty entry" ~count:300
+    ~print:(fun ops -> String.concat "; " (List.map show_inv_op ops))
+    QCheck2.Gen.(list_size (int_range 0 80) inv_op_gen)
+    (fun ops ->
+      let now = ref 0. in
+      let t = Lock_table.create ~max_bypass:2 ~clock:(fun () -> !now) test_semantics in
+      let txns = [ 1; 2; 3; 4 ] in
+      let idle txn = Lock_table.outstanding_tickets t ~txn = [] in
+      let invariants () =
+        List.for_all
+          (fun txn ->
+            List.for_all
+              (fun ticket -> Lock_table.blockers t ~ticket <> [])
+              (Lock_table.outstanding_tickets t ~txn))
+          txns
+        &&
+        let live res =
+          Lock_table.holders t res <> []
+          || List.exists
+               (fun txn -> List.exists (Resource_id.equal res) (Lock_table.waiting_on t ~txn))
+               txns
+        in
+        Lock_table.entry_count t
+        = Array.fold_left (fun n res -> if live res then n + 1 else n) 0 inv_resources
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | ISubmit { txn; step; mode; res; deadline } ->
+              if idle txn then
+                ignore
+                  (Lock_table.submit t
+                     (Lock_request.make ~txn ~step_type:step
+                        ?deadline:(if deadline then Some (!now +. 1.) else None)
+                        inv_modes.(mode) inv_resources.(res)))
+          | IAttach { txn; step; mode; res } ->
+              if idle txn then
+                Lock_table.attach_req t
+                  (Lock_request.make ~txn ~step_type:step inv_attach_modes.(mode)
+                     inv_resources.(res))
+          | IRelease { txn; pick } -> (
+              match Lock_table.held_by t ~txn with
+              | [] -> ()
+              | held ->
+                  let res, mode = List.nth held (pick mod List.length held) in
+                  ignore (Lock_table.release t ~txn mode res))
+          | IRelease_where { txn; res; scope } ->
+              let pred r m =
+                match scope with
+                | 0 -> Resource_id.equal r inv_resources.(res)
+                | 1 -> Mode.conventional m
+                | _ -> true
+              in
+              ignore (Lock_table.release_where t ~txn pred)
+          | ICancel txn ->
+              List.iter
+                (fun ticket -> ignore (Lock_table.cancel t ~ticket))
+                (Lock_table.outstanding_tickets t ~txn)
+          | IExpire ->
+              now := !now +. 1.;
+              ignore (Lock_table.expire_overdue t ~now:!now));
+          invariants ())
         ops)
 
 (* Sequential-vs-sharded parity: the sharded table must agree with the
@@ -905,6 +1056,7 @@ let suites =
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_no_conflicting_holds;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_oracle_safety;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_release_all_drains;
+        QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_no_stranded_waiter;
       ] );
     ( "lock.assertional",
       [
@@ -931,6 +1083,8 @@ let suites =
         Alcotest.test_case "deadline spares compensating requests" `Quick
           test_deadline_spares_compensating;
         Alcotest.test_case "bounded-bypass gate" `Quick test_bounded_bypass_gate;
+        Alcotest.test_case "gate-deferred upgrade waits on the starved waiter" `Quick
+          test_gate_deferred_upgrade;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_bounded_bypass;
       ] );
     ( "lock.parity",

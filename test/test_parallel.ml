@@ -33,9 +33,14 @@ let parity_resources =
 
 let parity_modes = [| Mode.S; Mode.X; Mode.IS; Mode.IX; Mode.A 100; Mode.A 200; Mode.Comp 10 |]
 
+(* attaches carry the assertional modes only, as the protocol does *)
+let attach_modes = [| Mode.A 100; Mode.A 200; Mode.Comp 10 |]
+
 type pop =
   | PReq of { txn : int; step : int; adm : bool; comp : bool; mode : int; res : int }
+  | PAttach of { txn : int; step : int; mode : int; res : int }
   | PRel_where of { txn : int; res : int }
+  | PRel_step of int
   | PRel_all of int
   | PCancel of int
 
@@ -47,10 +52,29 @@ let pop_gen =
           (fun (txn, step, adm, comp, mode, res) -> PReq { txn; step; adm; comp; mode; res })
           (tup6 (int_range 1 4) (oneofl [ 0; 10; 11 ]) bool bool (int_range 0 6)
              (int_range 0 8));
+        map
+          (fun (txn, step, mode, res) -> PAttach { txn; step; mode; res })
+          (quad (int_range 1 4) (oneofl [ 0; 10; 11 ]) (int_range 0 2) (int_range 0 8));
         map2 (fun txn res -> PRel_where { txn; res }) (int_range 1 4) (int_range 0 8);
+        map (fun txn -> PRel_step txn) (int_range 1 4);
         map (fun txn -> PRel_all txn) (int_range 1 4);
         map (fun txn -> PCancel txn) (int_range 1 4);
       ])
+
+let show_pop = function
+  | PReq { txn; step; adm; comp; mode; res } ->
+      Format.asprintf "req(T%d step%d%s%s %a %a)" txn step
+        (if adm then " adm" else "")
+        (if comp then " comp" else "")
+        Mode.pp parity_modes.(mode) Resource_id.pp parity_resources.(res)
+  | PAttach { txn; step; mode; res } ->
+      Format.asprintf "attach(T%d step%d %a %a)" txn step Mode.pp attach_modes.(mode)
+        Resource_id.pp parity_resources.(res)
+  | PRel_where { txn; res } ->
+      Format.asprintf "release_where(T%d %a)" txn Resource_id.pp parity_resources.(res)
+  | PRel_step txn -> Printf.sprintf "release_step(T%d)" txn
+  | PRel_all txn -> Printf.sprintf "release_all(T%d)" txn
+  | PCancel txn -> Printf.sprintf "cancel(T%d)" txn
 
 let woken_txns wakeups =
   List.sort compare (List.map (fun w -> w.Lock_table.woken_txn) wakeups)
@@ -62,9 +86,15 @@ let sorted_held tbl_held = List.sort compare tbl_held
    queue, who wakes on each release, and identical final holds, waits-for
    edges and counts.  (Ticket numbers differ by construction; they are never
    compared.)  Waiting is one-request-per-transaction, as the blocking engine
-   guarantees. *)
+   guarantees.  Attaches install lock-free fast holds on the sharded side
+   whenever the shard's table is empty, so the releases also cover the
+   fast-slot sweep; [PRel_step] is the step-boundary release, which drops
+   the conventional modes and keeps A/Comp. *)
 let prop_parity =
   QCheck2.Test.make ~name:"sharded table: decision parity with sequential" ~count:200
+    ~print:(fun (shards, fast, ops) ->
+      Printf.sprintf "shards=%d fast=%b [%s]" shards fast
+        (String.concat "; " (List.map show_pop ops)))
     QCheck2.Gen.(
       triple (oneofl [ 1; 2; 4; 7 ]) bool (list_size (int_range 0 60) pop_gen))
     (fun (shards, fast, ops) ->
@@ -91,6 +121,20 @@ let prop_parity =
                     | Lock_table.Queued _, Lock_table.Queued _ -> true
                     | _ -> false)
                 end
+            | PAttach { txn; step; mode; res } ->
+                if Lock_table.outstanding_tickets seq ~txn = [] then begin
+                  let r =
+                    Lock_request.make ~txn ~step_type:step attach_modes.(mode)
+                      parity_resources.(res)
+                  in
+                  Lock_table.attach_req seq r;
+                  Sharded.attach_req sha r
+                end
+            | PRel_step txn ->
+                let pred _ m = Mode.conventional m in
+                let w1 = Lock_table.release_where seq ~txn pred in
+                let w2 = Sharded.release_where sha ~txn pred in
+                check (woken_txns w1 = woken_txns w2)
             | PRel_where { txn; res } ->
                 let target = parity_resources.(res) in
                 let pred r _ = Resource_id.equal r target in
@@ -373,6 +417,51 @@ let test_fast_expiry_race () =
   | `Granted -> Alcotest.fail "expected the racing wait to expire");
   Alcotest.(check int) "one timeout" 1 (Sharded.timeout_count t);
   ignore (Sharded.release_all t ~txn:1);
+  Alcotest.(check int) "no residue locks" 0 (Sharded.lock_count t);
+  Alcotest.(check int) "no residue waiters" 0 (Sharded.waiter_count t)
+
+(* A fast install rolled back after a slow section already migrated it into
+   the lock table (the second branch of [retreat]) must publish the wakeups
+   of its own release.  The waiter that release promotes is the one that
+   queued behind the phantom hold; dropping its wakeup leaves it granted in
+   the table but asleep forever, and the retreating transaction's slow retry
+   then queues behind it.  This is the wedge of the 2-domain 2PL longreader
+   run (a table-S audit queued behind a writer's rolled-back IX on
+   [ledger]), reduced to its two lock calls: one domain fast-installs and
+   releases IX on the table while the other takes S on it through the mutex
+   path.  The race is timing-dependent, so the pair loops for a fixed
+   budget; the main domain fails the test on a no-progress deadline instead
+   of hanging (wedged domains cannot be joined and are left blocked). *)
+let test_fast_retreat_wakes_waiter () =
+  let budget = 10.0 and stall = 5.0 in
+  let t = Sharded.create ~shards:1 Mode.no_semantics in
+  let ledger = Resource_id.Table "ledger" in
+  let stop = Atomic.make false in
+  let rounds = Atomic.make 0 in
+  let client txn mode =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 mode ledger);
+          ignore (Sharded.release_all t ~txn);
+          Atomic.incr rounds
+        done)
+  in
+  let writer = client 1 Mode.IX and reader = client 2 Mode.S in
+  let started = Unix.gettimeofday () in
+  let rec watch seen progressed =
+    Unix.sleepf 0.05;
+    let now = Unix.gettimeofday () and n = Atomic.get rounds in
+    if n <> seen then (if now -. started < budget then watch n now)
+    else if now -. progressed > stall then begin
+      Format.eprintf "wedged lock state:@.%a" Sharded.pp_state t;
+      Alcotest.failf "no lock round finished for %.0f s after %d rounds" stall n
+    end
+    else watch seen progressed
+  in
+  watch 0 started;
+  Atomic.set stop true;
+  Domain.join writer;
+  Domain.join reader;
   Alcotest.(check int) "no residue locks" 0 (Sharded.lock_count t);
   Alcotest.(check int) "no residue waiters" 0 (Sharded.waiter_count t)
 
@@ -748,6 +837,8 @@ let suites =
           test_fast_racing_conflicting_installs;
         Alcotest.test_case "deadline expiry races fast-path traffic" `Quick
           test_fast_expiry_race;
+        Alcotest.test_case "retreat after migration wakes the queued waiter" `Slow
+          test_fast_retreat_wakes_waiter;
         Alcotest.test_case "group-commit crash loses no acked commit" `Quick
           test_group_commit_crash_loses_no_acked_commit;
       ] );

@@ -1,7 +1,6 @@
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Mode = Acc_lock.Mode
-module Lock_service = Acc_lock.Lock_service
 module Resource_id = Acc_lock.Resource_id
 module Fault = Acc_fault.Fault
 
@@ -158,8 +157,12 @@ let compensate ctx inst ~completed =
                nonetheless victimized (all-compensating cycle) or fault
                injected, undo this attempt, back off, and try again.
                [Lock_timeout] cannot arise here — compensating requests carry
-               no deadline — but is caught for defence in depth. *)
+               no deadline — but is caught for defence in depth.  The
+               attempt's conventional locks go with it, as on the forward
+               path: a retry that kept them (a scan's table S, say) would
+               re-close the same cycle every time. *)
             Executor.rollback_current_step ctx;
+            Executor.release_locks ctx (step_release_mode inst);
             Txn_effect.yield ~attempt:n ();
             attempt (n + 1)
         in
@@ -391,7 +394,4 @@ let run_legacy ?(options = default_options) ?stop eng ~txn_type body =
   in
   attempt 1
 
-let victim_policy locks ~requester ~cycle =
-  Acc_lock.Lock_core.victim_policy
-    ~is_compensating:(fun txn -> Lock_service.compensating_waiter locks ~txn)
-    ~requester ~cycle
+let victim_policy = Acc_txn.Schedule.spare_compensating

@@ -128,4 +128,5 @@ val run_legacy :
 val victim_policy : Acc_txn.Schedule.victim_policy
 (** §3.4: the step closing the cycle is the victim, unless it is a
     compensating step — then every non-compensating transaction it waits on
-    in the cycle is aborted instead. *)
+    in the cycle is aborted instead.  This is
+    {!Acc_txn.Schedule.spare_compensating}. *)

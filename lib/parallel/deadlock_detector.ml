@@ -1,7 +1,5 @@
-module Lock_core = Acc_lock.Lock_core
 module Lock_service = Acc_lock.Lock_service
 module Counter = Acc_util.Metrics.Counter
-module Trace = Acc_obs.Trace
 
 (* Periodic background sweep over the global waits-for graph.
 
@@ -15,32 +13,8 @@ module Trace = Acc_obs.Trace
    cancels waits that still exist at kill time. *)
 
 let sweep locks =
-  let edges = Lock_service.wait_edges locks in
-  let waiters = List.sort_uniq compare (List.map fst edges) in
-  List.fold_left
-    (fun killed txn ->
-      (* re-snapshot after each kill so one sweep resolves overlapping cycles
-         without victimizing transactions a previous kill already unblocked *)
-      let edges = if killed = 0 then edges else Lock_service.wait_edges locks in
-      match Lock_core.find_cycle ~edges ~from:txn with
-      | None -> killed
-      | Some cycle ->
-          if Trace.enabled () then Trace.emit (Trace.Deadlock_cycle { cycle });
-          let victims =
-            Lock_core.victim_policy
-              ~is_compensating:(fun v -> Lock_service.compensating_waiter locks ~txn:v)
-              ~requester:txn ~cycle
-          in
-          (* §3.4: the requester was spared iff it is compensating and the
-             policy shifted the abort onto the transactions delaying it *)
-          let spared_compensating = not (List.mem txn victims) in
-          List.fold_left
-            (fun k v ->
-              if Trace.enabled () then
-                Trace.emit (Trace.Victim { txn = v; spared_compensating });
-              k + Lock_service.kill locks ~txn:v)
-            killed victims)
-    0 waiters
+  Acc_txn.Schedule.sweep Acc_txn.Schedule.spare_compensating locks ~kill:(fun txn ->
+      Lock_service.kill locks ~txn)
 
 type t = {
   stop_flag : bool Atomic.t;

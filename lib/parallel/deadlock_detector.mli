@@ -1,12 +1,14 @@
 (** Background deadlock detection for the sharded lock table.
 
     Blocking {!Sharded_lock_table.acquire_req} cannot run an at-block cycle
-    check the way the sequential schedulers do (it would need a consistent
+    check the way the sequential scheduler does (it would need a consistent
     global graph while holding one shard's mutex), so a dedicated detector
-    domain periodically snapshots the waits-for edges through the
-    {!Acc_lock.Lock_service.t} it is given, finds cycles with
-    {!Acc_lock.Lock_core.find_cycle}, and applies the paper's §3.4 victim
-    policy — never a transaction waiting on behalf of a compensating step.
+    domain periodically runs the sequential scheduler's own
+    {!Acc_txn.Schedule.sweep} over the {!Acc_lock.Lock_service.t} it is
+    given, with the paper's §3.4 victim policy
+    ({!Acc_txn.Schedule.spare_compensating} — never a transaction waiting on
+    behalf of a compensating step) and {!Acc_lock.Lock_service.kill} to
+    withdraw the victims' waits.
 
     Snapshots are per-shard and therefore not globally atomic; real
     deadlocks are stable and always found, while a stale snapshot can at

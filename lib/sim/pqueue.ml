@@ -2,9 +2,7 @@ type 'a entry = { time : float; seq : int; payload : 'a }
 
 type 'a t = { mutable arr : 'a entry option array; mutable len : int }
 
-let create () = { arr = Array.make 64 None; len = 0 }
-let is_empty t = t.len = 0
-let size t = t.len
+let create () = { arr = Array.make 16 None; len = 0 }
 
 let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

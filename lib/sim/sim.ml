@@ -3,7 +3,7 @@ type t = {
   mutable seq : int;
   events : (unit -> unit) Pqueue.t;
   mutable executed : int;
-  mutable running : bool;
+  choose : (int -> int) option;
 }
 
 type _ Effect.t += Delay : float -> unit Effect.t
@@ -11,8 +11,8 @@ type _ Effect.t += Delay : float -> unit Effect.t
 (* The handler needs the world to schedule continuations; processes find it
    through the closure installed by [spawn]. *)
 
-let create () =
-  { clock = 0.; seq = 0; events = Pqueue.create (); executed = 0; running = false }
+let create ?choose () =
+  { clock = 0.; seq = 0; events = Pqueue.create (); executed = 0; choose }
 
 let now t = t.clock
 
@@ -41,13 +41,6 @@ module Condition = struct
         c.queue <- rest;
         schedule t ~at:t.clock (fun () -> w.w_resume v);
         true
-
-  let broadcast t c v =
-    let n = waiters c in
-    while signal t c v do
-      ()
-    done;
-    n
 end
 
 let handler t : (unit, unit) Effect.Deep.handler =
@@ -75,13 +68,31 @@ let spawn t ?at f =
   let at = Option.value ~default:t.clock at in
   schedule t ~at (fun () -> Effect.Deep.match_with f () (handler t))
 
+(* Of the events due at [time] (the head [seq, f] already popped), run the
+   one the chooser picks and put the others back under their own sequence
+   numbers, so insertion order among them is kept for the next pick. *)
+let pick_tie t choose ~time seq f =
+  let rec same_time acc =
+    match Pqueue.peek_time t.events with
+    | Some time' when time' = time -> (
+        match Pqueue.pop t.events with
+        | Some (_, seq', f') -> same_time ((seq', f') :: acc)
+        | None -> assert false)
+    | Some _ | None -> List.rev acc
+  in
+  match same_time [ (seq, f) ] with
+  | [ (_, f) ] -> f
+  | due ->
+      let i = choose (List.length due) in
+      List.iteri (fun j (seq', f') -> if j <> i then Pqueue.push t.events ~time ~seq:seq' f') due;
+      snd (List.nth due i)
+
 let run ?until ?(max_events = 50_000_000) t =
-  t.running <- true;
   let continue_loop = ref true in
   while !continue_loop do
     match Pqueue.pop t.events with
     | None -> continue_loop := false
-    | Some (time, _, f) -> (
+    | Some (time, seq, f) -> (
         match until with
         | Some stop when time > stop ->
             (* freeze: drop this and all later events *)
@@ -91,25 +102,11 @@ let run ?until ?(max_events = 50_000_000) t =
             t.clock <- time;
             t.executed <- t.executed + 1;
             if t.executed > max_events then failwith "Sim.run: event budget exhausted";
+            let f = match t.choose with None -> f | Some choose -> pick_tie t choose ~time seq f in
             f ())
-  done;
-  t.running <- false
+  done
 
 let events_executed t = t.executed
-
-module Mailbox = struct
-  type 'a mailbox = { queue : 'a Queue.t; waiters : 'a Condition.cond }
-
-  let create () = { queue = Queue.create (); waiters = Condition.create () }
-  let length m = Queue.length m.queue
-
-  let send world m v =
-    (* hand the message straight to a blocked receiver if there is one *)
-    if not (Condition.signal world m.waiters v) then Queue.add v m.queue
-
-  let recv m = if Queue.is_empty m.queue then Condition.wait m.waiters else Queue.pop m.queue
-  let try_recv m = Queue.take_opt m.queue
-end
 
 module Resource = struct
   type resource = {

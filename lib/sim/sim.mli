@@ -11,7 +11,12 @@
 
 type t
 
-val create : unit -> t
+val create : ?choose:(int -> int) -> unit -> t
+(** [choose n] picks which of the [n > 1] events due at the earliest time
+    runs next, as an index into them in insertion order; it is consulted at
+    every such tie.  Without it ties run in insertion order.  A chooser is
+    how a caller steers the interleaving of processes that share a time
+    (the schedule explorer's branch points). *)
 
 val now : t -> float
 (** Current simulated time (seconds, by convention). *)
@@ -42,21 +47,7 @@ module Condition : sig
   val signal : t -> 'a cond -> 'a -> bool
   (** [false] if nobody was waiting (the value is dropped). *)
 
-  val broadcast : t -> 'a cond -> 'a -> int
   val waiters : 'a cond -> int
-end
-
-module Mailbox : sig
-  (** Typed FIFO message queues between processes: [recv] blocks while the
-      queue is empty; [send] never blocks. *)
-
-  type 'a mailbox
-
-  val create : unit -> 'a mailbox
-  val send : t -> 'a mailbox -> 'a -> unit
-  val recv : 'a mailbox -> 'a
-  val try_recv : 'a mailbox -> 'a option
-  val length : 'a mailbox -> int
 end
 
 module Resource : sig

@@ -1,6 +1,6 @@
 module Executor = Acc_txn.Executor
+module Schedule = Acc_txn.Schedule
 module Txn_effect = Acc_txn.Txn_effect
-module Lock_table = Acc_lock.Lock_table
 module Lock_service = Acc_lock.Lock_service
 module Mode = Acc_lock.Mode
 module Runtime = Acc_core.Runtime
@@ -9,15 +9,6 @@ module Prng = Acc_util.Prng
 module Tally = Acc_util.Stats.Tally
 module Trace = Acc_obs.Trace
 module Lock_obs = Acc_obs.Lock_obs
-
-let trace_deadlock ~requester ~cycle ~victims =
-  if Trace.enabled () then begin
-    Trace.emit (Trace.Deadlock_cycle { cycle });
-    let spared_compensating = not (List.mem requester victims) in
-    List.iter
-      (fun v -> Trace.emit (Trace.Victim { txn = v; spared_compensating }))
-      victims
-  end
 
 type system = Baseline | Acc
 
@@ -86,111 +77,6 @@ type report = {
 
 let mean_response r = Tally.mean r.response
 
-type wait_outcome = Granted | Victim
-
-type state = {
-  cfg : config;
-  sim : Sim.t;
-  eng : Executor.t;
-  servers_pool : Sim.Resource.resource;
-  parked : (Lock_table.ticket, wait_outcome Sim.Condition.cond) Hashtbl.t;
-  backoff_g : Prng.t;
-  lock_wait : Tally.t;
-  mutable deadlock_victims : int;
-}
-
-let deliver_wakeups st wakeups =
-  List.iter
-    (fun w ->
-      match Hashtbl.find_opt st.parked w.Lock_table.woken_ticket with
-      | Some cond ->
-          Hashtbl.remove st.parked w.Lock_table.woken_ticket;
-          ignore (Sim.Condition.signal st.sim cond Granted)
-      | None -> ())
-    wakeups
-
-(* Resume [txn]'s parked wait (if any) as a deadlock victim. *)
-let kill_waiter st txn =
-  let locks = Executor.lock_service st.eng in
-  let victim_tickets =
-    Hashtbl.fold
-      (fun ticket _ acc ->
-        match Lock_service.ticket_txn locks ~ticket with
-        | Some t when t = txn -> ticket :: acc
-        | Some _ | None -> acc)
-      st.parked []
-  in
-  List.iter
-    (fun ticket ->
-      match Hashtbl.find_opt st.parked ticket with
-      | Some cond ->
-          Hashtbl.remove st.parked ticket;
-          st.deadlock_victims <- st.deadlock_victims + 1;
-          Lock_service.cancel locks ~ticket;
-          ignore (Sim.Condition.signal st.sim cond Victim)
-      | None -> ())
-    victim_tickets
-
-(* Run one transaction attempt under the lock-wait/yield effect handler.
-   Runs inside a sim process; lock waits suspend the terminal. *)
-let with_txn_effects : type r. state -> (unit -> r) -> r =
- fun st f ->
-  let locks = Executor.lock_service st.eng in
-  Effect.Deep.match_with f ()
-    {
-      retc = Fun.id;
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Txn_effect.Wait_lock { ticket; txn } ->
-              Some
-                (fun (k : (b, r) Effect.Deep.continuation) ->
-                  if not (Lock_service.outstanding locks ~ticket) then Effect.Deep.continue k ()
-                  else begin
-                    let self_victim =
-                      match Lock_service.find_cycle locks ~from:txn with
-                      | None -> false
-                      | Some cycle ->
-                          let victims = Runtime.victim_policy locks ~requester:txn ~cycle in
-                          trace_deadlock ~requester:txn ~cycle ~victims;
-                          List.iter (fun v -> if v <> txn then kill_waiter st v) victims;
-                          List.mem txn victims
-                    in
-                    if self_victim then begin
-                      st.deadlock_victims <- st.deadlock_victims + 1;
-                      Lock_service.cancel locks ~ticket;
-                      Effect.Deep.discontinue k Txn_effect.Deadlock_victim
-                    end
-                    else if not (Lock_service.outstanding locks ~ticket) then
-                      (* cancelling the other victims promoted the queue and
-                         granted our own request before we could park *)
-                      Effect.Deep.continue k ()
-                    else begin
-                      let cond = Sim.Condition.create () in
-                      Hashtbl.replace st.parked ticket cond;
-                      let t0 = Sim.now st.sim in
-                      let outcome = Sim.Condition.wait cond in
-                      Tally.add st.lock_wait (Sim.now st.sim -. t0);
-                      match outcome with
-                      | Granted -> Effect.Deep.continue k ()
-                      | Victim -> Effect.Deep.discontinue k Txn_effect.Deadlock_victim
-                    end
-                  end)
-          | Txn_effect.Yield attempt ->
-              (* deadlock-retry backoff: randomized so that repeatedly
-                 colliding transactions desynchronize instead of retrying in
-                 lockstep forever, scaled by the capped exponential factor of
-                 the attempt number *)
-              Some
-                (fun (k : (b, r) Effect.Deep.continuation) ->
-                  Sim.delay
-                    ((0.002 +. Prng.exponential st.backoff_g ~mean:0.05)
-                    *. Acc_txn.Backoff.factor ~attempt ());
-                  Effect.Deep.continue k ())
-          | _ -> None);
-    }
-
 let run cfg =
   if cfg.workload = None then Params.validate cfg.params;
   let module W = (val workload_of cfg : Acc_workload.S) in
@@ -204,19 +90,14 @@ let run cfg =
   let eng = Executor.create ~sem db in
   let sim = Sim.create () in
   let servers_pool = Sim.Resource.create sim ~capacity:cfg.servers in
-  let st =
-    {
-      cfg;
-      sim;
-      eng;
-      servers_pool;
-      parked = Hashtbl.create 64;
-      backoff_g = Prng.create ~seed:(cfg.seed * 7919);
-      lock_wait = Tally.create ();
-      deadlock_victims = 0;
-    }
+  let backoff_g = Prng.create ~seed:(cfg.seed * 7919) in
+  (* deadlock-retry backoff: randomized so that repeatedly colliding
+     transactions desynchronize instead of retrying in lockstep forever,
+     scaled by the capped exponential factor of the attempt number *)
+  let waits =
+    Schedule.create ~policy:Runtime.victim_policy sim eng ~yield_delay:(fun attempt ->
+        (0.002 +. Prng.exponential backoff_g ~mean:0.05) *. Acc_txn.Backoff.factor ~attempt ())
   in
-  Executor.set_on_wakeup eng (deliver_wakeups st);
   Executor.set_charge eng (fun units ->
       if units > 0.0 then Sim.Resource.use servers_pool (units *. cfg.cpu_per_unit));
   (* step durations in virtual time; lock decisions to the trace when one is
@@ -252,7 +133,7 @@ let run cfg =
           let input = W.gen_input env in
           let t0 = Sim.now sim in
           let outcome =
-            with_txn_effects st (fun () ->
+            Schedule.within waits (fun () ->
                 match cfg.system with
                 | Baseline -> begin
                     match W.run_flat eng env input with
@@ -297,28 +178,10 @@ let run cfg =
      promotions and lock upgrades can close a waits-for cycle without any
      transaction newly blocking, so an Ingres-style background sweep is the
      safety net that guarantees progress. *)
-  let locks = Executor.lock_service eng in
   let rec detector () =
     if !active_terminals > 0 then begin
       Sim.delay 0.25;
-      let parked_txns =
-        Hashtbl.fold
-          (fun ticket _ acc ->
-            match Lock_service.ticket_txn locks ~ticket with
-            | Some txn -> txn :: acc
-            | None -> acc)
-          st.parked []
-        |> List.sort_uniq compare
-      in
-      List.iter
-        (fun txn ->
-          match Lock_service.find_cycle locks ~from:txn with
-          | Some cycle ->
-              let victims = Runtime.victim_policy locks ~requester:txn ~cycle in
-              trace_deadlock ~requester:txn ~cycle ~victims;
-              List.iter (fun v -> kill_waiter st v) victims
-          | None -> ())
-        parked_txns;
+      ignore (Schedule.sweep_parked waits);
       detector ()
     end
   in
@@ -330,7 +193,7 @@ let run cfg =
     max 50_000_000 (int_of_float (float_of_int cfg.terminals *. cfg.horizon *. 20_000.))
   in
   Sim.run ~max_events sim;
-  if Hashtbl.length st.parked > 0 then begin
+  if Schedule.parked waits > 0 then begin
     let locks = Executor.lock_service eng in
     Format.eprintf "stranded lock state:@.%a@.wait edges:@." Lock_service.pp_state locks;
     List.iter (fun (a, b) -> Format.eprintf "  T%d -> T%d@." a b) (Lock_service.wait_edges locks);
@@ -340,14 +203,14 @@ let run cfg =
   {
     completed = !completed;
     response;
-    lock_wait = st.lock_wait;
+    lock_wait = Schedule.lock_wait waits;
     per_type =
       Hashtbl.fold (fun name t acc -> (name, t) :: acc) per_type []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b);
     throughput =
       (if cfg.horizon > cfg.warmup then float_of_int !completed /. (cfg.horizon -. cfg.warmup)
        else 0.);
-    deadlock_victims = st.deadlock_victims;
+    deadlock_victims = Schedule.victims waits;
     forced_aborts = !forced_aborts;
     compensations = !compensations;
     cpu_utilization = Sim.Resource.utilization servers_pool ~at:quiesced_at;

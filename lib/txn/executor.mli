@@ -7,7 +7,8 @@
     the current step's undo stack, cost charging, and access tracing.
 
     Lock waits {!Effect.perform} {!Txn_effect.Wait_lock}; callers run under a
-    scheduler that handles it ({!Schedule} or the simulator driver). *)
+    handler for it ({!Schedule}'s, on its own scheduler or in the
+    simulator). *)
 
 type t
 (** An engine: database + lock manager + log + configuration. *)

@@ -1,153 +1,26 @@
-module Lock_table = Acc_lock.Lock_table
-module Lock_service = Acc_lock.Lock_service
-
 type outcome = {
   schedules : int;
   exhausted : bool;
   failure : (string * int list) option;
 }
 
-type task =
-  | Start of (unit -> unit)
-  | Resume of (unit, unit) Effect.Deep.continuation
-  | Kill of (unit, unit) Effect.Deep.continuation
-
-type suspended = { s_txn : int; s_k : (unit, unit) Effect.Deep.continuation }
-
-type state = {
-  engine : Executor.t;
-  policy : Schedule.victim_policy;
-  mutable ready : task list; (* order = insertion; the chooser indexes it *)
-  parked : (Lock_table.ticket, suspended) Hashtbl.t;
-  (* choice bookkeeping: the trace to follow, then default-0 beyond it *)
-  mutable remaining : int list;
-  mutable choices_rev : (int * int) list; (* (chosen, degree), newest first *)
-}
-
-let enqueue st task = st.ready <- st.ready @ [ task ]
-
-let deliver st wakeups =
-  List.iter
-    (fun w ->
-      match Hashtbl.find_opt st.parked w.Lock_table.woken_ticket with
-      | Some s ->
-          Hashtbl.remove st.parked w.Lock_table.woken_ticket;
-          enqueue st (Resume s.s_k)
-      | None -> ())
-    wakeups
-
-let kill_waiter st txn =
-  let victim_tickets =
-    Hashtbl.fold
-      (fun ticket s acc -> if s.s_txn = txn then (ticket, s) :: acc else acc)
-      st.parked []
-  in
-  List.iter
-    (fun (ticket, s) ->
-      Hashtbl.remove st.parked ticket;
-      Lock_service.cancel (Executor.lock_service st.engine) ~ticket;
-      enqueue st (Kill s.s_k))
-    victim_tickets
-
-let handle_wait st ~ticket ~txn k =
-  let locks = Executor.lock_service st.engine in
-  if not (Lock_service.outstanding locks ~ticket) then enqueue st (Resume k)
-  else begin
-    match Lock_service.find_cycle locks ~from:txn with
-    | None -> Hashtbl.replace st.parked ticket { s_txn = txn; s_k = k }
-    | Some cycle ->
-        let victims = st.policy locks ~requester:txn ~cycle in
-        if List.mem txn victims then begin
-          Lock_service.cancel locks ~ticket;
-          enqueue st (Kill k)
-        end
-        else Hashtbl.replace st.parked ticket { s_txn = txn; s_k = k };
-        List.iter (fun v -> if v <> txn then kill_waiter st v) victims
-  end
-
-let pick st len =
-  if len <= 1 then 0
-  else begin
+(* Execute one schedule, steered by [trace] and by first choices beyond it;
+   returns the choices made, as (chosen, degree) pairs. *)
+let run_one ~policy ~trace engine fibers =
+  let remaining = ref trace and choices_rev = ref [] in
+  let choose n =
     let c =
-      match st.remaining with
+      match !remaining with
       | c :: rest ->
-          st.remaining <- rest;
-          min c (len - 1)
+          remaining := rest;
+          min c (n - 1)
       | [] -> 0
     in
-    st.choices_rev <- (c, len) :: st.choices_rev;
+    choices_rev := (c, n) :: !choices_rev;
     c
-  end
-
-let take_nth st i =
-  let rec go acc i = function
-    | [] -> invalid_arg "Explore.take_nth"
-    | t :: rest -> if i = 0 then (t, List.rev_append acc rest) else go (t :: acc) (i - 1) rest
   in
-  let task, rest = go [] i st.ready in
-  st.ready <- rest;
-  task
-
-(* Execute one schedule, steered by [trace]; returns the recorded choices. *)
-let run_one ~policy ~trace engine fibers =
-  let st =
-    {
-      engine;
-      policy;
-      ready = [];
-      parked = Hashtbl.create 32;
-      remaining = trace;
-      choices_rev = [];
-    }
-  in
-  Executor.set_on_wakeup engine (deliver st);
-  let handler : (unit, unit) Effect.Deep.handler =
-    {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Txn_effect.Wait_lock { ticket; txn } ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) -> handle_wait st ~ticket ~txn k)
-          | Txn_effect.Yield _ ->
-              Some (fun (k : (b, unit) Effect.Deep.continuation) -> enqueue st (Resume k))
-          | _ -> None);
-    }
-  in
-  List.iter (fun f -> enqueue st (Start f)) fibers;
-  let stall_sweep () =
-    let locks = Executor.lock_service engine in
-    let parked_txns =
-      Hashtbl.fold (fun _ s acc -> s.s_txn :: acc) st.parked [] |> List.sort_uniq compare
-    in
-    List.iter
-      (fun txn ->
-        match Lock_service.find_cycle locks ~from:txn with
-        | Some cycle ->
-            let victims = st.policy locks ~requester:txn ~cycle in
-            List.iter (fun v -> kill_waiter st v) victims
-        | None -> ())
-      parked_txns
-  in
-  let rec drain () =
-    while st.ready <> [] do
-      let len = List.length st.ready in
-      let task = take_nth st (pick st len) in
-      match task with
-      | Start f -> Effect.Deep.match_with f () handler
-      | Resume k -> Effect.Deep.continue k ()
-      | Kill k -> Effect.Deep.discontinue k Txn_effect.Deadlock_victim
-    done;
-    if Hashtbl.length st.parked > 0 then begin
-      stall_sweep ();
-      if st.ready <> [] then drain ()
-    end
-  in
-  drain ();
-  if Hashtbl.length st.parked > 0 then raise (Txn_effect.Stuck "explore: stranded fibers");
-  List.rev st.choices_rev
+  Schedule.run ~policy ~choose engine fibers;
+  List.rev !choices_rev
 
 (* The next trace in depth-first order: increment the last incrementable
    choice and drop everything after it; None when the tree is exhausted. *)

@@ -1,137 +1,187 @@
+module Lock_core = Acc_lock.Lock_core
 module Lock_table = Acc_lock.Lock_table
 module Lock_service = Acc_lock.Lock_service
+module Sim = Acc_sim.Sim
+module Tally = Acc_util.Stats.Tally
+module Trace = Acc_obs.Trace
 
 type victim_policy = Lock_service.t -> requester:int -> cycle:int list -> int list
 
-let abort_requester _locks ~requester ~cycle:_ = [ requester ]
+let abort_youngest _locks ~requester ~cycle = [ List.fold_left max requester cycle ]
 
-let abort_youngest _locks ~requester ~cycle =
-  [ List.fold_left max requester cycle ]
+let spare_compensating locks ~requester ~cycle =
+  Lock_core.victim_policy
+    ~is_compensating:(fun txn -> Lock_service.compensating_waiter locks ~txn)
+    ~requester ~cycle
 
-type task =
-  | Start of (unit -> unit)
-  | Resume of (unit, unit) Effect.Deep.continuation
-  | Kill of (unit, unit) Effect.Deep.continuation
+(* The victims [policy] names for the cycle [requester] closed, traced. *)
+let victims_of policy locks ~requester ~cycle =
+  let victims = policy locks ~requester ~cycle in
+  assert (victims <> [] && List.for_all (fun v -> List.mem v cycle) victims);
+  if Trace.enabled () then begin
+    Trace.emit (Trace.Deadlock_cycle { cycle });
+    (* §3.4: the requester was spared iff it is compensating and the policy
+       shifted the abort onto the transactions delaying it *)
+    let spared_compensating = not (List.mem requester victims) in
+    List.iter (fun v -> Trace.emit (Trace.Victim { txn = v; spared_compensating })) victims
+  end;
+  victims
 
-type suspended = { s_txn : int; s_k : (unit, unit) Effect.Deep.continuation }
+let sweep policy locks ~kill =
+  let edges = Lock_service.wait_edges locks in
+  let waiters = List.sort_uniq compare (List.map fst edges) in
+  List.fold_left
+    (fun killed txn ->
+      (* re-snapshot after each kill so one sweep resolves overlapping cycles
+         without victimizing transactions a previous kill already unblocked *)
+      let edges = if killed = 0 then edges else Lock_service.wait_edges locks in
+      match Lock_core.find_cycle ~edges ~from:txn with
+      | None -> killed
+      | Some cycle ->
+          List.fold_left
+            (fun k v -> k + kill v)
+            killed
+            (victims_of policy locks ~requester:txn ~cycle))
+    0 waiters
 
-type state = {
-  engine : Executor.t;
+type wait_outcome = Granted | Victim
+type parked = { p_txn : int; p_cond : wait_outcome Sim.Condition.cond }
+
+type t = {
+  sim : Sim.t;
+  locks : Lock_service.t;
   policy : victim_policy;
-  ready : task Queue.t;
-  parked : (Lock_table.ticket, suspended) Hashtbl.t;
-  mutable tasks_run : int;
+  yield_delay : int -> float;
+  parked : (Lock_table.ticket, parked) Hashtbl.t;
+  lock_wait : Tally.t;
+  mutable victims : int;
 }
 
-let deliver st wakeups =
+let deliver h wakeups =
   List.iter
     (fun w ->
-      match Hashtbl.find_opt st.parked w.Lock_table.woken_ticket with
-      | Some s ->
-          Hashtbl.remove st.parked w.Lock_table.woken_ticket;
-          Queue.add (Resume s.s_k) st.ready
+      match Hashtbl.find_opt h.parked w.Lock_table.woken_ticket with
+      | Some p ->
+          Hashtbl.remove h.parked w.Lock_table.woken_ticket;
+          ignore (Sim.Condition.signal h.sim p.p_cond Granted)
       | None -> () (* granted to a request that was cancelled concurrently *))
     wakeups
 
-(* Unpark [txn]'s waiting fiber (if any), withdraw its lock request, and
-   schedule it to be resumed with Deadlock_victim. *)
-let kill_waiter st txn =
-  let victim_tickets =
-    Hashtbl.fold (fun ticket s acc -> if s.s_txn = txn then (ticket, s) :: acc else acc)
-      st.parked []
+(* Withdraw [txn]'s parked wait and resume its fiber with Deadlock_victim;
+   the number of waits withdrawn. *)
+let kill_waiter h txn =
+  let victim_waits =
+    Hashtbl.fold (fun ticket p acc -> if p.p_txn = txn then (ticket, p) :: acc else acc)
+      h.parked []
   in
   List.iter
-    (fun (ticket, s) ->
-      Hashtbl.remove st.parked ticket;
+    (fun (ticket, p) ->
+      Hashtbl.remove h.parked ticket;
+      h.victims <- h.victims + 1;
       (* the service delivers the cancellation's wakeups through the
-         [set_on_wakeup] hook, i.e. straight back into [deliver st] *)
-      Lock_service.cancel (Executor.lock_service st.engine) ~ticket;
-      Queue.add (Kill s.s_k) st.ready)
-    victim_tickets
+         [set_on_wakeup] hook, i.e. straight back into [deliver h] *)
+      Lock_service.cancel h.locks ~ticket;
+      ignore (Sim.Condition.signal h.sim p.p_cond Victim))
+    victim_waits;
+  List.length victim_waits
 
-let handle_wait st ~ticket ~txn k =
-  let locks = Executor.lock_service st.engine in
-  (* the ticket may already have been granted by lock churn between the
-     request and this handler running; only park if still outstanding *)
-  if not (Lock_service.outstanding locks ~ticket) then Queue.add (Resume k) st.ready
+let wait : type r.
+    t -> ticket:Lock_table.ticket -> txn:int -> (unit, r) Effect.Deep.continuation -> r =
+ fun h ~ticket ~txn k ->
+  if not (Lock_service.outstanding h.locks ~ticket) then Effect.Deep.continue k ()
   else begin
-    match Lock_service.find_cycle locks ~from:txn with
-    | None -> Hashtbl.replace st.parked ticket { s_txn = txn; s_k = k }
-    | Some cycle ->
-        let victims = st.policy locks ~requester:txn ~cycle in
-        assert (victims <> [] && List.for_all (fun v -> List.mem v cycle) victims);
-        if List.mem txn victims then begin
-          Lock_service.cancel locks ~ticket;
-          Queue.add (Kill k) st.ready
-        end
-        else Hashtbl.replace st.parked ticket { s_txn = txn; s_k = k };
-        List.iter (fun v -> if v <> txn then kill_waiter st v) victims
+    let self_victim =
+      match Lock_service.find_cycle h.locks ~from:txn with
+      | None -> false
+      | Some cycle ->
+          let victims = victims_of h.policy h.locks ~requester:txn ~cycle in
+          List.iter (fun v -> if v <> txn then ignore (kill_waiter h v)) victims;
+          List.mem txn victims
+    in
+    if self_victim then begin
+      h.victims <- h.victims + 1;
+      Lock_service.cancel h.locks ~ticket;
+      Effect.Deep.discontinue k Txn_effect.Deadlock_victim
+    end
+    else if not (Lock_service.outstanding h.locks ~ticket) then
+      (* killing the other victims promoted the queue and granted our own
+         request before we could park *)
+      Effect.Deep.continue k ()
+    else begin
+      let p_cond = Sim.Condition.create () in
+      Hashtbl.replace h.parked ticket { p_txn = txn; p_cond };
+      let t0 = Sim.now h.sim in
+      let outcome = Sim.Condition.wait p_cond in
+      Tally.add h.lock_wait (Sim.now h.sim -. t0);
+      match outcome with
+      | Granted -> Effect.Deep.continue k ()
+      | Victim -> Effect.Deep.discontinue k Txn_effect.Deadlock_victim
+    end
   end
 
-let run ?(policy = abort_youngest) ?(max_tasks = 1_000_000) engine fibers =
-  let st =
-    { engine; policy; ready = Queue.create (); parked = Hashtbl.create 64; tasks_run = 0 }
-  in
-  Executor.set_on_wakeup engine (deliver st);
-  let handler : (unit, unit) Effect.Deep.handler =
+let create ~policy ~yield_delay sim engine =
+  let h =
     {
-      retc = (fun () -> ());
-      exnc = (fun e -> raise e);
+      sim;
+      locks = Executor.lock_service engine;
+      policy;
+      yield_delay;
+      parked = Hashtbl.create 16;
+      lock_wait = Tally.create ();
+      victims = 0;
+    }
+  in
+  Executor.set_on_wakeup engine (deliver h);
+  h
+
+let within : type r. t -> (unit -> r) -> r =
+ fun h f ->
+  Effect.Deep.match_with f ()
+    {
+      retc = Fun.id;
+      exnc = raise;
       effc =
         (fun (type b) (eff : b Effect.t) ->
           match eff with
           | Txn_effect.Wait_lock { ticket; txn } ->
+              Some (fun (k : (b, r) Effect.Deep.continuation) -> wait h ~ticket ~txn k)
+          | Txn_effect.Yield attempt ->
               Some
-                (fun (k : (b, unit) Effect.Deep.continuation) -> handle_wait st ~ticket ~txn k)
-          | Txn_effect.Yield _ ->
-              (* deterministic round-robin: backoff is a real-time notion, so
-                 the attempt number only matters to the timed schedulers *)
-              Some (fun (k : (b, unit) Effect.Deep.continuation) -> Queue.add (Resume k) st.ready)
+                (fun (k : (b, r) Effect.Deep.continuation) ->
+                  Sim.delay (h.yield_delay attempt);
+                  Effect.Deep.continue k ())
           | _ -> None);
     }
-  in
-  List.iter (fun f -> Queue.add (Start f) st.ready) fibers;
+
+let sweep_parked h = sweep h.policy h.locks ~kill:(kill_waiter h)
+let parked h = Hashtbl.length h.parked
+let victims h = h.victims
+let lock_wait h = h.lock_wait
+
+(* resumptions allowed in one [run] before it is declared a livelock *)
+let livelock_budget = 1_000_000
+
+let run ?(policy = abort_youngest) ?choose engine fibers =
+  let sim = Sim.create ?choose () in
+  (* deterministic round-robin: backoff is a real-time notion, so a yield is
+     a zero delay whatever its attempt number *)
+  let h = create ~policy ~yield_delay:(fun _ -> 0.) sim engine in
+  List.iter (fun f -> Sim.spawn sim (fun () -> within h f)) fibers;
   (* Grant promotions and lock upgrades can close a waits-for cycle without
-     any transaction newly blocking; when the ready queue drains with fibers
-     still parked, sweep the parked set for cycles before declaring a bug. *)
-  let stall_sweep () =
-    let locks = Executor.lock_service engine in
-    let parked_txns =
-      Hashtbl.fold (fun _ s acc -> s.s_txn :: acc) st.parked [] |> List.sort_uniq compare
-    in
-    List.iter
-      (fun txn ->
-        match Lock_service.find_cycle locks ~from:txn with
-        | Some cycle ->
-            let victims = st.policy locks ~requester:txn ~cycle in
-            List.iter (fun v -> kill_waiter st v) victims
-        | None -> ())
-      parked_txns
-  in
+     any transaction newly blocking; when the run drains with fibers still
+     parked, sweep for cycles before declaring a bug. *)
   let rec drain () =
-    while not (Queue.is_empty st.ready) do
-      st.tasks_run <- st.tasks_run + 1;
-      if st.tasks_run > max_tasks then raise (Txn_effect.Stuck "livelock guard tripped");
-      match Queue.pop st.ready with
-      | Start f -> Effect.Deep.match_with f () handler
-      | Resume k -> Effect.Deep.continue k ()
-      | Kill k -> Effect.Deep.discontinue k Txn_effect.Deadlock_victim
-    done;
-    if Hashtbl.length st.parked > 0 then begin
-      stall_sweep ();
-      if not (Queue.is_empty st.ready) then drain ()
-    end
+    (try Sim.run ~max_events:livelock_budget sim
+     with Failure _ when Sim.events_executed sim > livelock_budget ->
+       raise (Txn_effect.Stuck "livelock guard tripped"));
+    if parked h > 0 && sweep_parked h > 0 then drain ()
   in
   drain ();
-  if Hashtbl.length st.parked > 0 then begin
-    let stranded =
-      Hashtbl.fold (fun _ s acc -> s.s_txn :: acc) st.parked [] |> List.sort_uniq compare
-    in
+  if parked h > 0 then
     raise
       (Txn_effect.Stuck
          (Format.asprintf "fibers stranded on locks: txns %a"
             (Format.pp_print_list
                ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
                Format.pp_print_int)
-            stranded))
-  end
+            (Hashtbl.fold (fun _ p acc -> p.p_txn :: acc) h.parked [] |> List.sort_uniq compare)))

@@ -1,7 +1,7 @@
 (* The single point where concurrency-control code suspends: lock waits are
-   surfaced as an effect so that the same engine runs under the deterministic
-   round-robin scheduler (tests, examples) and under the discrete-event
-   simulator (benchmarks) unchanged. *)
+   surfaced as an effect so that the same engine runs unchanged under
+   Schedule's handler, whether on its round-robin scheduler (tests, examples)
+   or inside the discrete-event simulator (benchmarks). *)
 
 type _ Effect.t +=
   | Wait_lock : { ticket : Acc_lock.Lock_table.ticket; txn : int } -> unit Effect.t

@@ -1,11 +1,13 @@
 (** The effects through which transaction code talks to its scheduler.
 
     Engine operations never block directly: a lock wait performs
-    {!Wait_lock}, and whichever scheduler is running the fiber — the
-    deterministic round-robin {!Schedule}, the systematic {!Explore}, or the
-    discrete-event simulation driver — decides how to park and resume it.
-    This is what lets one engine implementation serve unit tests, exhaustive
-    interleaving checks, and the performance simulation unchanged. *)
+    {!Wait_lock}, and the handler running the fiber decides how to park and
+    resume it.  {!Schedule}'s handler serves the round-robin scheduler of
+    unit tests, the systematic {!Explore}, and the discrete-event simulation
+    driver alike; the multicore engine answers the same effects with real
+    sleeps.  This is what lets one engine implementation serve unit tests,
+    exhaustive interleaving checks, and the performance simulation
+    unchanged. *)
 
 type _ Effect.t +=
   | Wait_lock : { ticket : Acc_lock.Lock_table.ticket; txn : int } -> unit Effect.t

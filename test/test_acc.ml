@@ -622,6 +622,60 @@ let test_victim_policy_shields_compensation () =
   Alcotest.(check (list int)) "plain requester is the victim" [ 2 ]
     (Runtime.victim_policy svc ~requester:2 ~cycle)
 
+(* A one-step type whose compensating step scans the table before touching
+   its own row.  Two such compensations each end up holding the table [S]
+   lock and queued for [IX]; the §3.4 policy victimizes the requester, and
+   the retry must not keep the [S] lock of the attempt it rolled back, or
+   the same cycle re-forms on every retry. *)
+let scan_comp_step =
+  Program.step ~id:60 ~name:"bump" ~txn_type:"scan_comp" ~index:1 ~reads:[]
+    ~writes:[ Footprint.make "stock" (Footprint.Columns [ "s_level" ]) ]
+    ()
+
+let scan_comp_undo =
+  Program.step ~id:61 ~name:"scan_then_unbump" ~txn_type:"scan_comp" ~index:0
+    ~reads:[ Footprint.make "stock" Footprint.All_columns ]
+    ~writes:[ Footprint.make "stock" (Footprint.Columns [ "s_level" ]) ]
+    ()
+
+let scan_comp_type =
+  Program.txn_type ~name:"scan_comp" ~steps:[ scan_comp_step ] ~comp:scan_comp_undo
+    ~assertions:[] ()
+
+let scan_comp_instance ~item =
+  let compensate ctx ~completed =
+    if completed >= 1 then begin
+      Txn_effect.yield ();
+      ignore (Executor.scan ctx "stock" ());
+      Txn_effect.yield ();
+      bump ctx item (-1)
+    end
+  in
+  Program.instance ~def:scan_comp_type
+    ~steps:[ (scan_comp_step, fun ctx -> bump ctx item 1) ]
+    ~compensate ()
+
+let test_scanning_compensations_resolve () =
+  let db = Database.create () in
+  let stock = Database.create_table db W.stock_schema in
+  List.iter (fun i -> Table.insert stock [| v_int i; v_int 0 |]) [ 1; 2 ];
+  let sem = Interference.semantics (Interference.build (Program.workload [ scan_comp_type ])) in
+  let eng = Executor.create ~sem db in
+  let o1 = ref None and o2 = ref None in
+  Schedule.run ~policy:Runtime.victim_policy eng
+    [
+      (fun () -> o1 := Some (Runtime.run ~abort_at:1 eng (scan_comp_instance ~item:1)));
+      (fun () -> o2 := Some (Runtime.run ~abort_at:1 eng (scan_comp_instance ~item:2)));
+    ];
+  let compensated = function
+    | Some (Runtime.Compensated { completed_steps = 1 }) -> true
+    | Some (Runtime.Committed | Runtime.Compensated _) | None -> false
+  in
+  Alcotest.(check bool) "both compensated" true (compensated !o1 && compensated !o2);
+  Alcotest.(check int) "item 1 restored" 0 (stock_val eng 1);
+  Alcotest.(check int) "item 2 restored" 0 (stock_val eng 2);
+  Alcotest.(check int) "locks drained" 0 (Lock_service.lock_count (Executor.lock_service eng))
+
 let test_buggy_step_body_cleans_up () =
   (* an exception in a step body compensates the completed steps, drains the
      locks, and surfaces to the caller *)
@@ -843,6 +897,8 @@ let suites =
           test_step_deadlock_exhaustion_compensates;
         Alcotest.test_case "victim policy shields compensation" `Quick
           test_victim_policy_shields_compensation;
+        Alcotest.test_case "scanning compensations resolve" `Quick
+          test_scanning_compensations_resolve;
       ] );
     ( "acc.verification",
       [

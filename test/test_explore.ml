@@ -34,7 +34,8 @@ let counter_value eng =
 
 let test_explores_all_interleavings () =
   (* two fibers, one yield each, no conflicts: the walk must terminate
-     exhausted with more than one schedule *)
+     exhausted, having run each of the six orders of the four runnable
+     events *)
   let make () =
     let eng = counter_engine () in
     let fiber () =
@@ -45,7 +46,7 @@ let test_explores_all_interleavings () =
   in
   let r = Explore.explore ~make ~check:(fun _ -> Ok ()) () in
   Alcotest.(check bool) "exhausted" true r.Explore.exhausted;
-  Alcotest.(check bool) "several schedules" true (r.Explore.schedules > 1);
+  Alcotest.(check int) "schedules" 6 r.Explore.schedules;
   Alcotest.(check bool) "no failure" true (r.Explore.failure = None)
 
 let test_single_schedule_when_sequential () =
@@ -95,6 +96,7 @@ let test_finds_lost_update () =
     else Error (Printf.sprintf "lost update: counter = %d" (counter_value eng))
   in
   let r = Explore.explore ~make ~check () in
+  Alcotest.(check int) "found on the first schedule" 1 r.Explore.schedules;
   (match r.Explore.failure with
   | Some (msg, trace) ->
       Alcotest.(check bool) "diagnosed" true
@@ -129,7 +131,8 @@ let test_finds_lost_update () =
   in
   let r2 = Explore.explore ~make:make_fixed ~check () in
   Alcotest.(check bool) "2PL version exhausts clean" true
-    (r2.Explore.exhausted && r2.Explore.failure = None)
+    (r2.Explore.exhausted && r2.Explore.failure = None);
+  Alcotest.(check int) "2PL version schedules" 10 r2.Explore.schedules
 
 (* --- exhaustive semantic correctness of the §4 workload --------------------- *)
 
@@ -178,7 +181,7 @@ let test_exhaustive_two_new_orders () =
         msg
   | None -> ());
   Alcotest.(check bool) "explored the whole tree" true r.Explore.exhausted;
-  Alcotest.(check bool) "nontrivial tree" true (r.Explore.schedules > 10);
+  Alcotest.(check int) "schedules" 20 r.Explore.schedules;
   (* every schedule committed both (no compensation paths here) *)
   Alcotest.(check int) "no compensations" 0 (snd !outcomes)
 
@@ -203,7 +206,8 @@ let test_exhaustive_with_forced_abort () =
         (String.concat "," (List.map string_of_int trace))
         msg
   | None -> ());
-  Alcotest.(check bool) "explored the whole tree" true r.Explore.exhausted
+  Alcotest.(check bool) "explored the whole tree" true r.Explore.exhausted;
+  Alcotest.(check int) "schedules" 6 r.Explore.schedules
 
 let test_exhaustive_new_order_with_bill () =
   (* a bill of the first order races two new_orders: the admission lock must
@@ -236,7 +240,8 @@ let test_exhaustive_new_order_with_bill () =
         (String.concat "," (List.map string_of_int trace))
         msg
   | None -> ());
-  Alcotest.(check bool) "explored the whole tree" true r.Explore.exhausted
+  Alcotest.(check bool) "explored the whole tree" true r.Explore.exhausted;
+  Alcotest.(check int) "schedules" 102 r.Explore.schedules
 
 (* --- meta-property: random decompositions, exhaustively explored ----------- *)
 

@@ -84,6 +84,27 @@ let test_zero_delay_keeps_order () =
   (* a's continuation is scheduled after b's start *)
   Alcotest.(check (list string)) "zero delay requeues" [ "a1"; "b"; "a2" ] (List.rev !order)
 
+let test_tie_chooser () =
+  (* always pick the last of the tied events: same-time events run in
+     reverse insertion order, an earlier time still runs first, and the
+     chooser is consulted only when there is a choice *)
+  let degrees = ref [] in
+  let s =
+    Sim.create
+      ~choose:(fun n ->
+        degrees := n :: !degrees;
+        n - 1)
+      ()
+  in
+  let order = ref [] in
+  for i = 1 to 3 do
+    Sim.spawn s ~at:1. (fun () -> order := i :: !order)
+  done;
+  Sim.spawn s ~at:0.5 (fun () -> order := 0 :: !order);
+  Sim.run s;
+  Alcotest.(check (list int)) "reverse order among ties" [ 0; 3; 2; 1 ] (List.rev !order);
+  Alcotest.(check (list int)) "choices offered" [ 3; 2 ] (List.rev !degrees)
+
 (* --- conditions -------------------------------------------------------- *)
 
 let test_condition_signal () =
@@ -120,70 +141,6 @@ let test_condition_signal_empty () =
   Sim.spawn s (fun () ->
       Alcotest.(check bool) "no waiter" false (Sim.Condition.signal s (Sim.Condition.create ()) 1));
   Sim.run s
-
-let test_condition_broadcast () =
-  let s = Sim.create () in
-  let c = Sim.Condition.create () in
-  let woken = ref 0 in
-  for _ = 1 to 4 do
-    Sim.spawn s (fun () ->
-        ignore (Sim.Condition.wait c);
-        incr woken)
-  done;
-  Sim.spawn s (fun () ->
-      Sim.delay 1.;
-      Alcotest.(check int) "broadcast count" 4 (Sim.Condition.broadcast s c ()));
-  Sim.run s;
-  Alcotest.(check int) "all woken" 4 !woken
-
-(* --- mailboxes ------------------------------------------------------------ *)
-
-let test_mailbox_send_recv () =
-  let s = Sim.create () in
-  let m = Sim.Mailbox.create () in
-  let got = ref [] in
-  Sim.spawn s (fun () ->
-      for _ = 1 to 3 do
-        got := Sim.Mailbox.recv m :: !got
-      done);
-  Sim.spawn s (fun () ->
-      Sim.delay 1.;
-      Sim.Mailbox.send s m "a";
-      Sim.Mailbox.send s m "b";
-      Sim.delay 1.;
-      Sim.Mailbox.send s m "c");
-  Sim.run s;
-  Alcotest.(check (list string)) "fifo order" [ "a"; "b"; "c" ] (List.rev !got)
-
-let test_mailbox_buffering () =
-  let s = Sim.create () in
-  let m = Sim.Mailbox.create () in
-  Sim.spawn s (fun () ->
-      Sim.Mailbox.send s m 1;
-      Sim.Mailbox.send s m 2;
-      Alcotest.(check int) "buffered" 2 (Sim.Mailbox.length m);
-      Alcotest.(check (option int)) "try_recv" (Some 1) (Sim.Mailbox.try_recv m);
-      Alcotest.(check (option int)) "try_recv 2" (Some 2) (Sim.Mailbox.try_recv m);
-      Alcotest.(check (option int)) "empty" None (Sim.Mailbox.try_recv m));
-  Sim.run s
-
-let test_mailbox_producer_consumer () =
-  (* the consumer is paced by the producer's simulated schedule *)
-  let s = Sim.create () in
-  let m = Sim.Mailbox.create () in
-  let stamps = ref [] in
-  Sim.spawn s (fun () ->
-      for _ = 1 to 3 do
-        ignore (Sim.Mailbox.recv m);
-        stamps := Sim.now s :: !stamps
-      done);
-  Sim.spawn s (fun () ->
-      for _ = 1 to 3 do
-        Sim.delay 2.;
-        Sim.Mailbox.send s m ()
-      done);
-  Sim.run s;
-  Alcotest.(check (list (float 1e-9))) "paced" [ 2.; 4.; 6. ] (List.rev !stamps)
 
 (* --- resources ---------------------------------------------------------- *)
 
@@ -307,6 +264,7 @@ let suites =
         Alcotest.test_case "until freezes" `Quick test_until_freezes;
         Alcotest.test_case "interleaved processes" `Quick test_interleaved_processes;
         Alcotest.test_case "zero delay requeues" `Quick test_zero_delay_keeps_order;
+        Alcotest.test_case "tie chooser" `Quick test_tie_chooser;
         Alcotest.test_case "event budget guard" `Quick test_event_budget_guard;
       ] );
     ( "sim.condition",
@@ -314,13 +272,6 @@ let suites =
         Alcotest.test_case "signal delivers" `Quick test_condition_signal;
         Alcotest.test_case "FIFO wakeups" `Quick test_condition_fifo;
         Alcotest.test_case "signal empty" `Quick test_condition_signal_empty;
-        Alcotest.test_case "broadcast" `Quick test_condition_broadcast;
-      ] );
-    ( "sim.mailbox",
-      [
-        Alcotest.test_case "send/recv" `Quick test_mailbox_send_recv;
-        Alcotest.test_case "buffering" `Quick test_mailbox_buffering;
-        Alcotest.test_case "producer/consumer pacing" `Quick test_mailbox_producer_consumer;
       ] );
     ( "sim.resource",
       [

@@ -287,6 +287,41 @@ let test_deadlock_detected_and_resolved () =
   Alcotest.(check int) "account 2 total" 2 (balance eng 2);
   Alcotest.(check int) "no locks leaked" 0 (Lock_service.lock_count (Executor.lock_service eng))
 
+let test_deadlock_traced () =
+  (* the at-block check reports the cycle it broke and each victim it chose *)
+  let module Trace = Acc_obs.Trace in
+  let eng = fresh_engine [ (1, 0); (2, 0) ] in
+  Trace.start ~capacity:4096 ();
+  let aborts =
+    try deadlock_pair eng ~order_1:(1, 2) ~order_2:(2, 1)
+    with e ->
+      ignore (Trace.stop ());
+      raise e
+  in
+  let d = Trace.stop () in
+  let cycles =
+    List.filter_map
+      (fun e -> match e.Trace.ev with Trace.Deadlock_cycle { cycle } -> Some cycle | _ -> None)
+      d.Trace.events
+  in
+  let victims =
+    List.filter_map
+      (fun e ->
+        match e.Trace.ev with
+        | Trace.Victim { txn; spared_compensating } -> Some (txn, spared_compensating)
+        | _ -> None)
+      d.Trace.events
+  in
+  Alcotest.(check int) "one victim" 1 aborts;
+  match (cycles, victims) with
+  | [ cycle ], [ (victim, spared) ] ->
+      Alcotest.(check int) "two-transaction cycle" 2 (List.length cycle);
+      Alcotest.(check int) "youngest is the victim" (List.fold_left max 0 cycle) victim;
+      Alcotest.(check bool) "requester not spared" false spared
+  | _ ->
+      Alcotest.failf "expected one cycle and one victim, traced %d and %d" (List.length cycles)
+        (List.length victims)
+
 let test_no_deadlock_same_order () =
   let eng = fresh_engine [ (1, 0); (2, 0) ] in
   let aborts = deadlock_pair eng ~order_1:(1, 2) ~order_2:(1, 2) in
@@ -514,6 +549,7 @@ let suites =
         Alcotest.test_case "same order no deadlock" `Quick test_no_deadlock_same_order;
         Alcotest.test_case "custom victim policy" `Quick test_custom_victim_policy;
         Alcotest.test_case "three-way deadlock" `Quick test_three_way_deadlock;
+        Alcotest.test_case "cycle and victim traced" `Quick test_deadlock_traced;
       ] );
     ( "txn.serializability",
       [

@@ -3,7 +3,12 @@
    and runs Bechamel micro-benchmarks of the concurrency-control hot paths
    that make up the "added overhead of the ACC".
 
-   Usage:  main.exe [all|fig2|fig3|fig4|servers|micro|parallel|quick] *)
+   Usage:  main.exe [MODE] [--quick]
+
+   MODE is all (the default), a single figure, or one of micro, parallel,
+   workloads, overload, batch, scale, obs-gate, recovery, dist; --quick
+   shrinks the run to a smoke-sized one that writes the same BENCH_<MODE>.json.
+   [quick] is short for [all --quick]. *)
 
 module Experiment = Acc_harness.Experiment
 module Figures = Acc_harness.Figures
@@ -873,38 +878,35 @@ let figures_json figs =
   ("figures", Json.List (List.map Bench_json.figure_json figs))
 
 let () =
-  let mode = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
+  let mode, quick =
+    match List.partition (( = ) "--quick") (List.tl (Array.to_list Sys.argv)) with
+    | flags, [] -> ("all", flags <> [])
+    | flags, [ mode ] -> (mode, flags <> [])
+    | _ ->
+        Format.eprintf "usage: main.exe [MODE] [--quick]@.";
+        exit 2
+  in
   match mode with
-  | "all" ->
-      let figs = run_figures ~quick:false in
-      let micro = run_micro () in
-      Bench_json.write ~mode [ figures_json figs; ("micro", micro_json micro) ]
-  | "quick" ->
-      let figs = run_figures ~quick:true in
+  | "all" | "quick" ->
+      let figs = run_figures ~quick:(quick || mode = "quick") in
       let micro = run_micro () in
       Bench_json.write ~mode [ figures_json figs; ("micro", micro_json micro) ]
   | "fig2" | "fig3" | "fig4" | "servers" | "ablation" | "items" ->
-      let fig = run_one ~quick:false mode in
+      let fig = run_one ~quick mode in
       Bench_json.write ~mode [ figures_json [ fig ] ]
   | "micro" -> Bench_json.write ~mode [ ("micro", micro_json (run_micro ())) ]
-  | "parallel" -> Bench_json.write ~mode (run_parallel ~quick:false)
-  | "parallel-quick" -> Bench_json.write ~mode (run_parallel ~quick:true)
-  | "workloads" -> Bench_json.write ~mode (run_workloads ~quick:false)
-  | "workloads-quick" -> Bench_json.write ~mode:"workloads" (run_workloads ~quick:true)
-  | "overload" -> Bench_json.write ~mode (run_overload ~quick:false)
-  | "overload-quick" -> Bench_json.write ~mode:"overload" (run_overload ~quick:true)
-  | "batch" -> Bench_json.write ~mode (run_batch ~quick:false)
-  | "batch-quick" -> Bench_json.write ~mode:"batch" (run_batch ~quick:true)
-  | "scale" -> Bench_json.write ~mode (run_scale ~quick:false)
-  | "scale-quick" -> Bench_json.write ~mode:"scale" (run_scale ~quick:true)
+  | "parallel" -> Bench_json.write ~mode (run_parallel ~quick)
+  | "workloads" -> Bench_json.write ~mode (run_workloads ~quick)
+  | "overload" -> Bench_json.write ~mode (run_overload ~quick)
+  | "batch" -> Bench_json.write ~mode (run_batch ~quick)
+  | "scale" -> Bench_json.write ~mode (run_scale ~quick)
   | "obs-gate" -> run_obs_gate ()
-  | "recovery" -> Bench_json.write ~mode (run_recovery ~quick:false)
-  | "recovery-quick" -> Bench_json.write ~mode (run_recovery ~quick:true)
-  | "dist" -> Bench_json.write ~mode (run_dist ~quick:false)
-  | "dist-quick" -> Bench_json.write ~mode:"dist" (run_dist ~quick:true)
+  | "recovery" -> Bench_json.write ~mode (run_recovery ~quick)
+  | "dist" -> Bench_json.write ~mode (run_dist ~quick)
   | other ->
       Format.eprintf
         "unknown mode %s \
-         (use all|quick|fig2|fig3|fig4|servers|ablation|items|micro|parallel|workloads|overload|batch|scale|obs-gate|recovery|dist)@."
+         (use all|quick|fig2|fig3|fig4|servers|ablation|items|micro|parallel|workloads|overload|batch|scale|obs-gate|recovery|dist, \
+         and --quick for the short variant)@."
         other;
       exit 2

@@ -1,33 +1,27 @@
-(* Crash-restart harness CLI: kill TPC-C at every registered crash point (or
-   probabilistically in chaos mode), recover, and check the recovery
-   invariants.  Exits 1 if any invariant is violated.
+(* Crash-restart harness CLI: kill a workload at every registered crash point
+   (or probabilistically in chaos mode), recover, and check the recovery
+   invariants — on the single engine, or with --dist on the partitioned
+   system behind the 2PC coordinator, whose oracle is no-lost-decision
+   (DESIGN.md §15).  Exits 1 if any invariant is violated.
 
      acc-crash-restart                      # deterministic sweep, all points
      acc-crash-restart --point wal.append.commit --hit 3
      acc-crash-restart --chaos --seeds 1,2,3
+     acc-crash-restart --dist --matrix --quick
      acc-crash-restart --list               # show registered crash points *)
 
 open Cmdliner
-module Harness = Acc_tpcc.Crash_harness
-module Dist = Acc_dist.Dist_harness
+module H = Acc_harness.Crash_harness
 module Fault = Acc_fault.Fault
 module Cli = Acc_harness.Cli
 
-(* Partitioned mode (--dist): same sweep/chaos surface, but the system under
-   test is N partitions behind the 2PC coordinator and the oracle is
-   no-lost-decision (DESIGN.md §15). *)
-let report_dist results =
-  List.iter (fun r -> Format.printf "%a@." Dist.pp_result r) results;
-  let failures = List.filter Dist.failed results in
-  let crashes = List.fold_left (fun acc r -> acc + r.Dist.r_crashes) 0 results in
-  Format.printf "%d run(s), %d crash(es) injected, %d failure(s)@." (List.length results)
-    crashes (List.length failures);
-  if failures <> [] then exit 1
+let single_defaults = H.default_config (H.Single H.default_single)
+let partitioned_defaults = H.default_config (H.Partitioned H.default_partitioned)
 
 let report results =
-  List.iter (fun r -> Format.printf "%a@." Harness.pp_result r) results;
-  let failures = List.filter Harness.failed results in
-  let crashes = List.fold_left (fun acc r -> acc + r.Harness.r_crashes) 0 results in
+  List.iter (fun r -> Format.printf "%a@." H.pp_result r) results;
+  let failures = List.filter H.failed results in
+  let crashes = List.fold_left (fun acc r -> acc + r.H.r_crashes) 0 results in
   Format.printf "%d run(s), %d crash(es) injected, %d failure(s)@." (List.length results)
     crashes (List.length failures);
   if failures <> [] then exit 1
@@ -39,79 +33,49 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
     Cli.print_workloads ();
     exit 0
   end;
-  (* registration happens at module-init of the code under test; touching the
-     harness module links everything *)
-  ignore Harness.default_config;
-  ignore Dist.default_config;
   let wl = Cli.resolve ~scale ~theta ?mix ?abort_rate workload in
-  let wl_name = Option.value workload ~default:"tpcc" in
-  (* the sweeps below exit directly on failure, so the exposition must be
-     written as soon as the runs finish, not on the way out of main *)
-  let dump_metrics () = Cli.metrics_final metrics_dump in
-  if list_points then
-    List.iter print_endline (Fault.registered ())
-  else if dist then begin
-    if point <> None then failwith "--point is not supported with --dist (sweep covers every point)";
-    if wl <> None then failwith "--workload is not supported with --dist (partitioned TPC-C only)";
-    (* --netfault beats ACC_NETFAULT beats none *)
-    let netfault =
-      match netfault with
-      | Some spec -> Fault.Netfault.parse spec
-      | None -> (
-          match Fault.Netfault.of_env () with
-          | Some s -> s
-          | None -> Fault.Netfault.none)
-    in
-    let ts = Trace_setup.configure () in
-    let results =
-      let config =
-        {
-          Dist.default_config with
-          Dist.partitions;
-          txns;
-          chaos_p;
-          hits_per_point = hits;
-          seed;
-          netfault;
-          coordinator_kill;
-          verbose;
-        }
-      in
-      if matrix then Dist.sweep_matrix ~config ~quick ()
-      else if chaos then List.map (fun seed -> Dist.chaos ~config ~seed ()) seeds
-      else Dist.sweep ~config ()
-    in
-    Trace_setup.finish ts;
-    dump_metrics ();
-    report_dist results
-  end
+  if list_points then List.iter print_endline (Fault.registered ())
   else begin
-    (* ACC_TRACE / ACC_TRACE_CHROME collect a lock-decision trace of the whole
-       run — including the recoveries — for post-mortem on a failed seed *)
-    let ts = Trace_setup.configure () in
+    if dist && wl <> None then
+      failwith "--workload is not supported with --dist (partitioned TPC-C only)";
+    if matrix && not dist then
+      failwith "--matrix is only supported with --dist (the matrix crosses message faults and restart modes)";
+    let system =
+      if dist then
+        (* --netfault beats ACC_NETFAULT beats none *)
+        let netfault =
+          match netfault with
+          | Some spec -> Fault.Netfault.parse spec
+          | None -> Option.value (Fault.Netfault.of_env ()) ~default:Fault.Netfault.none
+        in
+        H.Partitioned { H.default_partitioned with partitions; netfault; coordinator_kill }
+      else H.Single { H.default_single with workload = wl; step_fault_p; checkpoint_every }
+    in
+    let base = H.default_config system in
     let config =
       {
-        Harness.default_config with
-        Harness.txns;
-        chaos_p;
-        step_fault_p;
-        checkpoint_every;
+        base with
+        H.txns = Option.value txns ~default:base.H.txns;
+        chaos_p = Option.value chaos_p ~default:base.H.chaos_p;
         hits_per_point = hits;
         seed;
         verbose;
-        workload = wl;
       }
     in
+    (* ACC_TRACE / ACC_TRACE_CHROME collect a lock-decision trace of the whole
+       run — including the recoveries — for post-mortem on a failed seed *)
+    let ts = Cli.Trace.configure () in
     let results =
-      match (point, chaos) with
-      | Some p, _ ->
-          (* single-point mode: one deterministic crash site, chosen hit *)
-          [ Harness.run_one_crash_jobs config ~jobs:(Harness.jobs_of config) ~point:p ~hit ]
-      | None, true -> List.map (fun seed -> Harness.chaos ~config ~seed ()) seeds
-      | None, false -> Harness.sweep ~config ()
+      match (point, matrix, chaos) with
+      | Some point, _, _ -> [ H.run_one config ~point ~hit ]
+      | None, true, _ -> H.sweep_matrix ~quick config
+      | None, false, true -> List.map (fun seed -> H.chaos config ~seed) seeds
+      | None, false, false -> H.sweep config
     in
-    Trace_setup.finish ~workload:wl_name ts;
-    dump_metrics ();
+    Cli.Trace.finish ~workload:(Option.value workload ~default:"tpcc") ts;
+    (* the report exits directly on failure, so the exposition must be
+       written as soon as the runs finish, not on the way out of main *)
+    Cli.metrics_final metrics_dump;
     report results
   end
 
@@ -126,28 +90,41 @@ let chaos = Arg.(value & flag & info [ "chaos" ] ~doc:"Probabilistic crashes ins
 let seeds =
   Arg.(value & opt (list int) [ 1; 2; 3 ] & info [ "seeds" ] ~docv:"S1,S2" ~doc:"Chaos seeds, one soak run each.")
 
-let txns = Arg.(value & opt int Harness.default_config.Harness.txns & info [ "txns" ] ~docv:"N" ~doc:"Transactions per run.")
+let txns =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "txns" ] ~docv:"N"
+        ~doc:
+          (Printf.sprintf "Transactions per run (default %d, or %d with --dist)."
+             single_defaults.H.txns partitioned_defaults.H.txns))
 
 let chaos_p =
-  Arg.(value & opt float Harness.default_config.Harness.chaos_p & info [ "chaos-p" ] ~docv:"P" ~doc:"Per-passage crash probability in chaos mode.")
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "chaos-p" ] ~docv:"P"
+        ~doc:
+          (Printf.sprintf "Per-passage crash probability in chaos mode (default %g, or %g with --dist)."
+             single_defaults.H.chaos_p partitioned_defaults.H.chaos_p))
 
 let step_fault_p =
-  Arg.(value & opt float Harness.default_config.Harness.step_fault_p & info [ "step-fault-p" ] ~docv:"P" ~doc:"Retryable injected step-failure probability.")
+  Arg.(value & opt float H.default_single.H.step_fault_p & info [ "step-fault-p" ] ~docv:"P" ~doc:"Retryable injected step-failure probability.")
 
 let checkpoint_every =
-  Arg.(value & opt int Harness.default_config.Harness.checkpoint_every & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Quiescent checkpoint cadence in log records.")
+  Arg.(value & opt int H.default_single.H.checkpoint_every & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Quiescent checkpoint cadence in log records.")
 
 let hits =
-  Arg.(value & opt int Harness.default_config.Harness.hits_per_point & info [ "hits-per-point" ] ~docv:"N" ~doc:"Crash at this many spread hit counts per point.")
+  Arg.(value & opt int single_defaults.H.hits_per_point & info [ "hits-per-point" ] ~docv:"N" ~doc:"Crash at this many spread hit counts per point.")
 
-let seed = Arg.(value & opt int Harness.default_config.Harness.seed & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
+let seed = Arg.(value & opt int single_defaults.H.seed & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.")
 let verbose = Arg.(value & flag & info [ "verbose"; "v" ] ~doc:"Narrate each crash and recovery.")
 
 let dist =
   Arg.(value & flag & info [ "dist" ] ~doc:"Partitioned system under test: crash the 2PC coordinator paths and check the no-lost-decision oracle.")
 
 let partitions =
-  Arg.(value & opt int Dist.default_config.Dist.partitions & info [ "partitions" ] ~docv:"N" ~doc:"Partition count in --dist mode.")
+  Arg.(value & opt int H.default_partitioned.H.partitions & info [ "partitions" ] ~docv:"N" ~doc:"Partition count in --dist mode.")
 
 let netfault =
   Arg.(

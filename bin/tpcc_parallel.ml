@@ -104,7 +104,7 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
   in
   (* ACC_CRASHPOINT / ACC_STEP_FAULTS arm fault injection (see RECOVERY.md) *)
   Acc_fault.Fault.configure_from_env ();
-  let ts = Trace_setup.configure ~jsonl:trace ~chrome:trace_chrome () in
+  let ts = Cli.Trace.configure ~jsonl:trace ~chrome:trace_chrome () in
   let wl_name = Option.value workload ~default:"tpcc" in
   let finish_metrics = Cli.metrics_live metrics_dump in
   (match partitions with
@@ -112,7 +112,7 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
       run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compute_ms
         ~seed ~deadline_ms ~batch_footprints ~transport;
       finish_metrics ();
-      Trace_setup.finish ~workload:wl_name ts;
+      Cli.Trace.finish ~workload:wl_name ts;
       exit 0
   | None -> ());
   let cfg =
@@ -156,7 +156,7 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
         (if bl.P.throughput > 0.0 then acc.P.throughput /. bl.P.throughput else nan)
   | _ -> ());
   finish_metrics ();
-  Trace_setup.finish ~workload:wl_name ts;
+  Cli.Trace.finish ~workload:wl_name ts;
   let bad r =
     r.P.violations <> [] || r.P.leaked_locks > 0 || r.P.leaked_waiters > 0
   in

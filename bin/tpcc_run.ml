@@ -49,9 +49,9 @@ let main system terminals servers horizon think compute_ms skew min_items max_it
      (timestamps are virtual sim seconds); ACC_CRASHPOINT / ACC_STEP_FAULTS
      arm fault injection (see RECOVERY.md) *)
   Acc_fault.Fault.configure_from_env ();
-  let ts = Trace_setup.configure () in
+  let ts = Cli.Trace.configure () in
   let r = Driver.run cfg in
-  Trace_setup.finish ~workload:wl_name ts;
+  Cli.Trace.finish ~workload:wl_name ts;
   Format.printf "workload=%s system=%s terminals=%d servers=%d skew=%b compute=%.0fms seed=%d@."
     wl_name
     (match system with Driver.Acc -> "acc" | Driver.Baseline -> "baseline")

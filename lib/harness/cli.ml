@@ -84,7 +84,7 @@ let wl_abort_rate_arg =
               (default is each workload's own, typically 0.02).")
 
 (* ------------------------------------------------------------------ *)
-(* Trace collection (the old bin/trace_setup.ml, now shared).
+(* Trace collection, shared by the three driver binaries.
 
    A trace is requested either with the --trace/--trace-chrome flags (where
    a binary exposes them) or the ACC_TRACE / ACC_TRACE_CHROME environment

@@ -10,7 +10,7 @@ module Coordinator = Acc_dist.Coordinator
 module Transport = Acc_dist.Transport
 module Participant = Acc_dist.Participant
 module Dist_driver = Acc_dist.Dist_driver
-module Dist_harness = Acc_dist.Dist_harness
+module Crash_harness = Acc_harness.Crash_harness
 module Fault = Acc_fault.Fault
 module Executor = Acc_txn.Executor
 module Schedule = Acc_txn.Schedule
@@ -238,9 +238,8 @@ let test_driver_4_partitions () =
 
 let harness_config =
   {
-    Dist_harness.default_config with
-    Dist_harness.params = small_params;
-    partitions = 2;
+    (Crash_harness.default_config (Partitioned Crash_harness.default_partitioned)) with
+    Crash_harness.params = small_params;
     txns = 24;
     hits_per_point = 2;
   }
@@ -248,18 +247,18 @@ let harness_config =
 let check_results results =
   List.iter
     (fun r ->
-      if Dist_harness.failed r then
-        Alcotest.failf "%s" (Format.asprintf "%a" Dist_harness.pp_result r))
+      if Crash_harness.failed r then
+        Alcotest.failf "%s" (Format.asprintf "%a" Crash_harness.pp_result r))
     results
 
 let test_harness_sweep () =
-  let results = Dist_harness.sweep ~config:harness_config () in
+  let results = Crash_harness.sweep harness_config in
   check_results results;
   Alcotest.(check bool) "sweep injected crashes" true
-    (List.exists (fun r -> r.Dist_harness.r_crashes > 0) results)
+    (List.exists (fun r -> r.Crash_harness.r_crashes > 0) results)
 
 let test_harness_chaos () =
-  check_results [ Dist_harness.chaos ~config:{ harness_config with txns = 16 } ~seed:2 () ]
+  check_results [ Crash_harness.chaos { harness_config with txns = 16 } ~seed:2 ]
 
 (* crash-equivalence, coordinator edition: whatever the seed, crashing at
    random points leaves every partition decided (no in-doubt, no pending),
@@ -269,10 +268,10 @@ let prop_no_lost_decision =
   QCheck2.Test.make ~name:"dist: chaos crashes lose no decision" ~count:6
     QCheck2.Gen.(int_range 0 1000)
     (fun seed ->
-      let config = { harness_config with Dist_harness.txns = 14; chaos_p = 0.02 } in
-      let r = Dist_harness.chaos ~config ~seed () in
-      if Dist_harness.failed r then
-        QCheck2.Test.fail_report (Format.asprintf "%a" Dist_harness.pp_result r)
+      let config = { harness_config with Crash_harness.txns = 14; chaos_p = 0.02 } in
+      let r = Crash_harness.chaos config ~seed in
+      if Crash_harness.failed r then
+        QCheck2.Test.fail_report (Format.asprintf "%a" Crash_harness.pp_result r)
       else true)
 
 (* --- transport framing ----------------------------------------------------- *)
@@ -565,7 +564,7 @@ let test_failover_never_reissues_gid () =
 (* --- crash-point registry once lib/dist is linked -------------------------- *)
 
 let test_dist_registry () =
-  ignore Dist_harness.default_config;
+  ignore Crash_harness.default_partitioned;
   (* link the dist modules *)
   let names = Fault.registered () in
   List.iter
@@ -683,14 +682,14 @@ let contains ~sub s =
   go 0
 
 let test_harness_matrix_quick () =
-  let config = { harness_config with Dist_harness.txns = 16; hits_per_point = 1 } in
-  let results = Dist_harness.sweep_matrix ~config ~quick:true () in
+  let config = { harness_config with Crash_harness.txns = 16; hits_per_point = 1 } in
+  let results = Crash_harness.sweep_matrix ~quick:true config in
   check_results results;
   Alcotest.(check bool) "matrix injected crashes" true
-    (List.exists (fun r -> r.Dist_harness.r_crashes > 0) results);
+    (List.exists (fun r -> r.Crash_harness.r_crashes > 0) results);
   Alcotest.(check bool) "matrix includes coordinator-kill cells" true
     (List.exists
-       (fun r -> r.Dist_harness.r_crashes > 0 && contains ~sub:"[kill]" r.Dist_harness.r_label)
+       (fun r -> r.Crash_harness.r_crashes > 0 && contains ~sub:"[kill]" r.Crash_harness.r_label)
        results)
 
 let suites =

@@ -15,6 +15,7 @@ module Executor = Acc_txn.Executor
 module Schedule = Acc_txn.Schedule
 module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
+module Crash_harness = Acc_harness.Crash_harness
 
 (* Unit tests reuse engine-registered points rather than registering fresh
    ones: the registry is global and append-only, and [Crash_harness.sweep]
@@ -209,7 +210,13 @@ let test_netfault_of_env () =
 (* --- crash-restart harness ------------------------------------------------ *)
 
 let small_config =
-  { Crash_harness.default_config with txns = 20; hits_per_point = 1; checkpoint_every = 8 }
+  {
+    (Crash_harness.default_config
+       (Single { Crash_harness.default_single with checkpoint_every = 8 }))
+    with
+    txns = 20;
+    hits_per_point = 1;
+  }
 
 let check_results results =
   List.iter
@@ -219,14 +226,14 @@ let check_results results =
     results
 
 let test_sweep_smoke () =
-  let results = Crash_harness.sweep ~config:small_config () in
+  let results = Crash_harness.sweep small_config in
   check_results results;
   Alcotest.(check bool) "sweep injected crashes" true
     (List.exists (fun r -> r.Crash_harness.r_crashes > 0) results)
 
 let test_chaos_smoke () =
   let config = { small_config with txns = 12; chaos_p = 0.01 } in
-  check_results [ Crash_harness.chaos ~config ~seed:1 () ]
+  check_results [ Crash_harness.chaos config ~seed:1 ]
 
 (* --- crash-equivalence property ------------------------------------------- *)
 
@@ -338,10 +345,10 @@ let prop_crash_equivalence =
         (int_range 1 60))
     (fun (seed, txns, pi, hit) ->
       let point = crashable_points.(pi) in
-      let cfg =
-        { Crash_harness.default_config with seed; txns; abort_rate = 0.; step_fault_p = 0. }
+      let inputs =
+        let env = quiet_env seed in
+        Array.init txns (fun _ -> Txns.gen_input env)
       in
-      let inputs = Crash_harness.gen_inputs cfg in
       let crashed_db, outcome = run_crashed ~seed ~inputs ~point ~hit in
       let reference_db = run_reference ~seed ~inputs outcome in
       db_equiv crashed_db reference_db

@@ -7,7 +7,8 @@
     The {e run-time} side ({!instance}) binds a static type to concrete
     arguments: executable step bodies (closures over a private workspace),
     resolved assertion windows and checkers, the admission item list of
-    [pre(S_1)], and the compensation body. *)
+    [pre(S_1)], the work area each step end logs, and the type's
+    compensating body. *)
 
 type step_def = {
   sd_id : int;  (** globally unique step type; {!legacy_step_id} is reserved *)
@@ -101,7 +102,11 @@ type instance = {
   i_admission : (assertion_instance * Acc_lock.Resource_id.t list) list;
       (** the items of [pre(S_1)] known before initiation *)
   i_compensate : (Acc_txn.Executor.ctx -> completed:int -> unit) option;
+      (** the type's compensating body, run at step [completed + 1]; it
+          reads its inputs only from {!Acc_txn.Executor.work_area} *)
   i_comp_area : unit -> (string * Acc_relation.Value.t) list;
+      (** the work area, evaluated at every forward step end and logged in
+          that step's end-of-step record *)
   i_read_isolation : read_isolation;
   i_footprint : int -> (Acc_lock.Mode.t * Acc_lock.Resource_id.t) list;
       (** concrete declared footprint of dynamic step [j] (1-based), for
@@ -124,6 +129,15 @@ val instance :
     (non-repeating steps exactly once, in index order; repeating steps any
     number of consecutive times), and that a compensation body is given iff
     [def.tt_comp] exists.
+
+    [comp_area ()] (default [[]]) is the work area: it is evaluated at every
+    forward step end, after the step body ran, and the end-of-step record
+    carries it — the durable work area of §5.  [compensate] is the type's
+    compensating body.  It should read its inputs only from
+    {!Acc_txn.Executor.work_area}, never from the workspace the step bodies
+    close over: then one top-level function per type serves both an inline
+    abort and crash replay, where no workspace exists — pass it here and
+    register the same function with {!Replay.register}.
 
     [footprints j] lists the (mode, resource) pairs dynamic step [j] is known
     to lock — evaluated at step start, so workspace values earlier steps

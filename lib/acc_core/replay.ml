@@ -3,32 +3,32 @@
 
    Recovery (lib/wal) can only report that a multi-step loser had completed
    [k] steps with work area [a] — the compensating logic itself is program
-   code.  Transaction programs therefore register their compensating step
-   here, keyed by transaction-type name, and [replay_pending] re-executes it
-   for every pending obligation, under the same protocol the runtime uses
-   for in-flight compensation: the context is flagged compensating (so its
-   lock requests are never chosen as deadlock victims — the §3.4 sparing
-   rule), the step runs at index [k + 1], and a deadlock victimization or an
-   injected fault rolls the attempt back and retries with backoff.
+   code.  Transaction programs therefore register their compensating body
+   here, keyed by transaction-type name — the very function their instances
+   pass as [~compensate], which reads nothing but the work area — and
+   [replay_pending] re-executes it for every pending obligation through
+   [Runtime.run_compensation], the loop an inline abort runs: the context is
+   flagged compensating (so its lock requests are never chosen as deadlock
+   victims — the §3.4 sparing rule), the step runs at index [k + 1], and a
+   victimization, a timeout or an injected fault rolls the attempt back,
+   releases its locks and retries with backoff.
 
-   [Executor.adopt_pending] first re-logs the obligation (Begin, work area,
-   last completed step) on the recovered engine's log, so a second crash in
-   the middle of the replay leaves the very same pending transaction
-   re-derivable from the durable history — the pre-crash log followed by
-   this engine's log: replay is idempotent across repeated crashes.  (The
-   pre-crash records stay part of that history: a recovered-but-not-yet-
-   compensated snapshot alone is not a quiescent baseline, and a crash
-   before an obligation is re-logged must still find it in the old tail.) *)
+   [Executor.adopt_pending] first re-logs the obligation (Begin, and the
+   last completed step's end record with its work area) on the recovered
+   engine's log, so a second crash in the middle of the replay leaves the
+   very same pending transaction re-derivable from the durable history — the
+   pre-crash log followed by this engine's log: replay is idempotent across
+   repeated crashes.  (The pre-crash records stay part of that history: a
+   recovered-but-not-yet-compensated snapshot alone is not a quiescent
+   baseline, and a crash before an obligation is re-logged must still find
+   it in the old tail.) *)
 
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
+module Mode = Acc_lock.Mode
 module Recovery = Acc_wal.Recovery
-module Value = Acc_relation.Value
-module Fault = Acc_fault.Fault
 
-let cp_comp_begin = Fault.register "comp.begin"
-
-type handler = Executor.ctx -> completed:int -> area:(string * Value.t) list -> unit
+type handler = Executor.ctx -> completed:int -> unit
 
 (* txn_type -> (design-time step type of the compensating step, handler) *)
 let registry : (string, int * handler) Hashtbl.t = Hashtbl.create 8
@@ -36,7 +36,7 @@ let registry : (string, int * handler) Hashtbl.t = Hashtbl.create 8
 let register ~txn_type ~step_type handler =
   Hashtbl.replace registry txn_type (step_type, handler)
 
-let has_handler txn_type = Hashtbl.mem registry txn_type
+let handler txn_type = Option.map snd (Hashtbl.find_opt registry txn_type)
 
 (* Replay runs on a quiesced engine, but the compensating bodies still
    perform [Yield] on retry; resume those inline.  A lock wait cannot be
@@ -58,35 +58,26 @@ let with_inline_scheduler f =
           | _ -> None);
     }
 
-let replay_one eng (p : Recovery.pending) =
-  match Hashtbl.find_opt registry p.Recovery.p_txn_type with
+(* Run the registered compensating step on a freshly adopted context; the
+   adoption happens only once the handler is known to exist. *)
+let compensate_adopted ~txn ~txn_type ~completed adopt =
+  match Hashtbl.find_opt registry txn_type with
   | None ->
       failwith
-        (Printf.sprintf "Replay: no compensation handler registered for %s (txn %d)"
-           p.Recovery.p_txn_type p.Recovery.p_txn)
-  | Some (step_type, handler) ->
-      let ctx =
-        Executor.adopt_pending eng ~txn:p.Recovery.p_txn ~txn_type:p.Recovery.p_txn_type
-          ~completed_steps:p.Recovery.p_completed_steps ~area:p.Recovery.p_area
-      in
-      (* obligation is durable again; this is the last point where a crash
-         leaves it entirely to the next recovery *)
-      Fault.trip cp_comp_begin;
-      Executor.set_compensating ctx true;
-      Executor.set_step ctx ~step_type ~step_index:(p.Recovery.p_completed_steps + 1);
+        (Printf.sprintf "Replay: no compensation handler registered for %s (txn %d)" txn_type
+           txn)
+  | Some (step_type, body) ->
+      let ctx = adopt () in
       with_inline_scheduler (fun () ->
-          let rec attempt n =
-            try
-              Fault.step_trip ();
-              handler ctx ~completed:p.Recovery.p_completed_steps ~area:p.Recovery.p_area
-            with Txn_effect.Deadlock_victim | Fault.Step_fault ->
-              Executor.rollback_current_step ctx;
-              Txn_effect.yield ~attempt:n ();
-              attempt (n + 1)
-          in
-          attempt 1;
-          Executor.end_step ctx ~comp_area:None;
-          Executor.finish_compensated ctx)
+          Runtime.run_compensation ctx ~step_type ~completed
+            ~release:(fun _ mode -> Mode.conventional mode)
+            body)
+
+let replay_one eng (p : Recovery.pending) =
+  compensate_adopted ~txn:p.Recovery.p_txn ~txn_type:p.Recovery.p_txn_type
+    ~completed:p.Recovery.p_completed_steps (fun () ->
+      Executor.adopt_pending eng ~txn:p.Recovery.p_txn ~txn_type:p.Recovery.p_txn_type
+        ~completed_steps:p.Recovery.p_completed_steps ~area:p.Recovery.p_area)
 
 let replay_pending eng (report : Recovery.report) =
   List.iter (replay_one eng) report.Recovery.pending;
@@ -94,8 +85,8 @@ let replay_pending eng (report : Recovery.report) =
 
 (* In-doubt 2PC participants resolve from the coordinator's decision, not on
    their own: commit finishes the adopted branch directly; abort runs the
-   registered compensating handler exactly as [replay_one] would.  Either
-   way [adopt_in_doubt] re-logged the Prepare record first, so a crash
+   registered compensating body exactly as [replay_one] would.  Either way
+   [adopt_in_doubt] re-logged the Prepare record first, so a crash
    mid-resolution re-derives the same in-doubt obligation (and a commit
    decision, being read again from the decision log, is never undone). *)
 let resolve_in_doubt eng ~commit (d : Recovery.in_doubt) =
@@ -104,34 +95,10 @@ let resolve_in_doubt eng ~commit (d : Recovery.in_doubt) =
       ~completed_steps:d.Recovery.i_completed_steps ~area:d.Recovery.i_area
       ~gid:d.Recovery.i_gid
   in
-  (if commit then begin
-     let ctx = adopt () in
-     Executor.commit ctx
-   end
-   else
-     match Hashtbl.find_opt registry d.Recovery.i_txn_type with
-     | None ->
-         failwith
-           (Printf.sprintf "Replay: no compensation handler registered for %s (txn %d)"
-              d.Recovery.i_txn_type d.Recovery.i_txn)
-     | Some (step_type, handler) ->
-         let ctx = adopt () in
-         Fault.trip cp_comp_begin;
-         Executor.set_compensating ctx true;
-         Executor.set_step ctx ~step_type ~step_index:(d.Recovery.i_completed_steps + 1);
-         with_inline_scheduler (fun () ->
-             let rec attempt n =
-               try
-                 Fault.step_trip ();
-                 handler ctx ~completed:d.Recovery.i_completed_steps ~area:d.Recovery.i_area
-               with Txn_effect.Deadlock_victim | Fault.Step_fault ->
-                 Executor.rollback_current_step ctx;
-                 Txn_effect.yield ~attempt:n ();
-                 attempt (n + 1)
-             in
-             attempt 1;
-             Executor.end_step ctx ~comp_area:None;
-             Executor.finish_compensated ctx));
+  if commit then Executor.commit (adopt ())
+  else
+    compensate_adopted ~txn:d.Recovery.i_txn ~txn_type:d.Recovery.i_txn_type
+      ~completed:d.Recovery.i_completed_steps adopt;
   if Acc_obs.Trace.enabled () then
     Acc_obs.Trace.emit
       (Acc_obs.Trace.Resolve { txn = d.Recovery.i_txn; gid = d.Recovery.i_gid; commit })

@@ -1,39 +1,43 @@
 (** Automated compensation replay: drive every {!Acc_wal.Recovery.pending}
     obligation to a clean state by re-executing its registered compensating
-    step.
+    body.
 
     Recovery reports {e what} must be compensated (transaction type,
     completed-step count, durable work area); the {e how} is program logic.
-    Transaction programs register their compensating step once per type, and
-    {!replay_pending} runs it for each pending transaction under the
-    compensation-lock protocol (context flagged compensating, §3.4 victim
-    sparing, rollback-and-backoff on deadlock or injected fault).
+    Each compensable transaction type has one compensating body, which reads
+    its inputs only from {!Acc_txn.Executor.work_area}.  Its instances pass
+    that function as {!Program.instance}'s [~compensate], and the workload
+    registers the same function here, so an inline abort and crash replay
+    run the same code.  {!replay_pending} runs it for each pending
+    transaction through {!Runtime.run_compensation}, the loop an inline
+    abort runs (context flagged compensating, §3.4 victim sparing, rollback,
+    lock release and backoff on a victimization, timeout or injected
+    fault).
 
     Replay is crash-idempotent: {!Acc_txn.Executor.adopt_pending} re-logs
     each obligation on the recovered engine's log before the compensating
     step starts, so a crash mid-replay re-derives the same pending set on
     the next recovery. *)
 
-type handler =
-  Acc_txn.Executor.ctx ->
-  completed:int ->
-  area:(string * Acc_relation.Value.t) list ->
-  unit
-(** A compensating-step body: receives a live context (already flagged
-    compensating, positioned at step [completed + 1]), the number of
-    completed forward steps, and the durable work area. *)
+type handler = Acc_txn.Executor.ctx -> completed:int -> unit
+(** A compensating body: receives a live context (already flagged
+    compensating, positioned at step [completed + 1], its
+    {!Acc_txn.Executor.work_area} the durable area) and the number of
+    completed forward steps. *)
 
 val register : txn_type:string -> step_type:int -> handler -> unit
-(** Register (or replace) the compensation handler for a transaction-type
+(** Register (or replace) the compensating body for a transaction-type
     name.  [step_type] is the design-time id of the compensating step
     ({!Acc_core.Program.step_def}'s [sd_id]), used for lock provenance and
     tracing. *)
 
-val has_handler : string -> bool
+val handler : string -> handler option
+(** The body registered for a transaction-type name, if any — physically
+    the function the type's instances carry as [i_compensate]. *)
 
 val replay_one : Acc_txn.Executor.t -> Acc_wal.Recovery.pending -> unit
 (** Adopt and compensate a single pending transaction on the given (already
-    recovered) engine.  Raises [Failure] if no handler is registered for its
+    recovered) engine.  Raises [Failure] if no body is registered for its
     type. *)
 
 val replay_pending : Acc_txn.Executor.t -> Acc_wal.Recovery.report -> int
@@ -45,6 +49,6 @@ val resolve_in_doubt : Acc_txn.Executor.t -> commit:bool -> Acc_wal.Recovery.in_
     coordinator's decision: [commit:true] adopts the branch
     ({!Acc_txn.Executor.adopt_in_doubt}, which re-logs the Prepare record
     for crash idempotence) and commits it; [commit:false] — an explicit
-    abort decision or presumed abort — runs its registered compensation
-    handler under the replay protocol.  Emits a [resolve] trace event.
-    Raises [Failure] on abort if no handler is registered for the type. *)
+    abort decision or presumed abort — runs its registered compensating
+    body as {!replay_one} does.  Emits a [resolve] trace event.  Raises
+    [Failure] on abort if no body is registered for the type. *)

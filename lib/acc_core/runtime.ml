@@ -126,6 +126,35 @@ let end_of_step_release ctx inst j =
       step_release_mode inst res mode
       || match mode with Mode.A a -> List.mem a closing | _ -> false)
 
+(* The compensating step, the one loop an inline abort ([compensate]) and
+   crash replay ([Replay]) both run: enter step [completed + 1] flagged
+   compensating, trip [comp.begin], run [body] until an attempt completes,
+   then end the transaction — the [Abort] record commits the compensation. *)
+let run_compensation ctx ~step_type ~completed ~release body =
+  Executor.set_compensating ctx true;
+  Executor.set_step ctx ~step_type ~step_index:(completed + 1);
+  Fault.trip cp_comp_begin;
+  let rec attempt n =
+    try
+      Fault.step_trip ();
+      body ctx ~completed
+    with Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
+      (* §3.4 guarantees the policy aborts the steps delaying a
+         compensating step rather than the step itself; if we are
+         nonetheless victimized (all-compensating cycle) or fault injected,
+         undo this attempt, back off, and try again.  [Lock_timeout] cannot
+         arise here — compensating requests carry no deadline — but is
+         caught for defence in depth.  The attempt's conventional locks go
+         with it, as on the forward path: a retry that kept them (a scan's
+         table S, say) would re-close the same cycle every time. *)
+      Executor.rollback_current_step ctx;
+      Executor.release_locks ctx release;
+      Txn_effect.yield ~attempt:n ();
+      attempt (n + 1)
+  in
+  attempt 1;
+  Executor.finish_compensated ctx
+
 let compensate ctx inst ~completed =
   if completed = 0 then begin
     (* nothing exposed: plain physical rollback *)
@@ -133,43 +162,17 @@ let compensate ctx inst ~completed =
     Compensated { completed_steps = 0 }
   end
   else begin
-    match inst.Program.i_compensate with
-    | None ->
+    match (inst.Program.i_compensate, inst.Program.i_def.Program.tt_comp) with
+    | Some body, Some comp_def ->
+        remove_lock_hook ctx;
+        run_compensation ctx ~step_type:comp_def.Program.sd_id ~completed
+          ~release:(step_release_mode inst) body;
+        Compensated { completed_steps = completed }
+    | None, _ | _, None ->
         (* a multi-step instance without compensation cannot be here: the
            instance constructor enforces a body when tt_comp exists, and a
            single-step instance always has completed = 0 on failure *)
         assert false
-    | Some body ->
-        let comp_def =
-          match inst.Program.i_def.Program.tt_comp with Some c -> c | None -> assert false
-        in
-        Executor.set_compensating ctx true;
-        Executor.set_step ctx ~step_type:comp_def.Program.sd_id ~step_index:(completed + 1);
-        remove_lock_hook ctx;
-        Fault.trip cp_comp_begin;
-        let rec attempt n =
-          try
-            Fault.step_trip ();
-            body ctx ~completed
-          with Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
-            (* §3.4 guarantees the policy aborts the steps delaying a
-               compensating step rather than the step itself; if we are
-               nonetheless victimized (all-compensating cycle) or fault
-               injected, undo this attempt, back off, and try again.
-               [Lock_timeout] cannot arise here — compensating requests carry
-               no deadline — but is caught for defence in depth.  The
-               attempt's conventional locks go with it, as on the forward
-               path: a retry that kept them (a scan's table S, say) would
-               re-close the same cycle every time. *)
-            Executor.rollback_current_step ctx;
-            Executor.release_locks ctx (step_release_mode inst);
-            Txn_effect.yield ~attempt:n ();
-            attempt (n + 1)
-        in
-        attempt 1;
-        Executor.end_step ctx ~comp_area:None;
-        Executor.finish_compensated ctx;
-        Compensated { completed_steps = completed }
   end
 
 (* Admission plus the per-step loop, stopping short of the commit decision:
@@ -180,13 +183,12 @@ let compensate ctx inst ~completed =
    2PC vote, leaving the transaction open across the in-doubt window. *)
 let run_steps ?(options = default_options) ?abort_at ?stop eng inst =
   let n_steps = Array.length inst.Program.i_steps in
-  let needs_comp = Option.is_some inst.Program.i_compensate in
   (* [multi_step] is recovery's "compensable ACC program" flag: a loser with
      a durable completed step must go to compensation replay.  That covers
      single-step programs too when they declare a compensating step (the
      partitioned branch programs) — their one completed step is durable the
      moment its step-end record is, and only compensation can take it back. *)
-  let multi_step = n_steps > 1 || needs_comp in
+  let multi_step = n_steps > 1 || Option.is_some inst.Program.i_compensate in
   let ctx = Executor.begin_txn eng ~txn_type:inst.Program.i_def.Program.tt_name ~multi_step in
   let stopped () = match stop with Some f -> f () | None -> false in
   let outcome = ref None in
@@ -312,8 +314,7 @@ let run_steps ?(options = default_options) ?abort_at ?stop eng inst =
        in
        attempt ~n:1 options.step_retry_limit;
        remove_lock_hook ctx;
-       Executor.end_step ctx
-         ~comp_area:(if needs_comp then Some (inst.Program.i_comp_area ()) else None);
+       Executor.end_step ctx ~area:(inst.Program.i_comp_area ());
        end_of_step_release ctx inst j;
        match abort_at with
        | Some k when k = j ->

@@ -9,12 +9,14 @@
       assertions to the item (the dynamic acquisition optimization at the
       end of §3.3) and, for writes of a compensatable transaction, acquire
       the compensation lock (§3.4);
-    + {b step end} — write the end-of-step record and work area, release
-      conventional locks and the assertional locks whose window closed;
+    + {b step end} — write the end-of-step record, which carries the work
+      area, and release conventional locks and the assertional locks whose
+      window closed;
     + {b deadlock} — a victim's step is rolled back physically and retried;
       if it is victimized again the transaction rolls back via its
       compensating step (§3.4), which runs flagged so the victim policy
-      never aborts it;
+      never aborts it, reads only the work area, and commits with the
+      [Abort] record;
     + {b commit} — release everything.
 
     Legacy / ad-hoc transactions run through {!run_legacy}: single step,
@@ -112,6 +114,21 @@ val commit_prepared : prepared -> unit
 val abort_prepared : prepared -> unit
 (** Apply an abort decision: run the compensating step over all completed
     steps, log [Abort], release everything. *)
+
+val run_compensation :
+  Acc_txn.Executor.ctx ->
+  step_type:int ->
+  completed:int ->
+  release:(Acc_lock.Resource_id.t -> Acc_lock.Mode.t -> bool) ->
+  (Acc_txn.Executor.ctx -> completed:int -> unit) ->
+  unit
+(** The compensating-step loop, shared by an inline abort and by
+    {!Replay}: flag the context compensating and enter step
+    [completed + 1] of design-time type [step_type], trip the [comp.begin]
+    crash point, then run the body.  A deadlock victimization, a lock
+    timeout or an injected step fault rolls the attempt back, releases its
+    locks matching [release] (the conventional ones), backs off and
+    retries.  Ends with {!Acc_txn.Executor.finish_compensated}. *)
 
 val run_legacy :
   ?options:options ->

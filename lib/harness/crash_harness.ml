@@ -208,7 +208,7 @@ let recover_verified errs label e =
    atomically-installed checkpoint — the recovered snapshot plus the
    obligations still pending against it.  The next incarnation recovers
    from its own (snapshot, log) pair and merges: an obligation is dropped
-   once the log resolves it (its compensating step's end is durable),
+   once the log resolves it (its compensation's Abort is durable),
    superseded by the log's fresher view if the log rewound a partial
    attempt, and carried unchanged if the crash cut it off before
    [adopt_pending] finished re-logging it — the case that makes carrying

@@ -198,6 +198,42 @@ let interference =
 let semantics = Interference.semantics interference
 
 (* ====================================================================== *)
+(* Compensating bodies                                                     *)
+(* ====================================================================== *)
+
+(* The two home branches reuse {!Txns.new_order_compensate} and
+   {!Txns.payment_compensate}; the remote branches have their own.  Like
+   every compensating body these read only the work area, so the instances
+   and [Recovery_comp]'s replay registrations share them. *)
+
+(* the remote-customer branch: customer rollback + history delete *)
+let payment_rcust_compensate ctx ~completed =
+  if completed >= 1 then begin
+    let field = Executor.area_field ctx in
+    let amount = fnum (field "amount") in
+    let c_w = as_int (field "c_w") and c_d = as_int (field "c_d") in
+    ignore
+      (Executor.update ctx "customer"
+         (Load.customer_key ~w:c_w ~d:c_d ~c:(as_int (field "c")))
+         (fun row ->
+           row.(6) <- Float (fnum row.(6) +. amount);
+           row.(7) <- Float (fnum row.(7) -. amount);
+           row.(8) <- Int (as_int row.(8) - 1);
+           row));
+    Executor.delete ctx "history" [ field "h_id" ]
+  end
+
+(* the remote-stock branch: restock the first [completed] draws *)
+let new_order_rstock_compensate ctx ~completed =
+  let field name = as_int (Executor.area_field ctx name) in
+  for k = 0 to min completed (field "n") - 1 do
+    Txns.undo_stock ctx
+      ~supply:(field (Printf.sprintf "w%d" k))
+      ~item:(field (Printf.sprintf "i%d" k))
+      ~qty:(field (Printf.sprintf "q%d" k))
+  done
+
+(* ====================================================================== *)
 (* Branch instances                                                        *)
 (* ====================================================================== *)
 
@@ -232,19 +268,7 @@ let payment_home_instance env (i : Txns.payment_input) =
     else []
   in
   Program.instance ~def:payment_home_type ~steps ~footprints
-    ~compensate:(fun ctx ~completed ->
-      if completed >= 1 then
-        ignore
-          (Executor.update ctx "warehouse" [ Int i.Txns.p_w ] (fun row ->
-               row.(3) <- Float (fnum row.(3) -. i.Txns.p_amount);
-               row));
-      if completed >= 2 then
-        ignore
-          (Executor.update ctx "district"
-             (Load.district_key ~w:i.Txns.p_w ~d:i.Txns.p_d)
-             (fun row ->
-               row.(4) <- Float (fnum row.(4) -. i.Txns.p_amount);
-               row)))
+    ~compensate:Txns.payment_compensate
     ~comp_area:(fun () ->
       [ ("w", Int i.Txns.p_w); ("d", Int i.Txns.p_d); ("amount", Float i.Txns.p_amount) ])
     ()
@@ -285,18 +309,7 @@ let payment_rcust_instance env (i : Txns.payment_input) =
     else []
   in
   Program.instance ~def:payment_rcust_type ~steps:[ (pr_cust, body) ] ~footprints
-    ~compensate:(fun ctx ~completed ->
-      if completed >= 1 then begin
-        ignore
-          (Executor.update ctx "customer"
-             (Load.customer_key ~w:i.Txns.p_c_w ~d:i.Txns.p_c_d ~c:!cust)
-             (fun row ->
-               row.(6) <- Float (fnum row.(6) +. i.Txns.p_amount);
-               row.(7) <- Float (fnum row.(7) -. i.Txns.p_amount);
-               row.(8) <- Int (as_int row.(8) - 1);
-               row));
-        Executor.delete ctx "history" [ Int !h_id ]
-      end)
+    ~compensate:payment_rcust_compensate
     ~comp_area:(fun () ->
       [
         ("c_w", Int i.Txns.p_c_w);
@@ -395,29 +408,8 @@ let new_order_home_instance env ~local (i : Txns.new_order_input) =
     else []
   in
   Program.instance ~def:new_order_home_type ~steps ~assertions ~footprints
-    ~compensate:(fun ctx ~completed ->
-      if completed = 1 then
-        Executor.insert ctx "orders" [| Int w; Int d; Int ws.o_id; Int c; Int (-2); Int 0 |];
-      if completed >= 2 then begin
-        let committed_lines = min n_items (max 0 (completed - 2)) in
-        for ln = 1 to committed_lines do
-          let key = [ Int w; Int d; Int ws.o_id; Int ln ] in
-          let row = Executor.read_exn ctx "order_line" key in
-          let item = as_int row.(4) and qty = as_int row.(5) in
-          let supply = as_int row.(8) in
-          if Executor.read_committed ctx "warehouse" [ Int supply ] <> None then
-            Txns.undo_stock ctx ~supply ~item ~qty;
-          Executor.delete ctx "order_line" key
-        done;
-        ignore
-          (Executor.update ctx "orders" (Load.order_key ~w ~d ~o:ws.o_id) (fun row ->
-               row.(4) <- Int (-2);
-               row.(5) <- Int 0;
-               row));
-        Executor.delete ctx "new_order" [ Int w; Int d; Int ws.o_id ]
-      end)
-    ~comp_area:(fun () ->
-      [ ("w", Int w); ("d", Int d); ("o_id", Int ws.o_id); ("c", Int c) ])
+    ~compensate:Txns.new_order_compensate
+    ~comp_area:(fun () -> Txns.new_order_area ~w ~d ~o:ws.o_id ~c ~n:n_items)
     ()
 
 let new_order_rstock_instance env items =
@@ -441,11 +433,7 @@ let new_order_rstock_instance env items =
     else []
   in
   Program.instance ~def:new_order_rstock_type ~steps ~footprints
-    ~compensate:(fun ctx ~completed ->
-      for k = 0 to min completed n - 1 do
-        let item, qty, supply = items.(k) in
-        Txns.undo_stock ctx ~supply ~item ~qty
-      done)
+    ~compensate:new_order_rstock_compensate
     ~comp_area:(fun () ->
       ("n", Int n)
       :: List.concat

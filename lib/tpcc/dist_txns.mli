@@ -29,6 +29,19 @@ val workload : Acc_core.Program.workload
 val interference : Acc_core.Interference.t
 val semantics : Acc_lock.Mode.semantics
 
+(** {1 Compensating bodies}
+
+    The home branches use {!Txns.new_order_compensate} and
+    {!Txns.payment_compensate}; the remote branches have these.  Each reads
+    only {!Acc_txn.Executor.work_area} and is both the instances'
+    [~compensate] and the body {!Recovery_comp} registers for replay. *)
+
+val payment_rcust_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
+(** Take back the customer update and delete the history row. *)
+
+val new_order_rstock_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
+(** Restock the first [completed] draws the work area lists. *)
+
 (** {1 Routing} *)
 
 val home_warehouse : Txns.input -> int

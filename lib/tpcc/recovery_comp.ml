@@ -1,190 +1,37 @@
-(* Crash-time completion of pending compensations (§3.4), as registered
-   [Replay] handlers.
+(* Crash-time completion of pending compensations (§3.4): the TPC-C
+   compensating bodies registered as [Replay] handlers.
 
-   Earlier revisions patched the recovered database directly with raw table
-   writes; the handlers now run through a live [Executor.ctx] (created by
+   The bodies live with their programs ([Txns], [Dist_txns]) and read only
+   the work area, so the function an instance passes as [~compensate] is
+   the one registered here: an inline abort and crash replay run the same
+   code.  Replay runs them through a live [Executor.ctx] (created by
    [Replay.replay_one] via [Executor.adopt_pending]), so replayed
    compensation takes compensation locks, appends WAL records, and is itself
    crash-recoverable — a second crash mid-replay re-derives the same pending
-   obligation from the new engine's log.
-
-   Each handler is driven solely by the durable work area its forward steps
-   checkpointed at every step boundary, never by in-memory workspace: that
-   is the whole point of the area. *)
+   obligation from the new engine's log. *)
 
 module Executor = Acc_txn.Executor
-module Database = Acc_relation.Database
-module Predicate = Acc_relation.Predicate
 module Recovery = Acc_wal.Recovery
 module Replay = Acc_core.Replay
 module Program = Acc_core.Program
-open Acc_relation.Value
 
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> invalid_arg ("Recovery_comp: work area lacks " ^ name)
-
-let int_field area name = as_int (field area name)
-
-let new_order_handler ctx ~completed ~area =
-  let w = int_field area "w" and d = int_field area "d" and o = int_field area "o_id" in
-  let c = int_field area "c" in
-  if completed = 1 then
-    (* only the reads+counter step completed: the consumed order number is
-       exposed and cannot be taken back — record it as a cancelled order so
-       the id sequence stays dense (same rule as the inline compensation) *)
-    Executor.insert ctx "orders" [| Int w; Int d; Int o; Int c; Int (-2); Int 0 |]
-  else begin
-    (* steps 1..completed are durable: the order header, queue row and the
-       lines of the completed line steps all exist; the line set is found by
-       key scan because the replay has no in-memory workspace *)
-    let line_keys =
-      Executor.scan_keys ctx "order_line"
-        ~where:
-          (Predicate.conj
-             [
-               Predicate.Eq ("ol_w_id", Int w);
-               Predicate.Eq ("ol_d_id", Int d);
-               Predicate.Eq ("ol_o_id", Int o);
-             ])
-        ()
-    in
-    List.iter
-      (fun key ->
-        let row = Executor.read_exn ctx "order_line" key in
-        let item = as_int row.(4) and qty = as_int row.(5) in
-        let supply = as_int row.(8) in
-        (* a line's stock lives at its supplying warehouse; in a partitioned
-           home branch a remote warehouse is absent from this database and
-           the remote-stock branch compensates it on its own partition *)
-        if Executor.read_committed ctx "warehouse" [ Int supply ] <> None then
-          Txns.undo_stock ctx ~supply ~item ~qty;
-        Executor.delete ctx "order_line" key)
-      line_keys;
-    ignore
-      (Executor.update ctx "orders" (Load.order_key ~w ~d ~o) (fun row ->
-           row.(4) <- Int (-2);
-           row.(5) <- Int 0;
-           row));
-    Executor.delete ctx "new_order" [ Int w; Int d; Int o ]
-  end
-
-let payment_handler ctx ~completed ~area =
-  let w = int_field area "w" and d = int_field area "d" in
-  let amount = number (field area "amount") in
-  if completed >= 1 then
-    ignore
-      (Executor.update ctx "warehouse" [ Int w ] (fun row ->
-           row.(3) <- Float (number row.(3) -. amount);
-           row));
-  if completed >= 2 then
-    ignore
-      (Executor.update ctx "district" (Load.district_key ~w ~d) (fun row ->
-           row.(4) <- Float (number row.(4) -. amount);
-           row));
-  if completed >= 3 then begin
-    let c = int_field area "c" in
-    (* the customer may live at another warehouse (the 15% remote case) *)
-    let c_w = int_field area "c_w" and c_d = int_field area "c_d" in
-    ignore
-      (Executor.update ctx "customer" (Load.customer_key ~w:c_w ~d:c_d ~c) (fun row ->
-           row.(6) <- Float (number row.(6) +. amount);
-           row.(7) <- Float (number row.(7) -. amount);
-           row.(8) <- Int (as_int row.(8) - 1);
-           row));
-    (* the exact history row is named in the work area *)
-    let h_id = int_field area "h_id" in
-    Executor.delete ctx "history" [ Int h_id ]
-  end
-
-let delivery_handler ctx ~completed ~area =
-  ignore completed;
-  let w = int_field area "w" and n = int_field area "n" in
-  for idx = 0 to n - 1 do
-    let d = int_field area (Printf.sprintf "d%d" idx) in
-    let o = int_field area (Printf.sprintf "o%d" idx) in
-    let c = int_field area (Printf.sprintf "c%d" idx) in
-    let amount = number (field area (Printf.sprintf "amt%d" idx)) in
-    ignore
-      (Executor.update ctx "customer" (Load.customer_key ~w ~d ~c) (fun row ->
-           row.(6) <- Float (number row.(6) -. amount);
-           row.(9) <- Int (as_int row.(9) - 1);
-           row));
-    let o_row = Executor.read_exn ctx "orders" (Load.order_key ~w ~d ~o) in
-    for ln = 1 to as_int o_row.(5) do
-      ignore
-        (Executor.update ctx "order_line" [ Int w; Int d; Int o; Int ln ] (fun row ->
-             row.(7) <- Int (-1);
-             row))
-    done;
-    ignore
-      (Executor.update ctx "orders" (Load.order_key ~w ~d ~o) (fun row ->
-           row.(4) <- Int (-1);
-           row));
-    Executor.insert ctx "new_order" [| Int w; Int d; Int o |]
-  done
-
-(* --- partitioned-branch handlers (Dist_txns) --- *)
-
-(* the home branch of a cross-partition payment: only the two ytd bumps *)
-let payment_home_handler ctx ~completed ~area =
-  let w = int_field area "w" and d = int_field area "d" in
-  let amount = number (field area "amount") in
-  if completed >= 1 then
-    ignore
-      (Executor.update ctx "warehouse" [ Int w ] (fun row ->
-           row.(3) <- Float (number row.(3) -. amount);
-           row));
-  if completed >= 2 then
-    ignore
-      (Executor.update ctx "district" (Load.district_key ~w ~d) (fun row ->
-           row.(4) <- Float (number row.(4) -. amount);
-           row))
-
-(* the remote-customer branch: customer rollback + history delete *)
-let payment_rcust_handler ctx ~completed ~area =
-  if completed >= 1 then begin
-    let c_w = int_field area "c_w" and c_d = int_field area "c_d" in
-    let c = int_field area "c" in
-    let amount = number (field area "amount") in
-    ignore
-      (Executor.update ctx "customer" (Load.customer_key ~w:c_w ~d:c_d ~c) (fun row ->
-           row.(6) <- Float (number row.(6) +. amount);
-           row.(7) <- Float (number row.(7) -. amount);
-           row.(8) <- Int (as_int row.(8) - 1);
-           row));
-    Executor.delete ctx "history" [ Int (int_field area "h_id") ]
-  end
-
-(* the remote-stock branch: restock the first [completed] draws *)
-let new_order_rstock_handler ctx ~completed ~area =
-  let n = int_field area "n" in
-  for k = 0 to min completed n - 1 do
-    let supply = int_field area (Printf.sprintf "w%d" k) in
-    let item = int_field area (Printf.sprintf "i%d" k) in
-    let qty = int_field area (Printf.sprintf "q%d" k) in
-    Txns.undo_stock ctx ~supply ~item ~qty
-  done
-
-(* Linking this module is enough to make TPC-C recoverable: the handlers are
+(* Linking this module is enough to make TPC-C recoverable: the bodies are
    registered at module-initialization time, keyed by transaction-type name
-   and carrying the design-time id of each compensating step.  The home
-   branch of a partitioned new_order shares the single-node handler — its
-   work area has the same shape, and the handler's warehouse-presence check
-   already skips stock rows the partition does not own. *)
+   and carrying the design-time id of each compensating step.  Each home
+   branch of a partitioned transaction shares its single-node body. *)
 let () =
-  Replay.register ~txn_type:"new_order" ~step_type:Txns.no_comp.Program.sd_id new_order_handler;
-  Replay.register ~txn_type:"payment" ~step_type:Txns.pay_comp.Program.sd_id payment_handler;
-  Replay.register ~txn_type:"delivery" ~step_type:Txns.dl_comp.Program.sd_id delivery_handler;
-  Replay.register ~txn_type:"new_order_home" ~step_type:Dist_txns.nh_comp.Program.sd_id
-    new_order_handler;
-  Replay.register ~txn_type:"payment_home" ~step_type:Dist_txns.ph_comp.Program.sd_id
-    payment_home_handler;
-  Replay.register ~txn_type:"payment_rcust" ~step_type:Dist_txns.pr_comp.Program.sd_id
-    payment_rcust_handler;
-  Replay.register ~txn_type:"new_order_rstock" ~step_type:Dist_txns.nr_comp.Program.sd_id
-    new_order_rstock_handler
+  List.iter
+    (fun (txn_type, (comp : Program.step_def), body) ->
+      Replay.register ~txn_type ~step_type:comp.Program.sd_id body)
+    [
+      ("new_order", Txns.no_comp, Txns.new_order_compensate);
+      ("payment", Txns.pay_comp, Txns.payment_compensate);
+      ("delivery", Txns.dl_comp, Txns.delivery_compensate);
+      ("new_order_home", Dist_txns.nh_comp, Txns.new_order_compensate);
+      ("payment_home", Dist_txns.ph_comp, Txns.payment_compensate);
+      ("payment_rcust", Dist_txns.pr_comp, Dist_txns.payment_rcust_compensate);
+      ("new_order_rstock", Dist_txns.nr_comp, Dist_txns.new_order_rstock_compensate);
+    ]
 
 let replay_engine db = Executor.create ~sem:Txns.semantics db
 

@@ -488,22 +488,28 @@ let no_step_final (i : new_order_input) ws ctx =
   let o = Executor.read_exn ctx "orders" (Load.order_key ~w:i.no_w ~d:i.no_d ~o:ws.o_id) in
   ignore (as_int o.(5))
 
-let no_compensation (i : new_order_input) ws ctx ~completed =
+(* The compensating body of new_order, and of the partitioned home branch
+   (Dist_txns), whose work area has the same shape.  Like every
+   compensating body it reads only the work area, so an inline abort and
+   crash replay run this same function. *)
+let new_order_compensate ctx ~completed =
   (* semantic undo (§4): return filled stock, drop the lines and the queue
      row, and mark the order row cancelled (carrier -2, zero lines); the
      consumed order number stays burnt *)
+  let field name = as_int (Executor.area_field ctx name) in
+  let w = field "w" and d = field "d" and o = field "o_id" in
   if completed = 1 then
     (* the counter advance is exposed and cannot be taken back; record the
        burnt number as a cancelled order so the id sequence stays dense *)
-    Executor.insert ctx "orders"
-      [| Int i.no_w; Int i.no_d; Int ws.o_id; Int i.no_c; Int (-2); Int 0 |];
+    Executor.insert ctx "orders" [| Int w; Int d; Int o; Int (field "c"); Int (-2); Int 0 |];
   if completed >= 2 then begin
-    (* the committed lines are exactly 1 .. completed - 2 (steps 1 and 2 are
-       the reads and the order insert): point-keyed access only — a
+    (* the committed lines are 1 .. completed - 2 (steps 1 and 2 are the
+       reads and the order insert), capped by the line count — a 2PC cancel
+       compensates after the finalize step too.  Point-keyed access only: a
        compensating step touches nothing beyond its own items (§3.4) *)
-    let committed_lines = min (List.length i.no_items) (max 0 (completed - 2)) in
+    let committed_lines = min (field "n") (max 0 (completed - 2)) in
     for ln = 1 to committed_lines do
-      let key = [ Int i.no_w; Int i.no_d; Int ws.o_id; Int ln ] in
+      let key = [ Int w; Int d; Int o; Int ln ] in
       let row = Executor.read_exn ctx "order_line" key in
       let item = as_int row.(4) and qty = as_int row.(5) in
       let supply = as_int row.(8) in
@@ -515,12 +521,17 @@ let no_compensation (i : new_order_input) ws ctx ~completed =
       Executor.delete ctx "order_line" key
     done;
     ignore
-      (Executor.update ctx "orders" (Load.order_key ~w:i.no_w ~d:i.no_d ~o:ws.o_id) (fun row ->
+      (Executor.update ctx "orders" (Load.order_key ~w ~d ~o) (fun row ->
            row.(4) <- Int (-2);
            row.(5) <- Int 0;
            row));
-    Executor.delete ctx "new_order" [ Int i.no_w; Int i.no_d; Int ws.o_id ]
+    Executor.delete ctx "new_order" [ Int w; Int d; Int o ]
   end
+
+(* new_order's work area at every step end; the home branch of a
+   partitioned new_order logs the same shape *)
+let new_order_area ~w ~d ~o ~c ~n =
+  [ ("w", Int w); ("d", Int d); ("o_id", Int o); ("c", Int c); ("n", Int n) ]
 
 (* --- payment pieces --- *)
 
@@ -566,26 +577,34 @@ let pay_step3 env (i : payment_input) ws ctx =
       Float i.p_amount;
     |]
 
-let pay_compensation (i : payment_input) ws ctx ~completed =
-  let c = ws.w_customer in
+(* The compensating body of payment, and of the partitioned home branch
+   (Dist_txns), whose two steps are payment's first two: the customer and
+   history fields are read only once step 3 has completed. *)
+let payment_compensate ctx ~completed =
+  let field = Executor.area_field ctx in
+  let int name = as_int (field name) in
+  let w = int "w" and d = int "d" and amount = fnum (field "amount") in
   if completed >= 1 then
     ignore
-      (Executor.update ctx "warehouse" [ Int i.p_w ] (fun row ->
-           row.(3) <- Float (fnum row.(3) -. i.p_amount);
+      (Executor.update ctx "warehouse" [ Int w ] (fun row ->
+           row.(3) <- Float (fnum row.(3) -. amount);
            row));
   if completed >= 2 then
     ignore
-      (Executor.update ctx "district" (Load.district_key ~w:i.p_w ~d:i.p_d) (fun row ->
-           row.(4) <- Float (fnum row.(4) -. i.p_amount);
+      (Executor.update ctx "district" (Load.district_key ~w ~d) (fun row ->
+           row.(4) <- Float (fnum row.(4) -. amount);
            row));
   if completed >= 3 then begin
+    (* the customer may live at another warehouse (the 15% remote case) *)
+    let c = int "c" and c_w = int "c_w" and c_d = int "c_d" in
     ignore
-      (Executor.update ctx "customer" (Load.customer_key ~w:i.p_c_w ~d:i.p_c_d ~c) (fun row ->
-           row.(6) <- Float (fnum row.(6) +. i.p_amount);
-           row.(7) <- Float (fnum row.(7) -. i.p_amount);
+      (Executor.update ctx "customer" (Load.customer_key ~w:c_w ~d:c_d ~c) (fun row ->
+           row.(6) <- Float (fnum row.(6) +. amount);
+           row.(7) <- Float (fnum row.(7) -. amount);
            row.(8) <- Int (as_int row.(8) - 1);
            row));
-    Executor.delete ctx "history" [ Int ws.h_id ]
+    (* the exact history row is named in the work area *)
+    Executor.delete ctx "history" [ Int (int "h_id") ]
   end
 
 (* --- delivery pieces --- *)
@@ -648,34 +667,35 @@ let dl_step_district env (i : delivery_input) ws ~d ctx =
              row));
       ws.delivered <- { dv_d = d; dv_o = o_id; dv_c = c_id; dv_amount = !amount } :: ws.delivered
 
-let dl_compensation (i : delivery_input) ws ctx ~completed =
+(* Undo each delivered (district, order, customer, amount) quadruple the
+   work area lists, newest first. *)
+let delivery_compensate ctx ~completed =
   ignore completed;
-  List.iter
-    (fun dv ->
+  let field = Executor.area_field ctx in
+  let int name = as_int (field name) in
+  let w = int "w" in
+  for idx = 0 to int "n" - 1 do
+    let d = int (Printf.sprintf "d%d" idx) and o = int (Printf.sprintf "o%d" idx) in
+    let c = int (Printf.sprintf "c%d" idx) in
+    let amount = fnum (field (Printf.sprintf "amt%d" idx)) in
+    ignore
+      (Executor.update ctx "customer" (Load.customer_key ~w ~d ~c) (fun row ->
+           row.(6) <- Float (fnum row.(6) -. amount);
+           row.(9) <- Int (as_int row.(9) - 1);
+           row));
+    let o_row = Executor.read_exn ctx "orders" (Load.order_key ~w ~d ~o) in
+    for ln = 1 to as_int o_row.(5) do
       ignore
-        (Executor.update ctx "customer" (Load.customer_key ~w:i.dl_w ~d:dv.dv_d ~c:dv.dv_c)
-           (fun row ->
-             row.(6) <- Float (fnum row.(6) -. dv.dv_amount);
-             row.(9) <- Int (as_int row.(9) - 1);
-             row));
-      let o_row =
-        Executor.read_exn ctx "orders" (Load.order_key ~w:i.dl_w ~d:dv.dv_d ~o:dv.dv_o)
-      in
-      for ln = 1 to as_int o_row.(5) do
-        ignore
-          (Executor.update ctx "order_line"
-             [ Int i.dl_w; Int dv.dv_d; Int dv.dv_o; Int ln ]
-             (fun row ->
-               row.(7) <- Int (-1);
-               row))
-      done;
-      ignore
-        (Executor.update ctx "orders" (Load.order_key ~w:i.dl_w ~d:dv.dv_d ~o:dv.dv_o)
-           (fun row ->
-             row.(4) <- Int (-1);
-             row));
-      Executor.insert ctx "new_order" [| Int i.dl_w; Int dv.dv_d; Int dv.dv_o |])
-    ws.delivered
+        (Executor.update ctx "order_line" [ Int w; Int d; Int o; Int ln ] (fun row ->
+             row.(7) <- Int (-1);
+             row))
+    done;
+    ignore
+      (Executor.update ctx "orders" (Load.order_key ~w ~d ~o) (fun row ->
+           row.(4) <- Int (-1);
+           row));
+    Executor.insert ctx "new_order" [| Int w; Int d; Int o |]
+  done
 
 (* --- order_status and stock_level pieces --- *)
 
@@ -899,9 +919,9 @@ let new_order_instance env (i : new_order_input) =
   in
   Program.instance ~def:new_order_type ~steps ~assertions
     ~footprints:(new_order_footprints i ws)
-    ~compensate:(fun ctx ~completed -> no_compensation i ws ctx ~completed)
+    ~compensate:new_order_compensate
     ~comp_area:(fun () ->
-      [ ("w", Int i.no_w); ("d", Int i.no_d); ("o_id", Int ws.o_id); ("c", Int i.no_c) ])
+      new_order_area ~w:i.no_w ~d:i.no_d ~o:ws.o_id ~c:i.no_c ~n:(List.length i.no_items))
     ()
 
 let payment_instance env (i : payment_input) =
@@ -918,7 +938,7 @@ let payment_instance env (i : payment_input) =
   in
   Program.instance ~def:payment_type ~steps ~assertions
     ~footprints:(payment_footprints i)
-    ~compensate:(fun ctx ~completed -> pay_compensation i ws ctx ~completed)
+    ~compensate:payment_compensate
     ~comp_area:(fun () ->
       [
         ("w", Int i.p_w);
@@ -947,10 +967,10 @@ let delivery_instance env (i : delivery_input) =
   in
   Program.instance ~def:delivery_type ~steps ~assertions
     ~footprints:(delivery_footprints i)
-    ~compensate:(fun ctx ~completed -> dl_compensation i ws ctx ~completed)
+    ~compensate:delivery_compensate
     ~comp_area:(fun () ->
-      (* flatten the delivered list: crash recovery must be able to undo each
-         (district, order, customer, amount) quadruple *)
+      (* flatten the delivered list, newest first: the compensation undoes
+         each (district, order, customer, amount) quadruple in that order *)
       ("w", Int i.dl_w)
       :: ("n", Int (List.length ws.delivered))
       :: List.concat
@@ -962,7 +982,7 @@ let delivery_instance env (i : delivery_input) =
                   (Printf.sprintf "c%d" idx, Int dv.dv_c);
                   (Printf.sprintf "amt%d" idx, Float dv.dv_amount);
                 ])
-              (List.rev ws.delivered)))
+              ws.delivered))
     ()
 
 let instance env input =

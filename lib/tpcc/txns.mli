@@ -100,8 +100,8 @@ val forward_step_count : int
 (** = 11, the paper's "eleven distinct forward step types". *)
 
 val no_comp : Acc_core.Program.step_def
-(** new_order's compensating step (cancel-order); {!Recovery_comp} keys its
-    replay handler on its design-time id. *)
+(** new_order's compensating step (cancel-order); {!Recovery_comp}
+    registers {!new_order_compensate} under its design-time id. *)
 
 val no_reads : Acc_core.Program.step_def
 (** new_order's first forward step (reads + order counter); named so
@@ -116,6 +116,33 @@ val pay_comp : Acc_core.Program.step_def
 
 val dl_comp : Acc_core.Program.step_def
 (** delivery's compensating step (undeliver). *)
+
+(** {1 Compensating bodies}
+
+    One per compensable type, each reading only
+    {!Acc_txn.Executor.work_area}: the instances pass them as
+    [~compensate], and {!Recovery_comp} registers the same functions with
+    {!Acc_core.Replay}, so an inline abort and crash replay run one body. *)
+
+val new_order_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
+(** Cancel the order: a burnt order number becomes a cancelled header; the
+    committed lines (point-keyed, capped by the area's line count [n]) give
+    their stock back — where the supplying warehouse is in this database —
+    and go, the header is marked cancelled and the queue row dropped.  Also
+    the body of the partitioned home branch {!Dist_txns} runs. *)
+
+val new_order_area : w:int -> d:int -> o:int -> c:int -> n:int -> (string * Acc_relation.Value.t) list
+(** new_order's work area: warehouse, district, drawn order id, customer and
+    line count. *)
+
+val payment_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
+(** Refund the warehouse and district ytd bumps the completed steps made,
+    and after step 3 the customer update and its history row.  Also the body
+    of the partitioned home branch, whose two steps are payment's first
+    two. *)
+
+val delivery_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
+(** Undeliver every order the work area lists, newest first. *)
 
 val reset_history_seq : unit -> unit
 (** Reset the process-wide surrogate history-key sequence.  Call before a

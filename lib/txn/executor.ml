@@ -15,10 +15,9 @@ module Fault = Acc_fault.Fault
 
 (* Crash points at the engine's recovery-critical state transitions (the
    per-record points inside [Log.append] cover each record's durability;
-   these cover the windows {e between} appends): a completed work area whose
-   step-end is not yet durable, a durable commit whose locks are not yet
-   released, a lock release that never happens, and a compensating write. *)
-let cp_step_area = Fault.register "exec.step_area"
+   these cover the windows {e between} appends): a durable commit whose locks
+   are not yet released, a lock release that never happens, and a
+   compensating write. *)
 let cp_commit_durable = Fault.register "exec.commit.durable"
 let cp_release = Fault.register "exec.release"
 let cp_comp_write = Fault.register "comp.write"
@@ -67,6 +66,9 @@ type ctx = {
   mutable step_index : int;
   mutable compensating : bool;
   mutable undo_stack : Record.write list; (* newest first *)
+  mutable area : (string * Value.t) list;
+      (* the work area the last forward step-end record carried (or that
+         [adopt_pending] re-logged): the compensating step's only input *)
   mutable on_lock : Resource_id.t -> Mode.t -> unit;
   mutable on_before_lock : Resource_id.t -> Mode.t -> unit;
   mutable step_t0 : float;
@@ -150,10 +152,7 @@ let lock_held_by t ~txn = Lock_service.held_by t.service ~txn
 
 (* --- transaction lifecycle ---------------------------------------------- *)
 
-let begin_txn t ~txn_type ~multi_step =
-  let txn = Atomic.fetch_and_add t.next_txn 1 in
-  Atomic.incr t.active;
-  ignore (Log.append t.log (Record.Begin { txn; txn_type; multi_step }));
+let open_ctx t ~txn ~txn_type ~multi_step ~step_index ~area =
   if Trace.enabled () then Trace.emit (Trace.Txn_begin { txn; txn_type });
   {
     eng = t;
@@ -161,15 +160,22 @@ let begin_txn t ~txn_type ~multi_step =
     txn_type;
     multi_step;
     step_type = 0;
-    step_index = 1;
+    step_index;
     compensating = false;
     undo_stack = [];
+    area;
     on_lock = (fun _ _ -> ());
     on_before_lock = (fun _ _ -> ());
     step_t0 = 0.;
     finished = false;
     pre_acquired = [];
   }
+
+let begin_txn t ~txn_type ~multi_step =
+  let txn = Atomic.fetch_and_add t.next_txn 1 in
+  Atomic.incr t.active;
+  ignore (Log.append t.log (Record.Begin { txn; txn_type; multi_step }));
+  open_ctx t ~txn ~txn_type ~multi_step ~step_index:1 ~area:[]
 
 let txn_id ctx = ctx.txn
 let txn_type ctx = ctx.txn_type
@@ -470,26 +476,34 @@ let rollback_current_step ctx =
     ctx.undo_stack;
   ctx.undo_stack <- []
 
-let end_step ctx ~comp_area =
-  (* the work area must be durable before the step counts as completed: a
-     crash between the two records must find either an undoable step or a
-     compensable one, never a completed step without its area *)
-  (match comp_area with
-  | Some area ->
-      ignore
-        (Log.append ctx.eng.log
-           (Record.Comp_area { txn = ctx.txn; completed_steps = ctx.step_index; area }));
-      (* the window where the area is durable but the step is not yet
-         complete: recovery must treat the step as never having happened *)
-      Fault.trip cp_step_area
-  | None -> ());
-  ignore (Log.append ctx.eng.log (Record.Step_end { txn = ctx.txn; step_index = ctx.step_index }));
+(* What every step end pays, forward or compensating: the charge, the
+   latency hook and the trace event. *)
+let close_step ctx =
   charge ctx.eng ctx.eng.cost.step_end;
   ctx.eng.config.on_step_end ~step_type:ctx.step_type
     ~dur:(ctx.eng.config.clock () -. ctx.step_t0);
   if Trace.enabled () then
     Trace.emit (Trace.Step_end { txn = ctx.txn; step_index = ctx.step_index });
   ctx.undo_stack <- []
+
+let end_step ctx ~area =
+  (* one record completes the step and makes its work area durable: a
+     crash finds either an undoable step or a compensable one with its area,
+     never a completed step without one *)
+  ignore
+    (Log.append ctx.eng.log
+       (Record.Step_end { txn = ctx.txn; step_index = ctx.step_index; area }));
+  ctx.area <- area;
+  close_step ctx
+
+let work_area ctx = ctx.area
+
+let area_field ctx name =
+  match List.assoc_opt name ctx.area with
+  | Some v -> v
+  | None ->
+      invalid_arg
+        (Printf.sprintf "%s (txn %d): work area lacks %s" ctx.txn_type ctx.txn name)
 
 let release_locks ctx pred =
   (* any mid-transaction release invalidates the footprint memo wholesale —
@@ -552,6 +566,9 @@ let abort_physical ctx =
 
 let finish_compensated ctx =
   assert (not ctx.finished);
+  (* the compensating step ends without a step-end record: the Abort record
+     is its commit point, so every step-end in the log is a forward step's *)
+  close_step ctx;
   ignore (Log.append ctx.eng.log (Record.Abort { txn = ctx.txn }));
   if Trace.enabled () then
     Trace.emit (Trace.Txn_abort { txn = ctx.txn; compensated = true });
@@ -560,10 +577,10 @@ let finish_compensated ctx =
 
 (* Re-open a transaction that recovery reported as pending compensation.
    The adopted context keeps the original transaction id, and its protocol
-   obligations — Begin, work area, last completed step — are re-logged on
-   the (new) engine's log: if the process dies again before the compensating
-   step commits, the next recovery re-derives exactly the same pending
-   obligation from this engine's baseline + log. *)
+   obligations — Begin, and the last completed step with its work area —
+   are re-logged on the (new) engine's log: if the process dies again before
+   the compensating step commits, the next recovery re-derives exactly the
+   same pending obligation from this engine's baseline + log. *)
 let adopt_pending t ~txn ~txn_type ~completed_steps ~area =
   if completed_steps < 1 then invalid_arg "Executor.adopt_pending: nothing to compensate";
   let rec bump () =
@@ -573,24 +590,8 @@ let adopt_pending t ~txn ~txn_type ~completed_steps ~area =
   bump ();
   Atomic.incr t.active;
   ignore (Log.append t.log (Record.Begin { txn; txn_type; multi_step = true }));
-  ignore (Log.append t.log (Record.Comp_area { txn; completed_steps; area }));
-  ignore (Log.append t.log (Record.Step_end { txn; step_index = completed_steps }));
-  if Trace.enabled () then Trace.emit (Trace.Txn_begin { txn; txn_type });
-  {
-    eng = t;
-    txn;
-    txn_type;
-    multi_step = true;
-    step_type = 0;
-    step_index = completed_steps;
-    compensating = false;
-    undo_stack = [];
-    on_lock = (fun _ _ -> ());
-    on_before_lock = (fun _ _ -> ());
-    step_t0 = 0.;
-    finished = false;
-    pre_acquired = [];
-  }
+  ignore (Log.append t.log (Record.Step_end { txn; step_index = completed_steps; area }));
+  open_ctx t ~txn ~txn_type ~multi_step:true ~step_index:completed_steps ~area
 
 (* Re-open an in-doubt 2PC participant.  Same contract as [adopt_pending],
    plus the Prepare record is re-logged: if the process dies again before

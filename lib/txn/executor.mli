@@ -75,7 +75,8 @@ val set_clock : t -> (unit -> float) -> unit
     uninstrumented engines measure nothing and pay one call per step. *)
 
 val set_on_step_end : t -> (step_type:int -> dur:float -> unit) -> unit
-(** Called at every {!end_step} with the step's design-time type and its
+(** Called at every step end ({!end_step}, and the end of a compensating
+    step in {!finish_compensated}) with the step's design-time type and its
     duration by {!set_clock}'s time source; the TPC-C drivers feed this into
     per-step-type latency histograms.  Default: ignore. *)
 
@@ -229,10 +230,21 @@ val rollback_current_step : ctx -> unit
     current step, newest first; clears the undo stack.  Locks are not
     released here. *)
 
-val end_step : ctx -> comp_area:(string * Acc_relation.Value.t) list option -> unit
-(** Log the end-of-step record (and work area when compensation is needed),
-    charge the step overhead, and forget the undo stack — the step is now
-    durable and can no longer be physically undone. *)
+val end_step : ctx -> area:(string * Acc_relation.Value.t) list -> unit
+(** End a forward step: log the end-of-step record carrying [area] (the work
+    area the compensating step will read; [[]] when there is none), charge
+    the step overhead, and forget the undo stack — the step is now durable
+    and can no longer be physically undone.  A compensating step does not
+    call this: {!finish_compensated} ends it. *)
+
+val work_area : ctx -> (string * Acc_relation.Value.t) list
+(** The work area the last forward {!end_step} logged, or that
+    {!adopt_pending} re-logged: the only input a compensating body reads, so
+    one body serves an inline abort and crash replay alike. *)
+
+val area_field : ctx -> string -> Acc_relation.Value.t
+(** One named value of {!work_area}.  Raises [Invalid_argument] naming the
+    transaction and the field when the area lacks it. *)
 
 val release_locks : ctx -> (Acc_lock.Resource_id.t -> Acc_lock.Mode.t -> bool) -> unit
 (** Release this transaction's holds matching the predicate and deliver the
@@ -257,7 +269,10 @@ val abort_physical : ctx -> unit
     or multi-step transactions still in their first step). *)
 
 val finish_compensated : ctx -> unit
-(** Log [Abort] after compensation has run, release everything. *)
+(** End the compensating step and the transaction: charge the step end, fire
+    the step-end hook and trace event, then log [Abort] — the compensation's
+    commit point; a compensating step logs no end-of-step record — and
+    release everything. *)
 
 val finished : ctx -> bool
 
@@ -272,9 +287,10 @@ val adopt_pending :
   ctx
 (** Re-open a transaction that {!Acc_wal.Recovery} reported as pending
     compensation, keeping its original id ([next_txn] is bumped past it).
-    The obligation — [Begin], work area, last completed step — is re-logged
-    on this engine's log, so a crash during the compensation replay leaves
-    the pending state re-derivable from this engine's baseline + log.  The
+    The obligation — [Begin], and a [Step_end] for the last completed step
+    carrying [area] — is re-logged on this engine's log, so a crash during
+    the compensation replay leaves the pending state re-derivable from this
+    engine's baseline + log; [area] becomes the context's {!work_area}.  The
     caller then runs the compensating step on the returned context exactly
     as the runtime would (see {!Acc_core.Replay}).  Raises
     [Invalid_argument] if [completed_steps < 1] (nothing exposed — recovery

@@ -42,7 +42,7 @@ type t = {
 let crash_points =
   List.map
     (fun kind -> (kind, Acc_fault.Fault.register ("wal.append." ^ kind)))
-    [ "begin"; "write"; "undo"; "step_end"; "comp_area"; "commit"; "abort"; "prepare" ]
+    [ "begin"; "write"; "undo"; "step_end"; "commit"; "abort"; "prepare" ]
 
 let trip_for r = Acc_fault.Fault.trip (List.assoc (Record.kind r) crash_points)
 
@@ -253,7 +253,10 @@ module Header = struct
 end
 
 let magic = "ACCWAL\x00\x00"
-let format_version = 1
+(* bumped on every change to the record format, so the header check
+   refuses an older log loudly instead of mis-reading it (version 2 put the
+   work area into the step-end record) *)
+let format_version = 2
 
 let save t path =
   let oc = open_out_bin path in

@@ -10,8 +10,7 @@ type write = {
 type t =
   | Begin of { txn : int; txn_type : string; multi_step : bool }
   | Write of { txn : int; write : write; undo : bool }
-  | Step_end of { txn : int; step_index : int }
-  | Comp_area of { txn : int; completed_steps : int; area : (string * Value.t) list }
+  | Step_end of { txn : int; step_index : int; area : (string * Value.t) list }
   | Prepare of { txn : int; gid : int }
   | Commit of { txn : int }
   | Abort of { txn : int }
@@ -20,7 +19,6 @@ let txn_of = function
   | Begin { txn; _ }
   | Write { txn; _ }
   | Step_end { txn; _ }
-  | Comp_area { txn; _ }
   | Prepare { txn; _ }
   | Commit { txn }
   | Abort { txn } ->
@@ -31,7 +29,6 @@ let kind = function
   | Write { undo = false; _ } -> "write"
   | Write { undo = true; _ } -> "undo"
   | Step_end _ -> "step_end"
-  | Comp_area _ -> "comp_area"
   | Prepare _ -> "prepare"
   | Commit _ -> "commit"
   | Abort _ -> "abort"
@@ -53,9 +50,10 @@ let pp ppf = function
       Format.fprintf ppf "%s T%d %s %s[%a]"
         (if undo then "UNDO" else "WRITE")
         txn kind write.w_table pp_key write.w_key
-  | Step_end { txn; step_index } -> Format.fprintf ppf "STEP_END T%d step %d" txn step_index
-  | Comp_area { txn; completed_steps; area } ->
-      Format.fprintf ppf "COMP_AREA T%d after %d steps (%d values)" txn completed_steps
+  | Step_end { txn; step_index; area = [] } ->
+      Format.fprintf ppf "STEP_END T%d step %d" txn step_index
+  | Step_end { txn; step_index; area } ->
+      Format.fprintf ppf "STEP_END T%d step %d (area: %d values)" txn step_index
         (List.length area)
   | Prepare { txn; gid } -> Format.fprintf ppf "PREPARE T%d (global %d)" txn gid
   | Commit { txn } -> Format.fprintf ppf "COMMIT T%d" txn

@@ -1,10 +1,10 @@
 (** Log records.
 
-    Physical images for step-atomic undo/redo, plus the ACC-specific records
-    of §5: the end-of-step record and the compensation work area that the
-    implemented ACC stores "in a database table for compensation".  We keep
-    the work area in the log itself, which is equivalent for recovery
-    purposes and keeps the store free of bookkeeping tables. *)
+    Physical images for step-atomic undo/redo, plus the ACC-specific record
+    of §5: the end-of-step record, which carries the compensation work area
+    that the implemented ACC stores "in a database table for compensation".
+    We keep the work area in the log itself, which is equivalent for
+    recovery purposes and keeps the store free of bookkeeping tables. *)
 
 type write = {
   w_table : string;
@@ -18,11 +18,13 @@ type t =
   | Write of { txn : int; write : write; undo : bool }
       (** [undo = true] marks a compensation-log record written while rolling
           back (a CLR): recovery must never undo it again. *)
-  | Step_end of { txn : int; step_index : int }
-  | Comp_area of { txn : int; completed_steps : int; area : (string * Acc_relation.Value.t) list }
-      (** Work area checkpoint enabling the compensating step to run after a
-          crash: the forward steps completed so far and the named values the
-          compensation needs. *)
+  | Step_end of { txn : int; step_index : int; area : (string * Acc_relation.Value.t) list }
+      (** Forward step [step_index] completed.  [area] is the work area the
+          compensating step reads (named values, [[]] for a transaction
+          without one): it becomes durable in the same record that completes
+          the step, so recovery never sees a completed step without its
+          area.  A compensating step logs no [Step_end]; its [Abort] record
+          commits it. *)
   | Prepare of { txn : int; gid : int }
       (** Two-phase-commit participant vote: the branch of global transaction
           [gid] has run all its steps and can commit.  Until a coordinator
@@ -31,14 +33,14 @@ type t =
   | Commit of { txn : int }
   | Abort of { txn : int }
       (** Transaction fully undone (physically, or logically via its
-          compensating step); it holds nothing and needs nothing. *)
+          compensating step, whose commit point this record is); it holds
+          nothing and needs nothing. *)
 
 val txn_of : t -> int
 
 val kind : t -> string
 (** A short record-kind tag (["begin"], ["write"], ["undo"], ["step_end"],
-    ["comp_area"], ["prepare"], ["commit"], ["abort"]) for trace events and
-    summaries. *)
+    ["prepare"], ["commit"], ["abort"]) for trace events and summaries. *)
 
 val pp : Format.formatter -> t -> unit
 

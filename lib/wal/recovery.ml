@@ -42,24 +42,19 @@ type txn_info = {
   mutable multi_step : bool;
   mutable status : [ `Active | `Committed | `Resolved ];
   mutable completed_steps : int;
+  (* the work area the last durable step-end record carried *)
   mutable area : (string * Value.t) list;
-  (* a work area becomes authoritative only when its step-end record is also
-     durable; until then it describes a step that never completed *)
-  mutable staged_area : (string * Value.t) list option;
   (* forward writes since the last step boundary, newest first *)
   mutable tail_writes : Record.write list;
   (* compensation-log records seen since the last step boundary: each one
      already undid the newest not-yet-covered forward write *)
   mutable tail_undone : int;
   (* undo-records beyond those covering the forward tail: the writes of a
-     logical compensating step in progress, newest first.  If the crash
-     interrupts the compensation, these are physically rewound so the
-     replayed compensating step restarts from a clean post-last-step state *)
+     logical compensating step in progress, newest first.  A compensation
+     commits with its Abort record; without it these are physically rewound
+     so the replayed compensating step restarts from a clean post-last-step
+     state *)
   mutable comp_writes : Record.write list;
-  (* the compensating step's own end-of-step record is durable: the
-     compensation is complete even though the final Abort record is not —
-     the step-end is its atomic commit point, same as any step *)
-  mutable comp_done : bool;
   (* a durable Prepare vote: the transaction is a 2PC participant in doubt
      until its coordinator's decision is known *)
   mutable prepared_gid : int option;
@@ -79,11 +74,9 @@ let recover ~baseline records =
             status = `Active;
             completed_steps = 0;
             area = [];
-            staged_area = None;
             tail_writes = [];
             tail_undone = 0;
             comp_writes = [];
-            comp_done = false;
             prepared_gid = None;
           }
         in
@@ -109,34 +102,18 @@ let recover ~baseline records =
               i.tail_undone <- i.tail_undone + 1
             else i.comp_writes <- write :: i.comp_writes
           else i.tail_writes <- write :: i.tail_writes
-      | Record.Step_end { txn; step_index } ->
+      | Record.Step_end { txn; step_index; area } ->
+          (* always a forward step (a compensating step logs none): the step
+             and the area its compensation reads become durable together *)
           let i = info txn in
-          if i.comp_writes <> [] then
-            (* end-of-step of the compensating step itself: its durable
-               step-end commits the compensation even if the Abort record
-               never made the log *)
-            i.comp_done <- true
-          else begin
-            i.completed_steps <- max i.completed_steps step_index;
-            (match i.staged_area with
-            | Some area ->
-                i.area <- area;
-                i.staged_area <- None
-            | None -> ());
-            i.tail_writes <- [];
-            i.tail_undone <- 0
-          end
-      | Record.Comp_area { txn; completed_steps = _; area } ->
-          (* staged until the matching Step_end arrives: only a durable
-             end-of-step record completes a step *)
-          (info txn).staged_area <- Some area
+          i.completed_steps <- max i.completed_steps step_index;
+          i.area <- area;
+          i.tail_writes <- [];
+          i.tail_undone <- 0
       | Record.Prepare { txn; gid } -> (info txn).prepared_gid <- Some gid
       | Record.Commit { txn } -> (info txn).status <- `Committed
       | Record.Abort { txn } -> (info txn).status <- `Resolved)
     records;
-  (* a loser whose compensating step completed (its step-end record is
-     durable) needs nothing further: only the Abort marker was lost *)
-  Hashtbl.iter (fun _ i -> if i.status = `Active && i.comp_done then i.status <- `Resolved) txns;
   (* physical undo of every loser's uncompleted work, newest first: the
      writes of an interrupted compensating step, then the forward tail of
      the uncompleted step (of which the newest [tail_undone] were already

@@ -10,18 +10,18 @@
     - {b logical undo}: a multi-step transaction that had completed one or
       more steps exposed intermediate results, so physical undo is unsound
       (§3.4); recovery reports it as {e pending compensation}, carrying the
-      work area saved at its last step boundary.  The ACC runtime re-executes
-      the programmer-supplied compensating step from that area.
+      work area its last end-of-step record holds.  The ACC runtime
+      re-executes the programmer-supplied compensating step from that area.
 
-    Compensation-log records ([Write] with [undo = true]) are replayed like
-    ordinary writes.  The ones that reverse the forward tail of an
-    uncompleted step are never undone — recovery is correct even when the
-    crash interrupts a physical rollback that was itself in progress.  The
-    ones a {e logical compensating step} logged are step-atomic like any
-    other step's: if the compensating step's end-of-step record is durable,
-    the compensation is treated as complete (only the final [Abort] marker
-    was lost); otherwise its partial writes are physically rewound and the
-    transaction is reported pending, so the replayed compensating step
+    Every end-of-step record belongs to a forward step: a compensating step
+    logs none, and its [Abort] record is its commit point.  Compensation-log
+    records ([Write] with [undo = true]) are replayed like ordinary writes.
+    The ones that reverse the forward tail of an uncompleted step are never
+    undone — recovery is correct even when the crash interrupts a physical
+    rollback that was itself in progress.  The ones a {e logical
+    compensating step} logged stand only if its [Abort] is durable;
+    otherwise they are physically rewound like any partial step's writes and
+    the transaction is reported pending, so the replayed compensating step
     restarts from a clean post-last-step state. *)
 
 type pending = {

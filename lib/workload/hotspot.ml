@@ -169,12 +169,13 @@ let sum_body env ~threshold ctx =
   let total = List.fold_left (fun acc r -> acc + as_int r.(1)) 0 rows in
   ignore (total > threshold)
 
-let compensate ~txn ~rows ctx ~completed =
+let compensate ctx ~completed =
   (* undo increments k = completed .. 1; journal keys are derivable from
-     the surrogate, so the durable area alone suffices on replay *)
-  let rows = Array.of_list rows in
-  for k = min completed (Array.length rows) downto 1 do
-    let row = rows.(k - 1) in
+     the surrogate, so the work area alone suffices *)
+  let field name = as_int (Executor.area_field ctx name) in
+  let txn = field "txn" in
+  for k = min completed (field "n") downto 1 do
+    let row = field (Printf.sprintf "r%d" (k - 1)) in
     ignore
       (Executor.update ctx "hot" [ Int row ] (fun r ->
            r.(1) <- Int (as_int r.(1) - 1);
@@ -182,17 +183,8 @@ let compensate ~txn ~rows ctx ~completed =
     Executor.delete ctx "hot_audit" [ Int txn; Int k ]
   done
 
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "hotspot replay: missing area field %s" name)
-
 let register_replay () =
-  Replay.register ~txn_type:"hs_bump" ~step_type:hb_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      let n = as_int (field area "n") in
-      let rows = List.init n (fun i -> as_int (field area (Printf.sprintf "r%d" i))) in
-      compensate ~txn:(as_int (field area "txn")) ~rows ctx ~completed)
+  Replay.register ~txn_type:"hs_bump" ~step_type:hb_comp.Program.sd_id compensate
 
 let reset_global () =
   Atomic.set txn_seq 1_000_000;
@@ -219,7 +211,7 @@ let bump_instance env ~txn ~rows ~fail =
           (Mode.IX, tab "hot_audit"); (Mode.X, tup "hot_audit" [ Int txn; Int j ]);
         ]
       else [])
-    ~compensate:(fun ctx ~completed -> compensate ~txn ~rows ctx ~completed)
+    ~compensate
     ~comp_area:(fun () ->
       ("txn", Int txn) :: ("n", Int n)
       :: List.mapi (fun i row -> (Printf.sprintf "r%d" i, Int row)) rows)

@@ -275,35 +275,25 @@ let audit_body env ~id ~region ctx =
 (* ------------------------------------------------------------------ *)
 (* Compensation *)
 
-let post_compensate ~src ~amount ctx ~completed =
+let post_compensate ctx ~completed =
   (* abort after the credit cannot happen mid-transaction (credit is the
      last step), but a crash between the final end-of-step and commit can:
      undo newest-first *)
-  ignore completed;
+  let field = Executor.area_field ctx in
+  let amount = fnum (field "amount") in
+  if completed >= 2 then
+    ignore
+      (Executor.update ctx "ledger" [ field "dst" ] (fun row ->
+           row.(2) <- Float (fnum row.(2) -. amount);
+           row));
   if completed >= 1 then
     ignore
-      (Executor.update ctx "ledger" [ Int src ] (fun row ->
+      (Executor.update ctx "ledger" [ field "src" ] (fun row ->
            row.(2) <- Float (fnum row.(2) +. amount);
            row))
 
-let post_compensate_full ~src ~dst ~amount ctx ~completed =
-  if completed >= 2 then
-    ignore
-      (Executor.update ctx "ledger" [ Int dst ] (fun row ->
-           row.(2) <- Float (fnum row.(2) -. amount);
-           row));
-  post_compensate ~src ~amount ctx ~completed
-
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "longreader replay: missing area field %s" name)
-
 let register_replay () =
-  Replay.register ~txn_type:"lr_post" ~step_type:post_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      post_compensate_full ~src:(as_int (field area "src")) ~dst:(as_int (field area "dst"))
-        ~amount:(fnum (field area "amount")) ctx ~completed)
+  Replay.register ~txn_type:"lr_post" ~step_type:post_comp.Program.sd_id post_compensate
 
 let reset_global () =
   Atomic.set audit_seq 1_000_000;
@@ -324,7 +314,7 @@ let post_instance env ~src ~dst ~amount ~fail =
       if j = 1 then [ (Mode.IX, tab "ledger"); (Mode.X, tup "ledger" [ Int src ]) ]
       else if j = 2 then [ (Mode.IX, tab "ledger"); (Mode.X, tup "ledger" [ Int dst ]) ]
       else [])
-    ~compensate:(fun ctx ~completed -> post_compensate_full ~src ~dst ~amount ctx ~completed)
+    ~compensate:post_compensate
     ~comp_area:(fun () -> [ ("src", Int src); ("dst", Int dst); ("amount", Float amount) ])
     ()
 

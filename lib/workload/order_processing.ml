@@ -162,9 +162,10 @@ let interference = Interference.build workload
 let semantics = Interference.semantics interference
 
 (* ------------------------------------------------------------------ *)
-(* Compensation (area-driven: usable by the in-memory path and replay) *)
+(* Compensation (area-driven: the in-memory path and replay share it) *)
 
-let cancel_order ~order ctx ~completed =
+let cancel_order ctx ~completed =
+  let order = as_int (Executor.area_field ctx "order_id") in
   if completed >= 1 && order >= 0 then begin
     (* the lines are this instance's own fresh rows: hunt them through the
        by_order index and return their stock *)
@@ -182,15 +183,8 @@ let cancel_order ~order ctx ~completed =
       Executor.delete ctx "orders" [ v_int order ]
   end
 
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "order_processing replay: missing area field %s" name)
-
 let register_replay () =
-  Replay.register ~txn_type:"op_order" ~step_type:step_cancel.Program.sd_id
-    (fun ctx ~completed ~area ->
-      cancel_order ~order:(as_int (field area "order_id")) ctx ~completed)
+  Replay.register ~txn_type:"op_order" ~step_type:step_cancel.Program.sd_id cancel_order
 
 (* ------------------------------------------------------------------ *)
 (* Run-time instances (shared with the example binary) *)
@@ -242,7 +236,7 @@ let new_order ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~items () 
             (Mode.IX, Rid.Table "orderlines");
           ]
         else [])
-      ~compensate:(fun ctx ~completed -> cancel_order ~order:!order_id ctx ~completed)
+      ~compensate:cancel_order
       ~comp_area:(fun () -> [ ("order_id", v_int !order_id) ])
       ()
   in

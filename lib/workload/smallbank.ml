@@ -367,41 +367,42 @@ let am_put_body env ~src ~dst ~fail (ws : am_ws) ctx =
   audit ctx ~au:(ws.au + 1000000000) ~op:"am_in" ~acct:dst ~delta:total
 
 (* ------------------------------------------------------------------ *)
-(* Compensations (and their crash-replay handlers, driven purely by the
-   durable work area) *)
+(* Compensations: one body per type, reading only the work area, shared
+   by an inline abort and crash replay *)
 
-let dc_compensate ~acct ~amount ~au ctx ~completed =
-  if completed >= 1 then begin
-    ignore
-      (Executor.update ctx "checking" [ Int acct ] (fun row ->
-           row.(1) <- Float (fnum row.(1) -. amount);
-           row));
-    Executor.delete ctx "sb_audit" [ Int au ]
-  end
+(* undo one journaled single-balance change: the deposit's credit to
+   checking, or the transact's adjustment of savings *)
+let unapply ~table ctx =
+  let field = Executor.area_field ctx in
+  let amount = fnum (field "amount") in
+  ignore
+    (Executor.update ctx table [ field "acct" ] (fun row ->
+         row.(1) <- Float (fnum row.(1) -. amount);
+         row));
+  Executor.delete ctx "sb_audit" [ field "au" ]
 
-let ts_compensate ~acct ~amount ~au ctx ~completed =
-  if completed >= 1 then begin
-    ignore
-      (Executor.update ctx "saving" [ Int acct ] (fun row ->
-           row.(1) <- Float (fnum row.(1) -. amount);
-           row));
-    Executor.delete ctx "sb_audit" [ Int au ]
-  end
+let dc_compensate ctx ~completed = if completed >= 1 then unapply ~table:"checking" ctx
+let ts_compensate ctx ~completed = if completed >= 1 then unapply ~table:"saving" ctx
 
-let wc_compensate ~acct ~amount ~au ctx ~completed =
+let wc_compensate ctx ~completed =
   (* step 1 is read-only; only a completed deduct leaves anything to undo *)
   if completed >= 2 then begin
+    let field = Executor.area_field ctx in
+    let amount = fnum (field "amount") in
     ignore
-      (Executor.update ctx "checking" [ Int acct ] (fun row ->
+      (Executor.update ctx "checking" [ field "acct" ] (fun row ->
            row.(1) <- Float (fnum row.(1) +. amount);
            row));
-    Executor.delete ctx "sb_audit" [ Int au ]
+    Executor.delete ctx "sb_audit" [ field "au" ]
   end
 
-let am_compensate ~src ~dst ~ms ~mc ~au ctx ~completed =
+let am_compensate ctx ~completed =
+  let field = Executor.area_field ctx in
+  let ms = fnum (field "ms") and mc = fnum (field "mc") in
   if completed >= 2 then begin
+    let au = as_int (field "au") in
     ignore
-      (Executor.update ctx "checking" [ Int dst ] (fun row ->
+      (Executor.update ctx "checking" [ field "dst" ] (fun row ->
            row.(1) <- Float (fnum row.(1) -. (ms +. mc));
            row));
     Executor.delete ctx "sb_audit" [ Int au ];
@@ -409,41 +410,20 @@ let am_compensate ~src ~dst ~ms ~mc ~au ctx ~completed =
   end;
   if completed >= 1 then begin
     ignore
-      (Executor.update ctx "saving" [ Int src ] (fun row ->
+      (Executor.update ctx "saving" [ field "src" ] (fun row ->
            row.(1) <- Float (fnum row.(1) +. ms);
            row));
     ignore
-      (Executor.update ctx "checking" [ Int src ] (fun row ->
+      (Executor.update ctx "checking" [ field "src" ] (fun row ->
            row.(1) <- Float (fnum row.(1) +. mc);
            row))
   end
 
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "smallbank replay: missing area field %s" name)
-
-let int_field area name = as_int (field area name)
-let float_field area name = fnum (field area name)
-
 let register_replay () =
-  Replay.register ~txn_type:"sb_deposit" ~step_type:dc_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      dc_compensate ~acct:(int_field area "acct") ~amount:(float_field area "amount")
-        ~au:(int_field area "au") ctx ~completed);
-  Replay.register ~txn_type:"sb_transact" ~step_type:ts_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      ts_compensate ~acct:(int_field area "acct") ~amount:(float_field area "amount")
-        ~au:(int_field area "au") ctx ~completed);
-  Replay.register ~txn_type:"sb_write_check" ~step_type:wc_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      wc_compensate ~acct:(int_field area "acct") ~amount:(float_field area "amount")
-        ~au:(int_field area "au") ctx ~completed);
-  Replay.register ~txn_type:"sb_amalgamate" ~step_type:am_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      am_compensate ~src:(int_field area "src") ~dst:(int_field area "dst")
-        ~ms:(float_field area "ms") ~mc:(float_field area "mc") ~au:(int_field area "au") ctx
-        ~completed)
+  Replay.register ~txn_type:"sb_deposit" ~step_type:dc_comp.Program.sd_id dc_compensate;
+  Replay.register ~txn_type:"sb_transact" ~step_type:ts_comp.Program.sd_id ts_compensate;
+  Replay.register ~txn_type:"sb_write_check" ~step_type:wc_comp.Program.sd_id wc_compensate;
+  Replay.register ~txn_type:"sb_amalgamate" ~step_type:am_comp.Program.sd_id am_compensate
 
 let reset_global () =
   Atomic.set au_seq 1_000_000;
@@ -471,7 +451,7 @@ let deposit_instance env ~acct ~amount =
         (Mode.IX, tab "checking"); (Mode.X, tup "checking" [ Int acct ]);
         (Mode.IX, tab "sb_audit");
       ])
-    ~compensate:(fun ctx ~completed -> dc_compensate ~acct ~amount ~au:ws.au1 ctx ~completed)
+    ~compensate:dc_compensate
     ~comp_area:(fun () ->
       [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au1) ])
     ()
@@ -485,7 +465,7 @@ let transact_instance env ~acct ~amount =
         (Mode.IX, tab "saving"); (Mode.X, tup "saving" [ Int acct ]);
         (Mode.IX, tab "sb_audit");
       ])
-    ~compensate:(fun ctx ~completed -> ts_compensate ~acct ~amount ~au:ws.au1 ctx ~completed)
+    ~compensate:ts_compensate
     ~comp_area:(fun () ->
       [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au1) ])
     ()
@@ -511,7 +491,7 @@ let write_check_instance env ~acct ~amount ~fail =
           (Mode.IX, tab "sb_audit");
         ]
       else [])
-    ~compensate:(fun ctx ~completed -> wc_compensate ~acct ~amount ~au:ws.au ctx ~completed)
+    ~compensate:wc_compensate
     ~comp_area:(fun () -> [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au) ])
     ()
 
@@ -536,8 +516,7 @@ let amalgamate_instance env ~src ~dst ~fail =
           (Mode.IX, tab "sb_audit");
         ]
       else [])
-    ~compensate:(fun ctx ~completed ->
-      am_compensate ~src ~dst ~ms:ws.ms ~mc:ws.mc ~au:ws.au ctx ~completed)
+    ~compensate:am_compensate
     ~comp_area:(fun () ->
       [
         ("src", Int src); ("dst", Int dst); ("ms", Float ws.ms); ("mc", Float ws.mc);

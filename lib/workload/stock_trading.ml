@@ -102,8 +102,9 @@ let semantics = Interference.semantics interference
 (* ------------------------------------------------------------------ *)
 (* Compensation: walk my ledger entries back into their lots *)
 
-let return_shares ~buyer ctx ~completed =
+let return_shares ctx ~completed =
   if completed >= 1 then begin
+    let buyer = as_int (Executor.area_field ctx "buyer") in
     let mine = Executor.scan ctx "ledger" ~where:(Predicate.Eq ("buyer", v_int buyer)) () in
     List.iter
       (fun row ->
@@ -114,15 +115,8 @@ let return_shares ~buyer ctx ~completed =
       mine
   end
 
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "stock_trading replay: missing area field %s" name)
-
 let register_replay () =
-  Replay.register ~txn_type:"st_buy" ~step_type:step_return.Program.sd_id
-    (fun ctx ~completed ~area ->
-      return_shares ~buyer:(as_int (field area "buyer")) ctx ~completed)
+  Replay.register ~txn_type:"st_buy" ~step_type:step_return.Program.sd_id return_shares
 
 (* ------------------------------------------------------------------ *)
 (* Run-time instance *)
@@ -171,7 +165,7 @@ let buy ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~buyer ~want ~st
     Program.instance ~def:buy_type
       ~steps:(List.init steps (fun i -> (step_lot, lot_step (i + 1))))
       ~footprints:(fun _ -> [ (Mode.IX, Rid.Table "sell_orders"); (Mode.IX, Rid.Table "ledger") ])
-      ~compensate:(fun ctx ~completed -> return_shares ~buyer ctx ~completed)
+      ~compensate:return_shares
       ~comp_area:(fun () -> [ ("buyer", v_int buyer) ])
       ()
   in

@@ -264,24 +264,18 @@ let ub_compensate _ctx ~completed:_ = ()
 
 (* the claimed sequence number is exposed and stays burnt (TPC-C's order
    id); journal it as a cancelled update so the counter still reconciles *)
-let ul_compensate ~sub ~seq ctx ~completed =
+let ul_compensate ctx ~completed =
+  let sub = as_int (Executor.area_field ctx "sub") in
+  let seq = as_int (Executor.area_field ctx "seq") in
   if seq > 0 then begin
     if completed >= 2 then ignore (Executor.delete ctx "tatp_audit" [ Int sub; Int seq ]);
     if completed >= 1 then Executor.insert ctx "tatp_audit" [| Int sub; Int seq; Int (-1) |]
   end
 
-let field area name =
-  match List.assoc_opt name area with
-  | Some v -> v
-  | None -> failwith (Printf.sprintf "tatp replay: missing area field %s" name)
-
 let register_replay () =
-  Replay.register ~txn_type:"tatp_update_bit" ~step_type:ub_comp.Program.sd_id
-    (fun ctx ~completed ~area:_ -> ub_compensate ctx ~completed);
+  Replay.register ~txn_type:"tatp_update_bit" ~step_type:ub_comp.Program.sd_id ub_compensate;
   Replay.register ~txn_type:"tatp_update_location" ~step_type:ul_comp.Program.sd_id
-    (fun ctx ~completed ~area ->
-      ul_compensate ~sub:(as_int (field area "sub")) ~seq:(as_int (field area "seq")) ctx
-        ~completed)
+    ul_compensate
 
 let reset_global () = register_replay ()
 
@@ -307,7 +301,7 @@ let instance env input =
         ~steps:[ (ub_write, fun ctx -> ub_body env ~sub ~bit ctx) ]
         ~footprints:(fun _ ->
           [ (Mode.IX, tab "subscriber"); (Mode.X, tup "subscriber" [ Int sub ]) ])
-        ~compensate:(fun ctx ~completed -> ub_compensate ctx ~completed)
+        ~compensate:ub_compensate
         ~comp_area:(fun () -> [ ("sub", Int sub) ])
         ()
   | Update_location { sub; loc; fail } ->
@@ -330,7 +324,7 @@ let instance env input =
               (Mode.X, tup "tatp_audit" [ Int sub; Int ws.seq ]);
             ]
           else [])
-        ~compensate:(fun ctx ~completed -> ul_compensate ~sub ~seq:ws.seq ctx ~completed)
+        ~compensate:ul_compensate
         ~comp_area:(fun () -> [ ("sub", Int sub); ("seq", Int ws.seq) ])
         ()
 

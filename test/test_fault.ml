@@ -36,8 +36,8 @@ let test_registry () =
     (fun n -> Alcotest.(check bool) ("registered: " ^ n) true (List.mem n names))
     [
       "wal.append.begin"; "wal.append.write"; "wal.append.undo"; "wal.append.step_end";
-      "wal.append.comp_area"; "wal.append.commit"; "wal.append.abort"; "exec.step_area";
-      "exec.commit.durable"; "exec.release"; "comp.write"; "comp.begin";
+      "wal.append.commit"; "wal.append.abort"; "exec.commit.durable"; "exec.release";
+      "comp.write"; "comp.begin";
     ]
 
 let test_observe_counts () =
@@ -55,7 +55,7 @@ let test_observe_counts () =
 
 let test_arm_exact_hit () =
   with_faults (fun () ->
-      let other = Fault.register "exec.step_area" in
+      let other = Fault.register "exec.commit.durable" in
       Fault.arm ~point:"exec.release" ~hit:3;
       Fault.trip release_pt;
       Fault.trip other;
@@ -333,8 +333,8 @@ let db_equiv a b =
    need an abort in flight; the sweep above covers those). *)
 let crashable_points =
   [|
-    "wal.append.begin"; "wal.append.write"; "wal.append.step_end"; "wal.append.comp_area";
-    "wal.append.commit"; "exec.step_area"; "exec.commit.durable"; "exec.release";
+    "wal.append.begin"; "wal.append.write"; "wal.append.step_end"; "wal.append.commit";
+    "exec.commit.durable"; "exec.release";
   |]
 
 let prop_crash_equivalence =

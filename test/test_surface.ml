@@ -137,8 +137,17 @@ let test_executor_accessors () =
         Alcotest.(check int) "empty undo stack" 0 (Executor.undo_stack_size ctx);
         Executor.insert ctx "t" [| v_int 1; v_int 0 |];
         Alcotest.(check int) "undo stack grows" 1 (Executor.undo_stack_size ctx);
-        Executor.end_step ctx ~comp_area:None;
+        Executor.end_step ctx ~area:[ ("k", v_int 1) ];
         Alcotest.(check int) "undo stack cleared at step end" 0 (Executor.undo_stack_size ctx);
+        Alcotest.(check bool) "the step end's area is the work area" true
+          (Executor.work_area ctx = [ ("k", v_int 1) ]);
+        Alcotest.(check bool) "area_field reads it" true
+          (Executor.area_field ctx "k" = v_int 1);
+        Alcotest.(check bool) "area_field rejects a missing field" true
+          (try
+             ignore (Executor.area_field ctx "nope");
+             false
+           with Invalid_argument _ -> true);
         Executor.commit ctx;
         Alcotest.(check bool) "finished" true (Executor.finished ctx))
     ];

@@ -104,7 +104,6 @@ let test_log_contents () =
         | Acc_wal.Record.Write _ -> "write"
         | Acc_wal.Record.Commit _ -> "commit"
         | Acc_wal.Record.Step_end _ -> "step"
-        | Acc_wal.Record.Comp_area _ -> "area"
         | Acc_wal.Record.Abort _ -> "abort"
         | Acc_wal.Record.Prepare _ -> "prepare")
       records

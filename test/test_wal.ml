@@ -79,7 +79,8 @@ let test_log_save_load () =
   let log = Log.create () in
   ignore (Log.append log (Record.Begin { txn = 1; txn_type = "t"; multi_step = true }));
   ignore (Log.append log (Record.Write { txn = 1; write = w_update 1 10 20; undo = false }));
-  ignore (Log.append log (Record.Comp_area { txn = 1; completed_steps = 1; area = [ ("k", v_int 3) ] }));
+  ignore
+    (Log.append log (Record.Step_end { txn = 1; step_index = 1; area = [ ("k", v_int 3) ] }));
   ignore (Log.append log (Record.Commit { txn = 1 }));
   let path = Filename.temp_file "acc_log" ".bin" in
   Fun.protect
@@ -211,10 +212,16 @@ let test_log_load_rejects () =
       output_string oc "ACCWAL\x00\x00";
       output_binary_int oc 999)
     (expect_failure "version" "version 999");
-  (* right header, corrupt payload *)
+  (* a version-1 log, whose work areas sat in separate records: refused *)
   with_file (fun oc ->
       output_string oc "ACCWAL\x00\x00";
       output_binary_int oc 1;
+      output_string oc "garbage")
+    (expect_failure "old version" "version 1, this build reads version 2");
+  (* right header, corrupt payload *)
+  with_file (fun oc ->
+      output_string oc "ACCWAL\x00\x00";
+      output_binary_int oc 2;
       output_string oc "garbage")
     (expect_failure "corrupt" "unreadable")
 
@@ -234,8 +241,8 @@ let test_record_txn_of () =
   Alcotest.(check int) "begin" 7 (Record.txn_of (Record.Begin { txn = 7; txn_type = "x"; multi_step = true }));
   Alcotest.(check int) "write" 8
     (Record.txn_of (Record.Write { txn = 8; write = w_insert 1 1; undo = false }));
-  Alcotest.(check int) "step" 9 (Record.txn_of (Record.Step_end { txn = 9; step_index = 1 }));
-  Alcotest.(check int) "area" 1 (Record.txn_of (Record.Comp_area { txn = 1; completed_steps = 1; area = [] }));
+  Alcotest.(check int) "step" 9
+    (Record.txn_of (Record.Step_end { txn = 9; step_index = 1; area = [ ("k", v_int 1) ] }));
   Alcotest.(check int) "abort" 2 (Record.txn_of (Record.Abort { txn = 2 }))
 
 (* --- apply_write -------------------------------------------------------- *)
@@ -253,7 +260,7 @@ let test_apply_write () =
 
 let begin_r ?(multi = false) txn = Record.Begin { txn; txn_type = "test"; multi_step = multi }
 let write_r ?(undo = false) txn write = Record.Write { txn; write; undo }
-let step_r txn i = Record.Step_end { txn; step_index = i }
+let step_r ?(area = []) txn i = Record.Step_end { txn; step_index = i; area }
 let commit_r txn = Record.Commit { txn }
 let abort_r txn = Record.Abort { txn }
 
@@ -291,10 +298,9 @@ let test_recover_multistep_pending_compensation () =
     [
       begin_r ~multi:true 1;
       write_r 1 (w_update 1 10 11);
-      (* the work area precedes its end-of-step record, as the executor
-         writes them: the area binds only once the step is durably complete *)
-      Record.Comp_area { txn = 1; completed_steps = 1; area = [ ("item", v_int 1) ] };
-      step_r 1 1;
+      (* the work area rides in the end-of-step record, as the executor
+         writes it: the area is durable exactly when the step is complete *)
+      step_r ~area:[ ("item", v_int 1) ] 1 1;
       write_r 1 (w_update 2 20 21);
     ]
   in
@@ -380,17 +386,16 @@ let test_recover_mixed_txns () =
 (* Crash injection: cut the log of a synthetic history at every prefix and
    verify that recovery always yields one of the legal states. *)
 let test_area_staged_until_step_end () =
-  (* a crash between a work-area record and its step-end must pair the OLD
-     area with the OLD completed-step count: the staged area is discarded *)
+  (* step 2's area exists only in the executor until step 2's end-of-step
+     record carries it: a crash before that record pairs the OLD area with
+     the OLD completed-step count *)
   let baseline = fresh_db [ (1, 10); (2, 20) ] in
   let log =
     [
       begin_r ~multi:true 1;
       write_r 1 (w_update 1 10 11);
-      Record.Comp_area { txn = 1; completed_steps = 1; area = [ ("v", v_int 1) ] };
-      step_r 1 1;
+      step_r ~area:[ ("v", v_int 1) ] 1 1;
       write_r 1 (w_update 2 20 21);
-      Record.Comp_area { txn = 1; completed_steps = 2; area = [ ("v", v_int 2) ] };
       (* crash here: step 2's end-of-step record never made it *)
     ]
   in
@@ -402,7 +407,7 @@ let test_area_staged_until_step_end () =
       Alcotest.(check bool) "area is the step-1 area" true (p.Recovery.p_area = [ ("v", v_int 1) ])
   | _ -> Alcotest.fail "expected one pending");
   (* with the step-end present, the newer area binds *)
-  let r2 = Recovery.recover ~baseline (log @ [ step_r 1 2 ]) in
+  let r2 = Recovery.recover ~baseline (log @ [ step_r ~area:[ ("v", v_int 2) ] 1 2 ]) in
   match r2.Recovery.pending with
   | [ p ] ->
       Alcotest.(check int) "completed steps = 2" 2 p.Recovery.p_completed_steps;
@@ -450,8 +455,7 @@ let test_checkpoint_equivalence () =
   Alcotest.(check int) "position" 3 (Checkpoint.position cp);
   List.iter apply
     [ begin_r ~multi:true 2; write_r 2 (w_update 2 20 21);
-      Record.Comp_area { txn = 2; completed_steps = 1; area = [ ("k", v_int 9) ] };
-      step_r 2 1; write_r 2 (w_update 1 11 12) ];
+      step_r ~area:[ ("k", v_int 9) ] 2 1; write_r 2 (w_update 1 11 12) ];
   let from_cp = Checkpoint.recover cp log in
   let from_scratch = Recovery.recover ~baseline (Log.to_list log) in
   Alcotest.(check int) "same item 1" (qty from_scratch.Recovery.db 1) (qty from_cp.Recovery.db 1);
@@ -469,28 +473,38 @@ let test_checkpoint_equivalence () =
     (qty (Checkpoint.snapshot cp) 2)
 
 (* A logical compensating step logs its writes as compensation records
-   (undo = true).  Its own durable Step_end is the compensation's atomic
-   commit point: the transaction is resolved even though the final Abort
-   record never made the log. *)
+   (undo = true) and no end-of-step record: its Abort record is its commit
+   point.  Every Step_end in the log therefore belongs to a forward step.
+   A compensation whose writes are all durable but whose Abort is not is
+   rewound like any partial step and stays pending; with the Abort, it
+   stands. *)
 let test_recover_comp_step_end_commits () =
   let records =
     [
       begin_r ~multi:true 1;
       write_r 1 (w_update 1 10 20);
-      Record.Comp_area { txn = 1; completed_steps = 1; area = [ ("k", v_int 1) ] };
-      step_r 1 1;
-      (* compensating step: reverses the completed step, then its step-end *)
+      step_r ~area:[ ("k", v_int 1) ] 1 1;
+      (* compensating step: reverses the completed step, logs no step-end *)
       write_r ~undo:true 1 (w_update 1 20 10);
-      step_r 1 2;
       (* crash before the Abort record *)
     ]
   in
-  let r = Recovery.recover ~baseline:(fresh_db [ (1, 10) ]) records in
-  Alcotest.(check int) "compensation kept" 10 (qty r.Recovery.db 1);
-  Alcotest.(check (list int)) "resolved, not pending" [ 1 ] r.Recovery.already_resolved;
-  Alcotest.(check int) "no pending" 0 (List.length r.Recovery.pending)
+  let baseline = fresh_db [ (1, 10) ] in
+  let r = Recovery.recover ~baseline records in
+  Alcotest.(check int) "uncommitted compensation rewound" 20 (qty r.Recovery.db 1);
+  Alcotest.(check (list int)) "not resolved" [] r.Recovery.already_resolved;
+  (match r.Recovery.pending with
+  | [ p ] ->
+      Alcotest.(check int) "pending after the forward step only" 1
+        p.Recovery.p_completed_steps;
+      Alcotest.(check bool) "forward step's area" true (p.Recovery.p_area = [ ("k", v_int 1) ])
+  | l -> Alcotest.fail (Printf.sprintf "expected 1 pending, got %d" (List.length l)));
+  let r' = Recovery.recover ~baseline (records @ [ abort_r 1 ]) in
+  Alcotest.(check int) "committed compensation kept" 10 (qty r'.Recovery.db 1);
+  Alcotest.(check (list int)) "the Abort resolves it" [ 1 ] r'.Recovery.already_resolved;
+  Alcotest.(check int) "no pending" 0 (List.length r'.Recovery.pending)
 
-(* Without that step-end, the compensating step's partial writes are
+(* Likewise a compensating step cut off mid-way: its partial writes are
    physically rewound and the transaction stays pending, so replay restarts
    the compensating step from a clean post-last-step state. *)
 let test_recover_comp_partial_rewound () =
@@ -499,8 +513,7 @@ let test_recover_comp_partial_rewound () =
       begin_r ~multi:true 1;
       write_r 1 (w_update 1 10 20);
       write_r 1 (w_update 2 5 6);
-      Record.Comp_area { txn = 1; completed_steps = 1; area = [ ("k", v_int 1) ] };
-      step_r 1 1;
+      step_r ~area:[ ("k", v_int 1) ] 1 1;
       (* compensation in progress: one of two reversals logged, then crash *)
       write_r ~undo:true 1 (w_update 2 6 5);
     ]
@@ -625,7 +638,7 @@ let suites =
         Alcotest.test_case "work area staged until step end" `Quick
           test_area_staged_until_step_end;
         Alcotest.test_case "crash at every prefix" `Quick test_crash_at_every_prefix;
-        Alcotest.test_case "comp step-end commits compensation" `Quick
+        Alcotest.test_case "comp step-end commit point is the Abort record" `Quick
           test_recover_comp_step_end_commits;
         Alcotest.test_case "partial compensation rewound" `Quick
           test_recover_comp_partial_rewound;

@@ -53,9 +53,14 @@ let grant_blocks_waiter sem ~mode ~step_type w =
   Mode.conflicts sem ~held:mode ~held_step:step_type ~req:w.w_mode ~requester:w.w_requester
 
 (* A request is compatible with a set of (relevant) holds when every foreign
-   hold is non-conflicting. *)
-let holds_compatible sem holds ~txn ~mode ~requester =
-  List.for_all (fun h -> h.h_txn = txn || not (hold_conflict sem h ~mode ~requester)) holds
+   hold is non-conflicting.  A plain recursion: the lock-free fast path runs
+   this on every grant, and a [List.for_all] closure would allocate. *)
+let rec holds_compatible sem holds ~txn ~mode ~requester =
+  match holds with
+  | [] -> true
+  | h :: rest ->
+      (h.h_txn = txn || not (hold_conflict sem h ~mode ~requester))
+      && holds_compatible sem rest ~txn ~mode ~requester
 
 (* FIFO discipline: a request must also be compatible with every foreign
    waiter queued ahead of it, or it would overtake them. *)
@@ -76,8 +81,19 @@ let needs_child_sweep res ~mode =
 
 (* Re-entrant grant: an existing hold of the same transaction that covers the
    requested mode. *)
-let find_covering holds ~txn ~mode =
-  List.find_opt (fun h -> h.h_txn = txn && Mode.covers h.h_mode mode) holds
+let rec find_covering holds ~txn ~mode =
+  match holds with
+  | [] -> None
+  | h :: rest ->
+      if h.h_txn = txn && Mode.covers h.h_mode mode then Some h else find_covering rest ~txn ~mode
+
+(* The hold of [txn] in exactly [mode]: what an attach merges into and a
+   release decrements. *)
+let rec find_hold holds ~txn ~mode =
+  match holds with
+  | [] -> None
+  | h :: rest ->
+      if h.h_txn = txn && Mode.equal h.h_mode mode then Some h else find_hold rest ~txn ~mode
 
 (* --- decision classification (observability) ----------------------------
 

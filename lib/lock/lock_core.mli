@@ -57,6 +57,10 @@ val needs_child_sweep : Resource_id.t -> mode:Mode.t -> bool
 val find_covering : hold list -> txn:int -> mode:Mode.t -> hold option
 (** An existing hold of [txn] covering [mode] (re-entrant grant). *)
 
+val find_hold : hold list -> txn:int -> mode:Mode.t -> hold option
+(** The hold of [txn] in exactly [mode] (what an attach merges into and a
+    release decrements). *)
+
 (** {2 Decision classification}
 
     Pure post-hoc analysis of a grant/block decision for the observability

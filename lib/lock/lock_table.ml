@@ -91,6 +91,11 @@ type t = {
      leaves (re-entrant count changes are not reported).  The sharded table
      points this at per-shard atomic counters so "does txn hold or wait for
      anything here?" is answerable without the shard mutex. *)
+  mutable on_entry : (Resource_id.t -> int -> unit) option;
+  (* entry hook: called with (res, +1) when [res]'s entry is created and
+     (res, -1) when it is collected.  The sharded table counts entries per
+     fast bucket with it: a resource whose bucket counts none has every hold
+     in that bucket, which is its lock-free fast path's gate. *)
   max_bypass : int; (* bounded-bypass fairness limit *)
   clock : unit -> float; (* timestamps queue times and checks deadlines *)
 }
@@ -106,6 +111,7 @@ let create ?(max_bypass = Lock_core.default_max_bypass) ?(clock = fun () -> 0.) 
     by_txn = Hashtbl.create 64;
     obs = None;
     activity = None;
+    on_entry = None;
     max_bypass;
     clock;
   }
@@ -113,6 +119,8 @@ let create ?(max_bypass = Lock_core.default_max_bypass) ?(clock = fun () -> 0.) 
 let set_observer t obs = t.obs <- obs
 let set_activity_hook t hook = t.activity <- hook
 let act t txn delta = match t.activity with None -> () | Some f -> f txn delta
+let set_entry_hook t hook = t.on_entry <- hook
+let note_entry t res delta = match t.on_entry with None -> () | Some f -> f res delta
 
 let table_members t tname =
   match Hashtbl.find_opt t.by_table tname with
@@ -130,6 +138,7 @@ let entry t res =
   | None ->
       let e = { e_resource = res; holds = []; queue = [] } in
       Resource_id.Tbl.add t.entries res e;
+      note_entry t res 1;
       e
 
 (* drop empty entries so the child-sweep of table-level assertional requests
@@ -137,6 +146,7 @@ let entry t res =
 let gc_entry t e =
   if e.holds = [] && e.queue = [] then begin
     Resource_id.Tbl.remove t.entries e.e_resource;
+    note_entry t e.e_resource (-1);
     let tname = Resource_id.table_of e.e_resource in
     match Hashtbl.find_opt t.by_table tname with
     | Some set ->
@@ -450,9 +460,7 @@ let attach_req t (r : Lock_request.t) =
   (* unconditional grants still count against the fairness bound of the
      waiters they overtake *)
   record_bypass t ~txn ~mode ~step_type (e.queue @ cross_level_waiters t res ~mode);
-  match
-    List.find_opt (fun h -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
-  with
+  match Lock_core.find_hold e.holds ~txn ~mode with
   | Some h -> h.h_count <- h.h_count + 1
   | None -> add_hold t e ~txn ~step_type ~mode res
 
@@ -536,15 +544,14 @@ let after_change t e =
 (* Unconditional install of an already-granted hold, used when the sharded
    table migrates a lock-free fast-path grant into the sequential table (the
    resource is becoming contended).  The grant decision already happened —
-   and was already observed — at fast-install time, and no waiter existed
-   then (fast installs require an empty shard table), so neither the observer
-   nor the bypass bookkeeping fires here. *)
+   and was already observed — at fast-install time, and no waiter it could
+   overtake existed then (a fast install requires the resource and its
+   parent to have no entry), so neither the observer nor the bypass
+   bookkeeping fires here. *)
 let import_hold t ~txn ~step_type ~mode ~count res =
   if count < 1 then invalid_arg "Lock_table.import_hold: count must be >= 1";
   let e = entry t res in
-  match
-    List.find_opt (fun h -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
-  with
+  match Lock_core.find_hold e.holds ~txn ~mode with
   | Some h -> h.h_count <- h.h_count + count
   | None ->
       e.holds <-
@@ -555,9 +562,7 @@ let import_hold t ~txn ~step_type ~mode ~count res =
 
 let release t ~txn mode res =
   let e = entry t res in
-  match
-    List.find_opt (fun h -> h.h_txn = txn && Mode.equal h.h_mode mode) e.holds
-  with
+  match Lock_core.find_hold e.holds ~txn ~mode with
   | None ->
       gc_entry t e;
       invalid_arg
@@ -671,9 +676,12 @@ let waiter_blockers t w =
         else None)
       (relevant_holds t w.w_resource ~mode:w.w_mode)
   in
-  let e = entry t w.w_resource in
+  (* a lookup, not [entry]: this runs in the sharded table's read-only
+     sections, which must not create or collect entries.  An outstanding
+     waiter is queued on its entry, so the entry exists. *)
+  let e = Resource_id.Tbl.find t.entries w.w_resource in
   let rec split acc = function
-    | [] -> ([], []) (* w not queued here anymore *)
+    | [] -> ([], [])
     | w' :: rest when w'.w_ticket = w.w_ticket -> (List.rev acc, rest)
     | w' :: rest -> split (w' :: acc) rest
   in
@@ -703,7 +711,6 @@ let waiter_blockers t w =
         (overtaken_in_queue e w ~ahead:ahead_ws ~behind:behind_ws
         @ cross_level_waiters t w.w_resource ~mode:w.w_mode)
   in
-  gc_entry t e;
   List.sort_uniq compare (from_holds @ from_queue @ from_fairness)
 
 let blockers t ~ticket =

@@ -100,6 +100,15 @@ val set_activity_hook : t -> (int -> int -> unit) option -> unit
     so "does txn hold or wait for anything here?" is answerable without the
     shard mutex. *)
 
+val set_entry_hook : t -> (Resource_id.t -> int -> unit) option -> unit
+(** Install (or clear) the entry hook, called with [(res, +1)] when the
+    table creates [res]'s entry and [(res, -1)] when it collects it (an
+    entry lives while the resource has a hold or a waiter).  Only mutating
+    operations fire it; the read-only ones ({!holders}, {!held_by},
+    {!wait_edges}, the counts) never create or collect an entry.  The
+    sharded table counts entries per fast bucket with it, which gates its
+    lock-free fast path per resource. *)
+
 val submit : t -> Lock_request.t -> grant
 (** Ask for a lock.  [admission] marks the transaction-initiation acquisition
     of the first interstep assertion (prefix-interference checks apply);

@@ -12,15 +12,20 @@
     {!kill}).  {!service} packages the whole thing as a
     {!Acc_lock.Lock_service.t} — the form the engine and executor consume.
 
-    The blocking surface additionally runs a {e lock-free fast path}
-    (DESIGN.md §17): while a shard's lock table is completely empty, tuple
-    and table-intention requests CAS-install their grants into per-shard
-    fast slots, validated by a per-shard seqlock, without ever touching the
-    shard mutex.  Any conflict, slot collision, table-level absolute mode,
-    or seqlock movement falls back to the mutex path, after {e migrating}
-    the affected fast holds into the lock table so the sequential decision
-    logic — {!Acc_lock.Lock_core}, unchanged — sees every hold.  The
-    installed observer fires on both paths.
+    Requests and attaches additionally run a {e lock-free fast path}
+    (DESIGN.md §17.1): tuple and table-intention grants CAS-install into
+    per-shard fast buckets, validated by a per-shard seqlock, without
+    touching the shard mutex.  The gate is per resource: a fast decision on
+    a resource needs only that resource and, for a tuple, its parent table
+    to have no lock-table entry, which each bucket tracks as a count of the
+    table entries hashing to it.  Any conflict, closed gate, table-level
+    absolute mode, or seqlock movement falls back to the mutex path, after
+    {e migrating} the resource's fast holds into the lock table so the
+    sequential decision logic — {!Acc_lock.Lock_core}, unchanged — sees
+    every hold.  Operations that change no table (introspection, the
+    watchdog's and detector's walks) take the mutex without moving the
+    seqlock, so they never force a fast install to retreat.  The installed
+    observer fires on both paths.
 
     Tickets returned here are globally unique encodings of per-shard tickets
     ([local * n_shards + shard]). *)
@@ -49,15 +54,17 @@ val timeout_count : t -> int
 
 val mutex_acquisitions : t -> int
 (** Explicit shard-mutex acquisitions over the table's lifetime: one per
-    synchronous operation, one per blocking {!acquire_req} that misses the
-    fast path, and one {e per shard group} of an {!acquire_batch} — the
-    quantity batching amortizes and the fast path avoids entirely.
-    Fast-path installs and shards skipped by the per-transaction activity
-    index cost none.  Condition-variable reacquisitions during sleeps are
-    not counted. *)
+    synchronous operation that visits a shard, one per blocking
+    {!acquire_req} that misses the fast path, and one {e per shard group} of
+    an {!acquire_batch} — the quantity batching amortizes and the fast path
+    avoids entirely.  Fast-path installs, lock-free {!holders} reads, and
+    shards skipped by the per-transaction activity index or because their
+    table is empty cost none.  Condition-variable reacquisitions during
+    sleeps are not counted. *)
 
 val fast_attempts : t -> int
-(** Lock-free fast-path installs attempted (blocking surface only). *)
+(** Lock-free fast-path installs attempted by requests ({!acquire_req},
+    {!acquire_batch}, {!submit}); attaches are not counted. *)
 
 val fast_hits : t -> int
 (** Fast-path installs that validated and stuck; [fast_hits/fast_attempts]
@@ -76,7 +83,8 @@ val shard_index : t -> Acc_lock.Resource_id.t -> int
 
 val submit : t -> Acc_lock.Lock_request.t -> Acc_lock.Lock_table.grant
 (** Non-blocking request against the resource's shard; a [Queued] ticket is
-    globalized.  (The parity tests drive both tables through this.) *)
+    globalized.  Takes the fast path first when it can, as {!acquire_req}
+    does.  (The parity tests drive both tables through this.) *)
 
 val attach_req : t -> Acc_lock.Lock_request.t -> unit
 (** Unconditional §3.3 grant on the resource's shard. *)
@@ -102,6 +110,10 @@ val ticket_txn : t -> ticket:int -> int option
 val outstanding_tickets : t -> txn:int -> int list
 
 val holders : t -> Acc_lock.Resource_id.t -> (int * Acc_lock.Mode.t * int) list
+(** (txn, mode, step_type) of each hold on the resource.  Lock-free when the
+    resource has no lock-table entry and no slow section overlaps the read;
+    otherwise read under the shard mutex. *)
+
 val held_by : t -> txn:int -> (Acc_lock.Resource_id.t * Acc_lock.Mode.t) list
 val waiting_on : t -> txn:int -> Acc_lock.Resource_id.t list
 val wait_edges : t -> (int * int) list

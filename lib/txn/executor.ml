@@ -148,7 +148,6 @@ let cost t = t.cost
 let lock_release t ~txn mode res = Lock_service.release t.service ~txn mode res
 let lock_release_where t ~txn pred = Lock_service.release_where t.service ~txn pred
 let lock_release_all t ~txn = Lock_service.release_all t.service ~txn
-let lock_held_by t ~txn = Lock_service.held_by t.service ~txn
 
 (* --- transaction lifecycle ---------------------------------------------- *)
 
@@ -325,12 +324,15 @@ let read_exn ctx tname key =
   | Some row -> row
   | None -> raise (Table.No_such_row (tname, key))
 
+(* does the transaction already hold a lock on [res] covering S? *)
+let holds_s ctx res =
+  List.exists
+    (fun (txn, m, _) -> txn = ctx.txn && Mode.covers m Mode.S)
+    (Lock_service.holders ctx.eng.service res)
+
 let read_committed ctx tname key =
   let res = Resource_id.Tuple (tname, key) in
-  let held_before =
-    List.exists (fun (r, m) -> Resource_id.equal r res && Mode.covers m Mode.S)
-      (lock_held_by ctx.eng ~txn:ctx.txn)
-  in
+  let held_before = holds_s ctx res in
   lock_tuple_read ctx tname key;
   charge ctx.eng ctx.eng.cost.point_op;
   trace ctx `R res;
@@ -358,10 +360,7 @@ let scan ctx tname ?where () =
 
 let scan_committed ctx tname ?where () =
   let res = Resource_id.Table tname in
-  let held_before =
-    List.exists (fun (r, m) -> Resource_id.equal r res && Mode.covers m Mode.S)
-      (lock_held_by ctx.eng ~txn:ctx.txn)
-  in
+  let held_before = holds_s ctx res in
   acquire ctx Mode.S res;
   let table = table_of ctx tname in
   let rows, cost =

@@ -44,21 +44,26 @@ type pop =
   | PRel_all of int
   | PCancel of int
 
+(* Requests, attaches and step-boundary releases (which keep A/Comp)
+   outweigh the releases that drop A/Comp, so assertional holds outlive many
+   requests — as ACC's do, from attach to commit. *)
 let pop_gen =
   QCheck2.Gen.(
-    oneof
+    frequency
       [
-        map
-          (fun (txn, step, adm, comp, mode, res) -> PReq { txn; step; adm; comp; mode; res })
-          (tup6 (int_range 1 4) (oneofl [ 0; 10; 11 ]) bool bool (int_range 0 6)
-             (int_range 0 8));
-        map
-          (fun (txn, step, mode, res) -> PAttach { txn; step; mode; res })
-          (quad (int_range 1 4) (oneofl [ 0; 10; 11 ]) (int_range 0 2) (int_range 0 8));
-        map2 (fun txn res -> PRel_where { txn; res }) (int_range 1 4) (int_range 0 8);
-        map (fun txn -> PRel_step txn) (int_range 1 4);
-        map (fun txn -> PRel_all txn) (int_range 1 4);
-        map (fun txn -> PCancel txn) (int_range 1 4);
+        ( 6,
+          map
+            (fun (txn, step, adm, comp, mode, res) -> PReq { txn; step; adm; comp; mode; res })
+            (tup6 (int_range 1 4) (oneofl [ 0; 10; 11 ]) bool bool (int_range 0 6)
+               (int_range 0 8)) );
+        ( 3,
+          map
+            (fun (txn, step, mode, res) -> PAttach { txn; step; mode; res })
+            (quad (int_range 1 4) (oneofl [ 0; 10; 11 ]) (int_range 0 2) (int_range 0 8)) );
+        (1, map2 (fun txn res -> PRel_where { txn; res }) (int_range 1 4) (int_range 0 8));
+        (3, map (fun txn -> PRel_step txn) (int_range 1 4));
+        (1, map (fun txn -> PRel_all txn) (int_range 1 4));
+        (1, map (fun txn -> PCancel txn) (int_range 1 4));
       ])
 
 let show_pop = function
@@ -81,25 +86,50 @@ let woken_txns wakeups =
 
 let sorted_held tbl_held = List.sort compare tbl_held
 
+(* Run [f] while another domain loops over the read-only walks the
+   watchdog and the deadlock detector make.  They share the shard mutexes
+   with [f]'s slow sections but must never change a decision. *)
+let with_walker sha f =
+  let stop = Atomic.make false in
+  let walker =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Sharded.waiter_count sha);
+          ignore (Sharded.lock_count sha);
+          for txn = 1 to 4 do
+            ignore (Sharded.held_by sha ~txn)
+          done;
+          ignore (Sharded.wait_edges sha)
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join walker)
+    f
+
 (* Drive the same single-threaded op sequence through a sequential table and
    a sharded one and require identical decisions at every point: grant vs
    queue, who wakes on each release, and identical final holds, waits-for
    edges and counts.  (Ticket numbers differ by construction; they are never
    compared.)  Waiting is one-request-per-transaction, as the blocking engine
-   guarantees.  Attaches install lock-free fast holds on the sharded side
-   whenever the shard's table is empty, so the releases also cover the
-   fast-slot sweep; [PRel_step] is the step-boundary release, which drops
-   the conventional modes and keeps A/Comp. *)
+   guarantees.  With the fast path on, requests and attaches take it
+   whenever their resource's gate is open, so the decisions compared include
+   the lock-free ones and the releases cover the fast-bucket sweep;
+   [PRel_step] is the step-boundary release, which drops the conventional
+   modes and keeps A/Comp.  A second domain walks the table read-only all
+   the while. *)
 let prop_parity =
   QCheck2.Test.make ~name:"sharded table: decision parity with sequential" ~count:200
     ~print:(fun (shards, fast, ops) ->
       Printf.sprintf "shards=%d fast=%b [%s]" shards fast
         (String.concat "; " (List.map show_pop ops)))
     QCheck2.Gen.(
-      triple (oneofl [ 1; 2; 4; 7 ]) bool (list_size (int_range 0 60) pop_gen))
+      triple (oneofl [ 1; 2; 4; 7 ]) bool (list_size (int_range 0 80) pop_gen))
     (fun (shards, fast, ops) ->
       let seq = Lock_table.create parity_sem in
       let sha = Sharded.create ~shards ~fast parity_sem in
+      with_walker sha @@ fun () ->
       let ok = ref true in
       let check b = if not b then ok := false in
       List.iter
@@ -335,7 +365,7 @@ let test_batch_deadline_expiry () =
 (* --- lock-free fast path (DESIGN.md §17) -------------------------------- *)
 
 (* Compatible installers racing on one resource: both CAS into the same fast
-   slot, in whichever order the race lands, and both holds must be present
+   bucket, in whichever order the race lands, and both holds must be present
    afterwards.  Repeated so both interleavings (and the CAS-failure retry)
    actually occur. *)
 let test_fast_racing_compatible_installs () =
@@ -386,7 +416,7 @@ let test_fast_expiry_race () =
   let t = Sharded.create ~shards:1 Mode.no_semantics in
   let r1 = Resource_id.Tuple ("t", [ Value.Int 1 ]) in
   let r2 = Resource_id.Tuple ("t", [ Value.Int 2 ]) in
-  (* txn 1's hold lands in a fast slot; txn 2's conflicting wait migrates it
+  (* txn 1's hold lands in a fast bucket; txn 2's conflicting wait migrates it
      into the table *)
   Sharded.acquire_req t (Lock_request.make ~txn:1 ~step_type:0 Mode.X r1);
   let d =
@@ -464,6 +494,81 @@ let test_fast_retreat_wakes_waiter () =
   Domain.join reader;
   Alcotest.(check int) "no residue locks" 0 (Sharded.lock_count t);
   Alcotest.(check int) "no residue waiters" 0 (Sharded.waiter_count t)
+
+let fast_counts t = (Sharded.fast_attempts t, Sharded.fast_hits t)
+
+(* The fast gate is per resource: a table entry on one table leaves the fast
+   path open for the tuples of another table in the same shard.  Table "u"
+   and table "t" hash to different buckets, so txn 1's table S on "u" (a
+   mode that always lives in the lock table) closes the gate only for the
+   tuples of "t" that share its bucket. *)
+let test_fast_gate_per_resource () =
+  let t = Sharded.create ~shards:1 Mode.no_semantics in
+  Sharded.acquire_req t (Lock_request.make ~txn:1 Mode.S (Resource_id.Table "u"));
+  let a0, h0 = fast_counts t in
+  for k = 1 to 200 do
+    let r = Resource_id.Tuple ("t", [ Value.Int k ]) in
+    Sharded.acquire_req t (Lock_request.make ~txn:2 Mode.X r);
+    ignore (Sharded.release t ~txn:2 Mode.X r)
+  done;
+  let a1, h1 = fast_counts t in
+  Alcotest.(check int) "every round tried the fast path" 200 (a1 - a0);
+  if h1 - h0 < 180 then
+    Alcotest.failf "%d of 200 rounds hit the fast path next to another table's entry" (h1 - h0);
+  ignore (Sharded.release_all t ~txn:1);
+  Alcotest.(check int) "no residue" 0 (Sharded.lock_count t)
+
+(* Fast buckets are shared: 200 tuples of one table in one shard's 64
+   buckets all take the fast path, and each one counts as its own entry. *)
+let test_fast_shared_buckets () =
+  let t = Sharded.create ~shards:1 Mode.no_semantics in
+  for k = 1 to 200 do
+    Sharded.acquire_req t
+      (Lock_request.make ~txn:1 Mode.X (Resource_id.Tuple ("t", [ Value.Int k ])))
+  done;
+  Alcotest.(check int) "every install hit" 200 (Sharded.fast_hits t);
+  Alcotest.(check int) "200 holds" 200 (Sharded.lock_count t);
+  Alcotest.(check int) "200 entries" 200 (Sharded.entry_count t);
+  Alcotest.(check int) "no mutex taken" 0 (Sharded.mutex_acquisitions t);
+  ignore (Sharded.release_all t ~txn:1);
+  Alcotest.(check int) "no residue" 0 (Sharded.lock_count t);
+  Alcotest.(check int) "no entries" 0 (Sharded.entry_count t)
+
+(* The watchdog's walks leave a long-lived assertional hold on the fast
+   path.  A foreign A 100 sits on a tuple while a second domain calls
+   [waiter_count], [lock_count] and [wait_edges] every millisecond, and X
+   rounds on the tuple from step 11 (which does not interfere with 100) run
+   for a fixed time.  If a walk bumped the seqlock, a racing install would
+   retreat and its slow retry would move the A hold into the table for good,
+   shutting the fast path until the hold's release. *)
+let test_fast_readonly_walks_no_retreat () =
+  let t = Sharded.create parity_sem in
+  let r = Resource_id.Tuple ("t", [ Value.Int 1 ]) in
+  Sharded.attach_req t (Lock_request.make ~txn:1 ~step_type:0 (Mode.A 100) r);
+  let stop = Atomic.make false in
+  let walker =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Sharded.waiter_count t);
+          ignore (Sharded.lock_count t);
+          ignore (Sharded.wait_edges t);
+          Unix.sleepf 0.001
+        done)
+  in
+  let a0, h0 = fast_counts t in
+  let until = Unix.gettimeofday () +. 0.5 in
+  while Unix.gettimeofday () < until do
+    Sharded.acquire_req t (Lock_request.make ~txn:2 ~step_type:11 Mode.X r);
+    ignore (Sharded.release t ~txn:2 Mode.X r)
+  done;
+  Atomic.set stop true;
+  Domain.join walker;
+  let a1, h1 = fast_counts t in
+  let attempts = a1 - a0 and hits = h1 - h0 in
+  if float_of_int hits < 0.99 *. float_of_int attempts then
+    Alcotest.failf "%d of %d X rounds past the A hold hit the fast path" hits attempts;
+  ignore (Sharded.release_all t ~txn:1);
+  Alcotest.(check int) "no residue" 0 (Sharded.lock_count t)
 
 (* Group commit's durability contract through the executor: arm the
    [wal.flush] batch-boundary crash point and commit transactions until it
@@ -839,6 +944,11 @@ let suites =
           test_fast_expiry_race;
         Alcotest.test_case "retreat after migration wakes the queued waiter" `Slow
           test_fast_retreat_wakes_waiter;
+        Alcotest.test_case "gate is per resource, not per shard" `Quick
+          test_fast_gate_per_resource;
+        Alcotest.test_case "tuples share buckets, all 200 hit" `Quick test_fast_shared_buckets;
+        Alcotest.test_case "read-only walks cause no retreat" `Quick
+          test_fast_readonly_walks_no_retreat;
         Alcotest.test_case "group-commit crash loses no acked commit" `Quick
           test_group_commit_crash_loses_no_acked_commit;
       ] );

@@ -6,7 +6,7 @@
    Usage:  main.exe [MODE] [--quick]
 
    MODE is all (the default), a single figure, or one of micro, parallel,
-   workloads, overload, batch, scale, obs-gate, recovery, dist; --quick
+   workloads, overload, scale, obs-gate, recovery, dist; --quick
    shrinks the run to a smoke-sized one that writes the same BENCH_<MODE>.json.
    [quick] is short for [all --quick]. *)
 
@@ -310,93 +310,17 @@ let run_overload ~quick =
   end;
   json
 
-(* ---------- batched footprint acquisition ------------------------------ *)
-
-(* The lock-service batching claim, measured: the same fixed-count parallel
-   TPC-C run with footprints acquired lock-by-lock versus batched per step
-   ([Runtime.options.batch_footprints]).  Batching groups each step's
-   declared footprint per shard and takes every shard mutex once, so the
-   comparison is shard-mutex acquisitions per committed transaction; the
-   guard rail is that throughput must not regress. *)
-let run_batch ~quick =
-  let module P = Acc_tpcc.Parallel_driver in
-  let module Runtime = Acc_core.Runtime in
-  let domains = if quick then 2 else 4 in
-  let per_domain = if quick then 150 else 500 in
-  let base =
-    {
-      P.default_config with
-      P.system = P.Acc;
-      domains;
-      duration = 0.;
-      txns_per_domain = Some per_domain;
-      mix = P.New_order_payment;
-    }
-  in
-  Format.fprintf ppf
-    "@.=== batched footprints: shard-mutex traffic (%d domains x %d txns) ===@." domains
-    per_domain;
-  Format.fprintf ppf "%12s %12s %14s %12s@." "mode" "txn/s" "mutex acqs" "acqs/txn";
-  let cell name options =
-    let cfg = { base with P.acc_options = options } in
-    let r, phases = Bench_json.with_phases (fun () -> P.run cfg) in
-    let per_txn =
-      float_of_int r.P.mutex_acquisitions /. float_of_int (max 1 r.P.committed)
-    in
-    Format.fprintf ppf "%12s %12.1f %14d %12.1f@." name r.P.throughput
-      r.P.mutex_acquisitions per_txn;
-    if r.P.violations <> [] then
-      Format.fprintf ppf "!! %d consistency violations in the %s cell@."
-        (List.length r.P.violations) name;
-    (cfg, r, per_txn, phases)
-  in
-  let s_cfg, singleton, s_per, s_phases = cell "singleton" Runtime.default_options in
-  let b_cfg, batched, b_per, b_phases =
-    cell "batched" { Runtime.default_options with Runtime.batch_footprints = true }
-  in
-  Format.fprintf ppf "  mutex acquisitions per txn: %.1f -> %.1f (%.2fx)@." s_per b_per
-    (if b_per > 0. then s_per /. b_per else nan);
-  Format.fprintf ppf "  throughput:                 %.1f -> %.1f txn/s@."
-    singleton.P.throughput batched.P.throughput;
-  let cell_json (cfg, r, per_txn, phases) =
-    Json.Obj
-      [
-        ("mutex_acquisitions_per_txn", Json.Float per_txn);
-        ("report", Bench_json.parallel_report_json ~cfg r);
-        ("phases", phases);
-      ]
-  in
-  [
-    ( "batch",
-      Json.Obj
-        [
-          ("domains", Json.Int domains);
-          ("txns_per_domain", Json.Int per_domain);
-          ("singleton", cell_json (s_cfg, singleton, s_per, s_phases));
-          ("batched", cell_json (b_cfg, batched, b_per, b_phases));
-          ( "mutex_reduction",
-            Json.Float (if b_per > 0. then s_per /. b_per else nan) );
-          ( "throughput_ratio",
-            Json.Float
-              (if singleton.P.throughput > 0. then
-                 batched.P.throughput /. singleton.P.throughput
-               else nan) );
-        ] );
-  ]
-
 (* ---------- lock fast path + group commit scaling ---------------------- *)
 
-(* The lock-manager fast path and group-commit WAL, measured together: the
-   same fixed-count parallel TPC-C run as the batch bench (batched footprints
-   on, so the remaining mutex traffic is what the fast path removes), swept
-   across domain counts.  Per cell: committed txn/s, shard-mutex acquisitions
-   per committed transaction, fast-path hit rate, and WAL durability round
-   trips per committed transaction under group commit.  CI gates the 1-domain
-   hit rate (uncontended, so the fast path should carry most requests) and
-   the 4-domain acqs/txn against the pre-fast-path batched baseline. *)
+(* The lock-manager fast path and group-commit WAL, measured together: a
+   fixed-count parallel TPC-C new-order/payment run, swept across domain
+   counts.  Per cell: committed txn/s, shard-mutex acquisitions per committed
+   transaction, fast-path hit rate, and WAL durability round trips per
+   committed transaction under group commit.  CI gates the 1-domain hit rate
+   (uncontended, so the fast path should carry most requests) and the
+   4-domain acqs/txn against the pre-fast-path batched baseline (184.7). *)
 let run_scale ~quick =
   let module P = Acc_tpcc.Parallel_driver in
-  let module Runtime = Acc_core.Runtime in
   let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8; 16 ] in
   let per_domain = if quick then 150 else 500 in
   let base =
@@ -407,8 +331,6 @@ let run_scale ~quick =
       txns_per_domain = Some per_domain;
       mix = P.New_order_payment;
       group_commit = true;
-      acc_options =
-        { Runtime.default_options with Runtime.batch_footprints = true };
     }
   in
   Format.fprintf ppf
@@ -449,7 +371,6 @@ let run_scale ~quick =
       Json.Obj
         [
           ("txns_per_domain", Json.Int per_domain);
-          ("batch_footprints", Json.Bool true);
           ("group_commit", Json.Bool true);
           ("cells", Json.List cells);
         ] );
@@ -898,7 +819,6 @@ let () =
   | "parallel" -> Bench_json.write ~mode (run_parallel ~quick)
   | "workloads" -> Bench_json.write ~mode (run_workloads ~quick)
   | "overload" -> Bench_json.write ~mode (run_overload ~quick)
-  | "batch" -> Bench_json.write ~mode (run_batch ~quick)
   | "scale" -> Bench_json.write ~mode (run_scale ~quick)
   | "obs-gate" -> run_obs_gate ()
   | "recovery" -> Bench_json.write ~mode (run_recovery ~quick)
@@ -906,7 +826,7 @@ let () =
   | other ->
       Format.eprintf
         "unknown mode %s \
-         (use all|quick|fig2|fig3|fig4|servers|ablation|items|micro|parallel|workloads|overload|batch|scale|obs-gate|recovery|dist, \
+         (use all|quick|fig2|fig3|fig4|servers|ablation|items|micro|parallel|workloads|overload|scale|obs-gate|recovery|dist, \
          and --quick for the short variant)@."
         other;
       exit 2

@@ -40,7 +40,7 @@ let run_one cfg =
    partitioned counterpart (system/shards/skew/mix/admission) are ignored;
    the run always checks the merged database. *)
 let run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compute_ms
-    ~seed ~deadline_ms ~batch_footprints ~transport =
+    ~seed ~deadline_ms ~transport =
   let module D = Acc_dist.Dist_driver in
   (* --transport picks the coordinator↔participant path; ACC_NETFAULT
      injects message faults on it (see RECOVERY.md) *)
@@ -63,8 +63,6 @@ let run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compu
         (match deadline_ms with
         | Some ms -> Some (ms /. 1000.)
         | None -> D.default_config.D.lock_deadline);
-      acc_options =
-        { D.default_config.D.acc_options with Acc_core.Runtime.batch_footprints };
       transport = Acc_dist.Transport.kind_of_string transport;
       netfault;
     }
@@ -76,7 +74,7 @@ let run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compu
   List.iter (fun v -> Format.printf "  violation: %s@." v) r.D.violations;
   if r.D.violations <> [] then exit 1
 
-let main system domains shards warehouses seconds txns think_ms compute_ms skew mix detector_ms seed warmup conflicts deadline_ms max_inflight shed_watermark batch_footprints no_fast_path group_commit wal_buffer partitions transport trace trace_chrome metrics_dump workload list_workloads scale theta abort_rate =
+let main system domains shards warehouses seconds txns think_ms compute_ms skew mix detector_ms seed warmup conflicts deadline_ms max_inflight shed_watermark group_commit wal_buffer partitions transport trace trace_chrome metrics_dump workload list_workloads scale theta abort_rate =
   if list_workloads then begin
     Cli.print_workloads ();
     exit 0
@@ -110,7 +108,7 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
   (match partitions with
   | Some partitions ->
       run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compute_ms
-        ~seed ~deadline_ms ~batch_footprints ~transport;
+        ~seed ~deadline_ms ~transport;
       finish_metrics ();
       Cli.Trace.finish ~workload:wl_name ts;
       exit 0
@@ -135,11 +133,8 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
       lock_deadline = Option.map (fun ms -> ms /. 1000.) deadline_ms;
       max_inflight;
       shed_watermark;
-      fast_path = not no_fast_path;
       group_commit;
       wal_buffer;
-      acc_options =
-        { P.default_config.P.acc_options with Acc_core.Runtime.batch_footprints };
     }
   in
   let systems =
@@ -252,21 +247,6 @@ let shed_watermark =
         ~doc:"Shed admissions while the abort rate (deadlock victims + lock \
               timeouts per second) exceeds RATE.")
 
-let batch_footprints =
-  Arg.(
-    value & flag
-    & info [ "batch-footprints" ]
-        ~doc:"Pre-acquire each step's declared lock footprint in one batched, \
-              canonically-ordered call (one shard-mutex round trip per shard \
-              touched) instead of lock by lock.")
-
-let no_fast_path =
-  Arg.(
-    value & flag
-    & info [ "no-fast-path" ]
-        ~doc:"Disable the lock manager's lock-free uncontended fast path \
-              (every request then takes its shard mutex; for A/B runs).")
-
 let group_commit =
   Arg.(
     value & flag
@@ -314,9 +294,8 @@ let cmd =
     Term.(
       const main $ system $ domains $ shards $ warehouses $ seconds $ txns $ think_ms
       $ compute_ms $ skew $ mix $ detector_ms $ seed $ warmup $ conflicts $ deadline_ms
-      $ max_inflight $ shed_watermark $ batch_footprints $ no_fast_path $ group_commit
-      $ wal_buffer $ partitions $ transport $ trace $ trace_chrome $ metrics_dump
-      $ Cli.workload_arg $ Cli.list_workloads_arg $ Cli.scale_arg $ Cli.theta_arg
-      $ Cli.wl_abort_rate_arg)
+      $ max_inflight $ shed_watermark $ group_commit $ wal_buffer $ partitions $ transport
+      $ trace $ trace_chrome $ metrics_dump $ Cli.workload_arg $ Cli.list_workloads_arg
+      $ Cli.scale_arg $ Cli.theta_arg $ Cli.wl_abort_rate_arg)
 
 let () = exit (Cmd.eval cmd)

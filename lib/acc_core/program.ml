@@ -133,7 +133,6 @@ type instance = {
   i_compensate : (Acc_txn.Executor.ctx -> completed:int -> unit) option;
   i_comp_area : unit -> (string * Acc_relation.Value.t) list;
   i_read_isolation : read_isolation;
-  i_footprint : int -> (Acc_lock.Mode.t * Acc_lock.Resource_id.t) list;
 }
 
 let check_step_sequence def steps =
@@ -163,7 +162,7 @@ let check_step_sequence def steps =
   follow def.tt_steps (List.map fst steps)
 
 let instance ~def ~steps ?(assertions = []) ?(admission = []) ?compensate
-    ?(comp_area = fun () -> []) ?(read_isolation = Exposed) ?(footprints = fun _ -> []) () =
+    ?(comp_area = fun () -> []) ?(read_isolation = Exposed) () =
   if steps = [] then invalid_arg (def.tt_name ^ ": empty instance");
   check_step_sequence def steps;
   (match (def.tt_comp, compensate) with
@@ -178,7 +177,6 @@ let instance ~def ~steps ?(assertions = []) ?(admission = []) ?compensate
     i_compensate = compensate;
     i_comp_area = comp_area;
     i_read_isolation = read_isolation;
-    i_footprint = footprints;
   }
 
 let resolve_window inst (a : Assertion.t) =

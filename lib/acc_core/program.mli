@@ -108,10 +108,6 @@ type instance = {
       (** the work area, evaluated at every forward step end and logged in
           that step's end-of-step record *)
   i_read_isolation : read_isolation;
-  i_footprint : int -> (Acc_lock.Mode.t * Acc_lock.Resource_id.t) list;
-      (** concrete declared footprint of dynamic step [j] (1-based), for
-          batched pre-acquisition; [] (the default) means undeclared — the
-          step acquires dynamically, lock by lock *)
 }
 
 val instance :
@@ -122,7 +118,6 @@ val instance :
   ?compensate:(Acc_txn.Executor.ctx -> completed:int -> unit) ->
   ?comp_area:(unit -> (string * Acc_relation.Value.t) list) ->
   ?read_isolation:read_isolation ->
-  ?footprints:(int -> (Acc_lock.Mode.t * Acc_lock.Resource_id.t) list) ->
   unit ->
   instance
 (** Validates that the steps belong to [def] and appear in a legal order
@@ -139,12 +134,8 @@ val instance :
     abort and crash replay, where no workspace exists — pass it here and
     register the same function with {!Replay.register}.
 
-    [footprints j] lists the (mode, resource) pairs dynamic step [j] is known
-    to lock — evaluated at step start, so workspace values earlier steps
-    computed may be consulted.  Used only when the runtime's
-    [batch_footprints] option is on; a footprint may over-approximate (later
-    in-step acquires are re-entrant) and under-approximation is harmless
-    (missing locks are acquired one by one, as without batching). *)
+    Step bodies take their conventional locks dynamically, one at a time,
+    as they touch each item (§3.3). *)
 
 val resolve_window : instance -> Assertion.t -> int * int
 (** Dynamic [from, until] for an assertion given the instance's expanded step

@@ -16,7 +16,6 @@ type options = {
   step_retry_limit : int;
   verify_assertions : bool;
   assertion_granularity : granularity;
-  batch_footprints : bool;
 }
 
 let default_options =
@@ -24,7 +23,6 @@ let default_options =
     step_retry_limit = 1;
     verify_assertions = false;
     assertion_granularity = Item;
-    batch_footprints = false;
   }
 
 exception Assertion_violated of { txn : int; assertion : string; at_step : int }
@@ -197,25 +195,14 @@ let run_steps ?(options = default_options) ?abort_at ?stop eng inst =
      Executor.charge eng (Executor.cost eng).Acc_txn.Cost_model.admission;
      let rec admit n =
        try
-         if options.batch_footprints then
-           (* the admission set is a declared footprint too: one batch, one
-              canonical order, one shard round-trip per shard *)
-           Executor.acquire_footprint ctx ~admission:true
-             (List.concat_map
-                (fun (ai, items) ->
-                  List.map
-                    (fun item -> (Mode.A ai.Program.ai_assertion.Assertion.id, item))
-                    items)
-                inst.Program.i_admission)
-         else
-           List.iter
-             (fun (ai, items) ->
-               List.iter
-                 (fun item ->
-                   Executor.acquire ctx ~admission:true
-                     (Mode.A ai.Program.ai_assertion.Assertion.id) item)
-                 items)
-             inst.Program.i_admission
+         List.iter
+           (fun (ai, items) ->
+             List.iter
+               (fun item ->
+                 Executor.acquire ctx ~admission:true
+                   (Mode.A ai.Program.ai_assertion.Assertion.id) item)
+               items)
+           inst.Program.i_admission
        with Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout ->
          (* nothing executed yet: drop what we got, let the winner finish, and
             re-admit — or abandon admission entirely when the driver is
@@ -261,12 +248,6 @@ let run_steps ?(options = default_options) ?abort_at ?stop eng inst =
        let rec attempt ~n retries_left =
          try
            Fault.step_trip ();
-           (* pre-acquire the step's declared footprint inside the attempt,
-              so a victimization or timeout mid-batch takes the normal
-              rollback-and-retry path (partially granted batch members are
-              released by [release_locks] like any step locks) *)
-           if options.batch_footprints then
-             Executor.acquire_footprint ctx (inst.Program.i_footprint j);
            body ctx
          with
          | Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->

@@ -47,14 +47,6 @@ type options = {
           claim, made executable.  Test/diagnostic use only: the ACC itself
           never looks at values (§3.3). *)
   assertion_granularity : granularity;
-  batch_footprints : bool;
-      (** Acquire each step's declared footprint ({!Program.instance}'s
-          [footprints]) and the admission set through
-          {!Acc_txn.Executor.acquire_footprint} — one canonical-order batch,
-          one shard-mutex round-trip per shard on the parallel engine —
-          before running the step body (whose own acquires then hit
-          re-entrant grants).  Off by default: the deterministic simulator
-          paths are byte-for-byte unchanged. *)
 }
 
 val default_options : options

@@ -245,7 +245,7 @@ type outcome = Committed | Aborted
    order, so two cross transactions cannot deadlock on partitions), then
    decide, log, and apply.  Any branch failing before its vote has already
    rolled itself back; its prepared predecessors get the abort decision. *)
-let run_cross ?options ?stop t branches =
+let run_cross ?stop t branches =
   if branches = [] then invalid_arg "Coordinator.run_cross: no branches";
   let branches =
     List.sort
@@ -259,7 +259,7 @@ let run_cross ?options ?stop t branches =
       (fun (acc, ok) (part, inst) ->
         if not ok then (acc, false)
         else
-          match Runtime.prepare ?options ?stop (Partition.engine part) inst ~gid with
+          match Runtime.prepare ?stop (Partition.engine part) inst ~gid with
           | Ok p -> (p :: acc, true)
           | Error _ -> (acc, false))
       ([], true) branches
@@ -346,7 +346,7 @@ module Remote = struct
   let participants r = Array.map (fun l -> l.participant) r.links
   let transport r = r.transport_kind
 
-  let make ?options ?stop ?(retries = 4) ?(transport = `Loopback)
+  let make ?stop ?(retries = 4) ?(transport = `Loopback)
       ?(faults = Fault.Netfault.none) ?(prepare_deadline = 5.0)
       ?(decide_deadline = 0.2) core =
     let connect handler =
@@ -357,7 +357,7 @@ module Remote = struct
     let links =
       Array.map
         (fun part ->
-          let participant = Participant.make ?options ?stop part in
+          let participant = Participant.make ?stop part in
           { participant; conn = connect (Participant.handle participant) })
         (partitions core)
     in

@@ -77,7 +77,6 @@ val decision_of : t -> gid:int -> decision option
 type outcome = Committed | Aborted
 
 val run_cross :
-  ?options:Acc_core.Runtime.options ->
   ?stop:(unit -> bool) ->
   t ->
   (Partition.t * Acc_core.Program.instance) list ->
@@ -128,7 +127,6 @@ module Remote : sig
   type t
 
   val make :
-    ?options:Acc_core.Runtime.options ->
     ?stop:(unit -> bool) ->
     ?retries:int ->
     ?transport:Transport.kind ->

@@ -33,7 +33,6 @@ type config = {
   think_mean : float;
   compute_between : float;
   params : Params.t;
-  acc_options : Runtime.options;
   lock_deadline : float option;
       (** per-request lock-wait budget on every partition engine: the
           backstop against cross-coordinator blocking the per-partition
@@ -56,7 +55,6 @@ let default_config =
     think_mean = 0.0;
     compute_between = 0.0;
     params = Params.default;
-    acc_options = Runtime.default_options;
     lock_deadline = Some 1.0;
     transport = `Loopback;
     netfault = Acc_fault.Fault.Netfault.none;
@@ -139,8 +137,7 @@ let run cfg =
      one encode/decode round-trip per message, pipe adds the socketpair and
      the per-partition handler domain *)
   let remote =
-    Coordinator.Remote.make ~options:cfg.acc_options ~stop
-      ~transport:cfg.transport ~faults:cfg.netfault coord
+    Coordinator.Remote.make ~stop ~transport:cfg.transport ~faults:cfg.netfault coord
   in
   let committed = Metrics.Counter.create () in
   let single_committed = Metrics.Counter.create () in
@@ -176,8 +173,7 @@ let run cfg =
           let home = parts.(pid) in
           let outcome =
             Engine.run_txn ~jitter (fun () ->
-                Txns.run_acc ~options:cfg.acc_options ~stop (Partition.engine home)
-                  env input)
+                Txns.run_acc ~stop (Partition.engine home) env input)
           in
           (match outcome with
           | Runtime.Committed ->

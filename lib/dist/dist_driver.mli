@@ -12,7 +12,6 @@ type config = {
   think_mean : float;
   compute_between : float;
   params : Acc_tpcc.Params.t;
-  acc_options : Acc_core.Runtime.options;
   lock_deadline : float option;
       (** per-request lock-wait budget on every partition engine: the
           backstop against cross-coordinator blocking that per-partition

@@ -37,7 +37,6 @@ let cp_apply = Fault.register "dist.apply"
 
 type t = {
   part : Partition.t;
-  options : Runtime.options option;
   stop : (unit -> bool) option;
   mu : Mutex.t;
   staged : (int, Program.instance) Hashtbl.t;
@@ -46,10 +45,9 @@ type t = {
   applied : (int, bool) Hashtbl.t;
 }
 
-let make ?options ?stop part =
+let make ?stop part =
   {
     part;
-    options;
     stop;
     mu = Mutex.create ();
     staged = Hashtbl.create 64;
@@ -124,8 +122,7 @@ let handle_prepare t ~gid =
   | None, None, None -> Transport.Vote { gid; ok = false }
   | None, None, Some i -> (
       match
-        Runtime.prepare ?options:t.options ?stop:t.stop
-          (Partition.engine t.part) i ~gid
+        Runtime.prepare ?stop:t.stop (Partition.engine t.part) i ~gid
       with
       | Ok p ->
           Mutex.lock t.mu;

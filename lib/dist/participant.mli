@@ -17,12 +17,8 @@
 
 type t
 
-val make :
-  ?options:Acc_core.Runtime.options ->
-  ?stop:(unit -> bool) ->
-  Partition.t ->
-  t
-(** Wrap a partition.  [options]/[stop] are forwarded to every
+val make : ?stop:(unit -> bool) -> Partition.t -> t
+(** Wrap a partition.  [stop] is forwarded to every
     {!Acc_core.Runtime.prepare} this participant runs. *)
 
 val partition : t -> Partition.t

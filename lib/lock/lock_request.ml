@@ -12,20 +12,6 @@ let make ~txn ?(step_type = 0) ?(admission = false) ?(compensating = false) ?dea
     resource =
   { txn; step_type; admission; compensating; deadline; mode; resource }
 
-(* Canonical order: primarily by resource, so every batch walks shared
-   resources in one global sequence (no intra-batch deadlock edges); mode and
-   txn break ties only to make the order total and the dedup stable. *)
-let compare a b =
-  match Resource_id.compare a.resource b.resource with
-  | 0 -> (
-      match Stdlib.compare a.mode b.mode with
-      | 0 -> Stdlib.compare (a.txn, a.step_type, a.admission, a.compensating, a.deadline)
-               (b.txn, b.step_type, b.admission, b.compensating, b.deadline)
-      | c -> c)
-  | c -> c
-
-let canonicalize reqs = List.sort_uniq compare reqs
-
 let pp ppf r =
   Format.fprintf ppf "@[<h>T%d:%a@ on@ %a%s%s%s@]" r.txn Mode.pp r.mode Resource_id.pp
     r.resource

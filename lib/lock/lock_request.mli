@@ -2,11 +2,9 @@
 
     The lock managers historically took six optional/labelled arguments per
     call ([~txn ~step_type ?admission ?compensating ?deadline mode res]);
-    every layer that forwarded a request had to spell all six out, and a
-    batch of requests had no representation at all.  [Lock_request.t] packs
-    the full request into a single record, which is what the batched
-    acquisition path ({!Lock_service.acquire_batch}) sorts, groups and
-    forwards. *)
+    every layer that forwarded a request had to spell all six out.
+    [Lock_request.t] packs the full request into a single record, which each
+    layer forwards as it is. *)
 
 type t = {
   txn : int;  (** requesting transaction *)
@@ -35,15 +33,5 @@ val make :
   t
 (** [make ~txn mode res] with [step_type] defaulting to [0] and the flags to
     [false]/[None] — the common shape for tests and simple callers. *)
-
-val compare : t -> t -> int
-(** Canonical batch order: by resource ({!Resource_id.compare}), then mode,
-    then transaction.  Every batch acquired in this shared total order cannot
-    contribute an intra-batch deadlock edge — two batches lock their common
-    resources in the same sequence. *)
-
-val canonicalize : t list -> t list
-(** Sort into canonical order and drop exact duplicates: the form
-    {!Lock_service.acquire_batch} processes. *)
 
 val pp : Format.formatter -> t -> unit

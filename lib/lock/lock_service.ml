@@ -1,7 +1,6 @@
 module type S = sig
   val backend_name : string
   val acquire : Lock_request.t -> unit
-  val acquire_batch : Lock_request.t list -> unit
   val attach : Lock_request.t -> unit
   val attach_batch : Lock_request.t list -> unit
   val release : txn:int -> Mode.t -> Resource_id.t -> unit
@@ -36,7 +35,6 @@ type t = (module S)
 
 let backend_name (module M : S) = M.backend_name
 let acquire (module M : S) req = M.acquire req
-let acquire_batch (module M : S) reqs = M.acquire_batch reqs
 let attach (module M : S) req = M.attach req
 let attach_batch (module M : S) reqs = M.attach_batch reqs
 let release (module M : S) ~txn mode res = M.release ~txn mode res
@@ -75,10 +73,6 @@ let of_table ~wait ~deliver table : t =
       | Lock_table.Granted -> ()
       | Lock_table.Queued ticket -> wait ~ticket ~txn:r.Lock_request.txn
 
-    (* no shard mutex to amortize here: a batch is the canonical-order
-       singleton sequence (the ordering still removes intra-batch deadlock
-       edges against other batches) *)
-    let acquire_batch reqs = List.iter acquire (Lock_request.canonicalize reqs)
     let attach r = Lock_table.attach_req table r
     let attach_batch reqs = List.iter attach reqs
     let release ~txn mode res = deliver (Lock_table.release table ~txn mode res)

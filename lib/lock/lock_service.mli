@@ -7,13 +7,10 @@
     watchdog and the drivers all program against [t]; which manager backs an
     engine is decided once, at construction.
 
-    Requests are {!Lock_request.t} values; {!acquire_batch} is the hot-path
-    payload: a step's declared footprint is sorted into canonical resource
-    order ({!Lock_request.compare}) and, on the sharded backend, grouped per
-    shard so each shard mutex is taken {e once per step} instead of once per
-    lock.  Ordered acquisition inside a batch also removes intra-batch
-    deadlock edges — any two batches lock their common resources in the same
-    global sequence. *)
+    Requests are {!Lock_request.t} values, and a step acquires its locks one
+    {!acquire} at a time, as it touches each item (§3.3).  Only attaches come
+    in lists ({!attach_batch}): they are unconditional, so the sharded
+    backend can take each shard mutex once for a whole list. *)
 
 (** Operations of one lock-manager instance.  The functions close over the
     instance, so a backend is a value of type [t = (module S)]; use the
@@ -30,15 +27,6 @@ module type S = sig
       calling domain on the shard's condition variable.  Both surface
       victimization as [Txn_effect.Deadlock_victim] and deadline expiry as
       [Txn_effect.Lock_timeout]. *)
-
-  val acquire_batch : Lock_request.t list -> unit
-  (** Acquire a whole footprint: the batch is canonicalized
-      ({!Lock_request.canonicalize} — sorted, exact duplicates coalesced)
-      and acquired in that order.  The sharded backend takes each shard
-      mutex once per batch.  On victimization or deadline expiry mid-batch
-      the members already granted {e remain held} — the caller's abort path
-      (rollback + release) reclaims them, exactly as it does for locks a
-      partially executed step took one by one. *)
 
   val attach : Lock_request.t -> unit
   (** Unconditional grant (the §3.3 assertional-lock attach); the request's
@@ -91,8 +79,8 @@ module type S = sig
 
   val mutex_acquisitions : unit -> int
   (** Shard-mutex lock operations over the backend's lifetime — the quantity
-      {!acquire_batch} exists to reduce.  Constantly 0 on the sequential
-      backend (no mutex). *)
+      the fast path avoids.  Constantly 0 on the sequential backend (no
+      mutex). *)
 
   val fast_attempts : unit -> int
   (** Lock-free fast-path installs attempted over the backend's lifetime
@@ -118,7 +106,6 @@ type t = (module S)
 
 val backend_name : t -> string
 val acquire : t -> Lock_request.t -> unit
-val acquire_batch : t -> Lock_request.t list -> unit
 val attach : t -> Lock_request.t -> unit
 val attach_batch : t -> Lock_request.t list -> unit
 val release : t -> txn:int -> Mode.t -> Resource_id.t -> unit

@@ -730,17 +730,19 @@ let compensating_waiter t ~txn =
     (fun _ w acc -> acc || (w.w_txn = txn && w.w_compensating))
     t.tickets false
 
+let is_overdue ~now w =
+  match w.w_deadline with
+  | Some d -> d <= now && not w.w_compensating
+  | None -> false
+
+let has_overdue t ~now = Hashtbl.fold (fun _ w acc -> acc || is_overdue ~now w) t.tickets false
+
 (* Withdraw every non-compensating waiter whose deadline has passed.  The
    expired requests are reported to the caller (who turns them into timeout
    aborts); the wakeups are the promotions their withdrawal enabled. *)
 let expire_overdue t ~now =
   let overdue =
-    Hashtbl.fold
-      (fun _ w acc ->
-        match w.w_deadline with
-        | Some d when d <= now && not w.w_compensating -> w :: acc
-        | Some _ | None -> acc)
-      t.tickets []
+    Hashtbl.fold (fun _ w acc -> if is_overdue ~now w then w :: acc else acc) t.tickets []
     |> List.sort (fun a b -> compare a.w_ticket b.w_ticket)
   in
   let wakeups = List.concat_map (fun w -> cancel t ~ticket:w.w_ticket) overdue in

@@ -161,6 +161,10 @@ val expire_overdue : t -> now:float -> expired list * wakeup list
     caller turns into timeout aborts — and the promotions their withdrawal
     enabled. *)
 
+val has_overdue : t -> now:float -> bool
+(** Would {!expire_overdue} withdraw anything?  Changes nothing, so a
+    caller can look before it enters a mutating section. *)
+
 val oldest_wait : t -> now:float -> float
 (** Age in seconds of the longest-queued outstanding request (0 when the
     queue is empty) — the watchdog's wedge signal. *)

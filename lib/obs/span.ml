@@ -334,11 +334,10 @@ module Builder = struct
     | Trace.Prepare { txn; gid } -> feed b ~ts ~dom ~txn (E_prepare gid)
     | Trace.Decide { gid; _ } -> feed b ~ts ~dom ~txn:(-1) (E_decide gid)
     | Trace.Resolve { txn; gid; _ } -> feed b ~ts ~dom ~txn (E_resolve gid)
-    | Trace.Lock_request _ | Trace.Lock_grant _ | Trace.Batch_acquired _
-    | Trace.Lock_release _ | Trace.Lock_attach _ | Trace.Lock_cancel _
-    | Trace.Assertion_check _ | Trace.Deadlock_cycle _ | Trace.Victim _
-    | Trace.Wal_flush _ | Trace.Shed _ | Trace.Degraded _ | Trace.Net_fault _
-    | Trace.Rpc_retry _ ->
+    | Trace.Lock_request _ | Trace.Lock_grant _ | Trace.Lock_release _
+    | Trace.Lock_attach _ | Trace.Lock_cancel _ | Trace.Assertion_check _
+    | Trace.Deadlock_cycle _ | Trace.Victim _ | Trace.Wal_flush _ | Trace.Shed _
+    | Trace.Degraded _ | Trace.Net_fault _ | Trace.Rpc_retry _ ->
         ()
 
   (* One parsed JSONL trace line (see {!Trace.to_json}); unknown events and

@@ -29,7 +29,6 @@ type event =
       interfering_step : int option;
     }
   | Lock_wake of { txn : int; mode : Mode.t; resource : Resource_id.t }
-  | Batch_acquired of { txn : int; step_type : int; count : int }
   | Lock_release of { txn : int; mode : Mode.t; resource : Resource_id.t }
   | Lock_attach of { txn : int; step_type : int; mode : Mode.t; resource : Resource_id.t }
   | Lock_cancel of { txn : int; resource : Resource_id.t }
@@ -61,7 +60,6 @@ let event_name = function
   | Lock_grant _ -> "lock_grant"
   | Lock_block _ -> "lock_block"
   | Lock_wake _ -> "lock_wake"
-  | Batch_acquired _ -> "batch_acquired"
   | Lock_release _ -> "lock_release"
   | Lock_attach _ -> "lock_attach"
   | Lock_cancel _ -> "lock_cancel"
@@ -82,8 +80,8 @@ let event_name = function
 let all_event_names =
   [
     "txn_begin"; "txn_commit"; "txn_abort"; "step_begin"; "step_end"; "comp_run";
-    "lock_request"; "lock_grant"; "lock_block"; "lock_wake"; "batch_acquired"; "lock_release";
-    "lock_attach"; "lock_cancel"; "assertion_check"; "deadlock_cycle"; "victim";
+    "lock_request"; "lock_grant"; "lock_block"; "lock_wake"; "lock_release"; "lock_attach";
+    "lock_cancel"; "assertion_check"; "deadlock_cycle"; "victim";
     "wal_append"; "wal_flush"; "timed_out"; "shed"; "degraded"; "prepare"; "decide";
     "resolve"; "net_fault"; "rpc_retry";
   ]
@@ -255,8 +253,6 @@ let payload = function
       ]
   | Lock_cancel { txn; resource } ->
       [ ("txn", Json.Int txn); ("res", Json.Str (res_str resource)) ]
-  | Batch_acquired { txn; step_type; count } ->
-      [ ("txn", Json.Int txn); ("step", Json.Int step_type); ("count", Json.Int count) ]
   | Assertion_check { txn; assertion; interfering_step; passed } ->
       [
         ("txn", Json.Int txn); ("assertion", Json.Int assertion);
@@ -329,7 +325,7 @@ let txn_of_event = function
   | Step_begin { txn; _ } | Step_end { txn; _ } | Comp_run { txn; _ }
   | Lock_request { txn; _ } | Lock_grant { txn; _ } | Lock_block { txn; _ }
   | Lock_wake { txn; _ } | Lock_release { txn; _ } | Lock_attach { txn; _ }
-  | Lock_cancel { txn; _ } | Batch_acquired { txn; _ } | Assertion_check { txn; _ }
+  | Lock_cancel { txn; _ } | Assertion_check { txn; _ }
   | Victim { txn; _ } | Wal_append { txn; _ } | Timed_out { txn; _ }
   | Prepare { txn; _ } | Resolve { txn; _ } ->
       txn
@@ -388,15 +384,15 @@ let write_chrome oc dump =
                    [ ("txn", Json.Int txn); ("idx", Json.Int idx) ])
           | Some _ | None -> ())
       | Comp_run _ | Lock_request _ | Lock_grant _ | Lock_block _ | Lock_wake _
-      | Batch_acquired _ | Lock_release _ | Lock_attach _ | Lock_cancel _
-      | Assertion_check _ | Deadlock_cycle _ | Victim _ | Wal_append _ | Wal_flush _
+      | Lock_release _ | Lock_attach _ | Lock_cancel _ | Assertion_check _
+      | Deadlock_cycle _ | Victim _ | Wal_append _ | Wal_flush _
       | Timed_out _ | Shed _ | Degraded _ | Prepare _ | Decide _ | Resolve _
       | Net_fault _ | Rpc_retry _ -> ());
       match e.ev with
       | Txn_begin _ | Txn_commit _ | Txn_abort _ | Step_begin _ | Step_end _ -> ()
       | Comp_run _ | Lock_request _ | Lock_grant _ | Lock_block _ | Lock_wake _
-      | Batch_acquired _ | Lock_release _ | Lock_attach _ | Lock_cancel _
-      | Assertion_check _ | Deadlock_cycle _ | Victim _ | Wal_append _ | Wal_flush _
+      | Lock_release _ | Lock_attach _ | Lock_cancel _ | Assertion_check _
+      | Deadlock_cycle _ | Victim _ | Wal_append _ | Wal_flush _
       | Timed_out _ | Shed _ | Degraded _ | Prepare _ | Decide _ | Resolve _
       | Net_fault _ | Rpc_retry _ ->
           push (chrome_instant e))

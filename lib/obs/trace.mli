@@ -51,10 +51,6 @@ type event =
       interfering_step : int option;
     }
   | Lock_wake of { txn : int; mode : Mode.t; resource : Resource_id.t }
-  | Batch_acquired of { txn : int; step_type : int; count : int }
-      (** one [Lock_service.acquire_batch] of [count] requests
-          completed (the per-lock grant/block events still fire from the
-          lock table's observer as usual) *)
   | Lock_release of { txn : int; mode : Mode.t; resource : Resource_id.t }
   | Lock_attach of { txn : int; step_type : int; mode : Mode.t; resource : Resource_id.t }
   | Lock_cancel of { txn : int; resource : Resource_id.t }

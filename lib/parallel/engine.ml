@@ -46,9 +46,8 @@ let register_metrics t labels =
     (Acc_obs.Registry.Poll_counter (fun () -> Watchdog.degraded_trips t.watchdog))
 
 let create ?shards ?detector_cadence ?cost ?lock_deadline ?max_inflight ?shed_watermark
-    ?max_bypass ?watchdog_cadence ?degrade_after ?(metrics_labels = []) ?fast_path
-    ?wal_policy ~sem db =
-  let locks = Sharded_lock_table.create ?shards ?max_bypass ?fast:fast_path sem in
+    ?max_bypass ?watchdog_cadence ?degrade_after ?(metrics_labels = []) ?wal_policy ~sem db =
+  let locks = Sharded_lock_table.create ?shards ?max_bypass sem in
   let service = Sharded_lock_table.service locks in
   let exec = Executor.create_with ?cost ?wal_policy ~service db in
   Executor.set_lock_deadline exec lock_deadline;

@@ -24,7 +24,6 @@ val create :
   ?watchdog_cadence:float ->
   ?degrade_after:float ->
   ?metrics_labels:(string * string) list ->
-  ?fast_path:bool ->
   ?wal_policy:Acc_wal.Log.policy ->
   sem:Acc_lock.Mode.semantics ->
   Acc_relation.Database.t ->
@@ -45,8 +44,6 @@ val create :
     [max_bypass] is the lock tables' bounded-bypass fairness limit;
     [degrade_after] is the oldest-waiter age that trips degraded mode.
 
-    [fast_path] (default [true]) enables the sharded table's lock-free
-    uncontended fast path ({!Sharded_lock_table.create}'s [fast]);
     [wal_policy] selects the executor WAL's append policy
     ({!Acc_wal.Log.policy}, default [Direct]) — pass
     [Buffered {cap; group = true}] for group commit. *)

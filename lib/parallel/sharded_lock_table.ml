@@ -103,8 +103,8 @@ type t = {
   timeouts : int Atomic.t;  (* lock waits expired over the table's lifetime *)
   mutex_ops : int Atomic.t;
       (* explicit shard-mutex acquisitions (one per synchronous operation, one
-         per blocking acquire, one per shard group of a batch) — the quantity
-         acquire_batch amortizes and the fast path avoids entirely.
+         per blocking acquire, one per shard group of an attach list) — the
+         quantity the fast path avoids entirely.
          Condition.wait's internal reacquisitions are not counted: they are
          wakeups, not request round-trips. *)
   fast_attempts : int Atomic.t;  (* fast-path installs attempted *)
@@ -815,12 +815,17 @@ let max_bypassed t = fold_tables t Lock_table.max_bypassed max 0
    [Txn_effect.Lock_timeout], and publish the promotions the withdrawals
    enabled.  Returns the expired requests with globalized tickets.  Shards
    with an empty lock table hold no waiters and are skipped without touching
-   their mutex. *)
+   their mutex; a shard with no overdue waiter costs one read-only section,
+   so a watchdog tick with nothing to expire never moves a seqlock and never
+   makes a racing fast install retreat. *)
 let expire t ~now =
   let all = ref [] in
   Array.iteri
     (fun idx s ->
-      if table_nonempty s then
+      if
+        table_nonempty s
+        && with_shard_ro t s (fun () -> Lock_table.has_overdue s.table ~now)
+      then
         with_shard t s (fun () ->
             let expired, wakeups = Lock_table.expire_overdue s.table ~now in
             if expired <> [] then begin
@@ -866,14 +871,12 @@ let kill t ~txn =
 
 (* Wait until the globalized ticket [g] resolves.  Caller holds [s.mu]
    inside a slow section; on grant control returns with [s.mu] still held
-   and the section re-entered (a batch continues with its remaining
-   same-shard requests under the same acquisition); on victimization or
-   expiry the section is exited, the mutex released and the usual exception
-   raised.  The sleep itself is {e outside} the slow section — the seqlock
-   must not stay odd across a block — which is sound because the sleeper's
-   queued ticket keeps its resource's entry alive, which closes the fast
-   gate on that resource (and, for a table, on its tuples) for the
-   duration. *)
+   and the section re-entered; on victimization or expiry the section is
+   exited, the mutex released and the usual exception raised.  The sleep
+   itself is {e outside} the slow section — the seqlock must not stay odd
+   across a block — which is sound because the sleeper's queued ticket
+   keeps its resource's entry alive, which closes the fast gate on that
+   resource (and, for a table, on its tuples) for the duration. *)
 let wait_resolved t s g =
   let started = Unix.gettimeofday () in
   let record_wait () =
@@ -920,65 +923,6 @@ let acquire_req t (r : Lock_request.t) =
     unlock_shard s
   end
 
-(* Acquire a whole footprint with (at most) one mutex round-trip per shard
-   touched.  The batch is canonicalized first, so any two batches walk their
-   common resources in the same global order — no intra-batch deadlock
-   edges — and grouping preserves that order within each shard.  Each shard
-   group first runs a lock-free prefix: members install through the fast
-   path until the first miss, preserving the shard-then-canonical
-   acquisition order (a fast grant never blocks, so the prefix adds no
-   wait-for edges); the rest of the group proceeds under the mutex.  A
-   queued member sleeps on the shard's condition variable ([Condition.wait]
-   releases and reacquires [s.mu]), then the remaining same-shard requests
-   continue under the same explicit acquisition.  On victimization or expiry
-   mid-batch the already-granted members stay held; the caller's abort path
-   releases them like any partially-acquired step. *)
-let acquire_batch t reqs =
-  match Lock_request.canonicalize reqs with
-  | [] -> ()
-  | reqs ->
-      let groups = Array.make (n_shards t) [] in
-      List.iter
-        (fun (r : Lock_request.t) ->
-          let idx = shard_index t r.Lock_request.resource in
-          groups.(idx) <- r :: groups.(idx))
-        reqs;
-      Array.iteri
-        (fun idx group ->
-          match List.rev group with
-          | [] -> ()
-          | group -> (
-              let s = t.shards.(idx) in
-              let rec fast_prefix = function
-                | r :: rest when t.use_fast && fast_eligible r && fast_acquire t idx s r
-                  ->
-                    fast_prefix rest
-                | rest -> rest
-              in
-              match fast_prefix group with
-              | [] -> ()
-              | group ->
-                  lock_shard t s;
-                  (try
-                     List.iter
-                       (fun r ->
-                         migrate_for s r;
-                         match Lock_table.submit s.table r with
-                         | Lock_table.Granted -> ()
-                         | Lock_table.Queued local ->
-                             wait_resolved t s (globalize t idx local))
-                       group
-                   with e ->
-                     (* wait_resolved already exited and released on the
-                        raising paths; everything else raises with the
-                        section open and the mutex held *)
-                     (match e with
-                     | Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout -> ()
-                     | _ -> unlock_shard s);
-                     raise e);
-                  unlock_shard s))
-        groups
-
 let pp_state ppf t =
   Array.iteri
     (fun idx s ->
@@ -1004,7 +948,6 @@ let service t : Lock_service.t =
   (module struct
     let backend_name = "sharded"
     let acquire r = acquire_req t r
-    let acquire_batch reqs = acquire_batch t reqs
     let attach r = attach_req t r
     let attach_batch reqs = attach_batch t reqs
     let release ~txn mode res = ignore (release t ~txn mode res)

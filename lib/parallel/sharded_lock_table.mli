@@ -7,10 +7,10 @@
 
     Two surfaces: a synchronous one mirroring {!Acc_lock.Lock_table} (used by
     the parity property tests and the deadlock detector), and the blocking
-    {!acquire_req}/{!acquire_batch} for worker domains (condition-variable
-    wait; raises {!Acc_txn.Txn_effect.Deadlock_victim} when victimized by
-    {!kill}).  {!service} packages the whole thing as a
-    {!Acc_lock.Lock_service.t} — the form the engine and executor consume.
+    {!acquire_req} for worker domains (condition-variable wait; raises
+    {!Acc_txn.Txn_effect.Deadlock_victim} when victimized by {!kill}).
+    {!service} packages the whole thing as a {!Acc_lock.Lock_service.t} —
+    the form the engine and executor consume.
 
     Requests and attaches additionally run a {e lock-free fast path}
     (DESIGN.md §17.1): tuple and table-intention grants CAS-install into
@@ -56,15 +56,15 @@ val mutex_acquisitions : t -> int
 (** Explicit shard-mutex acquisitions over the table's lifetime: one per
     synchronous operation that visits a shard, one per blocking
     {!acquire_req} that misses the fast path, and one {e per shard group} of
-    an {!acquire_batch} — the quantity batching amortizes and the fast path
-    avoids entirely.  Fast-path installs, lock-free {!holders} reads, and
-    shards skipped by the per-transaction activity index or because their
-    table is empty cost none.  Condition-variable reacquisitions during
-    sleeps are not counted. *)
+    an {!attach_batch} — the quantity the fast path avoids entirely.
+    Fast-path installs, lock-free {!holders} reads, and shards skipped by the
+    per-transaction activity index or because their table is empty cost
+    none.  Condition-variable reacquisitions during sleeps are not
+    counted. *)
 
 val fast_attempts : t -> int
 (** Lock-free fast-path installs attempted by requests ({!acquire_req},
-    {!acquire_batch}, {!submit}); attaches are not counted. *)
+    {!submit}); attaches are not counted. *)
 
 val fast_hits : t -> int
 (** Fast-path installs that validated and stuck; [fast_hits/fast_attempts]
@@ -134,7 +134,9 @@ val expire : t -> now:float -> Acc_lock.Lock_table.expired list
     [now], wake the blocked acquirers with [Txn_effect.Lock_timeout], and
     publish the promotions the withdrawals enabled.  Driven periodically by
     the engine's watchdog domain (OCaml's [Condition] has no timed wait, so
-    waiters cannot expire themselves).  Returned tickets are globalized. *)
+    waiters cannot expire themselves).  A shard with no overdue waiter is
+    only read, so a tick with nothing to expire makes no fast install
+    retreat.  Returned tickets are globalized. *)
 
 val kill : t -> txn:int -> int
 (** Victimize: cancel every outstanding wait of the transaction and wake the
@@ -149,21 +151,12 @@ val acquire_req : t -> Acc_lock.Lock_request.t -> unit
     [Txn_effect.Lock_timeout] if the wait outlives the request's deadline
     (an absolute wall-clock instant; ignored on compensating requests). *)
 
-val acquire_batch : t -> Acc_lock.Lock_request.t list -> unit
-(** Acquire a whole footprint: canonicalize ({!Acc_lock.Lock_request.canonicalize}),
-    group per shard preserving the canonical order, and take each shard mutex
-    {e once per batch}, submitting the group's requests under the single
-    acquisition.  A queued member sleeps on the shard's condition variable and
-    the group continues under the reacquired mutex.  On victimization or
-    expiry mid-batch the members already granted remain held — the caller's
-    abort path releases them, as with locks taken one by one. *)
-
 val pp_state : Format.formatter -> t -> unit
 
 (** {2 The service view} *)
 
 val service : t -> Acc_lock.Lock_service.t
-(** The table as a {!Acc_lock.Lock_service.t}: [acquire]/[acquire_batch] are
-    the blocking surface above, [expire]/[kill] wake sleepers, counters sum
+(** The table as a {!Acc_lock.Lock_service.t}: [acquire] is the blocking
+    surface above, [expire]/[kill] wake sleepers, counters sum
     across shards.  This is what {!Engine} hands to the executor, the
     deadlock detector and the watchdog. *)

@@ -23,16 +23,12 @@ module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
 module Interference = Acc_core.Interference
 module Value = Acc_relation.Value
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 open Value
 
 let fp = Footprint.make
 let cols cs = Footprint.Columns cs
 let fresh = Footprint.Fresh
 let fnum = Value.number
-let tab t = Rid.Table t
-let tup t k = Rid.Tuple (t, k)
 
 (* --- payment_home: 2 forward steps + compensation --- *)
 
@@ -258,16 +254,7 @@ let payment_home_instance env (i : Txns.payment_input) =
                  row)) );
     ]
   in
-  let footprints j =
-    if j = 1 then [ (Mode.IX, tab "warehouse"); (Mode.X, tup "warehouse" [ Int i.Txns.p_w ]) ]
-    else if j = 2 then
-      [
-        (Mode.IX, tab "district");
-        (Mode.X, tup "district" (Load.district_key ~w:i.Txns.p_w ~d:i.Txns.p_d));
-      ]
-    else []
-  in
-  Program.instance ~def:payment_home_type ~steps ~footprints
+  Program.instance ~def:payment_home_type ~steps
     ~compensate:Txns.payment_compensate
     ~comp_area:(fun () ->
       [ ("w", Int i.Txns.p_w); ("d", Int i.Txns.p_d); ("amount", Float i.Txns.p_amount) ])
@@ -295,20 +282,7 @@ let payment_rcust_instance env (i : Txns.payment_input) =
         Int i.Txns.p_d; Float i.Txns.p_amount;
       |]
   in
-  let footprints j =
-    if j = 1 then
-      (Mode.IX, tab "customer") :: (Mode.IX, tab "history")
-      ::
-      (match i.Txns.p_customer with
-      | Txns.By_id c ->
-          [
-            (Mode.IS, tab "customer");
-            (Mode.X, tup "customer" (Load.customer_key ~w:i.Txns.p_c_w ~d:i.Txns.p_c_d ~c));
-          ]
-      | Txns.By_last_name _ -> [ (Mode.IS, tab "customer") ])
-    else []
-  in
-  Program.instance ~def:payment_rcust_type ~steps:[ (pr_cust, body) ] ~footprints
+  Program.instance ~def:payment_rcust_type ~steps:[ (pr_cust, body) ]
     ~compensate:payment_rcust_compensate
     ~comp_area:(fun () ->
       [
@@ -326,8 +300,7 @@ let new_order_home_instance env ~local (i : Txns.new_order_input) =
   let pace = env.Txns.pace in
   let ws = { o_id = 0 } in
   let w = i.Txns.no_w and d = i.Txns.no_d and c = i.Txns.no_c in
-  let items = Array.of_list i.Txns.no_items in
-  let n_items = Array.length items in
+  let n_items = List.length i.Txns.no_items in
   let step1 ctx =
     ignore (Executor.read_exn ctx "warehouse" [ Int w ]);
     pace ();
@@ -380,34 +353,7 @@ let new_order_home_instance env ~local (i : Txns.new_order_input) =
       { Program.ai_assertion = a_nh_lines; ai_from = 3; ai_until = n; ai_check = None };
     ]
   in
-  let footprints j =
-    if j = 1 then
-      [
-        (Mode.IS, tab "warehouse"); (Mode.S, tup "warehouse" [ Int w ]);
-        (Mode.IX, tab "district"); (Mode.X, tup "district" (Load.district_key ~w ~d));
-        (Mode.IS, tab "customer"); (Mode.S, tup "customer" (Load.customer_key ~w ~d ~c));
-      ]
-    else if j = 2 then
-      [
-        (Mode.IX, tab "orders");
-        (Mode.X, tup "orders" (Load.order_key ~w ~d ~o:ws.o_id));
-        (Mode.IX, tab "new_order");
-        (Mode.X, tup "new_order" [ Int w; Int d; Int ws.o_id ]);
-      ]
-    else if j >= 3 && j <= n_items + 2 then
-      let item, _, supply = items.(j - 3) in
-      (Mode.IS, tab "item") :: (Mode.S, tup "item" [ Int item ])
-      :: (Mode.IX, tab "order_line")
-      :: (Mode.X, tup "order_line" [ Int w; Int d; Int ws.o_id; Int (j - 2) ])
-      ::
-      (if local supply then
-         [ (Mode.IX, tab "stock"); (Mode.X, tup "stock" (Load.stock_key ~w:supply ~i:item)) ]
-       else [])
-    else if j = n_items + 3 then
-      [ (Mode.IS, tab "orders"); (Mode.S, tup "orders" (Load.order_key ~w ~d ~o:ws.o_id)) ]
-    else []
-  in
-  Program.instance ~def:new_order_home_type ~steps ~assertions ~footprints
+  Program.instance ~def:new_order_home_type ~steps ~assertions
     ~compensate:Txns.new_order_compensate
     ~comp_area:(fun () -> Txns.new_order_area ~w ~d ~o:ws.o_id ~c ~n:n_items)
     ()
@@ -426,13 +372,7 @@ let new_order_rstock_instance env items =
                Txns.draw_stock ctx ~supply ~item ~qty ))
          items)
   in
-  let footprints j =
-    if j >= 1 && j <= n then
-      let item, _, supply = items.(j - 1) in
-      [ (Mode.IX, tab "stock"); (Mode.X, tup "stock" (Load.stock_key ~w:supply ~i:item)) ]
-    else []
-  in
-  Program.instance ~def:new_order_rstock_type ~steps ~footprints
+  Program.instance ~def:new_order_rstock_type ~steps
     ~compensate:new_order_rstock_compensate
     ~comp_area:(fun () ->
       ("n", Int n)

@@ -40,7 +40,6 @@ type config = {
   detector_cadence : float;
   params : Params.t;
   mix : mix;
-  acc_options : Runtime.options;
   warmup : float;
       (** duration-mode only: outcomes and latencies are recorded only after
           this many seconds.  Gating at the source is what keeps the shared
@@ -54,9 +53,6 @@ type config = {
   shed_watermark : float option;
       (** abort rate (victims + timeouts per second) above which admissions
           shed *)
-  fast_path : bool;
-      (** lock-free uncontended fast path in the sharded lock table (on by
-          default; off forces every request through the shard mutexes) *)
   group_commit : bool;
       (** group commit: buffered WAL appends, concurrent syncs merged into
           leader-flushed batches (implies a buffered WAL) *)
@@ -84,13 +80,11 @@ let default_config =
     detector_cadence = Acc_parallel.Deadlock_detector.default_cadence;
     params = Params.default;
     mix = Standard;
-    acc_options = Runtime.default_options;
     warmup = 0.0;
     accounting = false;
     lock_deadline = None;
     max_inflight = None;
     shed_watermark = None;
-    fast_path = true;
     group_commit = false;
     wal_buffer = 0;
     workload = None;
@@ -152,9 +146,8 @@ type report = {
   peak_oldest_wait : float;  (** largest oldest-waiter age it sampled, seconds *)
   mutex_acquisitions : int;
       (** explicit shard-mutex acquisitions in the lock manager over the whole
-          run — the contention-side quantity batched footprint acquisition
-          ([acc_options.batch_footprints]) and the lock-free fast path
-          amortize *)
+          run — the contention-side quantity the lock-free fast path
+          avoids *)
   fast_path_attempts : int;
       (** lock requests that probed the lock-free fast path *)
   fast_path_hits : int;
@@ -242,7 +235,7 @@ let run cfg =
   let engine =
     Engine.create ~shards:cfg.shards ~detector_cadence:cfg.detector_cadence
       ?lock_deadline:cfg.lock_deadline ?max_inflight:cfg.max_inflight
-      ?shed_watermark:cfg.shed_watermark ~fast_path:cfg.fast_path
+      ?shed_watermark:cfg.shed_watermark
       ~wal_policy:(wal_policy_of cfg) ~sem db
   in
   let eng = Engine.executor engine in
@@ -340,7 +333,7 @@ let run cfg =
     let run_acc_outcome () =
       Engine.run_txn ~jitter (fun () ->
           let input = W.gen_input env in
-          match W.run_acc ~options:cfg.acc_options ~stop eng env input with
+          match W.run_acc ~stop eng env input with
           | Runtime.Committed -> `Done
           | Runtime.Compensated _ ->
               if W.forced_abort input then `Forced_abort_compensated else `Compensated)

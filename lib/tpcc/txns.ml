@@ -11,8 +11,6 @@ module Database = Acc_relation.Database
 module Predicate = Acc_relation.Predicate
 module Prng = Acc_util.Prng
 module Fault = Acc_fault.Fault
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 open Value
 
 type env = {
@@ -815,83 +813,6 @@ let is_read_committed = function
 (* Stepped (ACC) instances                                                 *)
 (* ====================================================================== *)
 
-(* Declared per-step footprints for batched pre-acquisition
-   (Runtime.options.batch_footprints): the (mode, resource) pairs each
-   dynamic step is known to lock, evaluated at step start so workspace
-   values computed by earlier steps (the drawn order id) are available.
-   Keys the step discovers mid-flight (the delivery hunt's queue entry, a
-   by-name customer, the surrogate history key) are left out — the step
-   acquires them dynamically, which is always sound. *)
-
-let tab t = Rid.Table t
-let tup t k = Rid.Tuple (t, k)
-
-let new_order_footprints (i : new_order_input) ws =
-  let items = Array.of_list i.no_items in
-  let n_items = Array.length items in
-  fun j ->
-    if j = 1 then
-      [
-        (Mode.IS, tab "warehouse"); (Mode.S, tup "warehouse" [ Int i.no_w ]);
-        (Mode.IX, tab "district");
-        (Mode.X, tup "district" (Load.district_key ~w:i.no_w ~d:i.no_d));
-        (Mode.IS, tab "customer");
-        (Mode.S, tup "customer" (Load.customer_key ~w:i.no_w ~d:i.no_d ~c:i.no_c));
-      ]
-    else if j = 2 then
-      [
-        (Mode.IX, tab "orders");
-        (Mode.X, tup "orders" (Load.order_key ~w:i.no_w ~d:i.no_d ~o:ws.o_id));
-        (Mode.IX, tab "new_order");
-        (Mode.X, tup "new_order" [ Int i.no_w; Int i.no_d; Int ws.o_id ]);
-      ]
-    else if j >= 3 && j <= n_items + 2 then
-      let item, _, supply = items.(j - 3) in
-      [
-        (Mode.IS, tab "item"); (Mode.S, tup "item" [ Int item ]);
-        (Mode.IX, tab "stock"); (Mode.X, tup "stock" (Load.stock_key ~w:supply ~i:item));
-        (Mode.IX, tab "order_line");
-        (Mode.X, tup "order_line" [ Int i.no_w; Int i.no_d; Int ws.o_id; Int (j - 2) ]);
-      ]
-    else if j = n_items + 3 then
-      [
-        (Mode.IS, tab "orders");
-        (Mode.S, tup "orders" (Load.order_key ~w:i.no_w ~d:i.no_d ~o:ws.o_id));
-      ]
-    else []
-
-let payment_footprints (i : payment_input) j =
-  if j = 1 then [ (Mode.IX, tab "warehouse"); (Mode.X, tup "warehouse" [ Int i.p_w ]) ]
-  else if j = 2 then
-    [
-      (Mode.IX, tab "district");
-      (Mode.X, tup "district" (Load.district_key ~w:i.p_w ~d:i.p_d));
-    ]
-  else if j = 3 then
-    (* the history tuple key is a surrogate drawn inside the step; a by-name
-       customer is unknown until resolved — table intents still batch *)
-    (Mode.IX, tab "customer") :: (Mode.IX, tab "history")
-    ::
-    (match i.p_customer with
-    | By_id c ->
-        [
-          (Mode.IS, tab "customer");
-          (Mode.X, tup "customer" (Load.customer_key ~w:i.p_c_w ~d:i.p_c_d ~c));
-        ]
-    | By_last_name _ -> [ (Mode.IS, tab "customer") ])
-  else []
-
-let delivery_footprints (i : delivery_input) j =
-  if j = 1 then [ (Mode.IS, tab "warehouse"); (Mode.S, tup "warehouse" [ Int i.dl_w ]) ]
-  else
-    (* per-district step: every tuple key is discovered by the hunt, so only
-       the table-intent layer of the hierarchy is declarable *)
-    [
-      (Mode.IS, tab "new_order"); (Mode.IX, tab "new_order");
-      (Mode.IX, tab "orders"); (Mode.IX, tab "order_line");
-      (Mode.IS, tab "customer"); (Mode.IX, tab "customer");
-    ]
-
 let new_order_instance env (i : new_order_input) =
   let ws = { o_id = 0; ol_number = 0; total = 0.0 } in
   let n_items = List.length i.no_items in
@@ -918,7 +839,6 @@ let new_order_instance env (i : new_order_input) =
     ]
   in
   Program.instance ~def:new_order_type ~steps ~assertions
-    ~footprints:(new_order_footprints i ws)
     ~compensate:new_order_compensate
     ~comp_area:(fun () ->
       new_order_area ~w:i.no_w ~d:i.no_d ~o:ws.o_id ~c:i.no_c ~n:(List.length i.no_items))
@@ -937,7 +857,6 @@ let payment_instance env (i : payment_input) =
     [ { Program.ai_assertion = a_pay_applied; ai_from = 2; ai_until = 3; ai_check = None } ]
   in
   Program.instance ~def:payment_type ~steps ~assertions
-    ~footprints:(payment_footprints i)
     ~compensate:payment_compensate
     ~comp_area:(fun () ->
       [
@@ -966,7 +885,6 @@ let delivery_instance env (i : delivery_input) =
     [ { Program.ai_assertion = a_dl_progress; ai_from = 2; ai_until = n; ai_check = None } ]
   in
   Program.instance ~def:delivery_type ~steps ~assertions
-    ~footprints:(delivery_footprints i)
     ~compensate:delivery_compensate
     ~comp_area:(fun () ->
       (* flatten the delivered list, newest first: the compensation undoes

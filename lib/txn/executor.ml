@@ -73,12 +73,6 @@ type ctx = {
   mutable on_before_lock : Resource_id.t -> Mode.t -> unit;
   mutable step_t0 : float;
   mutable finished : bool;
-  mutable pre_acquired : (Mode.t * Resource_id.t) list;
-      (* the current step's batch-acquired footprint; a dynamic acquire of
-         an exact member is already held and skips the lock manager.  Reset
-         at step start and on any mid-transaction release; the short-lock
-         paths only release locks that were not already held, so a memo
-         entry stays held for the step's whole lifetime. *)
 }
 
 let make ?(cost = Cost_model.default) ?wal_policy service db =
@@ -167,7 +161,6 @@ let open_ctx t ~txn ~txn_type ~multi_step ~step_index ~area =
     on_before_lock = (fun _ _ -> ());
     step_t0 = 0.;
     finished = false;
-    pre_acquired = [];
   }
 
 let begin_txn t ~txn_type ~multi_step =
@@ -183,7 +176,6 @@ let engine ctx = ctx.eng
 let set_step ctx ~step_type ~step_index =
   ctx.step_type <- step_type;
   ctx.step_index <- step_index;
-  ctx.pre_acquired <- [];
   ctx.step_t0 <- ctx.eng.config.clock ();
   if Trace.enabled () then
     if ctx.compensating then
@@ -224,60 +216,15 @@ let request_of ctx ~admission ~deadline mode res =
    domain-blocking wait, depending on the backend).  When control returns
    normally the lock is held. *)
 let acquire ctx ?(admission = false) mode res =
-  if
-    (not admission)
-    && ctx.pre_acquired <> []
-    && List.exists
-         (fun (m, r) -> Mode.equal m mode && Resource_id.equal r res)
-         ctx.pre_acquired
-  then
-    (* this exact request is in the step's batch-acquired footprint: the lock
-       is held and the hooks and charge already ran at batch time with the
-       same mode, so the re-entrant round trip through the lock manager is
-       pure duplication — skip it.  (Exact mode match only: the lock hooks
-       are mode-sensitive, so a covering-but-different mode must still go
-       through the full path.) *)
-    ()
-  else begin
-    (* assertional locks that must be in place before the data lock (legacy
-       isolation) are taken here, ahead of the conventional request, so the
-       transaction never waits for them while already holding the data lock *)
-    if Mode.conventional mode then ctx.on_before_lock res mode;
-    charge ctx.eng
-      (if Mode.conventional mode then ctx.eng.cost.lock_op else ctx.eng.cost.assertional_op);
-    Lock_service.acquire ctx.eng.service
-      (request_of ctx ~admission ~deadline:(deadline_for ctx) mode res);
-    ctx.on_lock res mode
-  end
-
-(* Batched acquisition of a step's declared footprint.  Charging, the
-   before/after hooks, and the deadline policy are identical to running
-   [acquire] over the list; only the lock-manager interaction is batched
-   (canonical order, one shard-mutex round-trip per shard on the sharded
-   backend).  Later singleton acquires of the same resources are re-entrant
-   grants, so over-declared footprints cost a hash probe, not a conflict. *)
-let acquire_footprint ctx ?(admission = false) pairs =
-  match pairs with
-  | [] -> ()
-  | pairs ->
-      List.iter
-        (fun (mode, res) ->
-          if Mode.conventional mode then ctx.on_before_lock res mode;
-          charge ctx.eng
-            (if Mode.conventional mode then ctx.eng.cost.lock_op
-             else ctx.eng.cost.assertional_op))
-        pairs;
-      let deadline = deadline_for ctx in
-      Lock_service.acquire_batch ctx.eng.service
-        (List.map (fun (mode, res) -> request_of ctx ~admission ~deadline mode res) pairs);
-      List.iter (fun (mode, res) -> ctx.on_lock res mode) pairs;
-      (* admission-flagged requests carry gate semantics the memo must not
-         absorb, so only a plain footprint feeds the re-entrancy skip *)
-      if not admission then ctx.pre_acquired <- pairs;
-      if Trace.enabled () then
-        Trace.emit
-          (Trace.Batch_acquired
-             { txn = ctx.txn; step_type = ctx.step_type; count = List.length pairs })
+  (* assertional locks that must be in place before the data lock (legacy
+     isolation) are taken here, ahead of the conventional request, so the
+     transaction never waits for them while already holding the data lock *)
+  if Mode.conventional mode then ctx.on_before_lock res mode;
+  charge ctx.eng
+    (if Mode.conventional mode then ctx.eng.cost.lock_op else ctx.eng.cost.assertional_op);
+  Lock_service.acquire ctx.eng.service
+    (request_of ctx ~admission ~deadline:(deadline_for ctx) mode res);
+  ctx.on_lock res mode
 
 let attach_request_of ctx mode res =
   {
@@ -505,9 +452,6 @@ let area_field ctx name =
         (Printf.sprintf "%s (txn %d): work area lacks %s" ctx.txn_type ctx.txn name)
 
 let release_locks ctx pred =
-  (* any mid-transaction release invalidates the footprint memo wholesale —
-     a later acquire of a released pair must go back to the lock manager *)
-  ctx.pre_acquired <- [];
   (* WAL-before-unlock: once a conventional lock drops at a step boundary,
      a foreign transaction may read (and log decisions over) this step's
      writes, so the records describing them must be durable first — under a

@@ -198,20 +198,6 @@ val acquire :
 (** Raw checked lock acquisition (blocking); used by the ACC runtime for
     admission assertional locks and compensation locks. *)
 
-val acquire_footprint :
-  ctx ->
-  ?admission:bool ->
-  (Acc_lock.Mode.t * Acc_lock.Resource_id.t) list ->
-  unit
-(** Acquire a step's declared footprint as one [Lock_service.acquire_batch]:
-    canonical resource order, one shard-mutex round-trip per shard on the
-    sharded backend.  Charging, the before/after lock hooks and the deadline
-    policy are exactly as if {!acquire} ran over the list; emits one
-    [batch_acquired] trace event.  Resources the step later touches again
-    are re-entrant grants, so a footprint may safely over-approximate.  On
-    victimization or timeout mid-batch the members already granted remain
-    held and the step's normal abort path releases them.  No-op on []. *)
-
 val attach_lock : ctx -> Acc_lock.Mode.t -> Acc_lock.Resource_id.t -> unit
 (** Raw unconditional grant (the §3.3 mid-transaction assertional locks). *)
 

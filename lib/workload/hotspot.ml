@@ -22,8 +22,6 @@ module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 module Prng = Acc_util.Prng
 open Value
 
@@ -116,8 +114,6 @@ let gen_input env =
 let fp = Footprint.make
 let cols cs = Footprint.Columns cs
 let fresh = Footprint.Fresh
-let tab t = Rid.Table t
-let tup t k = Rid.Tuple (t, k)
 
 let hb_inc =
   Program.step ~id:1 ~name:"increment" ~txn_type:"hs_bump" ~index:1 ~repeats:true
@@ -201,16 +197,8 @@ let bump_instance env ~txn ~rows ~fail =
         (hb_inc, fun ctx -> inc_body env ~txn ~k:(idx + 1) ~row ~fail ~last:(idx = n - 1) ctx))
       rows
   in
-  let rows_arr = Array.of_list rows in
   Program.instance ~def:bump_type ~steps
     ~assertions:[ { Program.ai_assertion = a_hb_mine; ai_from = 2; ai_until = n; ai_check = None } ]
-    ~footprints:(fun j ->
-      if j >= 1 && j <= n then
-        [
-          (Mode.IX, tab "hot"); (Mode.X, tup "hot" [ Int rows_arr.(j - 1) ]);
-          (Mode.IX, tab "hot_audit"); (Mode.X, tup "hot_audit" [ Int txn; Int j ]);
-        ]
-      else [])
     ~compensate
     ~comp_area:(fun () ->
       ("txn", Int txn) :: ("n", Int n)

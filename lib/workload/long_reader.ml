@@ -30,8 +30,6 @@ module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 module Predicate_lock = Acc_lock.Predicate_lock
 module Prng = Acc_util.Prng
 open Value
@@ -188,8 +186,6 @@ let gen_input env =
 let fp = Footprint.make
 let cols cs = Footprint.Columns cs
 let fresh = Footprint.Fresh
-let tab t = Rid.Table t
-let tup t k = Rid.Tuple (t, k)
 
 let post_debit =
   Program.step ~id:1 ~name:"debit" ~txn_type:"lr_post" ~index:1
@@ -310,10 +306,6 @@ let post_instance env ~src ~dst ~amount ~fail =
         (post_debit, fun ctx -> debit_body env ~src ~amount ctx);
         (post_credit, fun ctx -> credit_body env ~dst ~amount ~fail ctx);
       ]
-    ~footprints:(fun j ->
-      if j = 1 then [ (Mode.IX, tab "ledger"); (Mode.X, tup "ledger" [ Int src ]) ]
-      else if j = 2 then [ (Mode.IX, tab "ledger"); (Mode.X, tup "ledger" [ Int dst ]) ]
-      else [])
     ~compensate:post_compensate
     ~comp_area:(fun () -> [ ("src", Int src); ("dst", Int dst); ("amount", Float amount) ])
     ()

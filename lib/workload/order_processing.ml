@@ -24,7 +24,6 @@ module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
-module Mode = Acc_lock.Mode
 module Rid = Acc_lock.Resource_id
 module Prng = Acc_util.Prng
 
@@ -223,19 +222,6 @@ let new_order ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~items () 
             ai_check = None;
           };
         ]
-      ~footprints:(fun j ->
-        if j = 1 then
-          [
-            (Mode.IX, Rid.Table "counter"); (Mode.X, Rid.Tuple ("counter", [ v_int 0 ]));
-            (Mode.IX, Rid.Table "orders");
-          ]
-        else if j >= 2 && j <= 1 + n_items then
-          let item, _ = List.nth items (j - 2) in
-          [
-            (Mode.IX, Rid.Table "stock"); (Mode.X, Rid.Tuple ("stock", [ v_int item ]));
-            (Mode.IX, Rid.Table "orderlines");
-          ]
-        else [])
       ~compensate:cancel_order
       ~comp_area:(fun () -> [ ("order_id", v_int !order_id) ])
       ()

@@ -25,8 +25,6 @@ module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 module Prng = Acc_util.Prng
 open Value
 
@@ -150,8 +148,6 @@ let next_au () = 1 + Atomic.fetch_and_add au_seq 1
 let fp = Footprint.make
 let cols cs = Footprint.Columns cs
 let fresh = Footprint.Fresh
-let tab t = Rid.Table t
-let tup t k = Rid.Tuple (t, k)
 
 let bal_read =
   Program.step ~id:1 ~name:"read-both" ~txn_type:"sb_balance" ~index:1
@@ -325,7 +321,10 @@ let wc_check_body env ~acct ~amount (ws : wc_ws) ctx =
   let s = Executor.read_exn ctx "saving" [ Int acct ] in
   env.pace ();
   let c = Executor.read_exn ctx "checking" [ Int acct ] in
-  ws.ok <- fnum s.(1) +. fnum c.(1) >= amount
+  ws.ok <- fnum s.(1) +. fnum c.(1) >= amount;
+  (* the client's pause between checking funds and writing the check: the
+     window write skew lives in *)
+  env.pace ()
 
 let wc_deduct_body env ~acct ~amount ~fail (ws : wc_ws) ctx =
   if fail then raise Txn_effect.Abort_requested;
@@ -435,22 +434,12 @@ let reset_global () =
 let balance_instance env ~acct =
   Program.instance ~def:balance_type
     ~steps:[ (bal_read, fun ctx -> bal_body env ~acct ctx) ]
-    ~footprints:(fun _ ->
-      [
-        (Mode.IS, tab "saving"); (Mode.S, tup "saving" [ Int acct ]);
-        (Mode.IS, tab "checking"); (Mode.S, tup "checking" [ Int acct ]);
-      ])
     ()
 
 let deposit_instance env ~acct ~amount =
   let ws = { au1 = 0 } in
   Program.instance ~def:deposit_type
     ~steps:[ (dc_apply, fun ctx -> dc_body env ~acct ~amount ws ctx) ]
-    ~footprints:(fun _ ->
-      [
-        (Mode.IX, tab "checking"); (Mode.X, tup "checking" [ Int acct ]);
-        (Mode.IX, tab "sb_audit");
-      ])
     ~compensate:dc_compensate
     ~comp_area:(fun () ->
       [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au1) ])
@@ -460,11 +449,6 @@ let transact_instance env ~acct ~amount =
   let ws = { au1 = 0 } in
   Program.instance ~def:transact_type
     ~steps:[ (ts_apply, fun ctx -> ts_body env ~acct ~amount ws ctx) ]
-    ~footprints:(fun _ ->
-      [
-        (Mode.IX, tab "saving"); (Mode.X, tup "saving" [ Int acct ]);
-        (Mode.IX, tab "sb_audit");
-      ])
     ~compensate:ts_compensate
     ~comp_area:(fun () ->
       [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au1) ])
@@ -479,18 +463,6 @@ let write_check_instance env ~acct ~amount ~fail =
         (wc_deduct, fun ctx -> wc_deduct_body env ~acct ~amount ~fail ws ctx);
       ]
     ~assertions:[ { Program.ai_assertion = a_wc_funds; ai_from = 2; ai_until = 2; ai_check = None } ]
-    ~footprints:(fun j ->
-      if j = 1 then
-        [
-          (Mode.IS, tab "saving"); (Mode.S, tup "saving" [ Int acct ]);
-          (Mode.IS, tab "checking"); (Mode.S, tup "checking" [ Int acct ]);
-        ]
-      else if j = 2 then
-        [
-          (Mode.IX, tab "checking"); (Mode.X, tup "checking" [ Int acct ]);
-          (Mode.IX, tab "sb_audit");
-        ]
-      else [])
     ~compensate:wc_compensate
     ~comp_area:(fun () -> [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au) ])
     ()
@@ -504,18 +476,6 @@ let amalgamate_instance env ~src ~dst ~fail =
         (am_put, fun ctx -> am_put_body env ~src ~dst ~fail ws ctx);
       ]
     ~assertions:[ { Program.ai_assertion = a_am_moved; ai_from = 2; ai_until = 2; ai_check = None } ]
-    ~footprints:(fun j ->
-      if j = 1 then
-        [
-          (Mode.IX, tab "saving"); (Mode.X, tup "saving" [ Int src ]);
-          (Mode.IX, tab "checking"); (Mode.X, tup "checking" [ Int src ]);
-        ]
-      else if j = 2 then
-        [
-          (Mode.IX, tab "checking"); (Mode.X, tup "checking" [ Int dst ]);
-          (Mode.IX, tab "sb_audit");
-        ]
-      else [])
     ~compensate:am_compensate
     ~comp_area:(fun () ->
       [
@@ -545,7 +505,6 @@ let flat env input ctx =
   | Write_check { acct; amount; fail } ->
       let ws = { ok = false; au = 0 } in
       wc_check_body env ~acct ~amount ws ctx;
-      env.pace ();
       wc_deduct_body env ~acct ~amount ~fail ws ctx
   | Amalgamate { src; dst; fail } ->
       let ws = { ms = 0.; mc = 0.; au = 0 } in

@@ -20,8 +20,6 @@ module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 module Prng = Acc_util.Prng
 
 let v_int n = Value.Int n
@@ -164,7 +162,6 @@ let buy ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~buyer ~want ~st
   let inst =
     Program.instance ~def:buy_type
       ~steps:(List.init steps (fun i -> (step_lot, lot_step (i + 1))))
-      ~footprints:(fun _ -> [ (Mode.IX, Rid.Table "sell_orders"); (Mode.IX, Rid.Table "ledger") ])
       ~compensate:return_shares
       ~comp_area:(fun () -> [ ("buyer", v_int buyer) ])
       ()

@@ -21,8 +21,6 @@ module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
-module Mode = Acc_lock.Mode
-module Rid = Acc_lock.Resource_id
 module Prng = Acc_util.Prng
 open Value
 
@@ -139,8 +137,6 @@ let gen_input env =
 let fp = Footprint.make
 let cols cs = Footprint.Columns cs
 let fresh = Footprint.Fresh
-let tab t = Rid.Table t
-let tup t k = Rid.Tuple (t, k)
 
 let gs_read =
   Program.step ~id:1 ~name:"read-profile" ~txn_type:"tatp_get_subscriber" ~index:1
@@ -282,25 +278,20 @@ let reset_global () = register_replay ()
 (* ------------------------------------------------------------------ *)
 (* Instances *)
 
-let read_footprint ~table ~key _ = [ (Mode.IS, tab table); (Mode.S, tup table key) ]
 
 let instance env input =
   match input with
   | Get_subscriber { sub } ->
       Program.instance ~def:get_subscriber_type
         ~steps:[ (gs_read, fun ctx -> gs_body env ~sub ctx) ]
-        ~footprints:(read_footprint ~table:"subscriber" ~key:[ Int sub ])
         ()
   | Get_access { sub; ty } ->
       Program.instance ~def:get_access_type
         ~steps:[ (ga_read, fun ctx -> ga_body env ~sub ~ty ctx) ]
-        ~footprints:(read_footprint ~table:"access_info" ~key:[ Int sub; Int ty ])
         ()
   | Update_bit { sub; bit } ->
       Program.instance ~def:update_bit_type
         ~steps:[ (ub_write, fun ctx -> ub_body env ~sub ~bit ctx) ]
-        ~footprints:(fun _ ->
-          [ (Mode.IX, tab "subscriber"); (Mode.X, tup "subscriber" [ Int sub ]) ])
         ~compensate:ub_compensate
         ~comp_area:(fun () -> [ ("sub", Int sub) ])
         ()
@@ -314,16 +305,6 @@ let instance env input =
           ]
         ~assertions:
           [ { Program.ai_assertion = a_ul_seq; ai_from = 2; ai_until = 2; ai_check = None } ]
-        ~footprints:(fun j ->
-          if j = 1 then
-            [ (Mode.IX, tab "subscriber"); (Mode.X, tup "subscriber" [ Int sub ]) ]
-          else if j = 2 then
-            [
-              (Mode.IX, tab "subscriber"); (Mode.X, tup "subscriber" [ Int sub ]);
-              (Mode.IX, tab "tatp_audit");
-              (Mode.X, tup "tatp_audit" [ Int sub; Int ws.seq ]);
-            ]
-          else [])
         ~compensate:ul_compensate
         ~comp_area:(fun () -> [ ("sub", Int sub); ("seq", Int ws.seq) ])
         ()

@@ -38,7 +38,6 @@ let one_of_each =
         interfering_step = Some 12;
       };
     Trace.Lock_wake { txn = 1; mode = Mode.X; resource = res 2 };
-    Trace.Batch_acquired { txn = 1; step_type = 3; count = 6 };
     Trace.Lock_release { txn = 1; mode = Mode.X; resource = res 2 };
     Trace.Lock_attach { txn = 3; step_type = 0; mode = Mode.Comp 1; resource = res 3 };
     Trace.Lock_cancel { txn = 3; resource = res 3 };

@@ -203,165 +203,6 @@ let prop_parity =
       check (Lock_table.entry_count seq = Sharded.entry_count sha);
       !ok)
 
-(* --- batched acquisition parity ----------------------------------------- *)
-
-(* acquire_batch must land exactly the lock state of the equivalent singleton
-   sequence (the canonicalized requests acquired one by one) on both
-   backends.  Generated batches mix admission/compensating flags, modes and
-   transactions but are granted-by-construction — shared resources are taken
-   in intent modes only (mutually compatible) and absolute modes stay on
-   per-transaction tuples — so the single-threaded driver never suspends;
-   the blocking and expiry corners are the directed tests below. *)
-
-let batch_req_gen =
-  QCheck2.Gen.(
-    map
-      (fun (txn, step, adm, comp, shared, pick) ->
-        let resource =
-          if shared then
-            [| Resource_id.Table "t"; Resource_id.Table "u"; Resource_id.Table "v" |].(pick mod 3)
-          else
-            [|
-              Resource_id.Tuple ("t", [ Value.Int (10 * txn) ]);
-              Resource_id.Tuple ("u", [ Value.Int (10 * txn) ]);
-              Resource_id.Tuple ("v", [ Value.Int ((10 * txn) + 1) ]);
-            |].(pick mod 3)
-        in
-        let mode =
-          if shared then [| Mode.IS; Mode.IX |].(pick mod 2)
-          else [| Mode.S; Mode.X; Mode.A 100; Mode.Comp 10 |].(pick)
-        in
-        Lock_request.make ~txn ~step_type:step ~admission:adm ~compensating:comp mode
-          resource)
-      (tup6 (int_range 1 3) (oneofl [ 0; 10; 11 ]) bool bool bool (int_range 0 3)))
-
-let universe =
-  [ Resource_id.Table "t"; Resource_id.Table "u"; Resource_id.Table "v" ]
-  @ List.concat_map
-      (fun txn ->
-        [
-          Resource_id.Tuple ("t", [ Value.Int (10 * txn) ]);
-          Resource_id.Tuple ("u", [ Value.Int (10 * txn) ]);
-          Resource_id.Tuple ("v", [ Value.Int ((10 * txn) + 1) ]);
-        ])
-      [ 1; 2; 3 ]
-
-let never_wait ~ticket:_ ~txn:_ = assert false
-
-let prop_batch_parity =
-  QCheck2.Test.make
-    ~name:"acquire_batch = canonical singleton sequence, both backends" ~count:300
-    QCheck2.Gen.(
-      triple (oneofl [ 1; 2; 4; 7 ]) bool (list_size (int_range 0 24) batch_req_gen))
-    (fun (shards, fast, reqs) ->
-      (* sharded: batch vs singleton *)
-      let sha_b = Sharded.create ~shards ~fast parity_sem in
-      Sharded.acquire_batch sha_b reqs;
-      let batch_mutex_ops = Sharded.mutex_acquisitions sha_b in
-      let sha_s = Sharded.create ~shards ~fast parity_sem in
-      List.iter (Sharded.acquire_req sha_s) (Lock_request.canonicalize reqs);
-      let singleton_mutex_ops = Sharded.mutex_acquisitions sha_s in
-      (* sequential service: batch vs singleton *)
-      let seq_b_t = Lock_table.create parity_sem in
-      let seq_b = Lock_service.of_table ~wait:never_wait ~deliver:ignore seq_b_t in
-      Lock_service.acquire_batch seq_b reqs;
-      let seq_s_t = Lock_table.create parity_sem in
-      let seq_s = Lock_service.of_table ~wait:never_wait ~deliver:ignore seq_s_t in
-      List.iter (Lock_service.acquire seq_s) (Lock_request.canonicalize reqs);
-      let held t res = List.sort compare (Sharded.holders t res) in
-      let ok = ref true in
-      let check b = if not b then ok := false in
-      List.iter
-        (fun res ->
-          check (held sha_b res = held sha_s res);
-          check
-            (List.sort compare (Lock_table.holders seq_b_t res)
-            = List.sort compare (Lock_table.holders seq_s_t res));
-          (* cross-backend: the sharded end state matches the sequential one *)
-          check (held sha_b res = List.sort compare (Lock_table.holders seq_b_t res)))
-        universe;
-      check (Sharded.lock_count sha_b = Sharded.lock_count sha_s);
-      check (Sharded.lock_count sha_b = Lock_table.lock_count seq_b_t);
-      check (Sharded.waiter_count sha_b = 0 && Sharded.waiter_count sha_s = 0);
-      (* the batch's reason to exist: never more shard-mutex round trips than
-         the singleton sequence (snapshots taken before the state queries
-         above, which also take shard mutexes) *)
-      check (batch_mutex_ops <= singleton_mutex_ops);
-      !ok)
-
-(* A batch whose later member is held elsewhere: earlier members are granted
-   and stay held while the caller blocks, and the batch completes when the
-   blocker leaves — the singleton-equivalent end state. *)
-let test_batch_blocks_then_completes () =
-  (* one shard so the canonical order (r1 before r2) is also the
-     acquisition order — shard groups are walked in shard-index order *)
-  let t = Sharded.create ~shards:1 Mode.no_semantics in
-  let r1 = Resource_id.Tuple ("t", [ Value.Int 1 ]) in
-  let r2 = Resource_id.Tuple ("t", [ Value.Int 2 ]) in
-  Sharded.acquire_req t (Lock_request.make ~txn:1 Mode.X r2);
-  let d =
-    Domain.spawn (fun () ->
-        (* canonical order acquires r1 first, then blocks on r2 *)
-        Sharded.acquire_batch t
-          [ Lock_request.make ~txn:2 Mode.X r2; Lock_request.make ~txn:2 Mode.X r1 ];
-        `Done)
-  in
-  let spins = ref 0 in
-  while Sharded.waiter_count t = 0 && !spins < 5000 do
-    incr spins;
-    Unix.sleepf 0.001
-  done;
-  Alcotest.(check bool) "earlier batch member already held" true
-    (List.exists (fun (txn, m, _) -> txn = 2 && m = Mode.X) (Sharded.holders t r1));
-  ignore (Sharded.release_all t ~txn:1);
-  (match Domain.join d with
-  | `Done -> ()
-  | _ -> Alcotest.fail "batch did not complete");
-  Alcotest.(check bool) "blocked member granted after handoff" true
-    (List.exists (fun (txn, m, _) -> txn = 2 && m = Mode.X) (Sharded.holders t r2));
-  ignore (Sharded.release_all t ~txn:2);
-  Alcotest.(check int) "no residue" 0 (Sharded.lock_count t);
-  Alcotest.(check int) "no waiters" 0 (Sharded.waiter_count t)
-
-(* Deadline expiry mid-batch: the queued member is withdrawn by the sweep and
-   the batch raises [Lock_timeout]; the caller's abort path reclaims the
-   already-granted members and nothing leaks. *)
-let test_batch_deadline_expiry () =
-  let t = Sharded.create ~shards:1 Mode.no_semantics in
-  let r1 = Resource_id.Tuple ("t", [ Value.Int 1 ]) in
-  let r2 = Resource_id.Tuple ("t", [ Value.Int 2 ]) in
-  Sharded.acquire_req t (Lock_request.make ~txn:1 Mode.X r2);
-  let d =
-    Domain.spawn (fun () ->
-        match
-          Sharded.acquire_batch t
-            [
-              Lock_request.make ~txn:2 Mode.X r1;
-              Lock_request.make ~txn:2 ~deadline:(Unix.gettimeofday () +. 0.05) Mode.X r2;
-            ]
-        with
-        | () ->
-            ignore (Sharded.release_all t ~txn:2);
-            `Granted
-        | exception Txn_effect.Lock_timeout ->
-            (* the executor's abort path: release the partial grants *)
-            ignore (Sharded.release_all t ~txn:2);
-            `Timed_out)
-  in
-  let sweeps = ref 0 in
-  while Sharded.timeout_count t = 0 && !sweeps < 5000 do
-    incr sweeps;
-    Unix.sleepf 0.002;
-    ignore (Sharded.expire t ~now:(Unix.gettimeofday ()))
-  done;
-  (match Domain.join d with
-  | `Timed_out -> ()
-  | `Granted -> Alcotest.fail "expected the batch to time out");
-  ignore (Sharded.release_all t ~txn:1);
-  Alcotest.(check int) "no residue locks" 0 (Sharded.lock_count t);
-  Alcotest.(check int) "no residue waiters" 0 (Sharded.waiter_count t);
-  Alcotest.(check int) "one timeout recorded" 1 (Sharded.timeout_count t)
-
 (* --- lock-free fast path (DESIGN.md §17) -------------------------------- *)
 
 (* Compatible installers racing on one resource: both CAS into the same fast
@@ -536,14 +377,18 @@ let test_fast_shared_buckets () =
 
 (* The watchdog's walks leave a long-lived assertional hold on the fast
    path.  A foreign A 100 sits on a tuple while a second domain calls
-   [waiter_count], [lock_count] and [wait_edges] every millisecond, and X
-   rounds on the tuple from step 11 (which does not interfere with 100) run
-   for a fixed time.  If a walk bumped the seqlock, a racing install would
-   retreat and its slow retry would move the A hold into the table for good,
-   shutting the fast path until the hold's release. *)
+   [waiter_count], [lock_count], [wait_edges] and [expire] every
+   millisecond, and X rounds on the tuple from step 11 (which does not
+   interfere with 100) run for a fixed time.  The shard's table is never
+   empty meanwhile: txn 3's table S on "u" always lives there, so [expire]
+   visits the shard on every tick, with nothing overdue.  If a walk bumped
+   the seqlock, a racing install would retreat and its slow retry would move
+   the A hold into the table for good, shutting the fast path until the
+   hold's release. *)
 let test_fast_readonly_walks_no_retreat () =
-  let t = Sharded.create parity_sem in
+  let t = Sharded.create ~shards:1 parity_sem in
   let r = Resource_id.Tuple ("t", [ Value.Int 1 ]) in
+  Sharded.acquire_req t (Lock_request.make ~txn:3 ~step_type:0 Mode.S (Resource_id.Table "u"));
   Sharded.attach_req t (Lock_request.make ~txn:1 ~step_type:0 (Mode.A 100) r);
   let stop = Atomic.make false in
   let walker =
@@ -552,6 +397,7 @@ let test_fast_readonly_walks_no_retreat () =
           ignore (Sharded.waiter_count t);
           ignore (Sharded.lock_count t);
           ignore (Sharded.wait_edges t);
+          ignore (Sharded.expire t ~now:(Unix.gettimeofday ()));
           Unix.sleepf 0.001
         done)
   in
@@ -568,6 +414,7 @@ let test_fast_readonly_walks_no_retreat () =
   if float_of_int hits < 0.99 *. float_of_int attempts then
     Alcotest.failf "%d of %d X rounds past the A hold hit the fast path" hits attempts;
   ignore (Sharded.release_all t ~txn:1);
+  ignore (Sharded.release_all t ~txn:3);
   Alcotest.(check int) "no residue" 0 (Sharded.lock_count t)
 
 (* Group commit's durability contract through the executor: arm the
@@ -926,13 +773,6 @@ let suites =
         Alcotest.test_case "victim policy spares compensating waiter" `Quick
           test_victim_policy_spares_compensation;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_parity;
-        QCheck_alcotest.to_alcotest
-          ~rand:(Random.State.make [| 0xACC |])
-          prop_batch_parity;
-        Alcotest.test_case "batch blocks mid-footprint, completes on handoff" `Quick
-          test_batch_blocks_then_completes;
-        Alcotest.test_case "deadline expiry mid-batch reclaims cleanly" `Quick
-          test_batch_deadline_expiry;
       ] );
     ( "parallel.fastpath",
       [

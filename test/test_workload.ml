@@ -100,16 +100,18 @@ let test_all_baseline () =
 
 (* --- directed write-skew ------------------------------------------------ *)
 
-(* Two write_checks of 400 against one account endowed with 600, run with
-   batched footprints so both verify-funds steps hold their S locks — and
-   attach wc_funds — before either deduct is admitted.  The shipped
-   interference table makes each deduct (and its void-check compensation
-   lock) interfere with the other's held wc_funds assertion: the crosswise
-   blocks are a deadlock, the victim policy compensates one, and at most
-   one deduct lands (total stays >= 0).  The weakened table declares the
-   deducts compatible with wc_funds — the false claim — so both stale
-   decisions execute and the account is jointly overdrawn, which
-   [SB.consistency] must report. *)
+(* Two write_checks of 400 against one account endowed with 600.  The
+   verify-funds step paces after its last read, as a client pauses between
+   checking funds and writing the check; under the yielding pace both
+   verify-funds steps hold their S locks — and attach wc_funds — before
+   either deduct is admitted.  That pause is the window write skew lives
+   in.  The shipped interference table makes each deduct (and its
+   void-check compensation lock) interfere with the other's held wc_funds
+   assertion: the crosswise blocks are a deadlock, the victim policy
+   compensates one, and at most one deduct lands (total stays >= 0).  The
+   weakened table declares the deducts compatible with wc_funds — the false
+   claim — so both stale decisions execute and the account is jointly
+   overdrawn, which [SB.consistency] must report. *)
 let write_skew_race sem =
   SB.reset_global ();
   let db = SB.populate ~accounts:4 ~seed:3 in
@@ -119,10 +121,9 @@ let write_skew_race sem =
       ~pace:(fun () -> Txn_effect.yield ())
       ~accounts:4 ~skew:0. ~abort_rate:0. ~mix:None ~seed:1 ()
   in
-  let options = { Runtime.default_options with Runtime.batch_footprints = true } in
   let run acct =
     let inst = SB.write_check_instance env ~acct ~amount:400. ~fail:false in
-    fun () -> ignore (Runtime.run eng ~options inst)
+    fun () -> ignore (Runtime.run eng inst)
   in
   Schedule.run ~policy:Runtime.victim_policy eng [ run 1; run 1 ];
   SB.consistency (Executor.db eng)

@@ -73,6 +73,16 @@ let install_lock_hook ctx inst ~granularity ~step_dyn_index =
     | Some c -> Some c.Program.sd_id
     | None -> None
   in
+  (* the step's attach plan, built once: each attachable assertion's [A]
+     mode and the tables it refers to, in assertion-list order *)
+  let plan =
+    List.filter_map
+      (fun ai ->
+        let a = ai.Program.ai_assertion in
+        if attachable ai step_dyn_index then Some (Mode.A a.Assertion.id, Assertion.tables a)
+        else None)
+      inst.Program.i_assertions
+  in
   Executor.set_on_lock ctx (fun res mode ->
       (* assertional locks anchor on tuples: a table-level attachment would
          assert about every row of the table and block unrelated fresh-row
@@ -81,24 +91,11 @@ let install_lock_hook ctx inst ~granularity ~step_dyn_index =
       (match (res, mode) with
       | Resource_id.Tuple _, (Mode.S | Mode.X) ->
           let table = Resource_id.table_of res in
-          (* one attach_batch per data lock: order and multiplicity are the
-             assertion-list order, exactly as the attach-per-assertion loop
-             produced *)
-          Executor.attach_locks ctx
-            (List.filter_map
-               (fun ai ->
-                 if
-                   attachable ai step_dyn_index
-                   && List.mem table (Assertion.tables ai.Program.ai_assertion)
-                 then
-                   let anchor =
-                     match granularity with
-                     | Item -> res
-                     | Table -> Resource_id.Table table
-                   in
-                   Some (Mode.A ai.Program.ai_assertion.Assertion.id, anchor)
-                 else None)
-               inst.Program.i_assertions)
+          let anchor = match granularity with Item -> res | Table -> Resource_id.Table table in
+          List.iter
+            (fun (a_mode, tables) ->
+              if List.mem table tables then Executor.attach_lock ctx a_mode anchor)
+            plan
       | _, (Mode.IS | Mode.IX | Mode.A _ | Mode.Comp _) | Resource_id.Table _, _ -> ());
       match (res, mode, comp_step_id) with
       | Resource_id.Tuple _, Mode.X, Some cs ->

@@ -2,7 +2,6 @@ module type S = sig
   val backend_name : string
   val acquire : Lock_request.t -> unit
   val attach : Lock_request.t -> unit
-  val attach_batch : Lock_request.t list -> unit
   val release : txn:int -> Mode.t -> Resource_id.t -> unit
   val release_where : txn:int -> (Resource_id.t -> Mode.t -> bool) -> unit
   val release_all : txn:int -> unit
@@ -36,7 +35,6 @@ type t = (module S)
 let backend_name (module M : S) = M.backend_name
 let acquire (module M : S) req = M.acquire req
 let attach (module M : S) req = M.attach req
-let attach_batch (module M : S) reqs = M.attach_batch reqs
 let release (module M : S) ~txn mode res = M.release ~txn mode res
 let release_where (module M : S) ~txn pred = M.release_where ~txn pred
 let release_all (module M : S) ~txn = M.release_all ~txn
@@ -74,7 +72,6 @@ let of_table ~wait ~deliver table : t =
       | Lock_table.Queued ticket -> wait ~ticket ~txn:r.Lock_request.txn
 
     let attach r = Lock_table.attach_req table r
-    let attach_batch reqs = List.iter attach reqs
     let release ~txn mode res = deliver (Lock_table.release table ~txn mode res)
     let release_where ~txn pred = deliver (Lock_table.release_where table ~txn pred)
     let release_all ~txn = deliver (Lock_table.release_all table ~txn)

@@ -7,10 +7,9 @@
     watchdog and the drivers all program against [t]; which manager backs an
     engine is decided once, at construction.
 
-    Requests are {!Lock_request.t} values, and a step acquires its locks one
-    {!acquire} at a time, as it touches each item (§3.3).  Only attaches come
-    in lists ({!attach_batch}): they are unconditional, so the sharded
-    backend can take each shard mutex once for a whole list. *)
+    Requests are {!Lock_request.t} values, and a step takes its locks one at
+    a time, as it touches each item (§3.3): one {!acquire} per checked
+    request, one {!attach} per unconditional assertional grant. *)
 
 (** Operations of one lock-manager instance.  The functions close over the
     instance, so a backend is a value of type [t = (module S)]; use the
@@ -31,12 +30,6 @@ module type S = sig
   val attach : Lock_request.t -> unit
   (** Unconditional grant (the §3.3 assertional-lock attach); the request's
       [admission]/[compensating]/[deadline] fields are ignored. *)
-
-  val attach_batch : Lock_request.t list -> unit
-  (** Attach a list of unconditional grants, in caller order (attaches
-      cannot deadlock, so no canonicalization — multiplicity is preserved
-      because each attach counts re-entrantly).  The sharded backend groups
-      per shard and takes each mutex once. *)
 
   val release : txn:int -> Mode.t -> Resource_id.t -> unit
   (** Release one unit of one hold; wakeups are delivered internally (to the
@@ -107,7 +100,6 @@ type t = (module S)
 val backend_name : t -> string
 val acquire : t -> Lock_request.t -> unit
 val attach : t -> Lock_request.t -> unit
-val attach_batch : t -> Lock_request.t list -> unit
 val release : t -> txn:int -> Mode.t -> Resource_id.t -> unit
 val release_where : t -> txn:int -> (Resource_id.t -> Mode.t -> bool) -> unit
 val release_all : t -> txn:int -> unit

@@ -102,9 +102,9 @@ type t = {
   use_fast : bool;
   timeouts : int Atomic.t;  (* lock waits expired over the table's lifetime *)
   mutex_ops : int Atomic.t;
-      (* explicit shard-mutex acquisitions (one per synchronous operation, one
-         per blocking acquire, one per shard group of an attach list) — the
-         quantity the fast path avoids entirely.
+      (* explicit shard-mutex acquisitions (one per synchronous operation,
+         one per blocking acquire, one per attach that misses the fast path)
+         — the quantity the fast path avoids entirely.
          Condition.wait's internal reacquisitions are not counted: they are
          wakeups, not request round-trips. *)
   fast_attempts : int Atomic.t;  (* fast-path installs attempted *)
@@ -642,30 +642,6 @@ let attach_req t (r : Lock_request.t) =
   if t.use_fast && fast_eligible r && fast_attach t idx s r then ()
   else with_shard t s (fun () -> slow_attach s r)
 
-(* Attaches are unconditional, so batching is just per-shard grouping (caller
-   order preserved within each shard) under one mutex acquisition each; each
-   member first tries the lock-free install. *)
-let attach_batch t reqs =
-  match reqs with
-  | [] -> ()
-  | reqs ->
-      let groups = Array.make (n_shards t) [] in
-      List.iter
-        (fun (r : Lock_request.t) ->
-          let idx = shard_index t r.Lock_request.resource in
-          let s = t.shards.(idx) in
-          if not (t.use_fast && fast_eligible r && fast_attach t idx s r) then
-            groups.(idx) <- r :: groups.(idx))
-        reqs;
-      Array.iteri
-        (fun idx group ->
-          match List.rev group with
-          | [] -> ()
-          | group ->
-              let s = t.shards.(idx) in
-              with_shard t s (fun () -> List.iter (slow_attach s) group))
-        groups
-
 let release t ~txn mode res =
   let idx = shard_index t res in
   let s = t.shards.(idx) in
@@ -949,7 +925,6 @@ let service t : Lock_service.t =
     let backend_name = "sharded"
     let acquire r = acquire_req t r
     let attach r = attach_req t r
-    let attach_batch reqs = attach_batch t reqs
     let release ~txn mode res = ignore (release t ~txn mode res)
     let release_where ~txn pred = ignore (release_where t ~txn pred)
     let release_all ~txn = ignore (release_all t ~txn)

@@ -55,8 +55,8 @@ val timeout_count : t -> int
 val mutex_acquisitions : t -> int
 (** Explicit shard-mutex acquisitions over the table's lifetime: one per
     synchronous operation that visits a shard, one per blocking
-    {!acquire_req} that misses the fast path, and one {e per shard group} of
-    an {!attach_batch} — the quantity the fast path avoids entirely.
+    {!acquire_req} that misses the fast path, and one per {!attach_req} that
+    misses it — the quantity the fast path avoids entirely.
     Fast-path installs, lock-free {!holders} reads, and shards skipped by the
     per-transaction activity index or because their table is empty cost
     none.  Condition-variable reacquisitions during sleeps are not
@@ -88,10 +88,6 @@ val submit : t -> Acc_lock.Lock_request.t -> Acc_lock.Lock_table.grant
 
 val attach_req : t -> Acc_lock.Lock_request.t -> unit
 (** Unconditional §3.3 grant on the resource's shard. *)
-
-val attach_batch : t -> Acc_lock.Lock_request.t list -> unit
-(** Attach a list of unconditional grants, grouped per shard (caller order
-    preserved within a shard), one mutex acquisition per shard touched. *)
 
 val release :
   t -> txn:int -> Acc_lock.Mode.t -> Acc_lock.Resource_id.t -> Acc_lock.Lock_table.wakeup list

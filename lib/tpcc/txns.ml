@@ -665,6 +665,25 @@ let dl_step_district env (i : delivery_input) ws ~d ctx =
              row));
       ws.delivered <- { dv_d = d; dv_o = o_id; dv_c = c_id; dv_amount = !amount } :: ws.delivered
 
+(* The work-area field names of the [idx]th delivered quadruple.  A step end
+   rebuilds the area after every district, so the names are built once, at
+   module initialization, for more indexes than TPC-C's 10 districts per
+   warehouse; the area and {!delivery_compensate} both read them here. *)
+type dl_names = { nm_d : string; nm_o : string; nm_c : string; nm_amt : string }
+
+let make_dl_names idx =
+  {
+    nm_d = Printf.sprintf "d%d" idx;
+    nm_o = Printf.sprintf "o%d" idx;
+    nm_c = Printf.sprintf "c%d" idx;
+    nm_amt = Printf.sprintf "amt%d" idx;
+  }
+
+let built_dl_names = Array.init 16 make_dl_names
+
+let dl_names idx =
+  if idx < Array.length built_dl_names then built_dl_names.(idx) else make_dl_names idx
+
 (* Undo each delivered (district, order, customer, amount) quadruple the
    work area lists, newest first. *)
 let delivery_compensate ctx ~completed =
@@ -673,9 +692,9 @@ let delivery_compensate ctx ~completed =
   let int name = as_int (field name) in
   let w = int "w" in
   for idx = 0 to int "n" - 1 do
-    let d = int (Printf.sprintf "d%d" idx) and o = int (Printf.sprintf "o%d" idx) in
-    let c = int (Printf.sprintf "c%d" idx) in
-    let amount = fnum (field (Printf.sprintf "amt%d" idx)) in
+    let names = dl_names idx in
+    let d = int names.nm_d and o = int names.nm_o and c = int names.nm_c in
+    let amount = fnum (field names.nm_amt) in
     ignore
       (Executor.update ctx "customer" (Load.customer_key ~w ~d ~c) (fun row ->
            row.(6) <- Float (fnum row.(6) -. amount);
@@ -894,11 +913,12 @@ let delivery_instance env (i : delivery_input) =
       :: List.concat
            (List.mapi
               (fun idx dv ->
+                let names = dl_names idx in
                 [
-                  (Printf.sprintf "d%d" idx, Int dv.dv_d);
-                  (Printf.sprintf "o%d" idx, Int dv.dv_o);
-                  (Printf.sprintf "c%d" idx, Int dv.dv_c);
-                  (Printf.sprintf "amt%d" idx, Float dv.dv_amount);
+                  (names.nm_d, Int dv.dv_d);
+                  (names.nm_o, Int dv.dv_o);
+                  (names.nm_c, Int dv.dv_c);
+                  (names.nm_amt, Float dv.dv_amount);
                 ])
               ws.delivered))
     ()

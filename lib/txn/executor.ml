@@ -241,14 +241,6 @@ let attach_lock ctx mode res =
   charge ctx.eng ctx.eng.cost.assertional_op;
   Lock_service.attach ctx.eng.service (attach_request_of ctx mode res)
 
-let attach_locks ctx pairs =
-  match pairs with
-  | [] -> ()
-  | pairs ->
-      List.iter (fun _ -> charge ctx.eng ctx.eng.cost.assertional_op) pairs;
-      Lock_service.attach_batch ctx.eng.service
-        (List.map (fun (mode, res) -> attach_request_of ctx mode res) pairs)
-
 let lock_tuple_read ctx tname key =
   acquire ctx Mode.IS (Resource_id.Table tname);
   acquire ctx Mode.S (Resource_id.Tuple (tname, key))

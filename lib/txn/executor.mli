@@ -201,12 +201,6 @@ val acquire :
 val attach_lock : ctx -> Acc_lock.Mode.t -> Acc_lock.Resource_id.t -> unit
 (** Raw unconditional grant (the §3.3 mid-transaction assertional locks). *)
 
-val attach_locks : ctx -> (Acc_lock.Mode.t * Acc_lock.Resource_id.t) list -> unit
-(** Attach a list of unconditional grants through
-    [Lock_service.attach_batch] — caller order and multiplicity
-    preserved, one shard-mutex round-trip per shard on the sharded
-    backend. *)
-
 (* step machinery (driven by the ACC runtime; flat 2PL never calls these) *)
 
 val undo_stack_size : ctx -> int

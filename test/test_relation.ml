@@ -313,6 +313,26 @@ let test_field () =
   let row = Table.get_exn t [ v_int 2 ] in
   Alcotest.(check int) "field by name" 250 (Value.as_int (Table.field t row "balance"))
 
+(* Keys are one exactly when polymorphic [compare] says so: [0.0] and
+   [-0.0] are one key, and a NaN key finds itself. *)
+let test_table_float_key_equality () =
+  let t =
+    Table.create
+      (Schema.make ~name:"readings" ~key:[ "at" ]
+         [ Schema.col "at" Value.Tfloat; Schema.col "v" Value.Tint ])
+  in
+  let duplicate row =
+    match Table.insert t row with () -> false | exception Table.Duplicate_key _ -> true
+  in
+  let v_at at = Option.map (fun row -> Value.as_int row.(1)) (Table.get t [ Value.Float at ]) in
+  Table.insert t [| Value.Float 0.0; v_int 1 |];
+  Alcotest.(check bool) "-0.0 duplicates 0.0" true (duplicate [| Value.Float (-0.0); v_int 2 |]);
+  Alcotest.(check (option int)) "-0.0 finds 0.0's row" (Some 1) (v_at (-0.0));
+  Table.insert t [| Value.Float Float.nan; v_int 3 |];
+  Alcotest.(check bool) "NaN duplicates NaN" true (duplicate [| Value.Float Float.nan; v_int 4 |]);
+  Alcotest.(check (option int)) "NaN finds its row" (Some 3) (v_at Float.nan);
+  Alcotest.(check int) "two rows" 2 (Table.cardinality t)
+
 (* --- Ordered index ------------------------------------------------------ *)
 
 module Ordered_index = Acc_relation.Ordered_index
@@ -502,7 +522,16 @@ let test_database_copy () =
 
 (* --- qcheck: table/index coherence under random mutation sequences ----- *)
 
-type op = Insert of int * int | Delete of int | Update of int * int
+(* [Rename] rewrites the unindexed [owner] and [Rewrite] writes a row's
+   balance back unchanged: both leave every index key as it was.  [Update]
+   may move one, so updates take both the unchanged and the re-index branch
+   of [Table.update]. *)
+type op =
+  | Insert of int * int
+  | Delete of int
+  | Update of int * int
+  | Rename of int * string
+  | Rewrite of int
 
 let op_gen =
   QCheck2.Gen.(
@@ -511,27 +540,42 @@ let op_gen =
         map2 (fun k v -> Insert (k, v)) (int_range 0 20) (int_range 0 100);
         map (fun k -> Delete k) (int_range 0 20);
         map2 (fun k v -> Update (k, v)) (int_range 0 20) (int_range 0 100);
+        map2 (fun k o -> Rename (k, o)) (int_range 0 20) (oneofl [ "o"; "p"; "q" ]);
+        map (fun k -> Rewrite k) (int_range 0 20);
       ])
 
 let apply_op model table op =
-  (* [model] is an association list mirror of the table *)
+  (* [model] is an association list mirror of the table: id -> (owner, balance) *)
   match op with
   | Insert (k, v) ->
       if List.mem_assoc k !model then ()
       else begin
         Table.insert table [| v_int k; v_str "o"; v_int v; Value.Null |];
-        model := (k, v) :: !model
+        model := (k, ("o", v)) :: !model
       end
   | Delete k ->
       if List.mem_assoc k !model then begin
         ignore (Table.delete table [ v_int k ]);
         model := List.remove_assoc k !model
       end
-  | Update (k, v) ->
-      if List.mem_assoc k !model then begin
-        ignore (Table.set_column table [ v_int k ] "balance" (v_int v));
-        model := (k, v) :: List.remove_assoc k !model
-      end
+  | Update (k, v) -> (
+      match List.assoc_opt k !model with
+      | Some (owner, _) ->
+          ignore (Table.set_column table [ v_int k ] "balance" (v_int v));
+          model := (k, (owner, v)) :: List.remove_assoc k !model
+      | None -> ())
+  | Rename (k, owner) -> (
+      match List.assoc_opt k !model with
+      | Some (_, v) ->
+          ignore (Table.set_column table [ v_int k ] "owner" (v_str owner));
+          model := (k, (owner, v)) :: List.remove_assoc k !model
+      | None -> ())
+  | Rewrite k ->
+      if List.mem_assoc k !model then
+        ignore
+          (Table.update table [ v_int k ] (fun row ->
+               row.(2) <- v_int (Value.as_int row.(2));
+               row))
 
 let prop_table_matches_model =
   QCheck2.Test.make ~name:"table: random ops match model" ~count:200
@@ -539,22 +583,33 @@ let prop_table_matches_model =
     (fun ops ->
       let table = Table.create (accounts_schema ()) in
       Table.add_index table ~name:"by_balance" [ "balance" ];
+      Table.add_ordered_index table ~name:"balance_order" [ "balance" ];
       let model = ref [] in
       List.iter (apply_op model table) ops;
       (* cardinality and every row agree with the model *)
       Table.cardinality table = List.length !model
       && List.for_all
-           (fun (k, v) ->
+           (fun (k, (owner, v)) ->
              match Table.get table [ v_int k ] with
-             | Some row -> Value.as_int row.(2) = v
+             | Some row -> Value.as_str row.(1) = owner && Value.as_int row.(2) = v
              | None -> false)
            !model
-      (* the index agrees with a predicate scan for every live balance *)
+      (* the index agrees with a predicate scan for every live balance, and
+         the ordered index lists the rows at or above it in (balance, id)
+         order *)
       && List.for_all
-           (fun (_, v) ->
+           (fun (_, (_, v)) ->
              let via_index = Table.index_lookup table ~index:"by_balance" [ v_int v ] in
              let via_scan = Table.scan_keys ~where:(Predicate.Eq ("balance", v_int v)) table in
-             List.sort compare via_index = List.sort compare via_scan)
+             let ranged = Table.range_lookup table ~index:"balance_order" ~lo:[ v_int v ] () in
+             let expected =
+               List.sort compare
+                 (List.filter_map
+                    (fun (k, (_, b)) -> if b >= v then Some (b, k) else None)
+                    !model)
+             in
+             List.sort compare via_index = List.sort compare via_scan
+             && ranged = List.map (fun (b, k) -> ([ v_int b ], [ v_int k ])) expected)
            !model)
 
 let suites =
@@ -603,6 +658,7 @@ let suites =
         Alcotest.test_case "fold" `Quick test_table_fold;
         Alcotest.test_case "copy independent" `Quick test_table_copy_independent;
         Alcotest.test_case "field by name" `Quick test_field;
+        Alcotest.test_case "float key equality" `Quick test_table_float_key_equality;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_table_matches_model;
       ] );
     ( "relation.ordered_index",

@@ -140,6 +140,13 @@ let parallel_report_json ?cfg (r : P.report) =
           (if r.P.fast_path_attempts = 0 then 0.
            else float_of_int r.P.fast_path_hits /. float_of_int r.P.fast_path_attempts) );
       ("wal_flushes", Json.Int r.P.wal_flushes);
+      ( "gc",
+        Json.Obj
+          [
+            ("minor_words_per_commit", Json.Float r.P.gc_minor_words);
+            ("promoted_words_per_commit", Json.Float r.P.gc_promoted_words);
+            ("minor_collections_per_commit", Json.Float r.P.gc_minor_collections);
+          ] );
       ( "step_latency",
         Json.List
           (List.map

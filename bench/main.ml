@@ -398,7 +398,7 @@ let bench_db () =
   let db = Database.create () in
   let t = Database.create_table db bench_schema in
   for i = 1 to 1000 do
-    Table.insert t [| Value.Int i; Value.Int 0 |]
+    ignore (Table.insert t [| Value.Int i; Value.Int 0 |])
   done;
   db
 

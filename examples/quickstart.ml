@@ -33,7 +33,7 @@ let accounts =
 let make_db () =
   let db = Database.create () in
   let t = Database.create_table db accounts in
-  List.iter (fun (id, bal) -> Table.insert t [| v_int id; v_int bal |]) [ (1, 100); (2, 100); (3, 100) ];
+  List.iter (fun (id, bal) -> ignore (Table.insert t [| v_int id; v_int bal |])) [ (1, 100); (2, 100); (3, 100) ];
   db
 
 (* --- 2. the design-time description -------------------------------------- *)

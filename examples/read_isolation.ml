@@ -40,8 +40,8 @@ let accounts =
 let make_db () =
   let db = Database.create () in
   let t = Database.create_table db accounts in
-  Table.insert t [| v_int 1; v_int 100 |];
-  Table.insert t [| v_int 2; v_int 100 |];
+  ignore (Table.insert t [| v_int 1; v_int 100 |]);
+  ignore (Table.insert t [| v_int 2; v_int 100 |]);
   db
 
 (* transfer: debit in step 1, credit in step 2 — the intermediate state

@@ -32,8 +32,8 @@ let initial_level = 10
 let make_db () =
   let db = Database.create () in
   let t = Database.create_table db stock_schema in
-  Table.insert t [| v_int 1; v_int initial_level |];
-  Table.insert t [| v_int 2; v_int initial_level |];
+  ignore (Table.insert t [| v_int 1; v_int initial_level |]);
+  ignore (Table.insert t [| v_int 2; v_int initial_level |]);
   db
 
 (* a two-step "reserve two items" transaction *)

@@ -114,7 +114,7 @@ let merged_db parts =
         (fun name ->
           if name <> "item" || idx = 0 then
             Table.iter
-              (fun _ row -> Table.insert (Database.table db name) (Array.copy row))
+              (fun _ row -> ignore (Table.insert (Database.table db name) (Array.copy row)))
               (Database.table src name))
         Schema.table_names)
     parts;

@@ -2,7 +2,7 @@
 
     A {e sink} is a set of per-domain ring buffers.  Each domain writes its
     own buffer — wait-free, no locks, no contention — so emission is safe
-    from worker domains, the deadlock-detector domain and the simulator
+    from worker domains, an engine's background domain and the simulator
     alike.  A full ring overwrites its oldest events (drop-oldest) and
     counts the drops, so tracing a long run can never block or OOM the
     system under test.

@@ -11,6 +11,8 @@ type t = {
   locks : Sharded_lock_table.t;
   detector : Deadlock_detector.t;
   watchdog : Watchdog.t;
+  stop : bool Atomic.t;
+  background : unit Domain.t;
   max_inflight : int option;
   inflight : int Atomic.t;
   shed : Metrics.Counter.t;
@@ -45,8 +47,31 @@ let register_metrics t labels =
   reg "acc_watchdog_degraded_trips_total" ~help:"times degraded mode tripped"
     (Acc_obs.Registry.Poll_counter (fun () -> Watchdog.degraded_trips t.watchdog))
 
-let create ?shards ?detector_cadence ?cost ?lock_deadline ?max_inflight ?shed_watermark
-    ?max_bypass ?watchdog_cadence ?degrade_after ?(metrics_labels = []) ?wal_policy ~sem db =
+(* The engine's one background domain: it runs the watchdog's tick and the
+   deadlock sweep, each on its own cadence, sleeping until the earlier one is
+   due.  Every minor collection stops every domain, so each mostly sleeping
+   domain beside the clients is one more for every collection to wait on. *)
+let background ~stop ~detector ~detector_cadence ~watchdog ~watchdog_cadence () =
+  let start = Unix.gettimeofday () in
+  let next_tick = ref (start +. watchdog_cadence) in
+  let next_sweep = ref (start +. detector_cadence) in
+  while not (Atomic.get stop) do
+    let wait = Float.min !next_tick !next_sweep -. Unix.gettimeofday () in
+    if wait > 0. then Unix.sleepf wait;
+    let now = Unix.gettimeofday () in
+    if now >= !next_tick then begin
+      Watchdog.tick watchdog;
+      next_tick := now +. watchdog_cadence
+    end;
+    if now >= !next_sweep then begin
+      Deadlock_detector.run detector;
+      next_sweep := now +. detector_cadence
+    end
+  done
+
+let create ?shards ?(detector_cadence = Deadlock_detector.default_cadence) ?cost ?lock_deadline
+    ?max_inflight ?shed_watermark ?max_bypass ?(watchdog_cadence = Watchdog.default_cadence)
+    ?degrade_after ?(metrics_labels = []) ?wal_policy ~sem db =
   let locks = Sharded_lock_table.create ?shards ?max_bypass sem in
   let service = Sharded_lock_table.service locks in
   let exec = Executor.create_with ?cost ?wal_policy ~service db in
@@ -72,16 +97,20 @@ let create ?shards ?detector_cadence ?cost ?lock_deadline ?max_inflight ?shed_wa
           Mutex.lock mu;
           Fun.protect ~finally:(fun () -> Mutex.unlock mu) f);
     };
-  let detector = Deadlock_detector.start ?cadence:detector_cadence service in
+  let detector = Deadlock_detector.create service in
   let watchdog =
-    Watchdog.start ?cadence:watchdog_cadence ?degrade_after ?shed_watermark ~detector service
+    Watchdog.create ~cadence:watchdog_cadence ?degrade_after ?shed_watermark ~detector service
   in
+  let stop = Atomic.make false in
   let t =
     {
       exec;
       locks;
       detector;
       watchdog;
+      stop;
+      background =
+        Domain.spawn (background ~stop ~detector ~detector_cadence ~watchdog ~watchdog_cadence);
       max_inflight;
       inflight = Atomic.make 0;
       shed = Metrics.Counter.create ();
@@ -138,8 +167,11 @@ let try_admit t =
 let finish t = Atomic.decr t.inflight
 
 let shutdown t =
-  Watchdog.stop t.watchdog;
-  Deadlock_detector.stop t.detector
+  if not (Atomic.exchange t.stop true) then begin
+    Domain.join t.background;
+    (* a last expiry, so deadlines that passed during shutdown still resolve *)
+    ignore (Sharded_lock_table.expire t.locks ~now:(Unix.gettimeofday ()))
+  end
 
 (* Transaction bodies still perform {!Txn_effect.Yield} (deadlock-retry
    backoff points); on a worker domain that becomes a short randomized sleep

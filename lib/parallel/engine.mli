@@ -1,9 +1,10 @@
 (** The multicore execution engine: an {!Acc_txn.Executor} whose lock
     backend is a {!Sharded_lock_table}, whose storage accesses are serialized
-    by per-table mutexes, whose deadlocks are broken by a background
-    {!Deadlock_detector} domain, and whose overload behavior — lock-wait
-    deadlines, admission control, degraded mode — is driven by a background
-    {!Watchdog} domain (DESIGN.md §13).
+    by per-table mutexes, whose deadlocks are broken by periodic
+    {!Deadlock_detector} sweeps, and whose overload behavior — lock-wait
+    deadlines, admission control, degraded mode — is driven by periodic
+    {!Watchdog} ticks (DESIGN.md §13).  One background domain per engine
+    runs both, each on its own cadence.
 
     The same transaction code (TPC-C bodies, the ACC runtime, flat 2PL
     runners) runs unchanged: lock waits block the worker domain inside the
@@ -28,8 +29,11 @@ val create :
   sem:Acc_lock.Mode.semantics ->
   Acc_relation.Database.t ->
   t
-(** Builds the engine and starts the detector and watchdog domains; pair
-    with {!shutdown}.
+(** Builds the engine and starts its background domain, which runs a
+    deadlock sweep every [detector_cadence] seconds (default
+    {!Deadlock_detector.default_cadence}) and a watchdog tick every
+    [watchdog_cadence] (default {!Watchdog.default_cadence}); pair with
+    {!shutdown}.
 
     Every engine registers its instruments ([acc_engine_*],
     [acc_watchdog_*], [acc_detector_*]) in {!Acc_obs.Registry.default} under
@@ -90,10 +94,10 @@ val inflight : t -> int
 val shed_count : t -> int
 
 val shutdown : t -> unit
-(** Stop and join the watchdog and detector domains.  Call after worker
-    domains have joined (the detector must outlive them: it breaks
-    shutdown-time deadlocks; the watchdog likewise resolves in-flight
-    deadline expiries). *)
+(** Stop and join the background domain, then expire every overdue wait
+    once more.  Idempotent.  Call after worker domains have joined (the
+    detector must outlive them: it breaks shutdown-time deadlocks; the
+    watchdog likewise resolves in-flight deadline expiries). *)
 
 val run_txn :
   ?jitter:Acc_txn.Backoff.Jitter.t -> ?backoff_g:Acc_util.Prng.t -> (unit -> 'r) -> 'r

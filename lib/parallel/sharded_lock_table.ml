@@ -130,8 +130,8 @@ let parent_bucket = function
   | Resource_id.Table _ -> -1
 
 (* OCaml's [Condition] has no timed wait, so deadline expiry cannot be driven
-   by the waiter itself: an external sweeper (the engine's watchdog domain)
-   calls {!expire} periodically, which cancels overdue waits and broadcasts.
+   by the waiter itself: an external sweeper (the engine's watchdog tick, on
+   its background domain) calls {!expire} periodically, which cancels overdue waits and broadcasts.
    The shard clock is wall-clock time; deadlines passed to {!acquire} are
    absolute [Unix.gettimeofday] values. *)
 let create ?(shards = default_shards) ?max_bypass ?(fast = true) sem =

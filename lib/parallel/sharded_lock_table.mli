@@ -129,7 +129,7 @@ val expire : t -> now:float -> Acc_lock.Lock_table.expired list
 (** Withdraw every non-compensating wait whose deadline is at or before
     [now], wake the blocked acquirers with [Txn_effect.Lock_timeout], and
     publish the promotions the withdrawals enabled.  Driven periodically by
-    the engine's watchdog domain (OCaml's [Condition] has no timed wait, so
+    the engine's watchdog tick (OCaml's [Condition] has no timed wait, so
     waiters cannot expire themselves).  A shard with no overdue waiter is
     only read, so a tick with nothing to expire makes no fast install
     retreat.  Returned tickets are globalized. *)

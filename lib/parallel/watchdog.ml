@@ -1,5 +1,5 @@
-(* The engine's overload watchdog: one background domain that, every
-   [cadence] seconds,
+(* The engine's overload watchdog: a tick that the engine's background
+   domain runs every [cadence] seconds, and that
 
    - drives {!Lock_service.expire} — OCaml's [Condition] has no timed
      wait, so deadlined waiters cannot expire themselves; the sweep is what
@@ -27,28 +27,29 @@ type t = {
   cadence : float;
   degrade_after : float;
   shed_watermark : float option;
-  stop_flag : bool Atomic.t;
   degraded_flag : bool Atomic.t;
   shedding_flag : bool Atomic.t;
   queue_depth : Metrics.Gauge.t;
   oldest : Metrics.Gauge.t;
   abort_rate : Metrics.Gauge.t;
-  (* single-writer peaks (only the watchdog domain sets them) *)
+  (* single-writer peaks (only [tick] sets them) *)
   peak_depth : Metrics.Gauge.t;
   peak_oldest : Metrics.Gauge.t;
   ticks : int Atomic.t;
   degraded_trips : int Atomic.t;
-  mutable dom : unit Domain.t option;
+  (* the abort total and the time at the last tick, for the rate *)
+  mutable prev_aborts : int;
+  mutable prev_now : float;
 }
 
 let default_cadence = 0.005
 let default_degrade_after = 1.0
 
 (* Periodic metrics-snapshot hook ([--metrics-dump]'s refresh): module-level
-   and CAS-scheduled so that with N engines (N watchdog domains, e.g. one per
-   partition) exactly one domain fires per period — whichever ticks first
-   wins the CAS, the rest see the advanced timestamp.  The hook runs on a
-   watchdog domain, so it must stay sampling-cheap (a Registry snapshot +
+   and CAS-scheduled so that with N engines (N watchdogs, e.g. one per
+   partition) exactly one fires per period — whichever ticks first wins the
+   CAS, the rest see the advanced timestamp.  The hook runs on an engine's
+   background domain, so it must stay sampling-cheap (a Registry snapshot +
    file write is fine at a ≥100ms period). *)
 let snapshot_hook : (float * (unit -> unit)) option Atomic.t = Atomic.make None
 let snapshot_last = Atomic.make 0.
@@ -74,7 +75,7 @@ let alpha cadence = Float.min 1. (cadence /. 0.25)
 
 let aborts t = Deadlock_detector.victims t.detector + Lock_service.timeout_count t.locks
 
-let tick t ~prev_aborts ~prev_now =
+let tick t =
   let now = Unix.gettimeofday () in
   let expired = Lock_service.expire t.locks ~now in
   if Trace.enabled () then
@@ -91,8 +92,10 @@ let tick t ~prev_aborts ~prev_now =
   Metrics.Gauge.set t.oldest oldest;
   if oldest > Metrics.Gauge.get t.peak_oldest then Metrics.Gauge.set t.peak_oldest oldest;
   let total = aborts t in
-  let dt = Float.max 1e-6 (now -. prev_now) in
-  let inst = float_of_int (total - prev_aborts) /. dt in
+  let dt = Float.max 1e-6 (now -. t.prev_now) in
+  let inst = float_of_int (total - t.prev_aborts) /. dt in
+  t.prev_aborts <- total;
+  t.prev_now <- now;
   let a = alpha t.cadence in
   let ema = (Metrics.Gauge.get t.abort_rate *. (1. -. a)) +. (inst *. a) in
   Metrics.Gauge.set t.abort_rate ema;
@@ -113,43 +116,27 @@ let tick t ~prev_aborts ~prev_now =
      if Trace.enabled () then Trace.emit (Trace.Degraded { on = true; oldest_wait = oldest })
    end);
   Atomic.incr t.ticks;
-  maybe_snapshot ~now;
-  (total, now)
+  maybe_snapshot ~now
 
-let run t () =
-  let prev_aborts = ref (aborts t) in
-  let prev_now = ref (Unix.gettimeofday ()) in
-  while not (Atomic.get t.stop_flag) do
-    Unix.sleepf t.cadence;
-    let a, n = tick t ~prev_aborts:!prev_aborts ~prev_now:!prev_now in
-    prev_aborts := a;
-    prev_now := n
-  done
-
-let start ?(cadence = default_cadence) ?(degrade_after = default_degrade_after) ?shed_watermark
-    ~detector locks =
-  let t =
-    {
-      locks;
-      detector;
-      cadence;
-      degrade_after;
-      shed_watermark;
-      stop_flag = Atomic.make false;
-      degraded_flag = Atomic.make false;
-      shedding_flag = Atomic.make false;
-      queue_depth = Metrics.Gauge.create ();
-      oldest = Metrics.Gauge.create ();
-      abort_rate = Metrics.Gauge.create ();
-      peak_depth = Metrics.Gauge.create ();
-      peak_oldest = Metrics.Gauge.create ();
-      ticks = Atomic.make 0;
-      degraded_trips = Atomic.make 0;
-      dom = None;
-    }
-  in
-  t.dom <- Some (Domain.spawn (run t));
-  t
+let create ~cadence ?(degrade_after = default_degrade_after) ?shed_watermark ~detector locks =
+  {
+    locks;
+    detector;
+    cadence;
+    degrade_after;
+    shed_watermark;
+    degraded_flag = Atomic.make false;
+    shedding_flag = Atomic.make false;
+    queue_depth = Metrics.Gauge.create ();
+    oldest = Metrics.Gauge.create ();
+    abort_rate = Metrics.Gauge.create ();
+    peak_depth = Metrics.Gauge.create ();
+    peak_oldest = Metrics.Gauge.create ();
+    ticks = Atomic.make 0;
+    degraded_trips = Atomic.make 0;
+    prev_aborts = Deadlock_detector.victims detector + Lock_service.timeout_count locks;
+    prev_now = Unix.gettimeofday ();
+  }
 
 let degraded t = Atomic.get t.degraded_flag
 let shedding t = Atomic.get t.shedding_flag
@@ -160,13 +147,3 @@ let peak_queue_depth t = int_of_float (Metrics.Gauge.get t.peak_depth)
 let peak_oldest_wait t = Metrics.Gauge.get t.peak_oldest
 let ticks t = Atomic.get t.ticks
 let degraded_trips t = Atomic.get t.degraded_trips
-
-let stop t =
-  Atomic.set t.stop_flag true;
-  match t.dom with
-  | None -> ()
-  | Some d ->
-      t.dom <- None;
-      Domain.join d;
-      (* final sweep so deadlines that passed during shutdown still resolve *)
-      ignore (Lock_service.expire t.locks ~now:(Unix.gettimeofday ()))

@@ -1,7 +1,8 @@
-(** The engine's overload watchdog domain.
+(** The engine's overload watchdog.
 
-    Periodically drives {!Acc_lock.Lock_service.expire} on the service it is
-    given (waiters cannot expire
+    Each {!tick}, which the engine's background domain runs every [cadence]
+    seconds ({!Engine}), drives {!Acc_lock.Lock_service.expire} on the
+    service it is given (waiters cannot expire
     themselves — OCaml's [Condition] has no timed wait), emitting a
     {!Acc_obs.Trace.Timed_out} event per withdrawn wait; samples queue depth,
     oldest-waiter age and a smoothed abort rate (deadlock victims + lock
@@ -21,15 +22,20 @@ val default_cadence : float
 val default_degrade_after : float
 (** 1s of oldest-waiter age before degraded mode trips. *)
 
-val start :
-  ?cadence:float ->
+val create :
+  cadence:float ->
   ?degrade_after:float ->
   ?shed_watermark:float ->
   detector:Deadlock_detector.t ->
   Acc_lock.Lock_service.t ->
   t
-(** Spawn the watchdog domain.  [shed_watermark] is in aborts/second; when
-    omitted the shedding flag never trips.  Pair with {!stop}. *)
+(** A watchdog over the service, ticked every [cadence] seconds (the
+    abort-rate smoothing assumes it), with no tick run yet; it spawns no
+    domain.  [shed_watermark] is in aborts/second; when omitted the shedding
+    flag never trips. *)
+
+val tick : t -> unit
+(** Expire overdue waits, sample the gauges and update both flags. *)
 
 val degraded : t -> bool
 val shedding : t -> bool
@@ -52,13 +58,9 @@ val degraded_trips : t -> int
 
 val set_snapshot_hook : (float * (unit -> unit)) option -> unit
 (** Install (or clear) the process-wide periodic snapshot hook
-    [(period_seconds, fn)]: some watchdog domain calls [fn] once per period
-    from its tick loop — with several engines alive (one watchdog per
-    partition) a CAS on the shared schedule guarantees exactly one firing.
+    [(period_seconds, fn)]: some watchdog calls [fn] once per period from
+    its {!tick} — with several engines alive (one watchdog per partition) a
+    CAS on the shared schedule guarantees exactly one firing.
     The binaries' [--metrics-dump] uses this to refresh the Prometheus
     exposition file while a run is in flight; exceptions from [fn] are
     swallowed.  Raises [Invalid_argument] on a non-positive period. *)
-
-val stop : t -> unit
-(** Signal, join, and run one final expiry sweep so deadlines passing during
-    shutdown still resolve.  Idempotent. *)

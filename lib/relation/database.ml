@@ -53,7 +53,7 @@ let diff ?(limit = 10) a b =
             match Table.get tb pk with
             | None -> add "%s[%a]: only on left" n pp_key pk
             | Some row' ->
-                if row <> row' then
+                if not (Table.same_row row row') then
                   add "%s[%a]: %a <> %a" n pp_key pk pp_row row pp_row row')
           ta;
         Table.iter

@@ -130,7 +130,8 @@ let insert t row =
   if Key_tbl.mem t.rows pk then raise (Duplicate_key (name t, pk));
   Key_tbl.add t.rows pk row;
   List.iter (fun idx -> index_add idx ~pk row) t.indexes;
-  List.iter (fun (o, _) -> Ordered_index.insert o ~pk row) t.ordered
+  List.iter (fun (o, _) -> Ordered_index.insert o ~pk row) t.ordered;
+  (pk, row)
 
 let get t pk = Option.map Array.copy (Key_tbl.find_opt t.rows pk)
 
@@ -164,13 +165,14 @@ let update t pk f =
             Ordered_index.insert o ~pk new_row
           end)
         t.ordered;
-      Array.copy new_row
+      (old_row, new_row)
 
 let set_column t pk col v =
   let i = Schema.position t.schema col in
-  update t pk (fun row ->
-      row.(i) <- v;
-      row)
+  snd
+    (update t pk (fun row ->
+         row.(i) <- v;
+         row))
 
 let delete t pk =
   match Key_tbl.find_opt t.rows pk with
@@ -329,11 +331,14 @@ let index_specs t =
 let ordered_index_specs t =
   List.rev_map (fun (o, positions) -> (Ordered_index.name o, col_names t positions)) t.ordered
 
+let same_row a b =
+  Array.length a = Array.length b && Array.for_all2 (fun x y -> Value.compare x y = 0) a b
+
 let equal a b =
   Key_tbl.length a.rows = Key_tbl.length b.rows
   && Key_tbl.fold
        (fun pk row acc ->
-         acc && match Key_tbl.find_opt b.rows pk with Some r -> r = row | None -> false)
+         acc && match Key_tbl.find_opt b.rows pk with Some r -> same_row r row | None -> false)
        a.rows true
 
 let field t row col = row.(Schema.position t.schema col)

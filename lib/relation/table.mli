@@ -1,9 +1,13 @@
 (** In-memory tables: a primary-key hash plus optional secondary hash
     indexes, maintained transparently by the mutators.
 
-    Rows are immutable value arrays; an update replaces the whole row.  This
-    makes before-images for the WAL free (just keep the old array) and rules
-    out aliasing bugs between the store and transaction workspaces. *)
+    {b A stored row is never written in place}: an update stores a fresh
+    array and leaves the one it replaces untouched.  {!insert} and {!update}
+    hand back the table's own arrays, and the write-ahead log keeps exactly
+    those as its images, so an update's before image is the row it replaced
+    and costs no copy.  Callers must not write the arrays {!insert},
+    {!update} and {!delete} return; every read ({!get}, {!scan}, {!iter},
+    ...) hands out copies. *)
 
 type t
 
@@ -31,9 +35,11 @@ val add_index : t -> name:string -> string list -> unit
     table (it is built immediately).  Raises [Invalid_argument] on duplicate
     index names or unknown columns. *)
 
-val insert : t -> Value.t array -> unit
-(** Raises {!Invalid_row} if the row does not satisfy the schema and
-    {!Duplicate_key} if the primary key is taken.  The array is copied. *)
+val insert : t -> Value.t array -> key * Value.t array
+(** Stores a copy of the row and returns the primary key and the row as the
+    table holds them (not to be written).  Raises {!Invalid_row} if the row
+    does not satisfy the schema and {!Duplicate_key} if the primary key is
+    taken. *)
 
 val get : t -> key -> Value.t array option
 (** Point lookup; the returned array is a copy. *)
@@ -44,17 +50,22 @@ val get_exn : t -> key -> Value.t array
 val mem : t -> key -> bool
 (** Whether a row with that key exists. *)
 
-val update : t -> key -> (Value.t array -> Value.t array) -> Value.t array
-(** [update t k f] replaces the row at [k] with [f row]; returns the {e new}
-    row. [f] receives a private copy.  Raises {!No_such_row} if absent,
-    {!Invalid_row} if the result is schema-invalid or changes the primary
-    key (delete + insert is the supported way to move a row). *)
+val update :
+  t -> key -> (Value.t array -> Value.t array) -> Value.t array * Value.t array
+(** [update t k f] replaces the row at [k] with a copy of [f row] and returns
+    [(replaced, stored)]: the row it held before and the row it holds now,
+    both the table's own arrays (not to be written).  [f] receives a private
+    copy.  Raises {!No_such_row} if absent, {!Invalid_row} if the result is
+    schema-invalid or changes the primary key (delete + insert is the
+    supported way to move a row). *)
 
 val set_column : t -> key -> string -> Value.t -> Value.t array
-(** Specialised single-column update; returns the new row. *)
+(** Specialised single-column update; returns the stored row, as {!update}
+    does. *)
 
 val delete : t -> key -> Value.t array
-(** Remove and return the row.  Raises {!No_such_row} if absent. *)
+(** Remove and return the row (the array the table held, not to be
+    written).  Raises {!No_such_row} if absent. *)
 
 val scan : ?where:Predicate.t -> t -> Value.t array list
 (** All rows satisfying the predicate (copies).  Uses a secondary index when
@@ -107,8 +118,13 @@ val ordered_index_specs : t -> (string * string list) list
 (** Name and column list of every ordered index, in creation order. *)
 
 val equal : t -> t -> bool
-(** Row-level equality: same key set, equal row values.  Indexes are derived
-    data and not compared. *)
+(** Row-level equality: same key set, and rows equal column by column under
+    {!same_row}.  Indexes are derived data and not compared. *)
+
+val same_row : Value.t array -> Value.t array -> bool
+(** Same length and [Value.compare x y = 0] at every column: the equality
+    the key tables use, under which a NaN equals itself and [0.0] equals
+    [-0.0]. *)
 
 val field : t -> Value.t array -> string -> Value.t
 (** [field t row col] reads a column by name, e.g.

@@ -31,7 +31,7 @@ let populate ?(only = fun _ -> true) ~seed params =
   let initial_payment = 10.0 in
   for w = 1 to p.Params.warehouses do
     let keep = only w in
-    let ins name row = if keep then Table.insert (table name) row in
+    let ins name row = if keep then ignore (Table.insert (table name) row) in
     let customers_per_wh =
       p.Params.customers_per_district * p.Params.districts_per_warehouse
     in
@@ -44,8 +44,9 @@ let populate ?(only = fun _ -> true) ~seed params =
       |];
     for i = 1 to p.Params.items do
       if w = 1 then
-        Table.insert (table "item")
-          [| Int i; Str (Prng.alpha_string g ~min:6 ~max:14); Float (1.0 +. Prng.float g 99.0) |];
+        ignore
+          (Table.insert (table "item")
+             [| Int i; Str (Prng.alpha_string g ~min:6 ~max:14); Float (1.0 +. Prng.float g 99.0) |]);
       ins "stock" [| Int w; Int i; Int p.Params.initial_stock; Int 0; Int 0 |]
     done;
     let h_id = ref (w * 10_000_000) in

@@ -155,6 +155,12 @@ type report = {
   wal_flushes : int;
       (** WAL durability round trips: one per append with a direct WAL, one
           per flushed batch under group commit *)
+  gc_minor_words : float;
+      (** words allocated on the minor heaps per committed transaction over
+          the recording window, every domain counted *)
+  gc_promoted_words : float;
+      (** words promoted to the major heap per committed transaction *)
+  gc_minor_collections : float;  (** minor collections per committed transaction *)
   workload_name : string;
   step_label : int -> string;
       (** render a step-type id in this run's workload ("txn.step") *)
@@ -300,9 +306,23 @@ let run cfg =
   let record_after =
     started +. (if cfg.txns_per_domain = None then Float.max 0.0 cfg.warmup else 0.0)
   in
+  (* GC counters at the start of the recording window: taken here without a
+     warmup, else by the first worker past it ([Gc.quick_stat] counts every
+     domain, the others as of their last minor collection) *)
+  let gc_start = Atomic.make None in
+  let mark_gc_start () =
+    if Atomic.get gc_start = None then
+      ignore (Atomic.compare_and_set gc_start None (Some (Gc.quick_stat ())))
+  in
   let recording =
-    if record_after <= started then fun () -> true
-    else fun () -> Unix.gettimeofday () >= record_after
+    if record_after <= started then begin
+      mark_gc_start ();
+      fun () -> true
+    end
+    else fun () ->
+      let on = Unix.gettimeofday () >= record_after in
+      if on then mark_gc_start ();
+      on
   in
   Executor.set_clock eng Unix.gettimeofday;
   Executor.set_on_step_end eng (fun ~step_type ~dur ->
@@ -395,11 +415,17 @@ let run cfg =
   in
   let per_domain_committed = Domain_pool.run ~domains:cfg.domains worker in
   let elapsed = Unix.gettimeofday () -. started in
+  let gc_end = Gc.quick_stat () in
   (* workers have joined; the detector must still be alive up to here, since
      it is what unwedges the final stragglers' deadlocks *)
   Engine.shutdown engine;
   let locks = Engine.locks engine in
   let measured = Float.max 0.0 (elapsed -. (record_after -. started)) in
+  let gc_per_commit field =
+    match Atomic.get gc_start with
+    | None -> 0.0
+    | Some s -> (field gc_end -. field s) /. float_of_int (max 1 (Metrics.Counter.get committed))
+  in
   {
     committed = Metrics.Counter.get committed;
     forced_aborts = Metrics.Counter.get forced_aborts;
@@ -434,6 +460,9 @@ let run cfg =
     fast_path_attempts = Sharded_lock_table.fast_attempts locks;
     fast_path_hits = Sharded_lock_table.fast_hits locks;
     wal_flushes = Acc_wal.Log.flush_count (Executor.log eng);
+    gc_minor_words = gc_per_commit (fun g -> g.Gc.minor_words);
+    gc_promoted_words = gc_per_commit (fun g -> g.Gc.promoted_words);
+    gc_minor_collections = gc_per_commit (fun g -> float_of_int g.Gc.minor_collections);
     workload_name = W.name;
     step_label = step_info.Acc_workload.Step_info.label;
     step_txn_type = step_info.Acc_workload.Step_info.txn_type;
@@ -475,6 +504,8 @@ let pp_report ppf r =
       r.fast_path_attempts
       (100.0 *. float_of_int r.fast_path_hits /. float_of_int r.fast_path_attempts);
   Format.fprintf ppf "@.wal flushes          %d" r.wal_flushes;
+  Format.fprintf ppf "@.gc per commit        %.0f minor words, %.0f promoted, %.4f minor GCs"
+    r.gc_minor_words r.gc_promoted_words r.gc_minor_collections;
   if
     r.lock_timeouts > 0 || r.shed > 0 || r.degraded_trips > 0 || r.degraded_runs > 0
     || r.lock_wait_count > 0

@@ -363,34 +363,36 @@ let log_write ctx write =
   ignore (Log.append ctx.eng.log (Record.Write { txn = ctx.txn; write; undo = ctx.compensating }));
   ctx.undo_stack <- write :: ctx.undo_stack
 
+(* The images a Write record carries are the table's own rows, which are
+   never written in place (see [Table]): logging them costs no copy, and an
+   update's before image is the very array the previous write logged as its
+   after image. *)
 let insert ctx tname row =
   let table = table_of ctx tname in
   let key = Acc_relation.Schema.key_of_row (Table.schema table) row in
   lock_tuple_write ctx tname key;
   charge ctx.eng ctx.eng.cost.point_op;
   trace ctx `W (Resource_id.Tuple (tname, key));
-  with_table ctx tname (fun () -> Table.insert table row);
+  let stored_key, stored = with_table ctx tname (fun () -> Table.insert table row) in
   log_write ctx
-    { Record.w_table = tname; w_key = key; w_before = None; w_after = Some (Array.copy row) }
+    { Record.w_table = tname; w_key = stored_key; w_before = None; w_after = Some stored }
 
-let update ctx tname key f =
+(* [update] without the step body's copy: returns the table's own row *)
+let update_stored ctx tname key f =
   lock_tuple_write ctx tname key;
   charge ctx.eng ctx.eng.cost.point_op;
   trace ctx `W (Resource_id.Tuple (tname, key));
   let table = table_of ctx tname in
-  let before, after =
-    with_table ctx tname (fun () ->
-        let before = Table.get_exn table key in
-        let after = Table.update table key f in
-        (before, after))
-  in
+  let before, after = with_table ctx tname (fun () -> Table.update table key f) in
   log_write ctx
     { Record.w_table = tname; w_key = key; w_before = Some before; w_after = Some after };
   after
 
+let update ctx tname key f = Array.copy (update_stored ctx tname key f)
+
 let set_column ctx tname key col v =
   ignore
-    (update ctx tname key (fun row ->
+    (update_stored ctx tname key (fun row ->
          row.(Acc_relation.Schema.position (Table.schema (table_of ctx tname)) col) <- v;
          row))
 
@@ -424,7 +426,27 @@ let close_step ctx =
     Trace.emit (Trace.Step_end { txn = ctx.txn; step_index = ctx.step_index });
   ctx.undo_stack <- []
 
+(* Bit for bit: [-0.0] never stands in for [0.0], so an area reused by
+   [end_step] always reads back the values the step ended with. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> Int.equal x y
+  | Value.Float x, Value.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Str x, Value.Str y -> String.equal x y
+  | Value.Bool x, Value.Bool y -> Bool.equal x y
+  | Value.Null, Value.Null -> true
+  | (Value.Int _ | Value.Float _ | Value.Str _ | Value.Bool _ | Value.Null), _ -> false
+
+let rec same_area a b =
+  match (a, b) with
+  | [], [] -> true
+  | (n, v) :: a, (m, w) :: b -> String.equal n m && same_value v w && same_area a b
+  | [], _ :: _ | _ :: _, [] -> false
+
 let end_step ctx ~area =
+  (* an area identical to the last step end's is logged as that very list,
+     so the log keeps one copy however many steps carry it *)
+  let area = if same_area ctx.area area then ctx.area else area in
   (* one record completes the step and makes its work area durable: a
      crash finds either an undoable step or a compensable one with its area,
      never a completed step without one *)

@@ -60,7 +60,7 @@ let load path =
           let tbl = Database.create_table db d.d_schema in
           List.iter (fun (name, cols) -> Table.add_index tbl ~name cols) d.d_indexes;
           List.iter (fun (name, cols) -> Table.add_ordered_index tbl ~name cols) d.d_ordered;
-          List.iter (fun row -> Table.insert tbl row) d.d_rows)
+          List.iter (fun row -> ignore (Table.insert tbl row)) d.d_rows)
         dump.d_tables;
       { snapshot = db; from_lsn = dump.d_from_lsn })
 

@@ -29,7 +29,7 @@ type report = {
 let apply_write db (w : Record.write) =
   let table = Database.table db w.Record.w_table in
   match (w.Record.w_before, w.Record.w_after) with
-  | None, Some row -> Table.insert table row
+  | None, Some row -> ignore (Table.insert table row)
   | Some _, None -> ignore (Table.delete table w.Record.w_key)
   | Some _, Some row -> ignore (Table.update table w.Record.w_key (fun _ -> row))
   | None, None -> ()

@@ -47,7 +47,7 @@ let populate ~rows ~seed =
   List.iter (fun s -> ignore (Database.create_table db s)) schemas;
   let hot_t = Database.table db "hot" in
   for r = 1 to rows do
-    Acc_relation.Table.insert hot_t [| Int r; Int 0 |]
+    ignore (Acc_relation.Table.insert hot_t [| Int r; Int 0 |])
   done;
   db
 

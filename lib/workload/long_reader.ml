@@ -61,7 +61,7 @@ let populate ~rows ~seed =
   List.iter (fun s -> ignore (Database.create_table db s)) schemas;
   let t = Database.table db "ledger" in
   for r = 1 to rows do
-    Acc_relation.Table.insert t [| Int r; Int (region_of_row r); Float init_amount |]
+    ignore (Acc_relation.Table.insert t [| Int r; Int (region_of_row r); Float init_amount |])
   done;
   db
 

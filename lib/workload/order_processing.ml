@@ -43,7 +43,7 @@ let make_db stock_levels =
       (Schema.make ~name:"counter" ~key:[ "id" ]
          [ Schema.col "id" Value.Tint; Schema.col "next" Value.Tint ])
   in
-  Table.insert counter [| v_int 0; v_int 1 |];
+  ignore (Table.insert counter [| v_int 0; v_int 1 |]);
   let _orders =
     Database.create_table db
       (Schema.make ~name:"orders" ~key:[ "order_id" ]
@@ -76,8 +76,8 @@ let make_db stock_levels =
   in
   List.iter
     (fun (item, level, price) ->
-      Table.insert stock [| v_int item; v_int level |];
-      Table.insert prices [| v_int item; v_int price |])
+      ignore (Table.insert stock [| v_int item; v_int level |]);
+      ignore (Table.insert prices [| v_int item; v_int price |]))
     stock_levels;
   db
 

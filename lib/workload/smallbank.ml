@@ -58,9 +58,9 @@ let populate ~accounts ~seed =
   let sav_t = Database.table db "saving" in
   let chk_t = Database.table db "checking" in
   for a = 1 to accounts do
-    Acc_relation.Table.insert acct_t [| Int a; Str (Prng.alpha_string g ~min:4 ~max:10) |];
-    Acc_relation.Table.insert sav_t [| Int a; Float init_saving |];
-    Acc_relation.Table.insert chk_t [| Int a; Float init_checking |]
+    ignore (Acc_relation.Table.insert acct_t [| Int a; Str (Prng.alpha_string g ~min:4 ~max:10) |]);
+    ignore (Acc_relation.Table.insert sav_t [| Int a; Float init_saving |]);
+    ignore (Acc_relation.Table.insert chk_t [| Int a; Float init_checking |])
   done;
   db
 

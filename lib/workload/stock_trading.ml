@@ -54,7 +54,8 @@ let make_db lots =
          ])
   in
   List.iter
-    (fun (lot, price, shares) -> Table.insert sell [| v_int lot; v_int price; v_int shares |])
+    (fun (lot, price, shares) ->
+      ignore (Table.insert sell [| v_int lot; v_int price; v_int shares |]))
     lots;
   db
 

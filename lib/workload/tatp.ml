@@ -54,13 +54,14 @@ let populate ~subscribers ~seed =
   let sub_t = Database.table db "subscriber" in
   let ai_t = Database.table db "access_info" in
   for s = 1 to subscribers do
-    Acc_relation.Table.insert sub_t
-      [|
-        Int s; Str (Prng.numeric_string g 15); Int (Prng.int g 2); Int (Prng.int g 10_000);
-        Int 0;
-      |];
+    ignore
+      (Acc_relation.Table.insert sub_t
+         [|
+           Int s; Str (Prng.numeric_string g 15); Int (Prng.int g 2); Int (Prng.int g 10_000);
+           Int 0;
+         |]);
     for ty = 1 to 4 do
-      Acc_relation.Table.insert ai_t [| Int s; Int ty; Int (Prng.int g 256) |]
+      ignore (Acc_relation.Table.insert ai_t [| Int s; Int ty; Int (Prng.int g 256) |])
     done
   done;
   db

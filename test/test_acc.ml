@@ -561,7 +561,7 @@ let pair_instance ~anchor ~first ~second =
 let pair_engine () =
   let db = Database.create () in
   let stock = Database.create_table db W.stock_schema in
-  List.iter (fun i -> Table.insert stock [| v_int i; v_int 0 |]) [ 1; 2; 3; 4 ];
+  List.iter (fun i -> ignore (Table.insert stock [| v_int i; v_int 0 |])) [ 1; 2; 3; 4 ];
   Executor.create ~sem:(Interference.semantics pair_interference) db
 
 let stock_val eng i =
@@ -658,7 +658,7 @@ let scan_comp_instance ~item =
 let test_scanning_compensations_resolve () =
   let db = Database.create () in
   let stock = Database.create_table db W.stock_schema in
-  List.iter (fun i -> Table.insert stock [| v_int i; v_int 0 |]) [ 1; 2 ];
+  List.iter (fun i -> ignore (Table.insert stock [| v_int i; v_int 0 |])) [ 1; 2 ];
   let sem = Interference.semantics (Interference.build (Program.workload [ scan_comp_type ])) in
   let eng = Executor.create ~sem db in
   let o1 = ref None and o2 = ref None in

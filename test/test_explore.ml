@@ -24,7 +24,7 @@ let counter_schema =
 let counter_engine () =
   let db = Database.create () in
   let t = Database.create_table db counter_schema in
-  Table.insert t [| v_int 0; v_int 0 |];
+  ignore (Table.insert t [| v_int 0; v_int 0 |]);
   Executor.create ~sem:Mode.no_semantics db
 
 let counter_value eng =
@@ -275,7 +275,7 @@ let mover_engine () =
   let db = Database.create () in
   let t = Database.create_table db accounts_schema in
   for id = 1 to 3 do
-    Table.insert t [| v_int id; v_int 100 |]
+    ignore (Table.insert t [| v_int id; v_int 100 |])
   done;
   Executor.create ~sem:(Acc_core.Interference.semantics mover_interference) db
 

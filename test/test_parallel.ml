@@ -433,7 +433,7 @@ let test_group_commit_crash_loses_no_acked_commit () =
       (Acc_relation.Schema.make ~name:"t" ~key:[ "id" ]
          [ Acc_relation.Schema.col "id" Value.Tint; Acc_relation.Schema.col "v" Value.Tint ])
   in
-  Acc_relation.Table.insert tbl [| Value.Int 1; Value.Int 0 |];
+  ignore (Acc_relation.Table.insert tbl [| Value.Int 1; Value.Int 0 |]);
   let locks = Sharded.create ~shards:1 Mode.no_semantics in
   let eng =
     Executor.create_with
@@ -686,6 +686,69 @@ let test_admission_gate () =
           Alcotest.(check int) "inflight drains to zero" 0 (Engine.inflight e)
       | _ -> Alcotest.fail "initial admissions refused")
 
+(* --- the engine's background domain ------------------------------------- *)
+
+module Watchdog = Acc_parallel.Watchdog
+
+(* One domain runs the deadlock sweep and the watchdog tick, each on its own
+   cadence whichever is the shorter: both counts keep advancing, a
+   cross-domain deadlock is still broken, and [shutdown] joins the domain.
+   The bounds are a quarter of the nominal counts, so a slow runner does not
+   flake. *)
+let test_background_domain () =
+  List.iter
+    (fun (detector_cadence, watchdog_cadence) ->
+      let label = Printf.sprintf "%.0f ms / %.0f ms" (detector_cadence *. 1e3) (watchdog_cadence *. 1e3) in
+      let e =
+        Engine.create ~shards:4 ~detector_cadence ~watchdog_cadence ~sem:Mode.no_semantics
+          (Acc_relation.Database.create ())
+      in
+      let counts () = (Detector.sweeps (Engine.detector e), Watchdog.ticks (Engine.watchdog e)) in
+      let advance window =
+        let s0, t0 = counts () in
+        Unix.sleepf window;
+        let s1, t1 = counts () in
+        let at_least cadence = int_of_float (window /. cadence /. 4.) in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d sweeps in %.0f ms" label (s1 - s0) (window *. 1e3))
+          true
+          (s1 - s0 >= max 1 (at_least detector_cadence));
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %d ticks in %.0f ms" label (t1 - t0) (window *. 1e3))
+          true
+          (t1 - t0 >= max 1 (at_least watchdog_cadence))
+      in
+      advance 0.1;
+      advance 0.1;
+      let t = Engine.locks e in
+      let a = Resource_id.Tuple ("t", [ Value.Int 1 ])
+      and b = Resource_id.Tuple ("u", [ Value.Int 1 ]) in
+      let holding = Atomic.make 0 in
+      let outcomes =
+        Domain_pool.run ~domains:2 (fun i ->
+            let txn, first, second = if i = 0 then (1, a, b) else (2, b, a) in
+            Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 Mode.X first);
+            Atomic.incr holding;
+            while Atomic.get holding < 2 do
+              Domain.cpu_relax ()
+            done;
+            let outcome =
+              match Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 Mode.X second) with
+              | () -> `Done
+              | exception Txn_effect.Deadlock_victim -> `Victim
+            in
+            ignore (Sharded.release_all t ~txn);
+            outcome)
+      in
+      Alcotest.(check int) (label ^ ": one victim") 1
+        (List.length (List.filter (fun o -> o = `Victim) outcomes));
+      Alcotest.(check int) (label ^ ": victims counted") 1 (Detector.victims (Engine.detector e));
+      Engine.shutdown e;
+      let joined = counts () in
+      Unix.sleepf (2. *. Float.max detector_cadence watchdog_cadence);
+      Alcotest.(check bool) (label ^ ": nothing runs after shutdown") true (counts () = joined))
+    [ (0.001, 0.005); (0.020, 0.005) ]
+
 (* --- metrics ------------------------------------------------------------ *)
 
 let test_metrics_multicore () =
@@ -773,6 +836,8 @@ let suites =
         Alcotest.test_case "victim policy spares compensating waiter" `Quick
           test_victim_policy_spares_compensation;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_parity;
+        Alcotest.test_case "one background domain: sweeps, ticks, joins" `Quick
+          test_background_domain;
       ] );
     ( "parallel.fastpath",
       [

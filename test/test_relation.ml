@@ -18,7 +18,7 @@ let accounts_schema () =
 
 let make_accounts () =
   let t = Table.create (accounts_schema ()) in
-  List.iter (Table.insert t)
+  List.iter (fun row -> ignore (Table.insert t row))
     [
       [| v_int 1; v_str "alice"; v_int 100; Value.Null |];
       [| v_int 2; v_str "bob"; v_int 250; Value.Null |];
@@ -169,13 +169,13 @@ let test_table_duplicate_key () =
   let t = make_accounts () in
   Alcotest.check_raises "dup"
     (Table.Duplicate_key ("accounts", [ v_int 1 ]))
-    (fun () -> Table.insert t [| v_int 1; v_str "x"; v_int 0; Value.Null |])
+    (fun () -> ignore (Table.insert t [| v_int 1; v_str "x"; v_int 0; Value.Null |]))
 
 let test_table_invalid_row () =
   let t = make_accounts () in
   let raised =
     try
-      Table.insert t [| v_int 9; v_int 0; v_int 0; Value.Null |];
+      ignore (Table.insert t [| v_int 9; v_int 0; v_int 0; Value.Null |]);
       false
     with Table.Invalid_row _ -> true
   in
@@ -183,11 +183,12 @@ let test_table_invalid_row () =
 
 let test_table_update () =
   let t = make_accounts () in
-  let updated =
+  let replaced, updated =
     Table.update t [ v_int 1 ] (fun row ->
         row.(2) <- v_int 175;
         row)
   in
+  Alcotest.(check int) "replaced row" 100 (Value.as_int replaced.(2));
   Alcotest.(check int) "returned row" 175 (Value.as_int updated.(2));
   Alcotest.(check int) "stored row" 175 (Value.as_int (Table.get_exn t [ v_int 1 ]).(2))
 
@@ -249,7 +250,7 @@ let test_index_lookup_and_maintenance () =
   let keys = Table.index_lookup t ~index:"by_owner" [ v_str "alice" ] in
   Alcotest.(check int) "two alices via index" 2 (List.length keys);
   (* insert maintains the index *)
-  Table.insert t [| v_int 4; v_str "alice"; v_int 1; Value.Null |];
+  ignore (Table.insert t [| v_int 4; v_str "alice"; v_int 1; Value.Null |]);
   Alcotest.(check int) "three after insert" 3
     (List.length (Table.index_lookup t ~index:"by_owner" [ v_str "alice" ]));
   (* delete maintains the index *)
@@ -322,16 +323,30 @@ let test_table_float_key_equality () =
          [ Schema.col "at" Value.Tfloat; Schema.col "v" Value.Tint ])
   in
   let duplicate row =
-    match Table.insert t row with () -> false | exception Table.Duplicate_key _ -> true
+    match Table.insert t row with _ -> false | exception Table.Duplicate_key _ -> true
   in
   let v_at at = Option.map (fun row -> Value.as_int row.(1)) (Table.get t [ Value.Float at ]) in
-  Table.insert t [| Value.Float 0.0; v_int 1 |];
+  ignore (Table.insert t [| Value.Float 0.0; v_int 1 |]);
   Alcotest.(check bool) "-0.0 duplicates 0.0" true (duplicate [| Value.Float (-0.0); v_int 2 |]);
   Alcotest.(check (option int)) "-0.0 finds 0.0's row" (Some 1) (v_at (-0.0));
-  Table.insert t [| Value.Float Float.nan; v_int 3 |];
+  ignore (Table.insert t [| Value.Float Float.nan; v_int 3 |]);
   Alcotest.(check bool) "NaN duplicates NaN" true (duplicate [| Value.Float Float.nan; v_int 4 |]);
   Alcotest.(check (option int)) "NaN finds its row" (Some 3) (v_at Float.nan);
   Alcotest.(check int) "two rows" 2 (Table.cardinality t)
+
+(* Rows compare column by column as keys do: a table holding a NaN equals
+   its own copy, and so does its database. *)
+let test_table_equal_nan_row () =
+  let db = Database.create () in
+  let t =
+    Database.create_table db
+      (Schema.make ~name:"readings" ~key:[ "id" ]
+         [ Schema.col "id" Value.Tint; Schema.col "v" Value.Tfloat ])
+  in
+  ignore (Table.insert t [| v_int 1; Value.Float Float.nan |]);
+  Alcotest.(check bool) "table equals its copy" true (Table.equal t (Table.copy t));
+  Alcotest.(check bool) "database equals its copy" true (Database.equal db (Database.copy db));
+  Alcotest.(check (list string)) "no diff" [] (Database.diff db (Database.copy db))
 
 (* --- Ordered index ------------------------------------------------------ *)
 
@@ -456,8 +471,9 @@ let test_ordered_planner () =
   let t = Table.create (accounts_schema ()) in
   Table.add_ordered_index t ~name:"owner_balance" [ "owner"; "balance" ];
   for i = 1 to 50 do
-    Table.insert t
-      [| v_int i; v_str (if i mod 2 = 0 then "alice" else "bob"); v_int i; Value.Null |]
+    ignore
+      (Table.insert t
+         [| v_int i; v_str (if i mod 2 = 0 then "alice" else "bob"); v_int i; Value.Null |])
   done;
   let where =
     Predicate.conj
@@ -514,7 +530,7 @@ let test_database () =
 let test_database_copy () =
   let db = Database.create () in
   let t = Database.create_table db (accounts_schema ()) in
-  Table.insert t [| v_int 1; v_str "a"; v_int 7; Value.Null |];
+  ignore (Table.insert t [| v_int 1; v_str "a"; v_int 7; Value.Null |]);
   let db2 = Database.copy db in
   ignore (Table.delete t [ v_int 1 ]);
   Alcotest.(check int) "copy unaffected" 1 (Table.cardinality (Database.table db2 "accounts"));
@@ -550,7 +566,7 @@ let apply_op model table op =
   | Insert (k, v) ->
       if List.mem_assoc k !model then ()
       else begin
-        Table.insert table [| v_int k; v_str "o"; v_int v; Value.Null |];
+        ignore (Table.insert table [| v_int k; v_str "o"; v_int v; Value.Null |]);
         model := (k, ("o", v)) :: !model
       end
   | Delete k ->
@@ -659,6 +675,7 @@ let suites =
         Alcotest.test_case "copy independent" `Quick test_table_copy_independent;
         Alcotest.test_case "field by name" `Quick test_field;
         Alcotest.test_case "float key equality" `Quick test_table_float_key_equality;
+        Alcotest.test_case "NaN row equals its copy" `Quick test_table_equal_nan_row;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_table_matches_model;
       ] );
     ( "relation.ordered_index",

@@ -22,7 +22,7 @@ let accounts_schema =
 let fresh_engine rows =
   let db = Database.create () in
   let t = Database.create_table db accounts_schema in
-  List.iter (fun (id, bal) -> Table.insert t [| v_int id; v_int bal |]) rows;
+  List.iter (fun (id, bal) -> ignore (Table.insert t [| v_int id; v_int bal |])) rows;
   Executor.create ~sem:Mode.no_semantics db
 
 let balance eng id =
@@ -109,6 +109,70 @@ let test_log_contents () =
       records
   in
   Alcotest.(check (list string)) "log shape" [ "begin"; "write"; "commit" ] kinds
+
+let logged_writes eng =
+  List.filter_map
+    (function Acc_wal.Record.Write { write; _ } -> Some write | _ -> None)
+    (Acc_wal.Log.to_list (Executor.log eng))
+
+(* A Write record's images are the table's own rows, which are never written
+   in place: an update's before image is the array the previous write of the
+   row logged as its after image, and the step body gets a private copy. *)
+let test_log_images_by_reference () =
+  let eng = fresh_engine [ (1, 100) ] in
+  let returned = ref [||] in
+  Schedule.run eng
+    [
+      (fun () ->
+        with_retry eng ~txn_type:"t" (fun ctx ->
+            Executor.insert ctx "accounts" [| v_int 7; v_int 70 |];
+            add_to_balance ctx 7 1;
+            add_to_balance ctx 1 1;
+            returned := Executor.update ctx "accounts" [ v_int 1 ] (fun row ->
+                row.(1) <- v_int 200;
+                row)));
+    ];
+  let image = Option.get in
+  match logged_writes eng with
+  | [ ins; upd7; upd1; upd1' ] ->
+      Alcotest.(check bool) "inserted row is the next update's before image" true
+        (image ins.Acc_wal.Record.w_after == image upd7.Acc_wal.Record.w_before);
+      Alcotest.(check bool) "second update's before image is the first's after" true
+        (image upd1'.Acc_wal.Record.w_before == image upd1.Acc_wal.Record.w_after);
+      !returned.(1) <- v_int (-1);
+      Alcotest.(check int) "table unaffected by the returned array" 200 (balance eng 1);
+      Alcotest.(check bool) "logged images unaffected" true
+        (List.for_all
+           (fun w ->
+             List.for_all
+               (fun img -> Option.fold ~none:true ~some:(fun r -> r.(1) <> v_int (-1)) img)
+               [ w.Acc_wal.Record.w_before; w.Acc_wal.Record.w_after ])
+           (logged_writes eng))
+  | ws -> Alcotest.failf "expected 4 writes, got %d" (List.length ws)
+
+(* A step end whose area is identical to the last one's logs that very list;
+   identical means bit for bit, so [-0.0] does not stand in for [0.0]. *)
+let test_identical_area_logged_once () =
+  let eng = fresh_engine [] in
+  let area f = [ ("n", v_int 1); ("f", Value.Float f) ] in
+  let ctx = Executor.begin_txn eng ~txn_type:"steps" ~multi_step:true in
+  List.iteri
+    (fun i f ->
+      Executor.set_step ctx ~step_type:0 ~step_index:(i + 1);
+      Executor.end_step ctx ~area:(area f))
+    [ 0.0; 0.0; -0.0 ];
+  Executor.commit ctx;
+  match
+    List.filter_map
+      (function Acc_wal.Record.Step_end { area; _ } -> Some area | _ -> None)
+      (Acc_wal.Log.to_list (Executor.log eng))
+  with
+  | [ a1; a2; a3 ] ->
+      Alcotest.(check bool) "same area, one list" true (a1 == a2);
+      Alcotest.(check bool) "0.0 -> -0.0 logs a new list" false (a3 == a2);
+      Alcotest.(check bool) "the new list holds -0.0" true
+        (Float.sign_bit (Value.as_float (List.assoc "f" a3)))
+  | areas -> Alcotest.failf "expected 3 step ends, got %d" (List.length areas)
 
 let test_recovery_from_engine_log () =
   (* run transactions, then replay the log against the pristine baseline *)
@@ -528,6 +592,8 @@ let suites =
         Alcotest.test_case "insert/delete" `Quick test_insert_delete_ops;
         Alcotest.test_case "abort restores" `Quick test_abort_restores;
         Alcotest.test_case "log contents" `Quick test_log_contents;
+        Alcotest.test_case "log images are the table's rows" `Quick test_log_images_by_reference;
+        Alcotest.test_case "identical area logged once" `Quick test_identical_area_logged_once;
         Alcotest.test_case "recovery from engine log" `Quick test_recovery_from_engine_log;
       ] );
     ( "txn.blocking",

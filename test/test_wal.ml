@@ -16,7 +16,7 @@ let items_schema =
 let fresh_db rows =
   let db = Database.create () in
   let t = Database.create_table db items_schema in
-  List.iter (fun (id, qty) -> Table.insert t [| v_int id; v_int qty |]) rows;
+  List.iter (fun (id, qty) -> ignore (Table.insert t [| v_int id; v_int qty |])) rows;
   db
 
 let qty db id = Value.as_int (Table.get_exn (Database.table db "items") [ v_int id ]).(1)

@@ -50,7 +50,7 @@ let prices_schema =
 let make_db stock_levels =
   let db = Database.create () in
   let counter = Database.create_table db counter_schema in
-  Table.insert counter [| v_int 0; v_int 1 |];
+  ignore (Table.insert counter [| v_int 0; v_int 1 |]);
   let _orders = Database.create_table db orders_schema in
   let orderlines = Database.create_table db orderlines_schema in
   Table.add_index orderlines ~name:"by_order" [ "order_id" ];
@@ -58,8 +58,8 @@ let make_db stock_levels =
   let prices = Database.create_table db prices_schema in
   List.iter
     (fun (item, level, price) ->
-      Table.insert stock [| v_int item; v_int level |];
-      Table.insert prices [| v_int item; v_int price |])
+      ignore (Table.insert stock [| v_int item; v_int level |]);
+      ignore (Table.insert prices [| v_int item; v_int price |]))
     stock_levels;
   db
 

@@ -1,7 +1,8 @@
 (* The benchmark harness: regenerates every table and figure of the paper's
    evaluation (Figures 2-4 and the fourth, text-only server-count experiment)
-   and runs Bechamel micro-benchmarks of the concurrency-control hot paths
-   that make up the "added overhead of the ACC".
+   and runs Bechamel micro-benchmarks of the predicate-lock comparator and
+   the interference-table build (perfbench's ladder times the other rungs
+   of the "added overhead of the ACC").
 
    Usage:  main.exe [MODE] [--quick]
 
@@ -318,7 +319,9 @@ let run_overload ~quick =
    transaction, fast-path hit rate, and WAL durability round trips per
    committed transaction under group commit.  CI gates the 1-domain hit rate
    (uncontended, so the fast path should carry most requests) and the
-   4-domain acqs/txn against the pre-fast-path batched baseline (184.7). *)
+   4-domain acqs/txn against the pre-fast-path batched baseline (184.7).
+   The cells run untraced, so each report's GC counters are the engine's
+   own and CI can bound the 1-domain cell's promotion. *)
 let run_scale ~quick =
   let module P = Acc_tpcc.Parallel_driver in
   let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8; 16 ] in
@@ -342,7 +345,7 @@ let run_scale ~quick =
     List.map
       (fun domains ->
         let cfg = { base with P.domains } in
-        let r, phases = Bench_json.with_phases (fun () -> P.run cfg) in
+        let r = P.run cfg in
         let per c = float_of_int c /. float_of_int (max 1 r.P.committed) in
         let acqs = per r.P.mutex_acquisitions in
         let flushes = per r.P.wal_flushes in
@@ -362,7 +365,6 @@ let run_scale ~quick =
             ("fast_path_hit_rate", Json.Float hit_rate);
             ("wal_flushes_per_txn", Json.Float flushes);
             ("report", Bench_json.parallel_report_json ~cfg r);
-            ("phases", phases);
           ])
       domain_counts
   in
@@ -378,57 +380,17 @@ let run_scale ~quick =
 
 (* ---------- micro-benchmarks ------------------------------------------- *)
 
-module Value = Acc_relation.Value
-module Schema = Acc_relation.Schema
-module Table = Acc_relation.Table
-module Database = Acc_relation.Database
-module Mode = Acc_lock.Mode
-module Lock_table = Acc_lock.Lock_table
-module Lock_request = Acc_lock.Lock_request
-module Resource_id = Acc_lock.Resource_id
-module Executor = Acc_txn.Executor
-module Schedule = Acc_txn.Schedule
-module Program = Acc_core.Program
-module Runtime = Acc_core.Runtime
-
-let bench_schema =
-  Schema.make ~name:"t" ~key:[ "id" ] [ Schema.col "id" Value.Tint; Schema.col "v" Value.Tint ]
-
-let bench_db () =
-  let db = Database.create () in
-  let t = Database.create_table db bench_schema in
-  for i = 1 to 1000 do
-    ignore (Table.insert t [| Value.Int i; Value.Int 0 |])
-  done;
-  db
-
+(* Only the rungs perfbench's cost ladder does not time: the §3.2
+   predicate-lock comparator and the design-time interference-table build.
+   The ladder times the lock, interference-lookup, storage and transaction
+   rungs on the production path (perfbench/WORKLOADS.md). *)
 let micro_tests () =
   let open Bechamel in
-  let res i = Resource_id.Tuple ("t", [ Value.Int i ]) in
-  (* conventional lock round trip *)
-  let plain_locks = Lock_table.create Mode.no_semantics in
-  let t_lock =
-    Test.make ~name:"lock: S acquire+release"
-      (Staged.stage (fun () ->
-           ignore (Lock_table.submit plain_locks (Lock_request.make ~txn:1 Mode.S (res 1)));
-           ignore (Lock_table.release plain_locks ~txn:1 Mode.S (res 1))))
-  in
-  (* assertional conflict check on the grant path: X against a held,
-     non-interfering assertional lock *)
-  let sem = Acc_tpcc.Txns.semantics in
-  let a_locks = Lock_table.create sem in
-  Lock_table.attach_req a_locks (Lock_request.make ~txn:99 (Mode.A 3) (res 2));
-  let t_alock =
-    Test.make ~name:"lock: X grant past foreign A (table lookup)"
-      (Staged.stage (fun () ->
-           ignore
-             (Lock_table.submit a_locks (Lock_request.make ~txn:1 ~step_type:13 Mode.X (res 2)));
-           ignore (Lock_table.release a_locks ~txn:1 Mode.X (res 2))))
-  in
-  (* the §3.2 comparator: predicate-lock conflict checking is a run-time
-     intersection test per held lock, vs the ACC's precomputed lookup *)
+  let module Value = Acc_relation.Value in
   let module Predicate = Acc_relation.Predicate in
   let module Predicate_lock = Acc_lock.Predicate_lock in
+  (* the §3.2 comparator: predicate-lock conflict checking is a run-time
+     intersection test per held lock, vs the ACC's precomputed lookup *)
   let range c lo hi =
     Predicate.And
       ( Predicate.Cmp (Predicate.Ge, c, Value.Int lo),
@@ -461,89 +423,15 @@ let micro_tests () =
            | `Granted -> Predicate_lock.release_all pred_mgr ~txn:99
            | `Conflict _ -> ())))
   in
-  (* the run-time face of the design-time analysis *)
-  let t_interf =
-    Test.make ~name:"interference: step-vs-assertion lookup"
-      (Staged.stage (fun () ->
-           ignore
-             (Acc_core.Interference.step_interferes Acc_tpcc.Txns.interference ~step_type:3
-                ~assertion:2)))
-  in
   let t_build =
     Test.make ~name:"interference: build TPC-C tables"
       (Staged.stage (fun () -> ignore (Acc_core.Interference.build Acc_tpcc.Txns.workload)))
   in
-  (* storage engine point operations *)
-  let db = bench_db () in
-  let tbl = Database.table db "t" in
-  let t_read =
-    Test.make ~name:"table: point read" (Staged.stage (fun () -> ignore (Table.get tbl [ Value.Int 500 ])))
-  in
-  let t_update =
-    Test.make ~name:"table: point update"
-      (Staged.stage (fun () ->
-           ignore
-             (Table.update tbl [ Value.Int 500 ] (fun row ->
-                  row.(1) <- Value.Int (Value.as_int row.(1) + 1);
-                  row))))
-  in
-  (* end-to-end transaction dispatch: flat 2PL vs a 2-step ACC transaction,
-     uncontended — the pure protocol overhead of Sec 5.3's low-concurrency
-     regime *)
-  let flat_step =
-    Program.step ~id:70 ~name:"whole" ~txn_type:"bump2" ~index:1 ~reads:[] ~writes:[] ()
-  in
-  let s1 = Program.step ~id:71 ~name:"one" ~txn_type:"bump2s" ~index:1 ~reads:[] ~writes:[] () in
-  let s2 = Program.step ~id:72 ~name:"two" ~txn_type:"bump2s" ~index:2 ~reads:[] ~writes:[] () in
-  let comp = Program.step ~id:73 ~name:"undo" ~txn_type:"bump2s" ~index:0 ~reads:[] ~writes:[] () in
-  let flat_type = Program.txn_type ~name:"bump2" ~steps:[ flat_step ] ~assertions:[] () in
-  let stepped_type =
-    Program.txn_type ~name:"bump2s" ~steps:[ s1; s2 ] ~comp ~assertions:[] ()
-  in
-  let wl = Program.workload [ flat_type; stepped_type ] in
-  let interference = Acc_core.Interference.build wl in
-  let eng = Executor.create ~sem:(Acc_core.Interference.semantics interference) (bench_db ()) in
-  let bump ctx i =
-    ignore
-      (Executor.update ctx "t" [ Value.Int i ] (fun row ->
-           row.(1) <- Value.Int (Value.as_int row.(1) + 1);
-           row))
-  in
-  let t_flat =
-    Test.make ~name:"txn: flat 2PL (2 updates)"
-      (Staged.stage (fun () ->
-           Schedule.run eng
-             [
-               (fun () ->
-                 let ctx = Executor.begin_txn eng ~txn_type:"bump2" ~multi_step:false in
-                 bump ctx 1;
-                 bump ctx 2;
-                 Executor.commit ctx);
-             ]))
-  in
-  let t_acc =
-    Test.make ~name:"txn: ACC 2-step (2 updates + step overhead)"
-      (Staged.stage (fun () ->
-           Schedule.run eng
-             [
-               (fun () ->
-                 let inst =
-                   Program.instance ~def:stepped_type
-                     ~steps:[ (s1, fun ctx -> bump ctx 1); (s2, fun ctx -> bump ctx 2) ]
-                     ~compensate:(fun _ctx ~completed:_ -> ())
-                     ()
-                 in
-                 ignore (Runtime.run eng inst));
-             ]))
-  in
-  [
-    t_lock; t_alock; t_predlock; t_predlock_acquire; t_interf; t_build; t_read; t_update;
-    t_flat; t_acc;
-  ]
+  [ t_predlock; t_predlock_acquire; t_build ]
 
 let run_micro () =
   let open Bechamel in
-  Format.fprintf ppf "@.=== micro-benchmarks (CC hot paths) ===@.";
+  Format.fprintf ppf "@.=== micro-benchmarks (rungs the perfbench ladder lacks) ===@.";
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
   let instance = Toolkit.Instance.monotonic_clock in
   let ols =

@@ -144,22 +144,22 @@ let check_step_sequence def steps =
         if List.exists (fun (s : step_def) -> not s.sd_repeats) statics then
           invalid_arg (def.tt_name ^ ": instance is missing mandatory steps")
     | [], _ :: _ -> invalid_arg (def.tt_name ^ ": instance has extra steps")
-    | s :: srest, d :: drest ->
+    | s :: srest, (d, _) :: drest ->
         if (d : step_def).sd_id = s.sd_id then
           if s.sd_repeats then
             (* consume the run of this repeating step *)
             let rec run = function
-              | d' :: drest' when (d' : step_def).sd_id = s.sd_id -> run drest'
+              | ((d' : step_def), _) :: drest' when d'.sd_id = s.sd_id -> run drest'
               | rest -> follow srest rest
             in
             run drest
           else follow srest drest
-        else if s.sd_repeats then follow srest (d :: drest)
+        else if s.sd_repeats then follow srest dynamics
         else
           invalid_arg
             (Printf.sprintf "%s: expected step %s, got %s" def.tt_name s.sd_name d.sd_name)
   in
-  follow def.tt_steps (List.map fst steps)
+  follow def.tt_steps steps
 
 let instance ~def ~steps ?(assertions = []) ?(admission = []) ?compensate
     ?(comp_area = fun () -> []) ?(read_isolation = Exposed) () =

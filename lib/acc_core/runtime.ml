@@ -337,40 +337,57 @@ let abort_prepared p =
   ignore
     (compensate p.pr_ctx p.pr_inst ~completed:(Array.length p.pr_inst.Program.i_steps))
 
-let run_legacy ?(options = default_options) ?stop eng ~txn_type body =
-  ignore options;
+(* The one retry loop of every single-step transaction: flat, READ
+   COMMITTED and legacy differ only in the step they enter and in the
+   isolation lock.  A simulated crash runs no cleanup: recovery must see the
+   loser with the log exactly as the crash left it. *)
+let run_single ?stop ?step_type ?(isolated = false) eng ~txn_type body =
   let stopped () = match stop with Some f -> f () | None -> false in
   let rec attempt n =
     let ctx = Executor.begin_txn eng ~txn_type ~multi_step:false in
-    Executor.set_step ctx ~step_type:Program.legacy_step_id ~step_index:1;
-    (* full isolation: the legacy-isolation assertional lock precedes every
-       conventional data lock and is held to commit; acquiring it first means
-       the transaction queues on in-flight multi-step writers (their Comp
-       locks) without holding the data lock across the wait *)
-    Executor.set_on_before_lock ctx (fun res mode ->
-        match mode with
-        | Mode.S | Mode.X ->
-            Executor.acquire ctx (Mode.A Assertion.legacy_isolation_id) res
-        | Mode.IS | Mode.IX | Mode.A _ | Mode.Comp _ -> ());
-    try
+    Option.iter (fun step_type -> Executor.set_step ctx ~step_type ~step_index:1) step_type;
+    if isolated then
+      (* full isolation: the legacy-isolation assertional lock precedes every
+         conventional data lock and is held to commit; acquiring it first
+         means the transaction queues on in-flight multi-step writers (their
+         Comp locks) without holding the data lock across the wait *)
+      Executor.set_on_before_lock ctx (fun res mode ->
+          match mode with
+          | Mode.S | Mode.X ->
+              Executor.acquire ctx (Mode.A Assertion.legacy_isolation_id) res
+          | Mode.IS | Mode.IX | Mode.A _ | Mode.Comp _ -> ());
+    match
       Fault.step_trip ();
       body ctx;
-      Executor.commit ctx;
-      Committed
+      Executor.commit ctx
     with
-    | Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
+    | () -> Committed
+    | exception e when not (Fault.is_crash e) -> (
         Executor.abort_physical ctx;
-        if stopped () then Compensated { completed_steps = 0 }
-        else begin
-          Txn_effect.yield ~attempt:n ();
-          attempt (n + 1)
-        end
-    | e when not (Fault.is_crash e) ->
-        (* unexpected failure: a flat transaction can abort physically; a
-           simulated crash must propagate without appending anything *)
-        Executor.abort_physical ctx;
-        raise e
+        match e with
+        | (Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault)
+          when not (stopped ()) ->
+            Txn_effect.yield ~attempt:n ();
+            attempt (n + 1)
+        | Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault
+        | Txn_effect.Abort_requested ->
+            Compensated { completed_steps = 0 }
+        | e -> raise e)
   in
   attempt 1
+
+let run_legacy ?stop eng ~txn_type body =
+  run_single ?stop ~step_type:Program.legacy_step_id ~isolated:true eng ~txn_type body
+
+let run_flat ?stop ?(between = fun () -> ()) eng ~txn_type make =
+  let outcome =
+    run_single ?stop eng ~txn_type (fun ctx ->
+        Array.iteri
+          (fun j (_, body) ->
+            if j > 0 then between ();
+            body ctx)
+          (make ()).Program.i_steps)
+  in
+  match outcome with Committed -> `Committed | Compensated _ -> `Aborted
 
 let victim_policy = Acc_txn.Schedule.spare_compensating

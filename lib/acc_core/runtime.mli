@@ -19,9 +19,12 @@
       [Abort] record;
     + {b commit} — release everything.
 
-    Legacy / ad-hoc transactions run through {!run_legacy}: single step,
-    conventional locks plus the legacy-isolation assertional lock on every
-    item, all held to commit — fully isolated from decomposed transactions. *)
+    Single-step transactions run through {!run_single}, one retry loop for
+    three kinds: legacy / ad-hoc transactions ({!run_legacy}: conventional
+    locks plus the legacy-isolation assertional lock on every item, all held
+    to commit — fully isolated from decomposed transactions), READ
+    COMMITTED reads, and the strict-2PL comparator ({!run_flat}), which runs
+    a program's step bodies back to back as one flat transaction. *)
 
 type outcome =
   | Committed
@@ -122,17 +125,49 @@ val run_compensation :
     locks matching [release] (the conventional ones), backs off and
     retries.  Ends with {!Acc_txn.Executor.finish_compensated}. *)
 
+val run_single :
+  ?stop:(unit -> bool) ->
+  ?step_type:int ->
+  ?isolated:bool ->
+  Acc_txn.Executor.t ->
+  txn_type:string ->
+  (Acc_txn.Executor.ctx -> unit) ->
+  outcome
+(** Run [body] as one single-step transaction under strict 2PL, retrying it
+    from the start after a deadlock victimization, a lock timeout or an
+    injected step fault.  [step_type] is the step the transaction enters
+    (absent: none, as a flat comparator transaction); [isolated] (default
+    [false]) takes the legacy-isolation assertional lock before every S and
+    X.  The result is [Committed], or [Compensated { completed_steps = 0 }]
+    when the body raised {!Acc_txn.Txn_effect.Abort_requested} or [stop]
+    turned [true] during a retry; either way an aborted attempt is rolled
+    back physically and releases its locks.  Any other exception aborts the
+    transaction the same way and then surfaces, except a simulated crash,
+    which propagates without logging anything. *)
+
 val run_legacy :
-  ?options:options ->
   ?stop:(unit -> bool) ->
   Acc_txn.Executor.t ->
   txn_type:string ->
   (Acc_txn.Executor.ctx -> unit) ->
   outcome
-(** Run an unanalyzed transaction with full isolation (retries internally on
-    deadlock or lock timeout; commits unless [stop] becomes [true] during a
-    retry, in which case the abort stands and the result is
-    [Compensated { completed_steps = 0 }]). *)
+(** Run an unanalyzed transaction with full isolation: {!run_single} at
+    {!Program.legacy_step_id}, isolated. *)
+
+val run_flat :
+  ?stop:(unit -> bool) ->
+  ?between:(unit -> unit) ->
+  Acc_txn.Executor.t ->
+  txn_type:string ->
+  (unit -> Program.instance) ->
+  [ `Committed | `Aborted ]
+(** The strict-2PL comparator: run the step bodies of a freshly built
+    instance back to back as one flat transaction ({!run_single} with no
+    step), calling [between] (default: nothing) between consecutive steps.
+    No step is entered and no step end is logged; every lock is held to
+    commit.  Admission, assertions and the compensating step are ignored.
+    Each attempt builds its own instance, so a retry starts from a fresh
+    workspace. *)
 
 val victim_policy : Acc_txn.Schedule.victim_policy
 (** §3.4: the step closing the cycle is the victim, unless it is a

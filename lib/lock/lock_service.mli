@@ -15,9 +15,6 @@
     instance, so a backend is a value of type [t = (module S)]; use the
     same-named dispatch helpers below rather than unpacking by hand. *)
 module type S = sig
-  val backend_name : string
-  (** ["sequential"] or ["sharded"] — for diagnostics and bench labels. *)
-
   val acquire : Lock_request.t -> unit
   (** Checked acquisition; when control returns normally the lock is held.
       How a queued request waits is the backend's affair: the sequential
@@ -40,11 +37,7 @@ module type S = sig
   val cancel : ticket:int -> unit
 
   val outstanding : ticket:int -> bool
-  val ticket_txn : ticket:int -> int option
-  val outstanding_tickets : txn:int -> int list
   val holders : Resource_id.t -> (int * Mode.t * int) list
-  val held_by : txn:int -> (Resource_id.t * Mode.t) list
-  val waiting_on : txn:int -> Resource_id.t list
   val wait_edges : unit -> (int * int) list
   val find_cycle : from:int -> int list option
   val compensating_waiter : txn:int -> bool
@@ -62,28 +55,11 @@ module type S = sig
 
   val lock_count : unit -> int
   val waiter_count : unit -> int
-  val entry_count : unit -> int
   val oldest_wait : now:float -> float
-  val max_bypassed : unit -> int
 
   val timeout_count : unit -> int
   (** Lock waits expired over the backend's lifetime (0 on the sequential
       backend, which leaves expiry to its scheduler). *)
-
-  val mutex_acquisitions : unit -> int
-  (** Shard-mutex lock operations over the backend's lifetime — the quantity
-      the fast path avoids.  Constantly 0 on the sequential backend (no
-      mutex). *)
-
-  val fast_attempts : unit -> int
-  (** Lock-free fast-path installs attempted over the backend's lifetime
-      (DESIGN.md §17).  Constantly 0 on backends without a fast path,
-      including the sequential one. *)
-
-  val fast_hits : unit -> int
-  (** Fast-path installs that validated and stuck: [fast_hits () /
-      fast_attempts ()] is the fast-path hit rate the scale bench and its CI
-      gate report. *)
 
   val set_observer : (Lock_table.observation -> unit) option -> unit
   val pp_state : Format.formatter -> unit -> unit
@@ -97,7 +73,6 @@ type t = (module S)
     [Lock_service.acquire svc req] instead of
     [let (module M) = svc in M.acquire req]. *)
 
-val backend_name : t -> string
 val acquire : t -> Lock_request.t -> unit
 val attach : t -> Lock_request.t -> unit
 val release : t -> txn:int -> Mode.t -> Resource_id.t -> unit
@@ -105,11 +80,7 @@ val release_where : t -> txn:int -> (Resource_id.t -> Mode.t -> bool) -> unit
 val release_all : t -> txn:int -> unit
 val cancel : t -> ticket:int -> unit
 val outstanding : t -> ticket:int -> bool
-val ticket_txn : t -> ticket:int -> int option
-val outstanding_tickets : t -> txn:int -> int list
 val holders : t -> Resource_id.t -> (int * Mode.t * int) list
-val held_by : t -> txn:int -> (Resource_id.t * Mode.t) list
-val waiting_on : t -> txn:int -> Resource_id.t list
 val wait_edges : t -> (int * int) list
 val find_cycle : t -> from:int -> int list option
 val compensating_waiter : t -> txn:int -> bool
@@ -117,13 +88,8 @@ val expire : t -> now:float -> Lock_table.expired list
 val kill : t -> txn:int -> int
 val lock_count : t -> int
 val waiter_count : t -> int
-val entry_count : t -> int
 val oldest_wait : t -> now:float -> float
-val max_bypassed : t -> int
 val timeout_count : t -> int
-val mutex_acquisitions : t -> int
-val fast_attempts : t -> int
-val fast_hits : t -> int
 val set_observer : t -> (Lock_table.observation -> unit) option -> unit
 val pp_state : Format.formatter -> t -> unit
 

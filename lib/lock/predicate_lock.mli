@@ -11,8 +11,9 @@
     conjunctive predicates over [=], [<>], [<], [<=], [>], [>=], [IN];
     disjunctions and negations fall back to "may intersect").
 
-    The micro-benchmark suite measures {!may_intersect} against the ACC's
-    interference lookup to quantify the claim. *)
+    [bench/main.exe micro] times {!may_intersect}; set against the ACC's
+    interference lookup, which perfbench's cost ladder times, it quantifies
+    the claim. *)
 
 module Predicate = Acc_relation.Predicate
 

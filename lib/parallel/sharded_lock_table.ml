@@ -922,7 +922,6 @@ let pp_state ppf t =
 
 let service t : Lock_service.t =
   (module struct
-    let backend_name = "sharded"
     let acquire r = acquire_req t r
     let attach r = attach_req t r
     let release ~txn mode res = ignore (release t ~txn mode res)
@@ -930,11 +929,7 @@ let service t : Lock_service.t =
     let release_all ~txn = ignore (release_all t ~txn)
     let cancel ~ticket = ignore (cancel t ~ticket)
     let outstanding ~ticket = outstanding t ~ticket
-    let ticket_txn ~ticket = ticket_txn t ~ticket
-    let outstanding_tickets ~txn = outstanding_tickets t ~txn
     let holders res = holders t res
-    let held_by ~txn = held_by t ~txn
-    let waiting_on ~txn = waiting_on t ~txn
     let wait_edges () = wait_edges t
     let find_cycle ~from = Lock_core.find_cycle ~edges:(wait_edges ()) ~from
     let compensating_waiter ~txn = compensating_waiter t ~txn
@@ -942,13 +937,8 @@ let service t : Lock_service.t =
     let kill ~txn = kill t ~txn
     let lock_count () = lock_count t
     let waiter_count () = waiter_count t
-    let entry_count () = entry_count t
     let oldest_wait ~now = oldest_wait t ~now
-    let max_bypassed () = max_bypassed t
     let timeout_count () = timeout_count t
-    let mutex_acquisitions () = mutex_acquisitions t
-    let fast_attempts () = fast_attempts t
-    let fast_hits () = fast_hits t
     let set_observer obs = set_observer t obs
     let pp_state ppf () = pp_state ppf t
   end)

@@ -17,7 +17,6 @@
    continue the numbering of {!Txns} (15..26); assertion ids continue at 5. *)
 
 module Executor = Acc_txn.Executor
-module Txn_effect = Acc_txn.Txn_effect
 module Program = Acc_core.Program
 module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
@@ -233,25 +232,17 @@ let new_order_rstock_compensate ctx ~completed =
 (* Branch instances                                                        *)
 (* ====================================================================== *)
 
+(* The home and remote-customer branches run {!Txns}' own step bodies: the
+   home branch paces before its district step, the one pace point it adds. *)
+
 let payment_home_instance env (i : Txns.payment_input) =
-  let pace = env.Txns.pace in
   let steps =
     [
-      ( ph_wh,
-        fun ctx ->
-          ignore
-            (Executor.update ctx "warehouse" [ Int i.Txns.p_w ] (fun row ->
-                 row.(3) <- Float (fnum row.(3) +. i.Txns.p_amount);
-                 row)) );
+      (ph_wh, Txns.pay_step1 env i);
       ( ph_dist,
         fun ctx ->
-          pace ();
-          ignore
-            (Executor.update ctx "district"
-               (Load.district_key ~w:i.Txns.p_w ~d:i.Txns.p_d)
-               (fun row ->
-                 row.(4) <- Float (fnum row.(4) +. i.Txns.p_amount);
-                 row)) );
+          env.Txns.pace ();
+          Txns.pay_step2 env i ctx );
     ]
   in
   Program.instance ~def:payment_home_type ~steps
@@ -261,90 +252,36 @@ let payment_home_instance env (i : Txns.payment_input) =
     ()
 
 let payment_rcust_instance env (i : Txns.payment_input) =
-  let pace = env.Txns.pace in
-  let h_id = ref 0 and cust = ref 0 in
-  let body ctx =
-    let c = Txns.resolve_customer ctx ~w:i.Txns.p_c_w ~d:i.Txns.p_c_d i.Txns.p_customer in
-    cust := c;
-    ignore
-      (Executor.update ctx "customer"
-         (Load.customer_key ~w:i.Txns.p_c_w ~d:i.Txns.p_c_d ~c)
-         (fun row ->
-           row.(6) <- Float (fnum row.(6) -. i.Txns.p_amount);
-           row.(7) <- Float (fnum row.(7) +. i.Txns.p_amount);
-           row.(8) <- Int (as_int row.(8) + 1);
-           row));
-    pace ();
-    h_id := Txns.next_history_id ();
-    Executor.insert ctx "history"
-      [|
-        Int !h_id; Int i.Txns.p_c_w; Int i.Txns.p_c_d; Int c; Int i.Txns.p_w;
-        Int i.Txns.p_d; Float i.Txns.p_amount;
-      |]
-  in
-  Program.instance ~def:payment_rcust_type ~steps:[ (pr_cust, body) ]
+  let ws = { Txns.h_id = 0; w_customer = 0 } in
+  Program.instance ~def:payment_rcust_type ~steps:[ (pr_cust, Txns.pay_step3 env i ws) ]
     ~compensate:payment_rcust_compensate
     ~comp_area:(fun () ->
       [
         ("c_w", Int i.Txns.p_c_w);
         ("c_d", Int i.Txns.p_c_d);
-        ("c", Int !cust);
+        ("c", Int ws.Txns.w_customer);
         ("amount", Float i.Txns.p_amount);
-        ("h_id", Int !h_id);
+        ("h_id", Int ws.Txns.h_id);
       ])
     ()
 
-type nh_ws = { mutable o_id : int }
-
 let new_order_home_instance env ~local (i : Txns.new_order_input) =
-  let pace = env.Txns.pace in
-  let ws = { o_id = 0 } in
+  let ws = { Txns.o_id = 0 } in
   let w = i.Txns.no_w and d = i.Txns.no_d and c = i.Txns.no_c in
   let n_items = List.length i.Txns.no_items in
-  let step1 ctx =
-    ignore (Executor.read_exn ctx "warehouse" [ Int w ]);
-    pace ();
-    let d_row =
-      Executor.update ctx "district" (Load.district_key ~w ~d) (fun row ->
-          row.(5) <- Int (as_int row.(5) + 1);
-          row)
-    in
-    ws.o_id <- as_int d_row.(5) - 1;
-    pace ();
-    ignore (Executor.read_exn ctx "customer" (Load.customer_key ~w ~d ~c))
-  in
-  let step2 ctx =
-    Executor.insert ctx "orders"
-      [| Int w; Int d; Int ws.o_id; Int c; Int (-1); Int n_items |];
-    pace ();
-    Executor.insert ctx "new_order" [| Int w; Int d; Int ws.o_id |]
-  in
-  let step_line ~ln ~last ~item ~qty ~supply ctx =
-    if last && i.Txns.no_fail_last then raise Txn_effect.Abort_requested;
-    let item_row = Executor.read_exn ctx "item" [ Int item ] in
-    let price = fnum item_row.(2) in
-    pace ();
-    (* a remote line's stock draw belongs to that partition's rstock branch *)
-    if local supply then Txns.draw_stock ctx ~supply ~item ~qty;
-    pace ();
-    Executor.insert ctx "order_line"
-      [|
-        Int w; Int d; Int ws.o_id; Int ln; Int item; Int qty;
-        Float (float_of_int qty *. price); Int (-1); Int supply;
-      |]
-  in
-  let step_final ctx =
-    ignore (Executor.read_exn ctx "orders" (Load.order_key ~w ~d ~o:ws.o_id))
-  in
   let line_steps =
     List.mapi
       (fun idx (item, qty, supply) ->
         ( nh_line,
-          step_line ~ln:(idx + 1) ~last:(idx = n_items - 1) ~item ~qty ~supply ))
+          (* a remote line's stock draw belongs to that partition's rstock
+             branch *)
+          Txns.no_step_line env i ws ~ln:(idx + 1) ~last:(idx = n_items - 1) ~item ~qty ~supply
+            ~draw:(local supply) ))
       i.Txns.no_items
   in
   let steps =
-    ((nh_reads, step1) :: (nh_insert, step2) :: line_steps) @ [ (nh_final, step_final) ]
+    ((nh_reads, Txns.no_step1 env i ws) :: (nh_insert, Txns.no_step2 env i ws) :: line_steps)
+    @ [ (nh_final, Txns.no_step_final i ws) ]
   in
   let n = List.length steps in
   let assertions =
@@ -355,7 +292,7 @@ let new_order_home_instance env ~local (i : Txns.new_order_input) =
   in
   Program.instance ~def:new_order_home_type ~steps ~assertions
     ~compensate:Txns.new_order_compensate
-    ~comp_area:(fun () -> Txns.new_order_area ~w ~d ~o:ws.o_id ~c ~n:n_items)
+    ~comp_area:(fun () -> Txns.new_order_area ~w ~d ~o:ws.Txns.o_id ~c ~n:n_items)
     ()
 
 let new_order_rstock_instance env items =

@@ -418,12 +418,9 @@ let resolve_customer ctx ~w ~d selector =
           | [ _; _; Int c ] -> c
           | _ -> assert false))
 
-(* workspace threaded through a new_order execution *)
-type no_ws = {
-  mutable o_id : int;
-  mutable ol_number : int;
-  mutable total : float;
-}
+(* workspace threaded through a new_order execution: the order id step 1
+   draws *)
+type no_ws = { mutable o_id : int }
 
 let no_step1 env (i : new_order_input) ws ctx =
   let w_row = Executor.read_exn ctx "warehouse" [ Int i.no_w ] in
@@ -464,16 +461,17 @@ let undo_stock ctx ~supply ~item ~qty =
          s.(4) <- Int (as_int s.(4) - 1);
          s))
 
-let no_step_line env (i : new_order_input) ws ~ln ~last ~item ~qty ~supply ctx =
+(* [draw] says whether the line draws its stock itself: the home branch of
+   a partitioned new_order leaves a remote draw to that partition's branch *)
+let no_step_line env (i : new_order_input) ws ~ln ~last ~item ~qty ~supply ~draw ctx =
   (* idempotent under step retry: the line number comes from the step's
-     position, and the workspace is assigned, not accumulated *)
+     position, and the workspace is not written *)
   if last && i.no_fail_last then raise Txn_effect.Abort_requested;
   let item_row = Executor.read_exn ctx "item" [ Int item ] in
   let price = fnum item_row.(2) in
   env.pace ();
-  draw_stock ctx ~supply ~item ~qty;
+  if draw then draw_stock ctx ~supply ~item ~qty;
   env.pace ();
-  ws.ol_number <- ln;
   Executor.insert ctx "order_line"
     [|
       Int i.no_w; Int i.no_d; Int ws.o_id; Int ln; Int item; Int qty;
@@ -783,72 +781,23 @@ let stock_level_body env (i : stock_level_input) ctx =
   ignore !low
 
 (* ====================================================================== *)
-(* Flat (baseline) dispatch                                                *)
-(* ====================================================================== *)
-
-let flat_new_order env (i : new_order_input) ctx =
-  let ws = { o_id = 0; ol_number = 0; total = 0.0 } in
-  no_step1 env i ws ctx;
-  env.pace ();
-  no_step2 env i ws ctx;
-  env.pace ();
-  let n = List.length i.no_items in
-  List.iteri
-    (fun idx (item, qty, supply) ->
-      no_step_line env i ws ~ln:(idx + 1) ~last:(idx = n - 1) ~item ~qty ~supply ctx;
-      env.pace ())
-    i.no_items;
-  no_step_final i ws ctx
-
-let flat_payment env (i : payment_input) ctx =
-  let ws = { h_id = 0; w_customer = 0 } in
-  pay_step1 env i ctx;
-  env.pace ();
-  pay_step2 env i ctx;
-  env.pace ();
-  pay_step3 env i ws ctx
-
-let flat_delivery env (i : delivery_input) ctx =
-  let ws = { delivered = [] } in
-  ignore (Executor.read_exn ctx "warehouse" [ Int i.dl_w ]);
-  for d = 1 to env.params.Params.districts_per_warehouse do
-    env.pace ();
-    dl_step_district env i ws ~d ctx
-  done
-
-let flat env input ctx =
-  match input with
-  | New_order i -> flat_new_order env i ctx
-  | Payment i -> flat_payment env i ctx
-  | Order_status i -> order_status_body env i ctx
-  | Delivery i -> flat_delivery env i ctx
-  | Stock_level i -> stock_level_body env i ctx
-
-let is_read_committed = function
-  | Stock_level _ -> true
-  | New_order _ | Payment _ | Order_status _ | Delivery _ -> false
-
-(* ====================================================================== *)
 (* Stepped (ACC) instances                                                 *)
 (* ====================================================================== *)
 
 let new_order_instance env (i : new_order_input) =
-  let ws = { o_id = 0; ol_number = 0; total = 0.0 } in
+  let ws = { o_id = 0 } in
   let n_items = List.length i.no_items in
   let line_steps =
     List.mapi
       (fun idx (item, qty, supply) ->
         ( no_line,
-          fun ctx ->
-            no_step_line env i ws ~ln:(idx + 1) ~last:(idx = n_items - 1) ~item ~qty ~supply
-              ctx ))
+          no_step_line env i ws ~ln:(idx + 1) ~last:(idx = n_items - 1) ~item ~qty ~supply
+            ~draw:true ))
       i.no_items
   in
   let steps =
-    ((no_reads, fun ctx -> no_step1 env i ws ctx)
-    :: (no_insert, fun ctx -> no_step2 env i ws ctx)
-    :: line_steps)
-    @ [ (no_final, fun ctx -> no_step_final i ws ctx) ]
+    ((no_reads, no_step1 env i ws) :: (no_insert, no_step2 env i ws) :: line_steps)
+    @ [ (no_final, no_step_final i ws) ]
   in
   let n = List.length steps in
   let assertions =
@@ -866,11 +815,7 @@ let new_order_instance env (i : new_order_input) =
 let payment_instance env (i : payment_input) =
   let ws = { h_id = 0; w_customer = 0 } in
   let steps =
-    [
-      (pay_wh, fun ctx -> pay_step1 env i ctx);
-      (pay_dist, fun ctx -> pay_step2 env i ctx);
-      (pay_cust, fun ctx -> pay_step3 env i ws ctx);
-    ]
+    [ (pay_wh, pay_step1 env i); (pay_dist, pay_step2 env i); (pay_cust, pay_step3 env i ws) ]
   in
   let assertions =
     [ { Program.ai_assertion = a_pay_applied; ai_from = 2; ai_until = 3; ai_check = None } ]
@@ -925,66 +870,26 @@ let delivery_instance env (i : delivery_input) =
 
 let instance env input =
   match input with
-  | New_order i -> Some (new_order_instance env i)
-  | Payment i -> Some (payment_instance env i)
-  | Delivery i -> Some (delivery_instance env i)
-  | Order_status _ | Stock_level _ -> None
+  | New_order i -> new_order_instance env i
+  | Payment i -> payment_instance env i
+  | Delivery i -> delivery_instance env i
+  | Order_status i ->
+      Program.instance ~def:order_status_type ~steps:[ (os_read, order_status_body env i) ] ()
+  | Stock_level i ->
+      Program.instance ~def:stock_level_type ~steps:[ (sl_read, stock_level_body env i) ] ()
 
 let run_acc ?options ?stop eng env input =
-  let stopped () = match stop with Some f -> f () | None -> false in
   match input with
-  | New_order _ | Payment _ | Delivery _ -> begin
-      match instance env input with
-      | Some inst -> Runtime.run ?options ?stop eng inst
-      | None -> assert false
-    end
+  | New_order _ | Payment _ | Delivery _ -> Runtime.run ?options ?stop eng (instance env input)
   | Order_status i ->
-      Runtime.run_legacy ?options ?stop eng ~txn_type:"order_status" (fun ctx ->
-          order_status_body env i ctx)
+      Runtime.run_legacy ?stop eng ~txn_type:"order_status" (order_status_body env i)
   | Stock_level i ->
       (* READ COMMITTED: flat, no assertional locks, short read locks *)
-      let rec attempt n =
-        let ctx = Executor.begin_txn eng ~txn_type:"stock_level" ~multi_step:false in
-        Executor.set_step ctx ~step_type:sl_read.Program.sd_id ~step_index:1;
-        try
-          Fault.step_trip ();
-          stock_level_body env i ctx;
-          Executor.commit ctx;
-          Runtime.Committed
-        with Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
-          Executor.abort_physical ctx;
-          if stopped () then Runtime.Compensated { completed_steps = 0 }
-          else begin
-            Txn_effect.yield ~attempt:n ();
-            attempt (n + 1)
-          end
-      in
-      attempt 1
+      Runtime.run_single ?stop ~step_type:sl_read.Program.sd_id eng ~txn_type:"stock_level"
+        (stock_level_body env i)
 
+(* The strict-2PL comparator: the same steps as one transaction, paced at
+   every step boundary, where the ACC program is not (DESIGN.md §19.1) *)
 let run_flat ?stop eng env input =
-  let stopped () = match stop with Some f -> f () | None -> false in
-  let rec attempt n =
-    let ctx = Executor.begin_txn eng ~txn_type:(txn_name input) ~multi_step:false in
-    try
-      Fault.step_trip ();
-      flat env input ctx;
-      Executor.commit ctx;
-      `Committed
-    with
-    | Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
-        Executor.abort_physical ctx;
-        if stopped () then `Aborted
-        else begin
-          Txn_effect.yield ~attempt:n ();
-          attempt (n + 1)
-        end
-    | Txn_effect.Abort_requested ->
-        Executor.abort_physical ctx;
-        `Aborted
-    | e when not (Fault.is_crash e) ->
-        (* a simulated crash runs no cleanup: the abort record must not reach
-           the log, recovery handles the loser *)
-        Executor.abort_physical ctx;
-        raise e
-  in
-  attempt 1
+  Runtime.run_flat ?stop ~between:env.pace eng ~txn_type:(txn_name input) (fun () ->
+      instance env input)

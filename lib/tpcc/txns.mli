@@ -1,9 +1,10 @@
 (** The five TPC-C transaction types, in both forms under test.
 
-    {b Flat} bodies run under plain strict 2PL — the "unmodified Open Ingres"
-    comparator.  {b Stepped} instances are the ACC decomposition (§5.1): the
-    eleven forward step types, their compensating steps and the interstep
-    assertions, mirroring the paper's analysis:
+    {b Stepped} instances are the ACC decomposition (§5.1): the eleven
+    forward step types, their compensating steps and the interstep
+    assertions, mirroring the paper's analysis.  The {b flat} form — the
+    "unmodified Open Ingres" comparator — runs the same step bodies back to
+    back as one strict-2PL transaction ({!Acc_core.Runtime.run_flat}).
 
     - [new_order]: reads + district-counter increment | order/queue insert |
       one step per order line | finalize.  Its counter assertion is declared
@@ -168,19 +169,59 @@ val draw_stock : Acc_txn.Executor.ctx -> supply:int -> item:int -> qty:int -> un
 val undo_stock : Acc_txn.Executor.ctx -> supply:int -> item:int -> qty:int -> unit
 (** Exact inverse of {!draw_stock}. *)
 
-(** {1 Flat (baseline) bodies} *)
+(** {1 Step bodies, shared with the partitioned branch programs}
 
-val flat : env -> input -> Acc_txn.Executor.ctx -> unit
-(** May raise {!Acc_txn.Txn_effect.Abort_requested} (1% new-orders). *)
+    {!Dist_txns}' home and remote-customer branches run these same bodies
+    under their own step types. *)
 
-val is_read_committed : input -> bool
-(** Stock-level runs at READ COMMITTED in both systems. *)
+type no_ws = { mutable o_id : int }
+(** new_order's workspace: the order id its first step draws. *)
 
-(** {1 Stepped (ACC) instances} *)
+val no_step1 : env -> new_order_input -> no_ws -> Acc_txn.Executor.ctx -> unit
+(** Read the warehouse, advance the district's order counter (drawing the
+    order id), read the customer. *)
 
-val instance : env -> input -> Acc_core.Program.instance option
-(** [None] for the types that do not run through {!Acc_core.Runtime.run}:
-    order-status (legacy full isolation) and stock-level (read committed). *)
+val no_step2 : env -> new_order_input -> no_ws -> Acc_txn.Executor.ctx -> unit
+(** Insert the order header and its new-order queue row. *)
+
+val no_step_line :
+  env ->
+  new_order_input ->
+  no_ws ->
+  ln:int ->
+  last:bool ->
+  item:int ->
+  qty:int ->
+  supply:int ->
+  draw:bool ->
+  Acc_txn.Executor.ctx ->
+  unit
+(** Order line [ln]: read the item, draw the stock when [draw], insert the
+    line.  Raises {!Acc_txn.Txn_effect.Abort_requested} on the [last] line
+    of an input generated to fail. *)
+
+val no_step_final : new_order_input -> no_ws -> Acc_txn.Executor.ctx -> unit
+(** Re-read the order header. *)
+
+type pay_ws = { mutable h_id : int; mutable w_customer : int }
+(** payment's workspace: the history key and the resolved customer id. *)
+
+val pay_step1 : env -> payment_input -> Acc_txn.Executor.ctx -> unit
+(** Add the amount to the warehouse's ytd. *)
+
+val pay_step2 : env -> payment_input -> Acc_txn.Executor.ctx -> unit
+(** Add the amount to the district's ytd. *)
+
+val pay_step3 : env -> payment_input -> pay_ws -> Acc_txn.Executor.ctx -> unit
+(** Resolve and charge the customer, insert the history row. *)
+
+(** {1 Programs} *)
+
+val instance : env -> input -> Acc_core.Program.instance
+(** The input's program.  New-order, payment and delivery run it through
+    {!Acc_core.Runtime.run}; order-status and stock-level are single steps,
+    which {!run_acc} runs through the legacy full-isolation path and at READ
+    COMMITTED. *)
 
 val run_acc :
   ?options:Acc_core.Runtime.options ->
@@ -196,6 +237,8 @@ val run_acc :
 val run_flat :
   ?stop:(unit -> bool) ->
   Acc_txn.Executor.t -> env -> input -> [ `Committed | `Aborted ]
-(** Dispatch one transaction under the baseline regime (strict 2PL, retry on
-    deadlock or lock timeout, abort on the 1% rule).  A [stop] that turns
-    [true] during a retry converts it into [`Aborted]. *)
+(** Dispatch one transaction under the baseline regime: the input's program
+    run back to back as one strict-2PL transaction, with [env.pace] called
+    between consecutive steps (retry on deadlock or lock timeout, abort on
+    the 1% rule).  A [stop] that turns [true] during a retry converts it
+    into [`Aborted]. *)

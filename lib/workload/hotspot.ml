@@ -205,26 +205,25 @@ let bump_instance env ~txn ~rows ~fail =
       :: List.mapi (fun i row -> (Printf.sprintf "r%d" i, Int row)) rows)
     ()
 
+let sum_instance env ~threshold =
+  Program.instance ~def:sum_type ~steps:[ (hs_read, sum_body env ~threshold) ] ()
+
+let instance env input =
+  match input with
+  | Bump { txn; rows; fail } -> bump_instance env ~txn ~rows ~fail
+  | Sum { threshold } -> sum_instance env ~threshold
+
 let run_acc ?options ?stop eng env input =
   match input with
-  | Bump { txn; rows; fail } -> Runtime.run ?options ?stop eng (bump_instance env ~txn ~rows ~fail)
+  | Bump _ -> Runtime.run ?options ?stop eng (instance env input)
   | Sum { threshold } ->
-      W.Run.read_committed ?stop ~txn_type:"hs_sum" ~step_type:hs_read.Program.sd_id eng
-        (fun ctx -> sum_body env ~threshold ctx)
-
-let flat env input ctx =
-  match input with
-  | Bump { txn; rows; fail } ->
-      let n = List.length rows in
-      List.iteri
-        (fun idx row ->
-          inc_body env ~txn ~k:(idx + 1) ~row ~fail ~last:(idx = n - 1) ctx;
-          if idx < n - 1 then env.pace ())
-        rows
-  | Sum { threshold } -> sum_body env ~threshold ctx
+      (* READ COMMITTED: short read locks, no assertional locks *)
+      Runtime.run_single ?stop ~step_type:hs_read.Program.sd_id eng ~txn_type:"hs_sum"
+        (sum_body env ~threshold)
 
 let run_flat ?stop eng env input =
-  W.Run.flat ?stop ~txn_type:(txn_name input) eng (fun ctx -> flat env input ctx)
+  Runtime.run_flat ?stop ~between:env.pace eng ~txn_type:(txn_name input) (fun () ->
+      instance env input)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants *)

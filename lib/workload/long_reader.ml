@@ -310,28 +310,23 @@ let post_instance env ~src ~dst ~amount ~fail =
     ~comp_area:(fun () -> [ ("src", Int src); ("dst", Int dst); ("amount", Float amount) ])
     ()
 
+let instance env input =
+  match input with
+  | Post { src; dst; amount; fail } -> post_instance env ~src ~dst ~amount ~fail
+  | Audit { id; region } ->
+      Program.instance ~def:audit_type ~steps:[ (audit_read, audit_body env ~id ~region) ] ()
+
 let run_acc ?options ?stop eng env input =
   match input with
-  | Post { src; dst; amount; fail } ->
-      let outcome = Runtime.run ?options ?stop eng (post_instance env ~src ~dst ~amount ~fail) in
-      outcome
+  | Post _ -> Runtime.run ?options ?stop eng (instance env input)
   | Audit { id; region } ->
       (* the long reader: full isolation via the legacy protocol — its
          isolation assertional lock queues on in-flight writers *)
-      Runtime.run_legacy ?options ?stop eng ~txn_type:"lr_audit" (fun ctx ->
-          audit_body env ~id ~region ctx)
-
-let flat env input ctx =
-  match input with
-  | Post { src; dst; amount; fail } ->
-      debit_body env ~src ~amount ctx;
-      env.pace ();
-      credit_body env ~dst ~amount ~fail ctx
-  | Audit { id; region } -> audit_body env ~id ~region ctx
+      Runtime.run_legacy ?stop eng ~txn_type:"lr_audit" (audit_body env ~id ~region)
 
 let run_flat ?stop eng env input =
-  let r = W.Run.flat ?stop ~txn_type:(txn_name input) eng (fun ctx -> flat env input ctx) in
-  r
+  Runtime.run_flat ?stop ~between:env.pace eng ~txn_type:(txn_name input) (fun () ->
+      instance env input)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants *)

@@ -324,41 +324,15 @@ let reset_global () =
   Atomic.set placed_hint 0;
   register_replay ()
 
-let run_acc ?options ?stop eng env input =
+let instance env input =
   match input with
-  | Place { items; fail } ->
-      let inst, _ = new_order ~pace:env.pace ~fail ~items () in
-      Runtime.run ?options ?stop eng inst
-  | Bill { order } ->
-      let inst, _ = bill ~order in
-      Runtime.run ?options ?stop eng inst
+  | Place { items; fail } -> fst (new_order ~pace:env.pace ~fail ~items ())
+  | Bill { order } -> fst (bill ~order)
 
-let flat env input ctx =
-  match input with
-  | Place { items; fail } ->
-      let order_id = ref (-1) in
-      let n_items = List.length items in
-      let row =
-        Executor.update ctx "counter" [ v_int 0 ] (fun row ->
-            row.(1) <- v_int (as_int row.(1) + 1);
-            row)
-      in
-      order_id := as_int row.(1) - 1;
-      Executor.insert ctx "orders" [| v_int !order_id; v_int n_items; v_int (-1) |];
-      List.iteri
-        (fun idx (item, qty) ->
-          env.pace ();
-          if fail && idx = n_items - 1 then raise Txn_effect.Abort_requested;
-          let level = as_int (Executor.read_exn ctx "stock" [ v_int item ]).(1) in
-          let filled = min qty level in
-          Executor.set_column ctx "stock" [ v_int item ] "s_level" (v_int (level - filled));
-          Executor.insert ctx "orderlines"
-            [| v_int !order_id; v_int item; v_int qty; v_int filled |])
-        items
-  | Bill { order } -> bill_body ~order ctx
+let run_acc ?options ?stop eng env input = Runtime.run ?options ?stop eng (instance env input)
 
 let run_flat ?stop eng env input =
-  W.Run.flat ?stop ~txn_type:(txn_name input) eng (fun ctx -> flat env input ctx)
+  Runtime.run_flat ?stop eng ~txn_type:(txn_name input) (fun () -> instance env input)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants *)

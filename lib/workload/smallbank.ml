@@ -494,26 +494,17 @@ let instance env input =
 
 let run_acc ?options ?stop eng env input = Runtime.run ?options ?stop eng (instance env input)
 
-(* ------------------------------------------------------------------ *)
-(* Flat (strict-2PL) comparator: same bodies, one transaction *)
-
-let flat env input ctx =
-  match input with
-  | Balance { acct } -> bal_body env ~acct ctx
-  | Deposit { acct; amount } -> dc_body env ~acct ~amount { au1 = 0 } ctx
-  | Transact { acct; amount } -> ts_body env ~acct ~amount { au1 = 0 } ctx
-  | Write_check { acct; amount; fail } ->
-      let ws = { ok = false; au = 0 } in
-      wc_check_body env ~acct ~amount ws ctx;
-      wc_deduct_body env ~acct ~amount ~fail ws ctx
-  | Amalgamate { src; dst; fail } ->
-      let ws = { ms = 0.; mc = 0.; au = 0 } in
-      am_take_body env ~src ws ctx;
-      env.pace ();
-      am_put_body env ~src ~dst ~fail ws ctx
-
+(* The strict-2PL comparator runs the same steps as one transaction.  It
+   paces between an amalgamate's two steps, where the ACC program does not
+   (DESIGN.md §19.1); a write_check's first step already ends with the
+   client's pause. *)
 let run_flat ?stop eng env input =
-  W.Run.flat ?stop ~txn_type:(txn_name input) eng (fun ctx -> flat env input ctx)
+  let between =
+    match input with
+    | Amalgamate _ -> env.pace
+    | Balance _ | Deposit _ | Transact _ | Write_check _ -> fun () -> ()
+  in
+  Runtime.run_flat ?stop ~between eng ~txn_type:(txn_name input) (fun () -> instance env input)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants *)

@@ -208,42 +208,25 @@ let reset_global () =
 
 let quote_body ctx = ignore (cheapest_lot ctx)
 
+let buy_instance env ~buyer ~want ~fail =
+  fst (buy ~pace:env.pace ~fail ~buyer ~want ~steps:3 ())
+
 let run_acc ?options ?stop eng env input =
   match input with
   | Buy { buyer; want; fail } ->
-      let inst, _ = buy ~pace:env.pace ~fail ~buyer ~want ~steps:3 () in
-      Runtime.run ?options ?stop eng inst
+      Runtime.run ?options ?stop eng (buy_instance env ~buyer ~want ~fail)
   | Quote ->
-      W.Run.read_committed ?stop ~txn_type:"st_quote"
-        ~step_type:Program.legacy_step_id eng quote_body
+      Runtime.run_single ?stop ~step_type:Program.legacy_step_id eng ~txn_type:"st_quote"
+        quote_body
 
 let run_flat ?stop eng env input =
   match input with
   | Buy { buyer; want; fail } ->
-      W.Run.flat ?stop ~txn_type:"st_buy" eng (fun ctx ->
-          let remaining = ref want and entry = ref 0 in
-          let attempt j =
-            env.pace ();
-            if fail && j = 3 then raise Txn_effect.Abort_requested;
-            if !remaining > 0 then
-              match cheapest_lot ctx with
-              | None -> if j = 3 then raise Txn_effect.Abort_requested
-              | Some lot ->
-                  let row = Executor.read_exn ctx "sell_orders" [ v_int lot ] in
-                  let price = as_int row.(1) and avail = as_int row.(2) in
-                  let take = min !remaining avail in
-                  if take > 0 then begin
-                    Executor.set_column ctx "sell_orders" [ v_int lot ] "shares"
-                      (v_int (avail - take));
-                    incr entry;
-                    Executor.insert ctx "ledger"
-                      [| v_int buyer; v_int !entry; v_int lot; v_int price; v_int take |];
-                    remaining := !remaining - take
-                  end
-          in
-          attempt 1; attempt 2; attempt 3)
-  | Quote ->
-      W.Run.flat ?stop ~txn_type:"st_quote" eng quote_body
+      Runtime.run_flat ?stop eng ~txn_type:"st_buy" (fun () -> buy_instance env ~buyer ~want ~fail)
+  | Quote -> (
+      match Runtime.run_single ?stop eng ~txn_type:"st_quote" quote_body with
+      | Runtime.Committed -> `Committed
+      | Runtime.Compensated _ -> `Aborted)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants *)

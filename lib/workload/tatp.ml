@@ -279,7 +279,6 @@ let reset_global () = register_replay ()
 (* ------------------------------------------------------------------ *)
 (* Instances *)
 
-
 let instance env input =
   match input with
   | Get_subscriber { sub } ->
@@ -312,19 +311,9 @@ let instance env input =
 
 let run_acc ?options ?stop eng env input = Runtime.run ?options ?stop eng (instance env input)
 
-let flat env input ctx =
-  match input with
-  | Get_subscriber { sub } -> gs_body env ~sub ctx
-  | Get_access { sub; ty } -> ga_body env ~sub ~ty ctx
-  | Update_bit { sub; bit } -> ub_body env ~sub ~bit ctx
-  | Update_location { sub; loc; fail } ->
-      let ws = { seq = 0 } in
-      ul_bump_body env ~sub ws ctx;
-      env.pace ();
-      ul_write_body env ~sub ~loc ~fail ws ctx
-
 let run_flat ?stop eng env input =
-  W.Run.flat ?stop ~txn_type:(txn_name input) eng (fun ctx -> flat env input ctx)
+  Runtime.run_flat ?stop ~between:env.pace eng ~txn_type:(txn_name input) (fun () ->
+      instance env input)
 
 (* ------------------------------------------------------------------ *)
 (* Invariants *)

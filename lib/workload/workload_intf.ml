@@ -16,9 +16,7 @@ module Program = Acc_core.Program
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
 module Executor = Acc_txn.Executor
-module Txn_effect = Acc_txn.Txn_effect
 module Mode = Acc_lock.Mode
-module Fault = Acc_fault.Fault
 
 (* ------------------------------------------------------------------ *)
 (* Construction parameters *)
@@ -87,8 +85,10 @@ module type S = sig
 
   val run_flat :
     ?stop:(unit -> bool) -> Executor.t -> env -> input -> [ `Committed | `Aborted ]
-  (** The conventional comparator: same body, one flat transaction under
-      strict 2PL, retried on deadlock/timeout until committed or [stop]. *)
+  (** The conventional comparator: the same program's step bodies run back
+      to back as one flat transaction under strict 2PL
+      ({!Acc_core.Runtime.run_flat}), retried on deadlock/timeout until
+      committed or [stop]. *)
 
   val run_acc :
     ?options:Runtime.options ->
@@ -131,66 +131,6 @@ module Step_info = struct
       | None -> None
     in
     { label; txn_type; max_step_id = Program.max_step_id w }
-end
-
-(* ------------------------------------------------------------------ *)
-(* Shared run-loop skeletons (the retry protocol every workload's
-   [run_flat] and READ COMMITTED transactions follow; mirrors the TPC-C
-   originals in lib/tpcc/txns.ml) *)
-
-module Run = struct
-  (* One flat transaction under conventional locking: retry on
-     deadlock/timeout/injected step fault, honor Abort_requested, and let
-     simulated crashes propagate without logging an abort (recovery must
-     see the loser). *)
-  let flat ?stop ~txn_type eng body =
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let rec attempt n =
-      let ctx = Executor.begin_txn eng ~txn_type ~multi_step:false in
-      try
-        Fault.step_trip ();
-        body ctx;
-        Executor.commit ctx;
-        `Committed
-      with
-      | Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
-          Executor.abort_physical ctx;
-          if stopped () then `Aborted
-          else begin
-            Txn_effect.yield ~attempt:n ();
-            attempt (n + 1)
-          end
-      | Txn_effect.Abort_requested ->
-          Executor.abort_physical ctx;
-          `Aborted
-      | e when not (Fault.is_crash e) ->
-          Executor.abort_physical ctx;
-          raise e
-    in
-    attempt 1
-
-  (* READ COMMITTED single-step read transaction: short read locks, no
-     assertional locks, retried like [flat] but reported as a Runtime
-     outcome so run_acc dispatchers can use it directly. *)
-  let read_committed ?stop ~txn_type ~step_type eng body =
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let rec attempt n =
-      let ctx = Executor.begin_txn eng ~txn_type ~multi_step:false in
-      Executor.set_step ctx ~step_type ~step_index:1;
-      try
-        Fault.step_trip ();
-        body ctx;
-        Executor.commit ctx;
-        Runtime.Committed
-      with Txn_effect.Deadlock_victim | Txn_effect.Lock_timeout | Fault.Step_fault ->
-        Executor.abort_physical ctx;
-        if stopped () then Runtime.Compensated { completed_steps = 0 }
-        else begin
-          Txn_effect.yield ~attempt:n ();
-          attempt (n + 1)
-        end
-    in
-    attempt 1
 end
 
 (* ------------------------------------------------------------------ *)

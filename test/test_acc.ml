@@ -721,6 +721,29 @@ let test_buggy_legacy_cleans_up () =
   Alcotest.(check bool) "exception surfaced" true !surfaced;
   Alcotest.(check int) "locks drained" 0 (Lock_service.lock_count (Executor.lock_service eng))
 
+(* A READ COMMITTED read gives each S lock back at once, but the table IS
+   lock and the transaction itself must not outlive a failing body. *)
+let test_buggy_read_committed_cleans_up () =
+  let eng = W.make_engine stock2 in
+  let surfaced = ref false in
+  Schedule.run ~policy:Runtime.victim_policy eng
+    [
+      (fun () ->
+        try
+          ignore
+            (Runtime.run_single ~step_type:W.step_bill.Program.sd_id eng ~txn_type:"bug"
+               (fun ctx ->
+                 ignore (Executor.read_committed ctx "stock" [ v_int 1 ]);
+                 failwith "read-committed boom"))
+        with Failure msg when msg = "read-committed boom" -> surfaced := true);
+    ];
+  Alcotest.(check bool) "exception surfaced" true !surfaced;
+  Alcotest.(check int) "locks drained" 0 (Lock_service.lock_count (Executor.lock_service eng));
+  Alcotest.(check int) "transaction ended" 0 (Executor.active_txns eng);
+  match List.rev (Acc_wal.Log.to_list (Executor.log eng)) with
+  | Acc_wal.Record.Abort _ :: _ -> ()
+  | _ -> Alcotest.fail "the log does not end with Abort"
+
 (* --- assertion verification harness ------------------------------------------ *)
 
 let test_assertion_checker_fires () =
@@ -904,6 +927,8 @@ let suites =
       [
         Alcotest.test_case "buggy step body cleans up" `Quick test_buggy_step_body_cleans_up;
         Alcotest.test_case "buggy legacy cleans up" `Quick test_buggy_legacy_cleans_up;
+        Alcotest.test_case "buggy read-committed cleans up" `Quick
+          test_buggy_read_committed_cleans_up;
         Alcotest.test_case "assertion checker fires" `Quick test_assertion_checker_fires;
         Alcotest.test_case "crash recovery at every prefix" `Quick
           test_crash_recovery_every_prefix;

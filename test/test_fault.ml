@@ -304,15 +304,12 @@ let run_reference ~seed ~inputs outcome =
       else (
         match pending with
         | [] -> () (* no completed step survived: as if it never ran *)
-        | [ p ] -> (
-            match Txns.instance env inputs.(at) with
-            | Some inst ->
-                Schedule.run eng
-                  [
-                    (fun () ->
-                      ignore (Runtime.run ~abort_at:p.Recovery.p_completed_steps eng inst));
-                  ]
-            | None -> Alcotest.fail "pending compensation for a non-decomposed input")
+        | [ p ] ->
+            let inst = Txns.instance env inputs.(at) in
+            if Option.is_none inst.Acc_core.Program.i_compensate then
+              Alcotest.fail "pending compensation for a non-decomposed input";
+            Schedule.run eng
+              [ (fun () -> ignore (Runtime.run ~abort_at:p.Recovery.p_completed_steps eng inst)) ]
         | _ -> Alcotest.fail "multiple pending from a single-fiber run"));
   Executor.db eng
 

@@ -175,7 +175,7 @@ let test_one_body_per_type () =
       { p_w = 1; p_d = 1; p_c_w = c_w; p_c_d = 1; p_customer = Txns.By_id 1; p_amount = 5. }
   in
   List.iter
-    (fun input -> Option.iter check (Txns.instance tpcc input))
+    (fun input -> check (Txns.instance tpcc input))
     [ new_order [ (1, 1, 1) ]; payment ~c_w:1; Txns.Delivery { dl_w = 1; dl_carrier = 1 } ];
   (* a remote customer and a remote supplier: all four branch types *)
   List.iter

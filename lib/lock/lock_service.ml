@@ -44,7 +44,6 @@ let pp_state ppf (module M : S) = M.pp_state ppf ()
 
 let of_table ~wait ~deliver table : t =
   (module struct
-
     let acquire (r : Lock_request.t) =
       match Lock_table.submit table r with
       | Lock_table.Granted -> ()

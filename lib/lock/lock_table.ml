@@ -636,7 +636,6 @@ let release_all t ~txn =
   w1 @ w2
 
 let outstanding t ~ticket = Hashtbl.mem t.tickets ticket
-let ticket_txn t ~ticket = Option.map (fun w -> w.w_txn) (Hashtbl.find_opt t.tickets ticket)
 
 let outstanding_tickets t ~txn =
   Hashtbl.fold (fun tk w acc -> if w.w_txn = txn then tk :: acc else acc) t.tickets []

@@ -175,8 +175,6 @@ val max_bypassed : t -> int
 val outstanding : t -> ticket:ticket -> bool
 (** Is the ticket still waiting?  (False once granted or cancelled.) *)
 
-val ticket_txn : t -> ticket:ticket -> int option
-
 val outstanding_tickets : t -> txn:int -> ticket list
 (** All outstanding waiting tickets of the transaction (at most one in
     well-formed executions; the sharded table's victim killer sweeps them). *)

@@ -700,10 +700,6 @@ let outstanding t ~ticket =
   let s = t.shards.(ticket_shard t ticket) in
   with_shard_ro t s (fun () -> Lock_table.outstanding s.table ~ticket:(localize t ticket))
 
-let ticket_txn t ~ticket =
-  let s = t.shards.(ticket_shard t ticket) in
-  with_shard_ro t s (fun () -> Lock_table.ticket_txn s.table ~ticket:(localize t ticket))
-
 (* Fold a per-table quantity over the shards whose table may be non-empty.
    Waiters live only in the lock table, so this covers every waiter-directed
    walk; the emptiness snapshot is refreshed on slow-section exit, so a miss
@@ -758,8 +754,6 @@ let fast_held_by s ~txn =
 
 let held_by t ~txn =
   fold_txn_shards t ~txn (fun _ s -> Lock_table.held_by s.table ~txn @ fast_held_by s ~txn)
-
-let waiting_on t ~txn = fold_txn_shards t ~txn (fun _ s -> Lock_table.waiting_on s.table ~txn)
 
 let wait_edges t = fold_tables t Lock_table.wait_edges ( @ ) []
 

@@ -102,7 +102,6 @@ val release_where :
 val release_all : t -> txn:int -> Acc_lock.Lock_table.wakeup list
 val cancel : t -> ticket:int -> Acc_lock.Lock_table.wakeup list
 val outstanding : t -> ticket:int -> bool
-val ticket_txn : t -> ticket:int -> int option
 val outstanding_tickets : t -> txn:int -> int list
 
 val holders : t -> Acc_lock.Resource_id.t -> (int * Acc_lock.Mode.t * int) list
@@ -111,7 +110,6 @@ val holders : t -> Acc_lock.Resource_id.t -> (int * Acc_lock.Mode.t * int) list
     otherwise read under the shard mutex. *)
 
 val held_by : t -> txn:int -> (Acc_lock.Resource_id.t * Acc_lock.Mode.t) list
-val waiting_on : t -> txn:int -> Acc_lock.Resource_id.t list
 val wait_edges : t -> (int * int) list
 val compensating_waiter : t -> txn:int -> bool
 val lock_count : t -> int

@@ -205,13 +205,11 @@ let bump_instance env ~txn ~rows ~fail =
       :: List.mapi (fun i row -> (Printf.sprintf "r%d" i, Int row)) rows)
     ()
 
-let sum_instance env ~threshold =
-  Program.instance ~def:sum_type ~steps:[ (hs_read, sum_body env ~threshold) ] ()
-
 let instance env input =
   match input with
   | Bump { txn; rows; fail } -> bump_instance env ~txn ~rows ~fail
-  | Sum { threshold } -> sum_instance env ~threshold
+  | Sum { threshold } ->
+      Program.instance ~def:sum_type ~steps:[ (hs_read, sum_body env ~threshold) ] ()
 
 let run_acc ?options ?stop eng env input =
   match input with

@@ -11,7 +11,7 @@ module Histogram = Acc_util.Metrics.Histogram
 module CA = Acc_obs.Conflict_accounting
 module P = Acc_tpcc.Parallel_driver
 
-let schema_version = 3
+let schema_version = 4
 
 (* Build identity for trend tooling: without it, two BENCH files from
    different checkouts are indistinguishable.  Never fails the bench run —
@@ -28,12 +28,8 @@ let git_describe =
 
 (* Experiment context stamped into every result cell, so each cell is
    self-describing even when cut loose from the file that held it. *)
-let meta_fields ~warehouses ~domains =
-  [
-    ("warehouses", Json.Int warehouses);
-    ("domains", Json.Int domains);
-    ("git_describe", Json.Str (Lazy.force git_describe));
-  ]
+let meta_fields ~domains =
+  [ ("domains", Json.Int domains); ("git_describe", Json.Str (Lazy.force git_describe)) ]
 
 let pct t p = Tally.percentile t p
 
@@ -100,12 +96,11 @@ let figure_json (f : Figures.figure) =
 
 (* Every parallel cell self-describes: which workload produced it and which
    cell schema it speaks (v3 added the workload stamp and report-carried step
-   labels, so a consumer must not decode step ids with the TPC-C table). *)
+   labels, so a consumer must not decode step ids with the TPC-C table; v4
+   dropped the cell's [warehouses] stamp, which no plugin but TPC-C has). *)
 let parallel_report_json ?cfg (r : P.report) =
   let meta =
-    match cfg with
-    | Some c -> meta_fields ~warehouses:c.P.params.Acc_tpcc.Params.warehouses ~domains:c.P.domains
-    | None -> []
+    match cfg with Some c -> meta_fields ~domains:c.P.domains | None -> []
   in
   Json.Obj
     (("schema_version", Json.Int schema_version)

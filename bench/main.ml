@@ -81,6 +81,11 @@ let run_one ~quick id =
 
 (* ---------- multicore scaling ------------------------------------------ *)
 
+(* TPC-C's high-conflict core, new-order/payment 50/50: the workload of
+   every parallel-engine mode below but [workloads] *)
+let nop_tpcc ?skewed_district () =
+  Acc_tpcc.Tpcc_workload.make ?skewed_district ~mix:Acc_tpcc.Tpcc_workload.New_order_payment ()
+
 (* Committed-txns/sec versus domain count, ACC against strict 2PL, on the
    real-domain engine (no simulator): the contended regime — client compute
    at each pace point while locks are held — where step-boundary release
@@ -94,7 +99,7 @@ let run_parallel ~quick =
       P.default_config with
       P.duration = seconds;
       compute_between = 0.001;
-      mix = P.New_order_payment;
+      workload = nop_tpcc ();
     }
   in
   Format.fprintf ppf "@.=== parallel: committed txns/sec vs domains (%.1fs per cell) ===@."
@@ -145,7 +150,7 @@ let run_parallel ~quick =
   in
   let inst = P.run inst_cfg in
   Format.fprintf ppf "@.--- instrumented cell (accounting on, %d domains) ---@." inst_domains;
-  Acc_obs.Conflict_accounting.pp_table ppf ~label:P.step_label ~header:"lock decisions"
+  Acc_obs.Conflict_accounting.pp_table ppf ~label:inst.P.step_label ~header:"lock decisions"
     inst.P.conflicts;
   [
     ("cells", Json.List cells);
@@ -184,8 +189,7 @@ let run_workloads ~quick =
       (fun name ->
         let wl =
           match Acc_workload.Registry.find name with
-          | Some make ->
-              make { Acc_workload.scale = 1; skew = 0.; mix = None; abort_rate = None }
+          | Some make -> make Acc_workload.default_spec
           | None -> assert false
         in
         let cfg system =
@@ -200,7 +204,7 @@ let run_workloads ~quick =
                where step-boundary release is supposed to pay *)
             compute_between = 0.001;
             accounting = true;
-            workload = Some wl;
+            workload = wl;
           }
         in
         let acc = P.run (cfg P.Acc) in
@@ -270,8 +274,7 @@ let run_overload ~quick =
       domains;
       duration = seconds;
       compute_between = 0.001;
-      mix = P.New_order_payment;
-      skewed_district = true;
+      workload = nop_tpcc ~skewed_district:true ();
       lock_deadline = Some deadline;
       max_inflight = Some max_inflight;
       shed_watermark = Some 200.;
@@ -332,7 +335,7 @@ let run_scale ~quick =
       P.system = P.Acc;
       duration = 0.;
       txns_per_domain = Some per_domain;
-      mix = P.New_order_payment;
+      workload = nop_tpcc ();
       group_commit = true;
     }
   in
@@ -653,8 +656,8 @@ let run_dist ~quick =
           r.D.transport r.D.throughput r.D.cross_fraction r.D.cross_aborted
           (1000. *. Tally.percentile r.D.prepare_hold 0.95);
         Json.Obj
-          (Bench_json.meta_fields ~warehouses:params.Params.warehouses
-             ~domains:base.D.domains
+          ((("warehouses", Json.Int params.Params.warehouses)
+           :: Bench_json.meta_fields ~domains:base.D.domains)
           @ [
               ("partitions", Json.Int partitions);
               ("transport", Json.Str r.D.transport);

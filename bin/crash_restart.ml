@@ -33,7 +33,28 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
     Cli.print_workloads ();
     exit 0
   end;
-  let wl = Cli.resolve ~scale ~theta ?mix ?abort_rate workload in
+  (* the plugin knobs shape only a --workload run: without one they would
+     be silently ignored, so refuse them *)
+  (if workload = None then
+     match
+       List.filter_map
+         (fun (flag, given) -> if given then Some flag else None)
+         [
+           ("--scale", scale <> 1);
+           ("--theta", theta <> 0.);
+           ("--mix", mix <> None);
+           ("--abort-rate", abort_rate <> None);
+         ]
+     with
+     | [] -> ()
+     | flags ->
+         failwith
+           (Printf.sprintf
+              "without --workload, %s would be ignored: the default profile is TPC-C at \
+               a %.0f%% forced-abort rate"
+              (String.concat ", " flags)
+              (100. *. H.default_single.H.abort_rate)));
+  let wl = Option.map (Cli.resolve ~scale ~theta ?mix ?abort_rate) workload in
   if list_points then List.iter print_endline (Fault.registered ())
   else begin
     if dist && wl <> None then
@@ -168,7 +189,7 @@ let cmd =
     Term.(
       const main $ list_points $ point $ hit $ chaos $ seeds $ txns $ chaos_p $ step_fault_p
       $ checkpoint_every $ hits $ seed $ verbose $ dist $ partitions $ netfault
-      $ coordinator_kill $ matrix $ quick $ metrics_dump $ Cli.workload_arg
+      $ coordinator_kill $ matrix $ quick $ metrics_dump $ Cli.workload_opt_arg
       $ Cli.list_workloads_arg $ Cli.scale_arg $ Cli.theta_arg $ Cli.wl_mix_arg
       $ Cli.wl_abort_rate_arg)
 

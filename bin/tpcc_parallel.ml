@@ -1,7 +1,9 @@
-(* CLI for the multicore TPC-C stress driver: real domains, wall-clock time.
+(* CLI for the multicore stress driver: real domains, wall-clock time.  Runs
+   TPC-C unless --workload names another plugin.
 
-     acc-tpcc-parallel --domains 4 --warehouses 1 --seconds 5
+     acc-tpcc-parallel --domains 4 --scale 1 --seconds 5
      acc-tpcc-parallel --domains 4 --system both --txns 1000
+     acc-tpcc-parallel --workload hotspot --theta 0.9 --system both
 
    Exit status 1 if any run ends with consistency violations or leaked
    locks, so CI can use it as a smoke test. *)
@@ -24,22 +26,23 @@ let pp_conflicts_by_type r =
             row.CA.r_passed_2pl row.CA.r_blocked_conv row.CA.r_blocked_assert)
         by_type
 
-let run_one cfg =
+let run_one ~scale cfg =
   let r = P.run cfg in
-  Format.printf "== workload=%s system=%s domains=%d shards=%d warehouses=%d seed=%d ==@."
+  Format.printf "== workload=%s system=%s domains=%d scale=%d seed=%d ==@."
     r.P.workload_name
     (match cfg.P.system with P.Acc -> "acc" | P.Baseline -> "2pl")
-    cfg.P.domains cfg.P.shards cfg.P.params.Acc_tpcc.Params.warehouses cfg.P.seed;
+    cfg.P.domains scale cfg.P.seed;
   Format.printf "%a@." P.pp_report r;
   pp_conflicts_by_type r;
   List.iter (fun v -> Format.printf "  violation: %s@." v) r.P.violations;
   r
 
 (* Partitioned mode (--partitions): N isolated partition engines behind the
-   2PC coordinator (lib/dist).  The single-node knobs that have no
-   partitioned counterpart (system/shards/skew/mix/admission) are ignored;
-   the run always checks the merged database. *)
-let run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compute_ms
+   2PC coordinator (lib/dist), running TPC-C over --scale warehouses.  The
+   single-node knobs that have no partitioned counterpart
+   (system/theta/mix/abort-rate/admission) are ignored; the run always
+   checks the merged database, and returns whether it was consistent. *)
+let run_partitioned ~partitions ~domains ~warehouses ~seconds ~txns ~think_ms ~compute_ms
     ~seed ~deadline_ms ~transport =
   let module D = Acc_dist.Dist_driver in
   (* --transport picks the coordinator↔participant path; ACC_NETFAULT
@@ -58,7 +61,7 @@ let run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compu
       txns_per_domain = txns;
       think_mean = think_ms /. 1000.;
       compute_between = compute_ms /. 1000.;
-      params;
+      params = { Acc_tpcc.Params.default with Acc_tpcc.Params.warehouses };
       lock_deadline =
         (match deadline_ms with
         | Some ms -> Some (ms /. 1000.)
@@ -69,30 +72,21 @@ let run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compu
   in
   let r = D.run cfg in
   Format.printf "== partitioned domains=%d partitions=%d warehouses=%d seed=%d ==@."
-    domains partitions params.Acc_tpcc.Params.warehouses seed;
+    domains partitions warehouses seed;
   Format.printf "%a@." D.pp_report r;
   List.iter (fun v -> Format.printf "  violation: %s@." v) r.D.violations;
-  if r.D.violations <> [] then exit 1
+  r.D.violations = []
 
-let main system domains shards warehouses seconds txns think_ms compute_ms skew mix detector_ms seed warmup conflicts deadline_ms max_inflight shed_watermark group_commit wal_buffer partitions transport trace trace_chrome metrics_dump workload list_workloads scale theta abort_rate =
+let main system domains seconds txns think_ms compute_ms seed warmup conflicts deadline_ms
+    max_inflight shed_watermark group_commit partitions transport trace trace_chrome
+    metrics_dump workload list_workloads scale theta mix abort_rate =
   if list_workloads then begin
     Cli.print_workloads ();
     exit 0
   end;
-  let params = { Acc_tpcc.Params.default with Acc_tpcc.Params.warehouses } in
-  (* --workload routes everything through the plugin registry; the classic
-     TPC-C path (workload = None) parses --mix itself *)
-  let wl =
-    Cli.resolve ~scale
-      ~theta:(if skew then Float.max theta 0.5 else theta)
-      ?mix ?abort_rate workload
-  in
-  let tpcc_mix =
-    match (wl, Option.value mix ~default:"standard") with
-    | Some _, _ | None, "standard" -> P.Standard
-    | None, ("nop" | "new-order-payment") -> P.New_order_payment
-    | None, other -> failwith ("unknown mix: " ^ other)
-  in
+  if partitions <> None && workload <> "tpcc" then
+    failwith "--partitions runs partitioned TPC-C only; --workload must be tpcc";
+  let wl = Cli.resolve ~scale ~theta ?mix ?abort_rate workload in
   (* --deadline-ms beats ACC_LOCK_DEADLINE_MS beats off *)
   let deadline_ms =
     match deadline_ms with
@@ -103,29 +97,26 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
   (* ACC_CRASHPOINT / ACC_STEP_FAULTS arm fault injection (see RECOVERY.md) *)
   Acc_fault.Fault.configure_from_env ();
   let ts = Cli.Trace.configure ~jsonl:trace ~chrome:trace_chrome () in
-  let wl_name = Option.value workload ~default:"tpcc" in
   let finish_metrics = Cli.metrics_live metrics_dump in
   (match partitions with
   | Some partitions ->
-      run_partitioned ~partitions ~domains ~params ~seconds ~txns ~think_ms ~compute_ms
-        ~seed ~deadline_ms ~transport;
+      let consistent =
+        run_partitioned ~partitions ~domains ~warehouses:scale ~seconds ~txns ~think_ms
+          ~compute_ms ~seed ~deadline_ms ~transport
+      in
+      (* the trace and metrics of an inconsistent run are the ones wanted *)
       finish_metrics ();
-      Cli.Trace.finish ~workload:wl_name ts;
-      exit 0
+      Cli.Trace.finish ~workload ts;
+      exit (if consistent then 0 else 1)
   | None -> ());
   let cfg =
     {
       P.default_config with
       P.domains;
-      shards;
       duration = seconds;
       txns_per_domain = txns;
       think_mean = think_ms /. 1000.;
       compute_between = compute_ms /. 1000.;
-      skewed_district = skew;
-      detector_cadence = detector_ms /. 1000.;
-      params;
-      mix = tpcc_mix;
       workload = wl;
       seed;
       warmup;
@@ -134,7 +125,6 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
       max_inflight;
       shed_watermark;
       group_commit;
-      wal_buffer;
     }
   in
   let systems =
@@ -144,14 +134,14 @@ let main system domains shards warehouses seconds txns think_ms compute_ms skew 
     | "both" -> [ P.Acc; P.Baseline ]
     | other -> failwith ("unknown system: " ^ other)
   in
-  let reports = List.map (fun s -> run_one { cfg with P.system = s }) systems in
+  let reports = List.map (fun s -> run_one ~scale { cfg with P.system = s }) systems in
   (match reports with
   | [ acc; bl ] ->
       Format.printf "acc/2pl throughput ratio: %.2f@."
         (if bl.P.throughput > 0.0 then acc.P.throughput /. bl.P.throughput else nan)
   | _ -> ());
   finish_metrics ();
-  Cli.Trace.finish ~workload:wl_name ts;
+  Cli.Trace.finish ~workload ts;
   let bad r =
     r.P.violations <> [] || r.P.leaked_locks > 0 || r.P.leaked_waiters > 0
   in
@@ -164,15 +154,6 @@ let system =
 
 let domains =
   Arg.(value & opt int 4 & info [ "domains"; "d" ] ~docv:"N" ~doc:"Worker domain count.")
-
-let shards =
-  Arg.(
-    value
-    & opt int Acc_parallel.Sharded_lock_table.default_shards
-    & info [ "shards" ] ~docv:"N" ~doc:"Lock-table shard count.")
-
-let warehouses =
-  Arg.(value & opt int 1 & info [ "warehouses"; "w" ] ~docv:"N" ~doc:"TPC-C scale.")
 
 let seconds =
   Arg.(
@@ -197,14 +178,6 @@ let compute_ms =
     & info [ "compute-ms" ] ~docv:"MS"
         ~doc:"Client compute at each intra-transaction pace point, while locks are held \
               (the paper's regime; 0 for raw engine speed).")
-
-let skew = Arg.(value & flag & info [ "skew" ] ~doc:"Skew district selection (hotspot).")
-let mix = Cli.wl_mix_arg
-
-let detector_ms =
-  Arg.(
-    value & opt float 20.
-    & info [ "detector-ms" ] ~docv:"MS" ~doc:"Deadlock-detector sweep cadence.")
 
 let seed = Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
@@ -255,23 +228,16 @@ let group_commit =
               concurrent commit-time flushes merge into one leader-flushed \
               batch per append-mutex round trip.")
 
-let wal_buffer =
-  Arg.(
-    value & opt int 0
-    & info [ "wal-buffer" ] ~docv:"N"
-        ~doc:"Per-domain WAL buffer capacity in records (0 = direct, every \
-              append is its own flush).  Implied at the default capacity by \
-              --group-commit.")
-
 let partitions =
   Arg.(
     value
     & opt (some int) None
     & info [ "partitions" ] ~docv:"N"
-        ~doc:"Partitioned mode: split the warehouses across N isolated \
-              partition engines behind a two-phase-commit coordinator \
-              (lib/dist); cross-partition transactions run as 2PC branch \
-              programs.  Ignores --system/--shards/--skew/--mix and the \
+        ~doc:"Partitioned mode: split TPC-C's --scale warehouses across N \
+              isolated partition engines behind a two-phase-commit \
+              coordinator (lib/dist); cross-partition transactions run as \
+              2PC branch programs.  Rejects any --workload but tpcc; \
+              ignores --system/--theta/--mix/--abort-rate and the \
               admission knobs.")
 
 let transport =
@@ -292,10 +258,10 @@ let cmd =
   Cmd.v
     (Cmd.info "acc-tpcc-parallel" ~doc)
     Term.(
-      const main $ system $ domains $ shards $ warehouses $ seconds $ txns $ think_ms
-      $ compute_ms $ skew $ mix $ detector_ms $ seed $ warmup $ conflicts $ deadline_ms
-      $ max_inflight $ shed_watermark $ group_commit $ wal_buffer $ partitions $ transport
-      $ trace $ trace_chrome $ metrics_dump $ Cli.workload_arg $ Cli.list_workloads_arg
-      $ Cli.scale_arg $ Cli.theta_arg $ Cli.wl_abort_rate_arg)
+      const main $ system $ domains $ seconds $ txns $ think_ms $ compute_ms $ seed $ warmup
+      $ conflicts $ deadline_ms $ max_inflight $ shed_watermark $ group_commit $ partitions
+      $ transport $ trace $ trace_chrome $ metrics_dump $ Cli.workload_arg
+      $ Cli.list_workloads_arg $ Cli.scale_arg $ Cli.theta_arg $ Cli.wl_mix_arg
+      $ Cli.wl_abort_rate_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -4,17 +4,18 @@
    normal ACC program instance.  The coordinator drives them through
    prepare/decide/apply:
 
-   - branches prepare in ascending partition-id order ([Runtime.prepare]
-     runs every step, logs the Prepare vote, and keeps the assertional and
-     compensation locks held across the in-doubt window — the conventional
-     locks were already released at each step boundary, so the prepare
-     window pins only what ACC would pin anyway);
+   - branches prepare in ascending partition-id order, each on its own
+     {!Participant} over the transport ([Runtime.prepare] runs every step,
+     logs the Prepare vote, and keeps the assertional and compensation
+     locks held across the in-doubt window — the conventional locks were
+     already released at each step boundary, so the prepare window pins
+     only what ACC would pin anyway);
    - the decision is durable once it is in the decision log (the
      coordinator's analogue of a commit record); no logged decision means
      abort — presumed abort, so a crash before logging needs no cleanup;
-   - commit applies [Runtime.commit_prepared] per branch; abort applies
-     [Runtime.abort_prepared], i.e. compensation replay, ACC's logical undo,
-     as the distributed cancel path.
+   - each participant applies [Runtime.commit_prepared] on commit and
+     [Runtime.abort_prepared] on abort, i.e. compensation replay, ACC's
+     logical undo, as the distributed cancel path.
 
    Crash points:
    - "dist.prepare"          (in Executor.prepare: vote logged, locks held)
@@ -23,7 +24,6 @@
    - "dist.decision.durable" (decision durable, participants untold -> the
                               decision log resolves the in-doubt branches) *)
 
-module Runtime = Acc_core.Runtime
 module Replay = Acc_core.Replay
 module Program = Acc_core.Program
 module Recovery = Acc_wal.Recovery
@@ -241,70 +241,11 @@ let record_hold t dt =
 
 type outcome = Committed | Aborted
 
-(* Prepare every branch in ascending partition-id order (a global acquisition
-   order, so two cross transactions cannot deadlock on partitions), then
-   decide, log, and apply.  Any branch failing before its vote has already
-   rolled itself back; its prepared predecessors get the abort decision. *)
-let run_cross ?stop t branches =
-  if branches = [] then invalid_arg "Coordinator.run_cross: no branches";
-  let branches =
-    List.sort
-      (fun (p1, _) (p2, _) -> compare (Partition.id p1) (Partition.id p2))
-      branches
-  in
-  let gid = Atomic.fetch_and_add t.next_gid 1 in
-  let t0 = Unix.gettimeofday () in
-  let prepared, all_voted =
-    List.fold_left
-      (fun (acc, ok) (part, inst) ->
-        if not ok then (acc, false)
-        else
-          match Runtime.prepare ?stop (Partition.engine part) inst ~gid with
-          | Ok p -> (p :: acc, true)
-          | Error _ -> (acc, false))
-      ([], true) branches
-  in
-  let prepared = List.rev prepared in
-  let commit = all_voted in
-  Fault.trip cp_decide;
-  Decision_log.record t.log ~gid (if commit then Commit else Abort);
-  Fault.trip cp_decision_durable;
-  if Trace.enabled () then
-    Trace.emit (Trace.Decide { gid; commit; participants = List.length branches });
-  List.iter
-    (fun p ->
-      if commit then Runtime.commit_prepared p else Runtime.abort_prepared p)
-    prepared;
-  record_hold t (Unix.gettimeofday () -. t0);
-  if commit then begin
-    Atomic.incr t.committed;
-    Committed
-  end
-  else begin
-    Atomic.incr t.aborted;
-    Aborted
-  end
-
-(* Recovery-side resolution: every in-doubt branch a partition's recovery
-   reports is resolved from the decision log — a logged Commit finishes it,
-   anything else (logged Abort or no entry at all: presumed abort) runs its
-   compensation.  Returns how many branches were resolved. *)
-let resolve_in_doubt log eng (report : Recovery.report) =
-  List.iter
-    (fun (d : Recovery.in_doubt) ->
-      let commit =
-        match Decision_log.lookup log ~gid:d.Recovery.i_gid with
-        | Some Commit -> true
-        | Some Abort | None -> false
-      in
-      Replay.resolve_in_doubt eng ~commit d)
-    report.Recovery.in_doubt;
-  List.length report.Recovery.in_doubt
-
-(* Same resolution, but the decision comes from [ask] (normally a Resolve
-   RPC against the coordinator, with the durable log as fallback) instead
-   of a direct log lookup.  [None] leaves the branch blocked — the caller
-   decides whether presumed abort applies, not this function. *)
+(* Post-recovery resolution of a partition's in-doubt branches: the
+   decision comes from [ask] (normally a Resolve RPC against the
+   coordinator, with the durable log as fallback).  [None] leaves the
+   branch blocked — the caller decides whether presumed abort applies, not
+   this function. *)
 let resolve_in_doubt_via ~ask eng (report : Recovery.report) =
   List.fold_left
     (fun (resolved, blocked) (d : Recovery.in_doubt) ->
@@ -352,7 +293,13 @@ module Remote = struct
     let connect handler =
       match transport with
       | `Loopback -> Transport.loopback ~faults handler
-      | `Pipe -> Transport.pipe ~faults handler
+      | `Pipe ->
+          (* the request loop runs on its own domain, outside any caller's
+             scheduler: a branch that backs off before retrying a step
+             ([Txn_effect.yield]) needs the engine's handler there, or the
+             yield escapes and the branch is dropped mid-transaction *)
+          Transport.pipe ~faults (fun m ->
+              Acc_parallel.Engine.run_txn (fun () -> handler m))
     in
     let links =
       Array.map

@@ -3,7 +3,7 @@
     Single-partition transactions never come here — they run on their home
     partition's executor exactly as on a single-node system.  A
     cross-partition transaction is decomposed into one branch (an ordinary
-    {!Acc_core.Program.instance}) per touched partition; {!run_cross}
+    {!Acc_core.Program.instance}) per touched partition; {!Remote.run_cross}
     prepares the branches in ascending partition-id order, records the
     commit/abort decision in the {e decision log} (durability point,
     presumed abort: no entry means abort), and applies it to every prepared
@@ -76,17 +76,6 @@ val decision_of : t -> gid:int -> decision option
 
 type outcome = Committed | Aborted
 
-val run_cross :
-  ?stop:(unit -> bool) ->
-  t ->
-  (Partition.t * Acc_core.Program.instance) list ->
-  outcome
-(** Drive one cross-partition transaction: prepare every branch (ascending
-    partition id — a global order, so coordinators cannot deadlock against
-    each other on partitions), decide, log, apply.  If any branch fails
-    before voting it has already rolled itself back and the rest get the
-    abort decision.  Raises [Invalid_argument] on an empty branch list. *)
-
 val cross_committed : t -> int
 val cross_aborted : t -> int
 
@@ -94,22 +83,17 @@ val prepare_hold_snapshot : t -> Acc_util.Stats.Tally.t
 (** Snapshot of per-transaction prepare-window hold times (seconds): from
     the first branch's first step to the decision applied. *)
 
-val resolve_in_doubt :
-  Decision_log.t -> Acc_txn.Executor.t -> Acc_wal.Recovery.report -> int
-(** Post-recovery resolution for one partition: each in-doubt branch in the
-    report is committed if the log says [Commit], compensated otherwise
-    (explicit [Abort] or presumed abort).  Returns the number resolved. *)
-
 val resolve_in_doubt_via :
   ask:(int -> bool option) ->
   Acc_txn.Executor.t ->
   Acc_wal.Recovery.report ->
   int * int
-(** Like {!resolve_in_doubt}, but the decision comes from [ask] (normally
-    a Resolve RPC against the coordinator, with the durable log as
-    fallback).  [ask gid = None] leaves that branch blocked — whether
-    presumed abort applies is the caller's judgment, not this function's.
-    Returns [(resolved, still_blocked)]. *)
+(** Post-recovery resolution for one partition: each in-doubt branch in the
+    report is committed when [ask gid = Some true] and compensated when
+    [Some false].  [ask] is normally a Resolve RPC against the coordinator,
+    with the durable log as fallback.  [ask gid = None] leaves that branch
+    blocked — whether presumed abort applies is the caller's judgment, not
+    this function's.  Returns [(resolved, still_blocked)]. *)
 
 (** The coordinator driven over the RPC transport ({!Transport}): one
     {!Participant} and one connection per partition, plus a resolver
@@ -149,9 +133,12 @@ module Remote : sig
 
   val run_cross :
     t -> (Partition.t * Acc_core.Program.instance) list -> outcome
-  (** {!run_cross} driven over the transport: stage each branch, Prepare
-      (a timeout or no-vote aborts), make the decision durable, Decide,
-      and settle any branch the wire failed from the durable log.  The
+  (** Drive one cross-partition transaction: stage each branch, Prepare in
+      ascending partition id (a global order, so coordinators cannot
+      deadlock against each other on partitions; a timeout or no-vote
+      aborts), make the decision durable, Decide, and settle any branch
+      the wire failed from the durable log.  Raises [Invalid_argument] on
+      an empty branch list.  The
       ["dist.decide"] / ["dist.decision.durable"] crash points fire on the
       coordinator side, so a [Fault.Crash] from here models the
       coordinator dying with participants' branches in doubt — hand the

@@ -4,10 +4,9 @@
    copy-pasted per binary.
 
    Workload selection: [--workload NAME] picks any registered
-   {!Acc_workload.S} plugin; [--scale]/[--theta]/[--mix]/[--abort-rate]
-   populate the {!Acc_workload.spec} it is built from.  Without
-   [--workload] each binary keeps its classic TPC-C path (byte-identical
-   behavior to the pre-plugin code). *)
+   {!Acc_workload.S} plugin (the two drivers default to TPC-C);
+   [--scale]/[--theta]/[--mix]/[--abort-rate] populate the
+   {!Acc_workload.spec} it is built from. *)
 
 open Cmdliner
 module Trace_events = Acc_obs.Trace
@@ -25,29 +24,25 @@ let print_workloads () =
     (fun (name, doc) -> Printf.printf "%-18s %s\n" name doc)
     (Acc_workload.Registry.names ())
 
-(* [resolve] is the one place a workload name becomes a plugin value.
-   [None] means "no --workload given": callers keep their classic TPC-C
-   configuration path. *)
-let resolve ?(scale = 1) ?(theta = 0.) ?mix ?abort_rate name_opt =
-  match name_opt with
-  | None -> None
-  | Some name -> (
-      ensure_registered ();
-      match Acc_workload.Registry.find name with
-      | Some make ->
-          Some (make { Acc_workload.scale; skew = theta; mix; abort_rate })
-      | None ->
-          failwith
-            (Printf.sprintf "unknown workload %S (known: %s)" name
-               (String.concat ", " (List.map fst (Acc_workload.Registry.names ())))))
+(* [resolve] is the one place a workload name becomes a plugin value. *)
+let resolve ~scale ~theta ?mix ?abort_rate name =
+  ensure_registered ();
+  match Acc_workload.Registry.find name with
+  | Some make -> make { Acc_workload.scale; skew = theta; mix; abort_rate }
+  | None ->
+      failwith
+        (Printf.sprintf "unknown workload %S (known: %s)" name
+           (String.concat ", " (List.map fst (Acc_workload.Registry.names ()))))
+
+let workload_doc = "Run this registered workload plugin (see --list-workloads for the menu)."
 
 let workload_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "workload" ] ~docv:"NAME"
-        ~doc:"Run a registered workload plugin instead of classic TPC-C \
-              (see --list-workloads for the menu).")
+  Arg.(value & opt string "tpcc" & info [ "workload" ] ~docv:"NAME" ~doc:workload_doc)
+
+(* the crash harness's variant: without --workload it crashes its own
+   default profile *)
+let workload_opt_arg =
+  Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc:workload_doc)
 
 let list_workloads_arg =
   Arg.(value & flag & info [ "list-workloads" ] ~doc:"List registered workloads and exit.")
@@ -57,23 +52,24 @@ let scale_arg =
     value & opt int 1
     & info [ "scale" ] ~docv:"N"
         ~doc:"Workload scale factor (rows, accounts, warehouses — \
-              workload-defined). Only meaningful with --workload.")
+              workload-defined).")
 
 let theta_arg =
   Arg.(
     value & opt float 0.
     & info [ "theta" ] ~docv:"T"
         ~doc:"Access-skew knob in [0,1): Zipfian theta where the workload \
-              supports it (hotspot defaults to 0.9), hotspot-district flag \
-              for TPC-C. Only meaningful with --workload.")
+              supports it (hotspot defaults to 0.9); for TPC-C any value \
+              above 0 skews district selection (hotspot).")
 
 let wl_mix_arg =
   Arg.(
     value
     & opt (some string) None
     & info [ "mix" ] ~docv:"MIX"
-        ~doc:"Transaction mix, workload-defined (e.g. smallbank: standard, \
-              write-skew; tatp: standard, update-heavy).")
+        ~doc:"Transaction mix, workload-defined (e.g. tpcc: standard, nop \
+              (new-order/payment 50/50); smallbank: standard, write-skew; \
+              tatp: standard, update-heavy).")
 
 let wl_abort_rate_arg =
   Arg.(
@@ -81,7 +77,8 @@ let wl_abort_rate_arg =
     & opt (some float) None
     & info [ "abort-rate" ] ~docv:"P"
         ~doc:"Forced-abort probability for workloads that support it \
-              (default is each workload's own, typically 0.02).")
+              (default is each workload's own: 0.01 for tpcc, typically \
+              0.02).")
 
 (* ------------------------------------------------------------------ *)
 (* Trace collection, shared by the three driver binaries.
@@ -96,7 +93,7 @@ module Trace = struct
 
   (* version of the trace_meta stamp line; bumped with Bench_json since the
      consumers (acc-trace-check, acc-trace-profile) track both formats *)
-  let meta_version = 3
+  let meta_version = 4
 
   let configure ?(jsonl = None) ?(chrome = None) () =
     let pick flag env = match flag with Some _ -> flag | None -> Sys.getenv_opt env in

@@ -171,7 +171,7 @@ let is_dist name = String.starts_with ~prefix:"dist." name
 (* The harness runs under group commit so the sweep covers the [wal.flush]
    batch-boundary crash window (§17's widened loss unit): a crash loses whole
    un-synced batches, and the flushed log prefix is what restart sees. *)
-let harness_wal = Log.Buffered { cap = Log.default_cap; group = true }
+let harness_wal = Log.Buffered { cap = Log.default_cap }
 
 type engine = { baseline : Database.t; eng : Executor.t; mgr : Checkpoint.Manager.t }
 

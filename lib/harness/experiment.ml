@@ -79,10 +79,9 @@ let config_of settings system seed =
     think_mean = settings.think_mean;
     compute_between = settings.compute_between;
     cpu_per_unit = settings.cpu_per_unit;
-    skewed_district = settings.skewed;
-    min_items = fst settings.items_range;
-    max_items = snd settings.items_range;
-    params = settings.params;
+    workload =
+      Acc_tpcc.Tpcc_workload.make ~params:settings.params ~skewed_district:settings.skewed
+        ~min_items:(fst settings.items_range) ~max_items:(snd settings.items_range) ();
   }
 
 let run_side ?(variant = One_level) settings system =

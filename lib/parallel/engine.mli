@@ -50,7 +50,7 @@ val create :
 
     [wal_policy] selects the executor WAL's append policy
     ({!Acc_wal.Log.policy}, default [Direct]) — pass
-    [Buffered {cap; group = true}] for group commit. *)
+    [Buffered {cap}] for group commit. *)
 
 val executor : t -> Acc_txn.Executor.t
 

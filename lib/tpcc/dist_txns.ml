@@ -232,19 +232,13 @@ let new_order_rstock_compensate ctx ~completed =
 (* Branch instances                                                        *)
 (* ====================================================================== *)
 
-(* The home and remote-customer branches run {!Txns}' own step bodies: the
-   home branch paces before its district step, the one pace point it adds. *)
+(* Every branch runs {!Txns}' own step bodies, so the branches of one
+   transaction pace as often, all told, as its single-node program: the
+   remote-stock branch paces before each draw, where the home line it was
+   taken from would have paced after it. *)
 
 let payment_home_instance env (i : Txns.payment_input) =
-  let steps =
-    [
-      (ph_wh, Txns.pay_step1 env i);
-      ( ph_dist,
-        fun ctx ->
-          env.Txns.pace ();
-          Txns.pay_step2 env i ctx );
-    ]
-  in
+  let steps = [ (ph_wh, Txns.pay_step1 env i); (ph_dist, Txns.pay_step2 env i) ] in
   Program.instance ~def:payment_home_type ~steps
     ~compensate:Txns.payment_compensate
     ~comp_area:(fun () ->

@@ -22,16 +22,9 @@ type config = {
   think_mean : float;
   compute_between : float;
   cpu_per_unit : float;
-  skewed_district : bool;
-  min_items : int;
-  max_items : int;
-  params : Params.t;
   acc_options : Acc_core.Runtime.options;
   acc_semantics : Acc_lock.Mode.semantics option;
-  workload : Acc_workload.t option;
-      (** [None] runs TPC-C with this config's scale knobs (the historical
-          behavior); [Some w] runs any {!Acc_workload.S} plugin, ignoring
-          the TPC-C-specific fields *)
+  workload : Acc_workload.t;
 }
 
 let default_config =
@@ -45,21 +38,10 @@ let default_config =
     think_mean = 4.0;
     compute_between = 0.0;
     cpu_per_unit = 0.004;
-    skewed_district = false;
-    min_items = 5;
-    max_items = 15;
-    params = Params.default;
     acc_options = Acc_core.Runtime.default_options;
     acc_semantics = None;
-    workload = None;
+    workload = Tpcc_workload.make ();
   }
-
-let workload_of cfg =
-  match cfg.workload with
-  | Some w -> w
-  | None ->
-      Tpcc_workload.make ~params:cfg.params ~skewed_district:cfg.skewed_district
-        ~min_items:cfg.min_items ~max_items:cfg.max_items ()
 
 type report = {
   completed : int;
@@ -78,8 +60,7 @@ type report = {
 let mean_response r = Tally.mean r.response
 
 let run cfg =
-  if cfg.workload = None then Params.validate cfg.params;
-  let module W = (val workload_of cfg : Acc_workload.S) in
+  let module W = (val cfg.workload : Acc_workload.S) in
   W.reset_global ();
   let db = W.populate ~seed:cfg.seed in
   let sem =

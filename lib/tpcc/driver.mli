@@ -1,21 +1,21 @@
 (** The experiment driver: a closed queueing network of terminals against one
-    warehouse, mirroring the paper's §5.2 setup.
+    database, mirroring the paper's §5.2 setup.
 
     Each terminal thinks (exponential think time), draws a transaction from
-    the standard mix, and submits it to the engine; every engine work unit
-    occupies one server of the pool (the 1–4 "database server processes"),
-    and lock waits suspend the terminal without occupying a server.  The two
-    systems under test share everything except the concurrency control:
+    the configured workload plugin, and submits it to the engine; every
+    engine work unit occupies one server of the pool (the 1–4 "database
+    server processes"), and lock waits suspend the terminal without
+    occupying a server.  The two systems under test share everything except
+    the concurrency control:
 
-    - {!Baseline}: every transaction runs flat under strict 2PL to commit
-      (the unmodified system); stock-level runs at READ COMMITTED as the
-      spec permits.
-    - {!Acc}: the decomposed transactions run under the ACC runtime,
-      order-status under legacy full isolation, stock-level at READ
-      COMMITTED.
+    - {!Baseline}: the workload's strict-2PL comparator
+      ([run_flat]; for TPC-C every transaction runs flat to
+      commit, the unmodified system).
+    - {!Acc}: the workload's decomposed programs under the ACC runtime
+      ([run_acc]).
 
     Terminals stop issuing work at the horizon and the simulation drains to
-    quiescence, where the consistency constraint is checked — semantic
+    quiescence, where the workload's consistency check runs — semantic
     correctness made operational. *)
 
 type system = Baseline | Acc
@@ -30,10 +30,6 @@ type config = {
   think_mean : float;
   compute_between : float;  (** client compute between successive statements *)
   cpu_per_unit : float;  (** server CPU seconds per engine work unit *)
-  skewed_district : bool;
-  min_items : int;
-  max_items : int;
-  params : Params.t;
   acc_options : Acc_core.Runtime.options;
       (** runtime options for the ACC side (retry budget, assertion
           granularity — set [Table] for the two-level ablation of §3.2) *)
@@ -41,19 +37,13 @@ type config = {
       (** override the interference oracle for the ACC side (e.g. tables
           built without the hand-proved commutativity facts); [None] uses
           the workload's own semantics *)
-  workload : Acc_workload.t option;
-      (** [None] (the default) runs TPC-C built from this config's scale
-          knobs — the historical behavior, generator-stream-identical for a
-          given seed; [Some w] runs any {!Acc_workload.S} plugin, and the
-          TPC-C-specific fields ([params], [skewed_district], [min_items],
-          [max_items]) are ignored *)
+  workload : Acc_workload.t;
+      (** what the terminals run: any {!Acc_workload.S} plugin *)
 }
 
 val default_config : config
-(** 3 servers, 10 terminals, standard mix, no skew, no added compute time. *)
-
-val workload_of : config -> Acc_workload.t
-(** The plugin a config resolves to (TPC-C when [workload = None]). *)
+(** 3 servers, 10 terminals, no added compute time, TPC-C at
+    {!Tpcc_workload.make}'s defaults (standard mix, no skew). *)
 
 type report = {
   completed : int;  (** transactions finished inside the horizon *)

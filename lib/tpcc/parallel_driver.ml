@@ -1,6 +1,6 @@
-(* The multicore TPC-C driver: real domains against the in-memory engine,
-   wall-clock time, no simulator.  Counterpart of the simulated {!Driver};
-   reuses the same transaction bodies ({!Txns}) and consistency checker. *)
+(* The multicore driver: real domains against the in-memory engine,
+   wall-clock time, no simulator.  Counterpart of the simulated {!Driver}:
+   it runs the same workload plugins, TPC-C by default. *)
 
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
@@ -14,32 +14,22 @@ module Mode = Acc_lock.Mode
 module Prng = Acc_util.Prng
 module Metrics = Acc_util.Metrics
 module Tally = Acc_util.Stats.Tally
-module Program = Acc_core.Program
 module Trace = Acc_obs.Trace
 module Conflict_accounting = Acc_obs.Conflict_accounting
 module Lock_obs = Acc_obs.Lock_obs
 
 type system = Baseline | Acc
 
-type mix =
-  | Standard  (** the full five-type TPC-C mix *)
-  | New_order_payment  (** 50/50 new-order/payment: the high-conflict core *)
-
 type config = {
   seed : int;
   system : system;
   domains : int;
-  shards : int;
   duration : float;  (** wall-clock seconds (when [txns_per_domain] is [None]) *)
   txns_per_domain : int option;  (** fixed-count mode, for deterministic tests *)
   think_mean : float;  (** mean exponential pause between transactions, seconds *)
   compute_between : float;
       (** pause at each intra-transaction pace point, seconds: models client
           compute while locks are held — the regime the paper targets *)
-  skewed_district : bool;  (** district hotspot (drives up conflict rates) *)
-  detector_cadence : float;
-  params : Params.t;
-  mix : mix;
   warmup : float;
       (** duration-mode only: outcomes and latencies are recorded only after
           this many seconds.  Gating at the source is what keeps the shared
@@ -54,16 +44,10 @@ type config = {
       (** abort rate (victims + timeouts per second) above which admissions
           shed *)
   group_commit : bool;
-      (** group commit: buffered WAL appends, concurrent syncs merged into
-          leader-flushed batches (implies a buffered WAL) *)
-  wal_buffer : int;
-      (** per-domain WAL buffer capacity in records; [0] keeps the direct
-          (append = flush) WAL unless [group_commit] forces the default
-          capacity *)
-  workload : Acc_workload.t option;
-      (** [None] runs TPC-C from this config's scale knobs (the historical
-          behavior); [Some w] runs any {!Acc_workload.S} plugin, ignoring
-          the TPC-C-specific fields ([params], [mix], [skewed_district]) *)
+      (** group commit: WAL appends buffer per domain
+          ({!Acc_wal.Log.default_cap} records) and concurrent syncs merge
+          into leader-flushed batches; off, every append is its own flush *)
+  workload : Acc_workload.t;  (** what the workers run: any {!Acc_workload.S} plugin *)
 }
 
 let default_config =
@@ -71,46 +55,18 @@ let default_config =
     seed = 7;
     system = Baseline;
     domains = 2;
-    shards = Acc_parallel.Sharded_lock_table.default_shards;
     duration = 2.0;
     txns_per_domain = None;
     think_mean = 0.0;
     compute_between = 0.0;
-    skewed_district = false;
-    detector_cadence = Acc_parallel.Deadlock_detector.default_cadence;
-    params = Params.default;
-    mix = Standard;
     warmup = 0.0;
     accounting = false;
     lock_deadline = None;
     max_inflight = None;
     shed_watermark = None;
     group_commit = false;
-    wal_buffer = 0;
-    workload = None;
+    workload = Tpcc_workload.make ();
   }
-
-let workload_of cfg =
-  match cfg.workload with
-  | Some w -> w
-  | None ->
-      Tpcc_workload.make ~params:cfg.params ~skewed_district:cfg.skewed_district
-        ~mix:
-          (match cfg.mix with
-          | Standard -> Tpcc_workload.Standard
-          | New_order_payment -> Tpcc_workload.New_order_payment)
-        ()
-
-(* the WAL policy a config asks for: [--wal-buffer N] buffers, and
-   [--group-commit] additionally merges concurrent syncs (forcing the
-   default buffer capacity when none was given) *)
-let wal_policy_of cfg =
-  let open Acc_wal.Log in
-  if cfg.group_commit then
-    Buffered
-      { cap = (if cfg.wal_buffer > 0 then cfg.wal_buffer else default_cap); group = true }
-  else if cfg.wal_buffer > 0 then Buffered { cap = cfg.wal_buffer; group = false }
-  else Direct
 
 type report = {
   committed : int;
@@ -171,26 +127,6 @@ type report = {
           predicate-lock statistics) *)
 }
 
-(* step-type naming for the historical TPC-C workload, shared with the CLI
-   and bench output; per-run reports carry their own workload's renderers *)
-let workload_steps = lazy (Program.all_steps Txns.workload)
-
-let step_def id =
-  List.find_opt (fun s -> s.Program.sd_id = id) (Lazy.force workload_steps)
-
-let step_label id =
-  match step_def id with
-  | Some s when s.Program.sd_txn_type <> "" ->
-      s.Program.sd_txn_type ^ "." ^ s.Program.sd_name
-  | Some s -> s.Program.sd_name
-  | None ->
-      if id = Program.legacy_step_id then "legacy" else Printf.sprintf "step %d" id
-
-let step_txn_type id =
-  match step_def id with
-  | Some s when s.Program.sd_txn_type <> "" -> Some s.Program.sd_txn_type
-  | Some _ | None -> None
-
 (* Aggregate per-step-type conflict rows up to transaction types.  Steps of
    undeclared type (the flat baseline's legacy step 0, overflow) land under
    "(flat)". *)
@@ -226,12 +162,9 @@ let conflicts_by_txn_type_with ~step_txn_type conflicts =
       (name, agg))
     names
 
-let conflicts_by_txn_type conflicts = conflicts_by_txn_type_with ~step_txn_type conflicts
-
 let run cfg =
   if cfg.domains < 1 then invalid_arg "Parallel_driver.run: domains must be >= 1";
-  if cfg.workload = None then Params.validate cfg.params;
-  let module W = (val workload_of cfg : Acc_workload.S) in
+  let module W = (val cfg.workload : Acc_workload.S) in
   W.reset_global ();
   let step_info = Acc_workload.Step_info.of_workload W.workload in
   let db = W.populate ~seed:cfg.seed in
@@ -239,10 +172,12 @@ let run cfg =
     match cfg.system with Baseline -> Mode.no_semantics | Acc -> W.semantics
   in
   let engine =
-    Engine.create ~shards:cfg.shards ~detector_cadence:cfg.detector_cadence
-      ?lock_deadline:cfg.lock_deadline ?max_inflight:cfg.max_inflight
+    Engine.create ?lock_deadline:cfg.lock_deadline ?max_inflight:cfg.max_inflight
       ?shed_watermark:cfg.shed_watermark
-      ~wal_policy:(wal_policy_of cfg) ~sem db
+      ~wal_policy:
+        (if cfg.group_commit then Acc_wal.Log.Buffered { cap = Acc_wal.Log.default_cap }
+         else Acc_wal.Log.Direct)
+      ~sem db
   in
   let eng = Engine.executor engine in
   let max_step_id = step_info.Acc_workload.Step_info.max_step_id in

@@ -1,8 +1,6 @@
 (* TPC-C packaged as one {!Acc_workload.S} plugin — the reference instance
-   of the workload interface.  Nothing here is new behavior: the module
-   closes over the same {!Txns} environment the drivers used to build by
-   hand, so a driver run through this plugin is input-for-input identical
-   to the pre-interface code path. *)
+   of the workload interface, and the only way a driver runs TPC-C: the
+   module closes over a {!Txns} environment built from [make]'s knobs. *)
 
 module W = Acc_workload
 module Runtime = Acc_core.Runtime
@@ -21,6 +19,7 @@ type env = {
 
 let make ?(params = Params.default) ?(skewed_district = false) ?(mix = Standard)
     ?(min_items = 5) ?(max_items = 15) ?(abort_rate = 0.01) () : W.t =
+  Params.validate params;
   (module struct
     let name = "tpcc"
     let describe = "the paper's Sec 5 workload: five txn types over one warehouse"
@@ -88,6 +87,6 @@ let register () =
   if not !registered then begin
     registered := true;
     W.Registry.register ~name:"tpcc"
-      ~doc:"TPC-C (reference): --scale adds warehouses, --skew>0 skews districts"
+      ~doc:"TPC-C (reference): --scale adds warehouses, --theta>0 skews districts"
       of_spec
   end

@@ -1,8 +1,8 @@
 (** TPC-C as a first-class {!Acc_workload.S} plugin.
 
-    The drivers' historical defaults are this module's defaults, so
-    [make ()] reproduces the exact pre-interface TPC-C behavior (same
-    generator streams for the same seed). *)
+    [make ()] is both drivers' default workload: {!Params.default} (one
+    warehouse), the standard mix, 5–15 items per new-order and the spec's
+    1% forced new-order aborts. *)
 
 type mix = Standard | New_order_payment
 
@@ -15,6 +15,7 @@ val make :
   ?abort_rate:float ->
   unit ->
   Acc_workload.t
+(** Raises [Invalid_argument] on invalid [params] ({!Params.validate}). *)
 
 val of_spec : Acc_workload.spec -> Acc_workload.t
 (** [spec.scale] is the warehouse count; [spec.skew > 0] turns on the

@@ -462,7 +462,8 @@ let undo_stock ctx ~supply ~item ~qty =
          s))
 
 (* [draw] says whether the line draws its stock itself: the home branch of
-   a partitioned new_order leaves a remote draw to that partition's branch *)
+   a partitioned new_order leaves a remote draw to that partition's branch,
+   which paces before the draw, so a line without its draw paces once *)
 let no_step_line env (i : new_order_input) ws ~ln ~last ~item ~qty ~supply ~draw ctx =
   (* idempotent under step retry: the line number comes from the step's
      position, and the workspace is not written *)
@@ -470,8 +471,10 @@ let no_step_line env (i : new_order_input) ws ~ln ~last ~item ~qty ~supply ~draw
   let item_row = Executor.read_exn ctx "item" [ Int item ] in
   let price = fnum item_row.(2) in
   env.pace ();
-  if draw then draw_stock ctx ~supply ~item ~qty;
-  env.pace ();
+  if draw then begin
+    draw_stock ctx ~supply ~item ~qty;
+    env.pace ()
+  end;
   Executor.insert ctx "order_line"
     [|
       Int i.no_w; Int i.no_d; Int ws.o_id; Int ln; Int item; Int qty;

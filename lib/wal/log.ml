@@ -1,6 +1,6 @@
 type lsn = int
 
-type policy = Direct | Buffered of { cap : int; group : bool }
+type policy = Direct | Buffered of { cap : int }
 
 let default_cap = 64
 
@@ -26,7 +26,7 @@ type t = {
          flushed batch under [Buffered] — the "WAL flushes" of bench scale *)
   buffers : buffer list Atomic.t;  (* every domain's buffer, for flush_all *)
   key : buffer Domain.DLS.key;  (* this domain's buffer (per-log key) *)
-  (* group-commit state, used only by [Buffered {group = true}] *)
+  (* group-commit state, used only by [Buffered] *)
   gmu : Mutex.t;
   gcond : Condition.t;
   mutable staged : Record.t list list;  (* staged batches, staging order *)
@@ -144,14 +144,14 @@ let sync_group t items =
 let sync t =
   match t.policy with
   | Direct -> ()
-  | Buffered { group; _ } ->
+  | Buffered _ ->
       let b = Domain.DLS.get t.key in
       if b.items <> [] then begin
         let items = List.rev b.items in
         b.items <- [];
         b.count <- 0;
         Acc_fault.Fault.trip cp_flush;
-        if group then sync_group t items else flush_batch t items
+        sync_group t items
       end
 
 (* Drain every domain's buffer.  Only callable on a quiesced engine (no
@@ -176,7 +176,7 @@ let flush_all t =
 let append t r =
   trip_for r;
   match t.policy with
-  | Buffered { cap; _ } ->
+  | Buffered { cap } ->
       let b = Domain.DLS.get t.key in
       b.items <- r :: b.items;
       b.count <- b.count + 1;

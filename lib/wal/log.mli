@@ -33,14 +33,14 @@ end
 type policy =
   | Direct  (** every append goes to the log under the append mutex — the
                 historical behaviour, and what {!load} rebuilds with *)
-  | Buffered of { cap : int; group : bool }
-      (** appends land in a per-domain buffer and reach the log only on
-          {!sync} (or when the buffer holds [cap] records).  With [group]
-          set, concurrent syncing domains elect a leader that flushes every
-          staged batch under one append-mutex round trip — group commit.
-          The durability contract (DESIGN.md §17): a record is durable iff
-          the {!sync} covering it returned; a crash loses whole un-synced
-          batches, never a synced prefix. *)
+  | Buffered of { cap : int }
+      (** group commit: appends land in a per-domain buffer and reach the
+          log only on {!sync} (or when the buffer holds [cap] records), and
+          concurrent syncing domains elect a leader that flushes every
+          staged batch under one append-mutex round trip.  The durability
+          contract (DESIGN.md §17): a record is durable iff the {!sync}
+          covering it returned; a crash loses whole un-synced batches,
+          never a synced prefix. *)
 
 val default_cap : int
 (** Default per-domain buffer capacity (64 records). *)
@@ -58,7 +58,7 @@ val append : t -> Record.t -> lsn
 
 val sync : t -> unit
 (** Make every record this domain appended durable (flush its buffer as one
-    batch; with [group] set, possibly riding a concurrent leader's flush).
+    batch, possibly riding a concurrent leader's flush).
     Returns only once the batch is in the log.  No-op under {!Direct}.  The
     [wal.flush] crash point trips at the start of a non-empty sync — a crash
     there loses the whole batch. *)

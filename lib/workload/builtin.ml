@@ -17,7 +17,7 @@ let ensure () =
       ~doc:"TATP-style read-mostly subscriber mix with a sequenced location update"
       Tatp.make;
     W.Registry.register ~name:"hotspot"
-      ~doc:"Zipfian increments on a small hot set; --skew sets theta (default 0.9)"
+      ~doc:"Zipfian increments on a small hot set; --theta sets theta (default 0.9)"
       Hotspot.make;
     W.Registry.register ~name:"longreader"
       ~doc:"region-sum ledger audited by long predicate-range readers"

@@ -1,6 +1,6 @@
 (* Hotspot: the paper's own skew axis as a standalone workload.  A single
    counter table is hammered by multi-row increment transactions whose
-   rows are drawn from a Zipfian distribution ([--skew] = theta, 0 =
+   rows are drawn from a Zipfian distribution ([--theta], 0 =
    uniform).  Each increment is one repeating step, so ACC releases the
    hot row's X lock at the step boundary while strict 2PL holds every row
    to commit — the false-conflict gap widens directly with the skew knob,

@@ -125,10 +125,11 @@ module Step_info = struct
         | Some sd -> Printf.sprintf "%s.%s" sd.Program.sd_txn_type sd.Program.sd_name
         | None -> Printf.sprintf "step %d" id
     in
+    (* the legacy step belongs to no declared type *)
     let txn_type id =
       match Program.find_step w id with
-      | Some sd -> Some sd.Program.sd_txn_type
-      | None -> None
+      | Some sd when sd.Program.sd_txn_type <> "" -> Some sd.Program.sd_txn_type
+      | Some _ | None -> None
     in
     { label; txn_type; max_step_id = Program.max_step_id w }
 end

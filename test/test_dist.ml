@@ -110,22 +110,39 @@ let cross_payment =
     p_customer = Txns.By_id 3; p_amount = 77.5;
   }
 
-let run_cross_input coord parts env input =
+(* two local lines, one remote line supplied from w3 (partition 1 of 2) *)
+let cross_new_order =
+  {
+    Txns.no_w = 1; no_d = 1; no_c = 2;
+    no_items = [ (5, 3, 1); (6, 2, 3); (7, 1, 1) ];
+    no_fail_last = false;
+  }
+
+(* one input's branches through the coordinator over its transport, as the
+   partitioned driver and the crash harness run them *)
+let run_cross_input remote parts env input =
+  let coord = Coordinator.Remote.core remote in
   let part_of w = Partition.id (Coordinator.partition_of coord w) in
   let branches =
     List.map (fun (pid, inst) -> (parts.(pid), inst)) (Dist_txns.branches env ~part_of input)
   in
   let home = Partition.engine (fst (List.hd branches)) in
   let outcome = ref Coordinator.Aborted in
-  Schedule.run home [ (fun () -> outcome := Coordinator.run_cross coord branches) ];
+  Schedule.run home [ (fun () -> outcome := Coordinator.Remote.run_cross remote branches) ];
   !outcome
+
+(* a loopback coordinator over fresh partitions, closed after [f] *)
+let with_remote ~seed ~partitions f =
+  let parts = mk_parts ~seed ~partitions small_params in
+  let coord = Coordinator.create parts in
+  let remote = Coordinator.Remote.make coord in
+  Fun.protect ~finally:(fun () -> Coordinator.Remote.close remote) (fun () -> f parts coord remote)
 
 let test_cross_payment_commit () =
   let seed = 3 in
-  let parts = mk_parts ~seed ~partitions:2 small_params in
-  let coord = Coordinator.create parts in
+  with_remote ~seed ~partitions:2 @@ fun parts coord remote ->
   let env = Txns.default_env ~seed small_params in
-  let outcome = run_cross_input coord parts env (Txns.Payment cross_payment) in
+  let outcome = run_cross_input remote parts env (Txns.Payment cross_payment) in
   Alcotest.(check bool) "committed" true (outcome = Coordinator.Committed);
   Alcotest.(check int) "decision logged" 1
     (Coordinator.Decision_log.size (Coordinator.decision_log coord));
@@ -146,8 +163,7 @@ let test_cross_payment_commit () =
    Abort and the prepared branch compensates — both ytds restored *)
 let test_cross_payment_abort_compensates () =
   let seed = 3 in
-  let parts = mk_parts ~seed ~partitions:2 small_params in
-  let coord = Coordinator.create parts in
+  with_remote ~seed ~partitions:2 @@ fun parts _ remote ->
   let env = Txns.default_env ~seed small_params in
   let home_db = Executor.db (Partition.engine parts.(0)) in
   let w_ytd_before =
@@ -158,7 +174,7 @@ let test_cross_payment_abort_compensates () =
   let input =
     Txns.Payment { cross_payment with Txns.p_customer = Txns.By_last_name "NOSUCHNAME" }
   in
-  let outcome = run_cross_input coord parts env input in
+  let outcome = run_cross_input remote parts env input in
   Alcotest.(check bool) "aborted" true (outcome = Coordinator.Aborted);
   let w_ytd_after =
     match Table.scan (Database.table home_db "warehouse") with
@@ -173,19 +189,9 @@ let test_cross_payment_abort_compensates () =
    groups by the supplying warehouse of the merged database *)
 let test_cross_new_order () =
   let seed = 9 in
-  let parts = mk_parts ~seed ~partitions:2 small_params in
-  let coord = Coordinator.create parts in
+  with_remote ~seed ~partitions:2 @@ fun parts _ remote ->
   let env = Txns.default_env ~seed small_params in
-  let input =
-    Txns.New_order
-      {
-        Txns.no_w = 1; no_d = 1; no_c = 2;
-        (* two local lines, one remote line supplied from w3 (partition 1) *)
-        no_items = [ (5, 3, 1); (6, 2, 3); (7, 1, 1) ];
-        no_fail_last = false;
-      }
-  in
-  let outcome = run_cross_input coord parts env input in
+  let outcome = run_cross_input remote parts env (Txns.New_order cross_new_order) in
   Alcotest.(check bool) "committed" true (outcome = Coordinator.Committed);
   let merged = Dist_driver.merged_db (Array.to_list parts) in
   Alcotest.(check (list string)) "C12 holds across partitions" []
@@ -206,6 +212,38 @@ let test_cross_new_order () =
     | _ -> Alcotest.fail "remote stock row missing"
   in
   Alcotest.(check int) "remote s_ytd counts the draw" 2 (as_int stock_row.(3))
+
+(* The branches of a cross-partition transaction pace, all told, as often as
+   its single-node program does, so client compute at each pace point costs
+   a partitioned run what it costs a single-node one. *)
+let test_cross_pace_parity () =
+  let seed = 9 in
+  let counting_env () =
+    let paces = ref 0 in
+    ({ (Txns.default_env ~seed small_params) with Txns.pace = (fun () -> incr paces) }, paces)
+  in
+  let single input =
+    let eng = Executor.create ~sem:Txns.semantics (Load.populate ~seed small_params) in
+    let env, paces = counting_env () in
+    let outcome = ref None in
+    Schedule.run eng [ (fun () -> outcome := Some (Txns.run_acc eng env input)) ];
+    Alcotest.(check bool) "single-node run committed" true
+      (!outcome = Some Acc_core.Runtime.Committed);
+    !paces
+  in
+  let cross input =
+    with_remote ~seed ~partitions:2 @@ fun parts _ remote ->
+    let env, paces = counting_env () in
+    Alcotest.(check bool) "cross run committed" true
+      (run_cross_input remote parts env input = Coordinator.Committed);
+    !paces
+  in
+  List.iter
+    (fun (what, input) -> Alcotest.(check int) what (single input) (cross input))
+    [
+      ("payment paces", Txns.Payment cross_payment);
+      ("new_order with a remote line paces", Txns.New_order cross_new_order);
+    ]
 
 (* --- the partitioned driver ----------------------------------------------- *)
 
@@ -515,16 +553,7 @@ let test_failover_never_reissues_gid () =
   let coord = Coordinator.create ~log parts in
   let remote = Coordinator.Remote.make coord in
   let env = Txns.default_env ~seed small_params in
-  let part_of w = Partition.id (Coordinator.partition_of coord w) in
-  let run input =
-    let branches =
-      List.map (fun (pid, inst) -> (parts.(pid), inst)) (Dist_txns.branches env ~part_of input)
-    in
-    let home = Partition.engine (fst (List.hd branches)) in
-    let outcome = ref Coordinator.Aborted in
-    Schedule.run home [ (fun () -> outcome := Coordinator.Remote.run_cross remote branches) ];
-    !outcome
-  in
+  let run = run_cross_input remote parts env in
   (* gid 1 commits and is durable *)
   Alcotest.(check bool) "gid 1 committed" true
     (run (Txns.Payment cross_payment) = Coordinator.Committed);
@@ -602,6 +631,50 @@ let test_transport_parity () =
   Alcotest.(check bool) "parity run crossed partitions" true
     (a.Dist_driver.cross_committed > 0)
 
+(* A branch step that loses an attempt to a lock timeout backs off
+   ([Txn_effect.yield]) and retries.  On the pipe transport the branch runs
+   on the partition's request-loop domain, which must handle that yield as
+   a worker does; an unhandled yield drops the branch mid-transaction, with
+   no vote for the coordinator and its completed steps never compensated. *)
+let test_pipe_branch_retries () =
+  let seed = 3 in
+  let pairs = Dist_driver.make_partitions ~seed ~partitions:2 small_params in
+  let parts = Array.of_list (List.map fst pairs) in
+  let coord = Coordinator.create parts in
+  let remote =
+    Coordinator.Remote.make ~transport:`Pipe ~retries:1 ~prepare_deadline:0.5 coord
+  in
+  let env = Txns.default_env ~seed small_params in
+  let part_of w = Partition.id (Coordinator.partition_of coord w) in
+  let timed_out = ref false in
+  let branches =
+    List.map
+      (fun (pid, (inst : Acc_core.Program.instance)) ->
+        if pid <> part_of cross_payment.Txns.p_w then (parts.(pid), inst)
+        else begin
+          (* the home branch's first step times out once *)
+          let steps = Array.copy inst.Acc_core.Program.i_steps in
+          let sd, body = steps.(0) in
+          steps.(0) <-
+            ( sd,
+              fun ctx ->
+                if not !timed_out then begin
+                  timed_out := true;
+                  raise Acc_txn.Txn_effect.Lock_timeout
+                end;
+                body ctx );
+          (parts.(pid), { inst with Acc_core.Program.i_steps = steps })
+        end)
+      (Dist_txns.branches env ~part_of (Txns.Payment cross_payment))
+  in
+  let outcome = Coordinator.Remote.run_cross remote branches in
+  Coordinator.Remote.close remote;
+  List.iter (fun (_, e) -> Acc_parallel.Engine.shutdown e) pairs;
+  Alcotest.(check bool) "the home branch's step timed out once" true !timed_out;
+  Alcotest.(check bool) "retried and committed" true (outcome = Coordinator.Committed);
+  Alcotest.(check (list string)) "merged state consistent" []
+    (Consistency.check (Dist_driver.merged_db (Array.to_list parts)))
+
 (* --- dup/reorder Decide equivalence ---------------------------------------- *)
 
 (* fixed cross-partition workload for the fault-equivalence property; every
@@ -612,12 +685,7 @@ let equiv_inputs =
     Txns.Payment { cross_payment with Txns.p_d = 2; p_c_d = 3; p_amount = 10.5 };
     Txns.Payment
       { cross_payment with Txns.p_w = 4; p_d = 1; p_c_w = 1; p_c_d = 4; p_amount = 9.0 };
-    Txns.New_order
-      {
-        Txns.no_w = 1; no_d = 1; no_c = 2;
-        no_items = [ (5, 3, 1); (6, 2, 3); (7, 1, 1) ];
-        no_fail_last = false;
-      };
+    Txns.New_order cross_new_order;
     Txns.Payment { cross_payment with Txns.p_d = 4; p_customer = Txns.By_id 5 };
   ]
 
@@ -627,21 +695,7 @@ let run_equiv ~seed faults =
   let coord = Coordinator.create parts in
   let remote = Coordinator.Remote.make ~transport:`Loopback ~faults coord in
   let env = Txns.default_env ~seed small_params in
-  let part_of w = Partition.id (Coordinator.partition_of coord w) in
-  let outcomes =
-    List.map
-      (fun input ->
-        let branches =
-          List.map
-            (fun (pid, inst) -> (parts.(pid), inst))
-            (Dist_txns.branches env ~part_of input)
-        in
-        let home = Partition.engine (fst (List.hd branches)) in
-        let outcome = ref Coordinator.Aborted in
-        Schedule.run home [ (fun () -> outcome := Coordinator.Remote.run_cross remote branches) ];
-        !outcome)
-      equiv_inputs
-  in
+  let outcomes = List.map (run_cross_input remote parts env) equiv_inputs in
   Coordinator.Remote.close remote;
   (outcomes, Dist_driver.merged_db (Array.to_list parts))
 
@@ -712,6 +766,8 @@ let suites =
         Alcotest.test_case "loopback/pipe parity" `Slow test_transport_parity;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xD15F |])
           prop_dup_reorder_decide_equiv;
+        Alcotest.test_case "pipe: a branch step retries after a timeout" `Quick
+          test_pipe_branch_retries;
       ] );
     ( "dist.decision_log",
       [
@@ -734,6 +790,8 @@ let suites =
         Alcotest.test_case "cross-partition abort compensates" `Quick
           test_cross_payment_abort_compensates;
         Alcotest.test_case "cross-partition new_order" `Quick test_cross_new_order;
+        Alcotest.test_case "branches pace like the single-node program" `Quick
+          test_cross_pace_parity;
       ] );
     ( "dist.driver",
       [ Alcotest.test_case "4 partitions: consistent, >=10%% cross" `Slow test_driver_4_partitions ] );

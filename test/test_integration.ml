@@ -161,7 +161,7 @@ let test_full_scale_driver () =
           {
             base_cfg with
             Driver.system;
-            Driver.params = Params.full;
+            workload = Tpcc_workload.make ~params:Params.full ();
             horizon = 60.0;
             warmup = 10.0;
             terminals = 10;

@@ -437,7 +437,7 @@ let test_group_commit_crash_loses_no_acked_commit () =
   let locks = Sharded.create ~shards:1 Mode.no_semantics in
   let eng =
     Executor.create_with
-      ~wal_policy:(Log.Buffered { cap = 64; group = true })
+      ~wal_policy:(Log.Buffered { cap = 64 })
       ~service:(Sharded.service locks) db
   in
   Fun.protect ~finally:Fault.disarm (fun () ->
@@ -779,7 +779,7 @@ let stress_cfg system txns =
     domains = 4;
     duration = 60.0 (* safety net; txns_per_domain bounds the run *);
     txns_per_domain = Some txns;
-    mix = P.New_order_payment;
+    workload = Acc_tpcc.Tpcc_workload.make ~mix:Acc_tpcc.Tpcc_workload.New_order_payment ();
     seed = 11;
   }
 
@@ -811,8 +811,9 @@ let test_overload_admission () =
         P.system = P.Acc;
         domains = 4;
         duration = 1.0;
-        mix = P.New_order_payment;
-        skewed_district = true;
+        workload =
+          Acc_tpcc.Tpcc_workload.make ~mix:Acc_tpcc.Tpcc_workload.New_order_payment
+            ~skewed_district:true ();
         seed = 23;
         compute_between = 0.0005;
         lock_deadline = Some 0.02;

@@ -96,7 +96,7 @@ let test_log_save_load () =
 (* Buffered policy: appends stage invisibly in the domain buffer; sync makes
    them durable as one batch (one flush), in append order. *)
 let test_log_buffered_sync () =
-  let log = Log.create ~policy:(Log.Buffered { cap = 64; group = false }) () in
+  let log = Log.create ~policy:(Log.Buffered { cap = 64 }) () in
   let l0 = Log.append log (Record.Begin { txn = 1; txn_type = "t"; multi_step = false }) in
   ignore (Log.append log (Record.Commit { txn = 1 }));
   Alcotest.(check int) "buffered append has no lsn" (-1) l0;
@@ -115,7 +115,7 @@ let test_log_buffered_sync () =
 (* A full buffer flushes itself: cap appends cost one flush, not cap. *)
 let test_log_buffered_cap_overflow () =
   let cap = 8 in
-  let log = Log.create ~policy:(Log.Buffered { cap; group = false }) () in
+  let log = Log.create ~policy:(Log.Buffered { cap }) () in
   for i = 1 to cap - 1 do
     ignore (Log.append log (Record.Commit { txn = i }))
   done;
@@ -126,7 +126,7 @@ let test_log_buffered_cap_overflow () =
 
 (* flush_all drains every registered domain buffer on a quiesced log. *)
 let test_log_flush_all () =
-  let log = Log.create ~policy:(Log.Buffered { cap = 64; group = true }) () in
+  let log = Log.create ~policy:(Log.Buffered { cap = 64 }) () in
   let domains =
     Array.init 3 (fun i ->
         Domain.spawn (fun () ->
@@ -148,7 +148,7 @@ let test_log_flush_all () =
    times; every synced record must be in the log afterwards, and concurrent
    syncs must have merged (fewer flushes than syncs). *)
 let test_log_group_commit_concurrent () =
-  let log = Log.create ~policy:(Log.Buffered { cap = 1024; group = true }) () in
+  let log = Log.create ~policy:(Log.Buffered { cap = 1024 }) () in
   let domains = 4 and per = 200 in
   let workers =
     Array.init domains (fun i ->

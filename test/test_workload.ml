@@ -40,6 +40,29 @@ let test_registry () =
   | None -> ()
   | Some _ -> Alcotest.fail "find of an unknown name returned a workload"
 
+(* The drivers reach TPC-C only through its registry spec, so --scale and
+   --mix must shape what it loads and generates: scale 3 loads three
+   warehouses, and mix nop draws only new-order and payment where the
+   default mix draws all five types. *)
+let test_tpcc_spec () =
+  ignore (registered ());
+  let build spec =
+    match W.Registry.find "tpcc" with
+    | Some make -> make spec
+    | None -> Alcotest.fail "tpcc not registered"
+  in
+  let types (module T : W.S) =
+    let env = T.make_env ~seed:5 () in
+    List.sort_uniq String.compare (List.init 300 (fun _ -> T.txn_name (T.gen_input env)))
+  in
+  let nop = build { W.default_spec with W.scale = 3; mix = Some "nop" } in
+  let module T = (val nop : W.S) in
+  Alcotest.(check int) "scale 3 loads three warehouses" 3
+    (Acc_relation.Table.cardinality (Database.table (T.populate ~seed:5) "warehouse"));
+  Alcotest.(check (list string)) "mix nop: new-order and payment only"
+    [ "new_order"; "payment" ] (types nop);
+  Alcotest.(check int) "default mix: all five types" 5 (List.length (types (build W.default_spec)))
+
 let test_zipf () =
   let g = Prng.create ~seed:5 in
   let z = Prng.zipf ~n:100 ~theta:0.9 in
@@ -61,7 +84,7 @@ let test_zipf () =
 let run_registered name ~domains ~system =
   let wl =
     match W.Registry.find name with
-    | Some make -> make { W.scale = 1; skew = 0.; mix = None; abort_rate = None }
+    | Some make -> make W.default_spec
     | None -> Alcotest.failf "%s not registered" name
   in
   let r =
@@ -74,7 +97,7 @@ let run_registered name ~domains ~system =
         txns_per_domain = Some 40;
         compute_between = 0.;
         seed = 11;
-        workload = Some wl;
+        workload = wl;
       }
   in
   Alcotest.(check (list string)) (name ^ ": consistency") [] r.P.violations;
@@ -253,5 +276,6 @@ let suites =
         Alcotest.test_case "compensation: one body per type" `Quick test_one_body_per_type;
         Alcotest.test_case "compensation: no-write comp crash replays nothing" `Quick
           test_no_write_compensation_crash;
+        Alcotest.test_case "tpcc: --scale and --mix reach the plugin" `Quick test_tpcc_spec;
       ] );
   ]

@@ -9,7 +9,7 @@ module Figures = Acc_harness.Figures
 module Tally = Acc_util.Stats.Tally
 module Histogram = Acc_util.Metrics.Histogram
 module CA = Acc_obs.Conflict_accounting
-module P = Acc_tpcc.Parallel_driver
+module P = Acc_harness.Parallel_driver
 
 let schema_version = 4
 

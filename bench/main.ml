@@ -92,7 +92,7 @@ let nop_tpcc ?skewed_district () =
    pays.  Wall-clock, so numbers vary with the host; the shape is the
    point. *)
 let run_parallel ~quick =
-  let module P = Acc_tpcc.Parallel_driver in
+  let module P = Acc_harness.Parallel_driver in
   let seconds = if quick then 1.5 else 4.0 in
   let base =
     {
@@ -172,7 +172,7 @@ let run_parallel ~quick =
    ratio; each cell also re-checks the workload's own invariants.  Exits
    non-zero on violations or leaks anywhere in the sweep. *)
 let run_workloads ~quick =
-  let module P = Acc_tpcc.Parallel_driver in
+  let module P = Acc_harness.Parallel_driver in
   let module CA = Acc_obs.Conflict_accounting in
   Acc_harness.Cli.ensure_registered ();
   let domains = 4 in
@@ -262,7 +262,7 @@ let run_workloads ~quick =
    throughput.  Exits non-zero on violations or leaks: CI runs this as the
    overload soak's machine-readable half. *)
 let run_overload ~quick =
-  let module P = Acc_tpcc.Parallel_driver in
+  let module P = Acc_harness.Parallel_driver in
   let seconds = if quick then 2.0 else 5.0 in
   let max_inflight = 2 in
   let domains = 4 * max_inflight in
@@ -326,7 +326,7 @@ let run_overload ~quick =
    The cells run untraced, so each report's GC counters are the engine's
    own and CI can bound the 1-domain cell's promotion. *)
 let run_scale ~quick =
-  let module P = Acc_tpcc.Parallel_driver in
+  let module P = Acc_harness.Parallel_driver in
   let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8; 16 ] in
   let per_domain = if quick then 150 else 500 in
   let base =
@@ -613,18 +613,27 @@ let run_recovery ~quick =
    window hold time (how long a branch's locks stay pinned across the
    prepare/decide exchange).  The sweep holds the load fixed at 8 warehouses
    and varies only the partitioning, so cell-to-cell deltas are the cost of
-   distribution, not of scale.  The transport axis (loopback vs pipe) prices
-   the RPC layer itself: same protocol, but pipe adds the socketpair hop and
-   a handler domain per partition (multi-partition cells only — with one
+   distribution, not of scale; the 1-partition cell is the plain
+   single-node run.  The transport axis (loopback vs pipe) prices the RPC
+   layer itself: same protocol, but pipe adds the socketpair hop and a
+   handler domain per partition (multi-partition cells only — with one
    partition nothing crosses, so the transport is never exercised).  Exits
    non-zero on merged-database violations. *)
 let run_dist ~quick =
-  let module D = Acc_dist.Dist_driver in
+  let module P = Acc_harness.Parallel_driver in
   let module Tally = Acc_util.Stats.Tally in
   let module Params = Acc_tpcc.Params in
   let seconds = if quick then 1.0 else 3.0 in
   let params = { Params.default with Params.warehouses = 8 } in
-  let base = { D.default_config with D.duration = seconds; domains = 4; params } in
+  let base =
+    {
+      P.default_config with
+      P.system = P.Acc;
+      duration = seconds;
+      domains = 4;
+      workload = Acc_tpcc.Tpcc_workload.make ~params ();
+    }
+  in
   Format.fprintf ppf "@.=== dist: partitioned TPC-C under 2PC (%.1fs per cell) ===@."
     seconds;
   Format.fprintf ppf "%10s %10s %10s %12s %10s %16s@." "partitions" "transport"
@@ -645,36 +654,36 @@ let run_dist ~quick =
     List.map
       (fun (partitions, transport) ->
         let r, phases =
-          Bench_json.with_phases (fun () ->
-              D.run { base with D.partitions; transport })
+          Bench_json.with_phases (fun () -> P.run { base with P.partitions; transport })
         in
-        if r.D.violations <> [] then begin
+        if r.P.violations <> [] then begin
           incr failures;
-          List.iter (fun v -> Format.fprintf ppf "  violation: %s@." v) r.D.violations
+          List.iter (fun v -> Format.fprintf ppf "  violation: %s@." v) r.P.violations
         end;
-        Format.fprintf ppf "%10d %10s %10.1f %12.3f %10d %16.3f@." partitions
-          r.D.transport r.D.throughput r.D.cross_fraction r.D.cross_aborted
-          (1000. *. Tally.percentile r.D.prepare_hold 0.95);
+        let transport = Acc_dist.Transport.kind_name transport in
+        Format.fprintf ppf "%10d %10s %10.1f %12.3f %10d %16.3f@." partitions transport
+          r.P.throughput (P.cross_fraction r) r.P.cross_aborted
+          (1000. *. Tally.percentile r.P.prepare_hold 0.95);
         Json.Obj
           ((("warehouses", Json.Int params.Params.warehouses)
-           :: Bench_json.meta_fields ~domains:base.D.domains)
+           :: Bench_json.meta_fields ~domains:base.P.domains)
           @ [
               ("partitions", Json.Int partitions);
-              ("transport", Json.Str r.D.transport);
-              ("committed", Json.Int r.D.committed);
-              ("single_committed", Json.Int r.D.single_committed);
-              ("cross_committed", Json.Int r.D.cross_committed);
-              ("cross_aborted", Json.Int r.D.cross_aborted);
-              ("compensations", Json.Int r.D.compensations);
-              ("cross_attempted", Json.Int r.D.cross_attempted);
-              ("cross_fraction", Json.Float r.D.cross_fraction);
-              ("throughput", Json.Float r.D.throughput);
-              ("elapsed", Json.Float r.D.elapsed);
-              ("prepare_hold", Bench_json.tally_json r.D.prepare_hold);
+              ("transport", Json.Str transport);
+              ("committed", Json.Int r.P.committed);
+              ("single_committed", Json.Int (r.P.committed - r.P.cross_committed));
+              ("cross_committed", Json.Int r.P.cross_committed);
+              ("cross_aborted", Json.Int r.P.cross_aborted);
+              ("compensations", Json.Int r.P.compensations);
+              ("cross_attempted", Json.Int r.P.cross_attempted);
+              ("cross_fraction", Json.Float (P.cross_fraction r));
+              ("throughput", Json.Float r.P.throughput);
+              ("elapsed", Json.Float r.P.elapsed);
+              ("prepare_hold", Bench_json.tally_json r.P.prepare_hold);
               ("phases", phases);
-              ("violations", Json.Int (List.length r.D.violations));
+              ("violations", Json.Int (List.length r.P.violations));
               ( "partition_committed",
-                Json.List (List.map (fun c -> Json.Int c) r.D.partition_committed) );
+                Json.List (List.map (fun c -> Json.Int c) r.P.per_domain_committed) );
             ]))
       grid
   in

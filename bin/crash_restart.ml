@@ -73,6 +73,12 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
       else H.Single { H.default_single with workload = wl; step_fault_p; checkpoint_every }
     in
     let base = H.default_config system in
+    (* the partitioned profile loads a fixed warehouse count *)
+    let warehouses = base.H.params.Acc_tpcc.Params.warehouses in
+    if dist && partitions > warehouses then
+      failwith
+        (Printf.sprintf "--partitions %d exceeds the %d warehouses the partitioned profile loads"
+           partitions warehouses);
     let config =
       {
         base with
@@ -145,7 +151,7 @@ let dist =
   Arg.(value & flag & info [ "dist" ] ~doc:"Partitioned system under test: crash the 2PC coordinator paths and check the no-lost-decision oracle.")
 
 let partitions =
-  Arg.(value & opt int H.default_partitioned.H.partitions & info [ "partitions" ] ~docv:"N" ~doc:"Partition count in --dist mode.")
+  Arg.(value & opt int H.default_partitioned.H.partitions & info [ "partitions" ] ~docv:"N" ~doc:"Partition count in --dist mode, at most the 4 warehouses its profile loads.")
 
 let netfault =
   Arg.(

@@ -4,14 +4,16 @@
      acc-tpcc-parallel --domains 4 --scale 1 --seconds 5
      acc-tpcc-parallel --domains 4 --system both --txns 1000
      acc-tpcc-parallel --workload hotspot --theta 0.9 --system both
+     acc-tpcc-parallel --partitions 2 --scale 4 --transport pipe
 
    Exit status 1 if any run ends with consistency violations or leaked
    locks, so CI can use it as a smoke test. *)
 
 open Cmdliner
-module P = Acc_tpcc.Parallel_driver
+module P = Acc_harness.Parallel_driver
 module CA = Acc_obs.Conflict_accounting
 module Cli = Acc_harness.Cli
+module Netfault = Acc_fault.Fault.Netfault
 
 let pp_conflicts_by_type r =
   match P.conflicts_by_txn_type_with ~step_txn_type:r.P.step_txn_type r.P.conflicts with
@@ -28,54 +30,18 @@ let pp_conflicts_by_type r =
 
 let run_one ~scale cfg =
   let r = P.run cfg in
-  Format.printf "== workload=%s system=%s domains=%d scale=%d seed=%d ==@."
+  Format.printf "== workload=%s system=%s domains=%d scale=%d seed=%d%s ==@."
     r.P.workload_name
     (match cfg.P.system with P.Acc -> "acc" | P.Baseline -> "2pl")
-    cfg.P.domains scale cfg.P.seed;
+    cfg.P.domains scale cfg.P.seed
+    (if cfg.P.partitions > 1 then
+       Printf.sprintf " partitions=%d transport=%s" cfg.P.partitions
+         (Acc_dist.Transport.kind_name cfg.P.transport)
+     else "");
   Format.printf "%a@." P.pp_report r;
   pp_conflicts_by_type r;
   List.iter (fun v -> Format.printf "  violation: %s@." v) r.P.violations;
   r
-
-(* Partitioned mode (--partitions): N isolated partition engines behind the
-   2PC coordinator (lib/dist), running TPC-C over --scale warehouses.  The
-   single-node knobs that have no partitioned counterpart
-   (system/theta/mix/abort-rate/admission) are ignored; the run always
-   checks the merged database, and returns whether it was consistent. *)
-let run_partitioned ~partitions ~domains ~warehouses ~seconds ~txns ~think_ms ~compute_ms
-    ~seed ~deadline_ms ~transport =
-  let module D = Acc_dist.Dist_driver in
-  (* --transport picks the coordinator↔participant path; ACC_NETFAULT
-     injects message faults on it (see RECOVERY.md) *)
-  let netfault =
-    match Acc_fault.Fault.Netfault.of_env () with
-    | Some s -> s
-    | None -> D.default_config.D.netfault
-  in
-  let cfg =
-    {
-      D.seed;
-      domains;
-      partitions;
-      duration = seconds;
-      txns_per_domain = txns;
-      think_mean = think_ms /. 1000.;
-      compute_between = compute_ms /. 1000.;
-      params = { Acc_tpcc.Params.default with Acc_tpcc.Params.warehouses };
-      lock_deadline =
-        (match deadline_ms with
-        | Some ms -> Some (ms /. 1000.)
-        | None -> D.default_config.D.lock_deadline);
-      transport = Acc_dist.Transport.kind_of_string transport;
-      netfault;
-    }
-  in
-  let r = D.run cfg in
-  Format.printf "== partitioned domains=%d partitions=%d warehouses=%d seed=%d ==@."
-    domains partitions warehouses seed;
-  Format.printf "%a@." D.pp_report r;
-  List.iter (fun v -> Format.printf "  violation: %s@." v) r.D.violations;
-  r.D.violations = []
 
 let main system domains seconds txns think_ms compute_ms seed warmup conflicts deadline_ms
     max_inflight shed_watermark group_commit partitions transport trace trace_chrome
@@ -84,8 +50,6 @@ let main system domains seconds txns think_ms compute_ms seed warmup conflicts d
     Cli.print_workloads ();
     exit 0
   end;
-  if partitions <> None && workload <> "tpcc" then
-    failwith "--partitions runs partitioned TPC-C only; --workload must be tpcc";
   let wl = Cli.resolve ~scale ~theta ?mix ?abort_rate workload in
   (* --deadline-ms beats ACC_LOCK_DEADLINE_MS beats off *)
   let deadline_ms =
@@ -94,21 +58,6 @@ let main system domains seconds txns think_ms compute_ms seed warmup conflicts d
     | None ->
         Option.bind (Sys.getenv_opt "ACC_LOCK_DEADLINE_MS") float_of_string_opt
   in
-  (* ACC_CRASHPOINT / ACC_STEP_FAULTS arm fault injection (see RECOVERY.md) *)
-  Acc_fault.Fault.configure_from_env ();
-  let ts = Cli.Trace.configure ~jsonl:trace ~chrome:trace_chrome () in
-  let finish_metrics = Cli.metrics_live metrics_dump in
-  (match partitions with
-  | Some partitions ->
-      let consistent =
-        run_partitioned ~partitions ~domains ~warehouses:scale ~seconds ~txns ~think_ms
-          ~compute_ms ~seed ~deadline_ms ~transport
-      in
-      (* the trace and metrics of an inconsistent run are the ones wanted *)
-      finish_metrics ();
-      Cli.Trace.finish ~workload ts;
-      exit (if consistent then 0 else 1)
-  | None -> ());
   let cfg =
     {
       P.default_config with
@@ -125,6 +74,11 @@ let main system domains seconds txns think_ms compute_ms seed warmup conflicts d
       max_inflight;
       shed_watermark;
       group_commit;
+      partitions;
+      transport = Acc_dist.Transport.kind_of_string transport;
+      (* ACC_NETFAULT injects message faults on the partitions' transport
+         (see RECOVERY.md) *)
+      netfault = Option.value (Netfault.of_env ()) ~default:Netfault.none;
     }
   in
   let systems =
@@ -134,7 +88,14 @@ let main system domains seconds txns think_ms compute_ms seed warmup conflicts d
     | "both" -> [ P.Acc; P.Baseline ]
     | other -> failwith ("unknown system: " ^ other)
   in
-  let reports = List.map (fun s -> run_one ~scale { cfg with P.system = s }) systems in
+  let cfgs = List.map (fun s -> { cfg with P.system = s }) systems in
+  (* refuse a config before any run starts, not after the first *)
+  List.iter P.validate cfgs;
+  (* ACC_CRASHPOINT / ACC_STEP_FAULTS arm fault injection (see RECOVERY.md) *)
+  Acc_fault.Fault.configure_from_env ();
+  let ts = Cli.Trace.configure ~jsonl:trace ~chrome:trace_chrome () in
+  let finish_metrics = Cli.metrics_live metrics_dump in
+  let reports = List.map (run_one ~scale) cfgs in
   (match reports with
   | [ acc; bl ] ->
       Format.printf "acc/2pl throughput ratio: %.2f@."
@@ -202,7 +163,7 @@ let deadline_ms =
         ~doc:"Lock-wait deadline per request; an expired wait aborts (and \
               compensates) the transaction like a deadlock victim. \
               Compensating steps are exempt. Default: ACC_LOCK_DEADLINE_MS \
-              env var, else no deadline.")
+              env var, else no deadline (1 s with --partitions above 1).")
 
 let max_inflight =
   Arg.(
@@ -230,15 +191,15 @@ let group_commit =
 
 let partitions =
   Arg.(
-    value
-    & opt (some int) None
+    value & opt int 1
     & info [ "partitions" ] ~docv:"N"
-        ~doc:"Partitioned mode: split TPC-C's --scale warehouses across N \
-              isolated partition engines behind a two-phase-commit \
-              coordinator (lib/dist); cross-partition transactions run as \
-              2PC branch programs.  Rejects any --workload but tpcc; \
-              ignores --system/--theta/--mix/--abort-rate and the \
-              admission knobs.")
+        ~doc:"Split the workload's partition keys (TPC-C: its --scale \
+              warehouses) across N isolated engines behind a two-phase-commit \
+              coordinator (lib/dist); cross-partition transactions run as 2PC \
+              branch programs.  N > 1 needs a workload with a partitioning \
+              capability (tpcc), --system acc, no --max-inflight or \
+              --shed-watermark, and at least N keys; with no --deadline-ms the \
+              lock-wait deadline is 1 s.")
 
 let transport =
   Arg.(

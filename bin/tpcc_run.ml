@@ -7,7 +7,7 @@
      acc-tpcc-run --workload smallbank --mix write-skew *)
 
 open Cmdliner
-module Driver = Acc_tpcc.Driver
+module Driver = Acc_harness.Driver
 module Tally = Acc_util.Stats.Tally
 module Cli = Acc_harness.Cli
 

@@ -224,8 +224,6 @@ let partition_of t w =
 
 let decision_of t ~gid = Decision_log.lookup t.log ~gid
 
-let cross_committed t = Atomic.get t.committed
-let cross_aborted t = Atomic.get t.aborted
 
 let prepare_hold_snapshot t =
   Mutex.lock t.stats_mu;

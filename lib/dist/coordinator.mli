@@ -63,7 +63,6 @@ val create : ?log:Decision_log.t -> ?first_gid:int -> Partition.t array -> t
     the counter always starts above the log's own watermark.  Raises
     [Invalid_argument] on an empty partition array. *)
 
-val partitions : t -> Partition.t array
 val decision_log : t -> Decision_log.t
 
 val partition_of : t -> int -> Partition.t
@@ -75,9 +74,6 @@ val decision_of : t -> gid:int -> decision option
     abort once the transaction is in doubt). *)
 
 type outcome = Committed | Aborted
-
-val cross_committed : t -> int
-val cross_aborted : t -> int
 
 val prepare_hold_snapshot : t -> Acc_util.Stats.Tally.t
 (** Snapshot of per-transaction prepare-window hold times (seconds): from

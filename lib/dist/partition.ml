@@ -27,7 +27,6 @@ let engine t = t.eng
 let txn_stride = 1 lsl 24
 let txn_base id = id * txn_stride
 let partition_of_txn txn = if txn < 0 then 0 else txn / txn_stride
-let range t = (t.lo, t.hi)
 let owns t w = t.lo <= w && w <= t.hi
 
 (* Contiguous near-equal split of warehouses 1..W over n partitions: the

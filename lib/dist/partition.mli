@@ -1,4 +1,5 @@
-(** One isolated ACC instance owning a contiguous warehouse range.
+(** One isolated ACC instance owning a contiguous range of a workload's
+    partition keys (TPC-C's warehouses).
 
     Each partition has its own database, lock-service backend, WAL, and
     executor; partitions share nothing.  A transaction whose footprint stays
@@ -14,17 +15,16 @@ val make : id:int -> lo:int -> hi:int -> Acc_txn.Executor.t -> t
 
 val id : t -> int
 val engine : t -> Acc_txn.Executor.t
-val range : t -> int * int
 val owns : t -> int -> bool
 (** [owns t w] — does warehouse [w] fall in this partition's range? *)
 
 (** {1 Transaction-id bands}
 
-    {!Dist_driver} starts each partition's executor at [txn_base id], giving
-    every transaction in a distributed run a globally unique id.  The span
-    layer and [acc-trace-profile] recover the partition from the id alone
-    ([--txn-band]); single-node runs (ids starting at 1) all map to
-    partition 0. *)
+    {!Dist_driver.build} starts each partition's executor at [txn_base id],
+    giving every transaction in a distributed run a globally unique id.
+    The span layer and [acc-trace-profile] recover the partition from the
+    id alone ([--txn-band]); single-node runs (ids starting at 1) all map
+    to partition 0. *)
 
 val txn_stride : int
 (** Ids per band ([2{^24}]). *)

@@ -235,9 +235,11 @@ let rec write_all fd s off len =
   end
 
 (* The partition's request loop: read → handle → reply, one dedicated
-   domain per connection.  A handler exception (including a simulated
-   [Fault.Crash]) drops the request — the client times out and retries,
-   which is exactly how a remote participant death would look. *)
+   domain per connection.  A handler exception drops the request — the
+   client times out and retries, which is exactly how a remote participant
+   death would look.  A simulated [Fault.Crash] is that death and passes
+   silently; any other exception is a participant-side fault, reported on
+   stderr so that it does not pass for a lost frame. *)
 let serve sfd handler repf =
   let rdr = Reader.create () in
   let buf = Bytes.create 65536 in
@@ -261,7 +263,10 @@ let serve sfd handler repf =
                       try write_all sfd s 0 (String.length s)
                       with Unix.Unix_error _ -> closed := true)
                     (Faults.send repf { seq = f.seq; msg = reply })
-              | exception _ -> ())
+              | exception Fault.Crash _ -> ()
+              | exception e ->
+                  Printf.eprintf "transport: %s handler raised %s; request dropped\n%!"
+                    (msg_kind f.msg) (Printexc.to_string e))
             (Reader.drain rdr);
           loop ()
   in

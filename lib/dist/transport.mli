@@ -69,7 +69,10 @@ val loopback : ?faults:Acc_fault.Fault.Netfault.spec -> (msg -> msg) -> t
 val pipe : ?faults:Acc_fault.Fault.Netfault.spec -> (msg -> msg) -> t
 (** Socketpair connection with the handler loop on a dedicated domain.  A
     handler exception drops the request — the caller times out and
-    retries, which is how a remote participant death looks from here. *)
+    retries, which is how a remote participant death looks from here.  A
+    simulated {!Acc_fault.Fault.Crash} drops it silently; any other
+    exception also writes one stderr line naming the request kind and the
+    exception. *)
 
 val kind : t -> kind
 

@@ -1,4 +1,3 @@
-module Driver = Acc_tpcc.Driver
 module Params = Acc_tpcc.Params
 
 type settings = {

@@ -21,8 +21,8 @@ type t = {
 
 (* Every engine publishes its instruments in the process-wide registry; the
    names are stable (DESIGN.md §16) and [metrics_labels] disambiguates
-   multi-engine processes (the dist driver labels each partition's engine
-   with [partition="N"]).  A single-engine re-run re-registers the same
+   multi-engine processes ([Acc_dist.Dist_driver.build] labels each
+   partition's engine with [partition="N"]).  A single-engine re-run re-registers the same
    (name, labels) pair and simply replaces the dead engine's entry. *)
 let register_metrics t labels =
   let reg ?help name v = Acc_obs.Registry.register ?help ~labels name v in

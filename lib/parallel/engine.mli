@@ -37,9 +37,9 @@ val create :
 
     Every engine registers its instruments ([acc_engine_*],
     [acc_watchdog_*], [acc_detector_*]) in {!Acc_obs.Registry.default} under
-    [metrics_labels] — multi-engine processes must pass distinct labels (the
-    dist driver passes [partition="N"]) or later engines replace earlier
-    ones in the exposition.
+    [metrics_labels] — multi-engine processes must pass distinct labels
+    ({!Acc_dist.Dist_driver.build} passes [partition="N"]) or later engines
+    replace earlier ones in the exposition.
 
     [lock_deadline] is a per-request wait budget in seconds (see
     {!Acc_txn.Executor.set_lock_deadline}); omitted disables timeouts.  [max_inflight] caps concurrently admitted multi-step

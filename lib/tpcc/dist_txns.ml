@@ -322,14 +322,6 @@ let new_order_rstock_instance env items =
 (* Routing                                                                 *)
 (* ====================================================================== *)
 
-let home_warehouse (input : Txns.input) =
-  match input with
-  | Txns.New_order i -> i.Txns.no_w
-  | Txns.Payment i -> i.Txns.p_w
-  | Txns.Order_status i -> i.Txns.os_w
-  | Txns.Delivery i -> i.Txns.dl_w
-  | Txns.Stock_level i -> i.Txns.sl_w
-
 let partitions_of_input ~part_of (input : Txns.input) =
   let ps =
     match input with

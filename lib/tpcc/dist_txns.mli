@@ -10,13 +10,6 @@
 
 (** {1 Static branch definitions} *)
 
-val payment_home_type : Acc_core.Program.txn_type_def
-val payment_rcust_type : Acc_core.Program.txn_type_def
-val new_order_home_type : Acc_core.Program.txn_type_def
-val new_order_rstock_type : Acc_core.Program.txn_type_def
-
-val branch_types : Acc_core.Program.txn_type_def list
-
 val ph_comp : Acc_core.Program.step_def
 val pr_comp : Acc_core.Program.step_def
 val nh_comp : Acc_core.Program.step_def
@@ -26,7 +19,6 @@ val workload : Acc_core.Program.workload
 (** The single-node workload plus the four branch types: what a partition
     engine serves. *)
 
-val interference : Acc_core.Interference.t
 val semantics : Acc_lock.Mode.semantics
 
 (** {1 Compensating bodies}
@@ -43,8 +35,6 @@ val new_order_rstock_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
 (** Restock the first [completed] draws the work area lists. *)
 
 (** {1 Routing} *)
-
-val home_warehouse : Txns.input -> int
 
 val partitions_of_input : part_of:(int -> int) -> Txns.input -> int list
 (** Sorted, deduplicated partition ids the input touches.  [part_of] maps a

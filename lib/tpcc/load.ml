@@ -101,3 +101,21 @@ let populate ?(only = fun _ -> true) ~seed params =
     done
   done;
   db
+
+(* The inverse of the [only] projection: one database holding every row of
+   the given partition databases, the item table taken from the first only
+   (every partition loads it in full). *)
+let merge dbs =
+  let db = Database.create () in
+  Schema.create_all db;
+  List.iteri
+    (fun idx src ->
+      List.iter
+        (fun name ->
+          if name <> "item" || idx = 0 then
+            Table.iter
+              (fun _ row -> ignore (Table.insert (Database.table db name) (Array.copy row)))
+              (Database.table src name))
+        Schema.table_names)
+    dbs;
+  db

@@ -12,6 +12,12 @@ val populate : ?only:(int -> bool) -> seed:int -> Params.t -> Acc_relation.Datab
     exact disjoint projections of the unfiltered database (items excepted —
     they are replicated). *)
 
+val merge : Acc_relation.Database.t list -> Acc_relation.Database.t
+(** Union of partition databases, the item table taken from the first only:
+    merging the [only] loads of disjoint ranges covering every warehouse
+    gives [populate]'s database.  This is the view the consistency
+    conditions are checked on, since C1/C8 and C12 span partitions. *)
+
 val district_key : w:int -> d:int -> Acc_relation.Table.key
 val customer_key : w:int -> d:int -> c:int -> Acc_relation.Table.key
 val stock_key : w:int -> i:int -> Acc_relation.Table.key

@@ -17,9 +17,25 @@ type env = {
   nop_mix : bool;  (** 50/50 new-order/payment instead of the full mix *)
 }
 
+(* Partitioned TPC-C: warehouses are the keys, a partition loads its
+   warehouses' share of [Load.populate], and cross-warehouse payments and
+   new-orders split into {!Dist_txns}' branches. *)
+let partitioning params : (env, Txns.input) W.partitioning =
+  Params.validate params;
+  {
+    W.keys = params.Params.warehouses;
+    populate_range =
+      (fun ~seed ~lo ~hi -> Load.populate ~only:(fun w -> lo <= w && w <= hi) ~seed params);
+    workload = Dist_txns.workload;
+    semantics = Dist_txns.semantics;
+    route = Dist_txns.partitions_of_input;
+    branches = (fun env -> Dist_txns.branches env.te);
+    consistency = (fun dbs -> Consistency.check (Load.merge dbs));
+  }
+
 let make ?(params = Params.default) ?(skewed_district = false) ?(mix = Standard)
     ?(min_items = 5) ?(max_items = 15) ?(abort_rate = 0.01) () : W.t =
-  Params.validate params;
+  let partitioned = partitioning params in
   (module struct
     let name = "tpcc"
     let describe = "the paper's Sec 5 workload: five txn types over one warehouse"
@@ -67,6 +83,7 @@ let make ?(params = Params.default) ?(skewed_district = false) ?(mix = Standard)
     let run_acc ?options ?stop eng env input = Txns.run_acc ?options ?stop eng env.te input
     let consistency = Consistency.check
     let extras () = []
+    let partitioning = Some partitioned
   end : W.S)
 
 let of_spec (spec : W.spec) : W.t =

@@ -6,6 +6,16 @@
 
 type mix = Standard | New_order_payment
 
+type env
+(** The plugin's per-worker generation state. *)
+
+val partitioning : Params.t -> (env, Txns.input) Acc_workload.partitioning
+(** The plugin's partitioning capability: warehouses are the keys, a
+    partition loads its range with {!Load.populate}[ ~only], cross-warehouse
+    payments and new-orders run {!Dist_txns}' branches, and the oracle is
+    {!Consistency.check} on {!Load.merge} of the partitions.  Raises
+    [Invalid_argument] on invalid [params]. *)
+
 val make :
   ?params:Params.t ->
   ?skewed_district:bool ->

@@ -91,10 +91,10 @@ val set_table_wrap : t -> table_wrap -> unit
 
 val set_next_txn : t -> int -> unit
 (** Raise the transaction-id counter to at least [base] (monotonic; a lower
-    [base] is a no-op).  {!Acc_dist.Dist_driver} gives each partition engine
-    a disjoint id band ({!Acc_dist.Partition.txn_base}) so every txn id in a
-    distributed trace is globally unique — the span layer recovers the
-    partition from the id alone. *)
+    [base] is a no-op).  {!Acc_dist.Dist_driver.build} gives each partition
+    engine a disjoint id band ({!Acc_dist.Partition.txn_base}) so every txn
+    id in a distributed trace is globally unique — the span layer recovers
+    the partition from the id alone. *)
 
 val set_lock_deadline : t -> float option -> unit
 (** Lock-wait budget in seconds applied to every non-compensating lock

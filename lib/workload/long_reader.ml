@@ -406,4 +406,5 @@ let make (spec : W.spec) : W.t =
     let run_acc = run_acc
     let consistency = consistency
     let extras = Shadow.stats
+    let partitioning = None
   end : W.S)

@@ -571,4 +571,5 @@ let make (spec : W.spec) : W.t =
     let run_acc = run_acc
     let consistency = consistency
     let extras () = []
+    let partitioning = None
   end : W.S)

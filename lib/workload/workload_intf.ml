@@ -4,7 +4,8 @@
    transaction programs with their declared footprints, the design-time
    interference table (already folded into [semantics]), flat strict-2PL
    and assertional run functions, the workload's own consistency
-   invariants, and any extra counters the workload keeps on the side.
+   invariants, any extra counters the workload keeps on the side, and
+   optionally what it takes to run on several partitions behind 2PC.
 
    TPC-C ([Acc_tpcc.Tpcc_workload]) is the reference instance; SmallBank,
    TATP, hotspot and the long-running-reader scenario live next door in
@@ -32,6 +33,35 @@ type spec = {
 }
 
 let default_spec = { scale = 1; skew = 0.; mix = None; abort_rate = None }
+
+(* ------------------------------------------------------------------ *)
+(* The partitioning capability *)
+
+(** What a driver needs to run a workload on several engines behind a
+    two-phase-commit coordinator.  Keys [1..keys] are what partitions own,
+    in contiguous ranges; an input touching one partition runs its ordinary
+    program there, any other runs one branch per partition it touches. *)
+type ('env, 'input) partitioning = {
+  keys : int;  (** partition keys at the spec's scale (TPC-C: warehouses) *)
+  populate_range : seed:int -> lo:int -> hi:int -> Database.t;
+      (** the part of [populate ~seed] whose keys fall in [lo..hi]: the same
+          seed and the same draws, so the ranges' databases together are
+          [populate]'s *)
+  workload : Program.workload;
+      (** what a partition engine serves: the single-node types plus the
+          branch types *)
+  semantics : Mode.semantics;  (** of [workload] *)
+  route : part_of:(int -> int) -> 'input -> int list;
+      (** sorted, distinct ids of the partitions the input touches;
+          [part_of] maps a key to its partition id *)
+  branches :
+    'env -> part_of:(int -> int) -> 'input -> (int * Program.instance) list;
+      (** the branch instances of an input [route] sends to several
+          partitions, keyed by partition id *)
+  consistency : Database.t list -> string list;
+      (** the workload's invariants over the partitions' databases, in
+          partition-id order *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* The interface *)
@@ -103,6 +133,9 @@ module type S = sig
   val extras : unit -> (string * float) list
   (** Workload-side counters to surface in reports (e.g. the
       long-reader's shadow predicate-lock conflict tallies). *)
+
+  val partitioning : (env, input) partitioning option
+  (** [None]: the workload runs on one engine only. *)
 end
 
 type t = (module S)

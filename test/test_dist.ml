@@ -1,7 +1,8 @@
 (* Tests for acc.dist: partitioning, the 2PC coordinator, the remote-payment
    and remote-stock paths (single-node and partitioned), the partitioned
-   crash harness (no-lost-decision oracle), and the partitioned driver's
-   cross-partition fraction and merged-database consistency. *)
+   crash harness (no-lost-decision oracle), and partitioned runs of the
+   multicore driver: cross-partition fraction, merged-database consistency,
+   and the configs it refuses. *)
 
 open Acc_tpcc
 module Dist = Acc_dist
@@ -10,6 +11,7 @@ module Coordinator = Acc_dist.Coordinator
 module Transport = Acc_dist.Transport
 module Participant = Acc_dist.Participant
 module Dist_driver = Acc_dist.Dist_driver
+module P = Acc_harness.Parallel_driver
 module Crash_harness = Acc_harness.Crash_harness
 module Fault = Acc_fault.Fault
 module Executor = Acc_txn.Executor
@@ -27,6 +29,11 @@ let small_params =
     items = 200;
     initial_orders_per_district = 3;
   }
+
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 
 (* --- partitioning --------------------------------------------------------- *)
 
@@ -46,13 +53,16 @@ let test_ranges () =
        false
      with Invalid_argument _ -> true)
 
+(* partitions on plain executors, loaded through TPC-C's partitioning
+   capability *)
 let mk_parts ~seed ~partitions params =
-  let ranges = Partition.ranges ~warehouses:params.Params.warehouses ~partitions in
+  let cap = Tpcc_workload.partitioning params in
+  let ranges = Partition.ranges ~warehouses:cap.Acc_workload.keys ~partitions in
   Array.of_list
     (List.mapi
        (fun id (lo, hi) ->
-         let db = Load.populate ~only:(fun w -> lo <= w && w <= hi) ~seed params in
-         Partition.make ~id ~lo ~hi (Executor.create ~sem:Dist_txns.semantics db))
+         let db = cap.Acc_workload.populate_range ~seed ~lo ~hi in
+         Partition.make ~id ~lo ~hi (Executor.create ~sem:cap.Acc_workload.semantics db))
        ranges)
 
 (* partition loads are exact disjoint projections: their union is the
@@ -247,30 +257,74 @@ let test_cross_pace_parity () =
 
 (* --- the partitioned driver ----------------------------------------------- *)
 
+(* a partitioned run of the multicore driver: TPC-C ACC at [small_params] *)
+let partitioned_cfg ~seed ~domains ~partitions ~txns =
+  {
+    P.default_config with
+    P.system = P.Acc;
+    seed;
+    domains;
+    partitions;
+    txns_per_domain = Some txns;
+    workload = Tpcc_workload.make ~params:small_params ();
+  }
+
 let test_driver_4_partitions () =
-  let cfg =
-    {
-      Dist_driver.default_config with
-      Dist_driver.seed = 21;
-      domains = 2;
-      partitions = 4;
-      txns_per_domain = Some 150;
-      params = small_params;
-    }
-  in
-  let r = Dist_driver.run cfg in
-  Alcotest.(check (list string)) "merged database consistent" []
-    r.Dist_driver.violations;
-  Alcotest.(check bool) "committed work" true (r.Dist_driver.committed > 100);
-  Alcotest.(check bool) "cross-partition commits happened" true
-    (r.Dist_driver.cross_committed > 0);
+  let r = P.run (partitioned_cfg ~seed:21 ~domains:2 ~partitions:4 ~txns:150) in
+  Alcotest.(check (list string)) "merged database consistent" [] r.P.violations;
+  Alcotest.(check bool) "committed work" true (r.P.committed > 100);
+  Alcotest.(check bool) "cross-partition commits happened" true (r.P.cross_committed > 0);
   (* acceptance floor: the TPC-C mix at 4 warehouses yields >= 10%
      cross-partition transactions (15% remote-customer payments + ~1%/line
      remote stock) *)
   Alcotest.(check bool)
-    (Printf.sprintf "cross fraction %.3f >= 0.10" r.Dist_driver.cross_fraction)
+    (Printf.sprintf "cross fraction %.3f >= 0.10" (P.cross_fraction r))
     true
-    (r.Dist_driver.cross_fraction >= 0.10)
+    (P.cross_fraction r >= 0.10)
+
+(* every single-node knob reaches a partitioned run: a forced-abort-heavy
+   new-order/payment mix with group commit and conflict accounting aborts
+   on both paths, classifies its lock decisions, and still ends consistent
+   with nothing leaked *)
+let test_driver_knobs_reach_partitions () =
+  let r =
+    P.run
+      {
+        (partitioned_cfg ~seed:5 ~domains:2 ~partitions:2 ~txns:120) with
+        P.workload =
+          Tpcc_workload.of_spec
+            { Acc_workload.default_spec with scale = 4; mix = Some "nop"; abort_rate = Some 0.5 };
+        group_commit = true;
+        accounting = true;
+      }
+  in
+  Alcotest.(check (list string)) "merged database consistent" [] r.P.violations;
+  Alcotest.(check int) "no leaked locks" 0 r.P.leaked_locks;
+  Alcotest.(check int) "no leaked waiters" 0 r.P.leaked_waiters;
+  Alcotest.(check bool) "forced aborts" true (r.P.forced_aborts > 0);
+  Alcotest.(check bool) "cross-partition aborts" true (r.P.cross_aborted > 0);
+  Alcotest.(check bool) "conflict rows" true (r.P.conflicts <> []);
+  Alcotest.(check bool) "branch steps have labels" true
+    (List.exists (fun (st, _) -> r.P.step_label st = "payment_home.wh-ytd") r.P.step_hist)
+
+(* the configs a partitioned run refuses, each by the field that rules it
+   out *)
+let test_driver_refusals () =
+  let base = partitioned_cfg ~seed:1 ~domains:1 ~partitions:2 ~txns:1 in
+  let refused what field cfg =
+    match P.run cfg with
+    | _ -> Alcotest.failf "%s: ran" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %s" what msg field)
+          true (contains ~sub:field msg)
+  in
+  refused "2pl under 2PC" "system" { base with P.system = P.Baseline };
+  refused "admission cap" "max_inflight" { base with P.max_inflight = Some 2 };
+  refused "shed watermark" "shed_watermark" { base with P.shed_watermark = Some 100. };
+  refused "no capability" "workload"
+    { base with P.workload = Acc_workload.Smallbank.make Acc_workload.default_spec };
+  refused "more partitions than keys" "partitions" { base with P.partitions = 5 }
 
 (* --- crash harness --------------------------------------------------------- *)
 
@@ -611,25 +665,15 @@ let test_dist_registry () =
    semantics knob *)
 let test_transport_parity () =
   let run transport =
-    Dist_driver.run
-      {
-        Dist_driver.default_config with
-        Dist_driver.seed = 17;
-        domains = 1;
-        partitions = 2;
-        txns_per_domain = Some 60;
-        params = small_params;
-        transport;
-      }
+    P.run
+      { (partitioned_cfg ~seed:17 ~domains:1 ~partitions:2 ~txns:60) with P.transport }
   in
   let a = run `Loopback and b = run `Pipe in
-  Alcotest.(check (list string)) "loopback consistent" [] a.Dist_driver.violations;
-  Alcotest.(check (list string)) "pipe consistent" [] b.Dist_driver.violations;
-  Alcotest.(check int) "same commits" a.Dist_driver.committed b.Dist_driver.committed;
-  Alcotest.(check int) "same cross commits" a.Dist_driver.cross_committed
-    b.Dist_driver.cross_committed;
-  Alcotest.(check bool) "parity run crossed partitions" true
-    (a.Dist_driver.cross_committed > 0)
+  Alcotest.(check (list string)) "loopback consistent" [] a.P.violations;
+  Alcotest.(check (list string)) "pipe consistent" [] b.P.violations;
+  Alcotest.(check int) "same commits" a.P.committed b.P.committed;
+  Alcotest.(check int) "same cross commits" a.P.cross_committed b.P.cross_committed;
+  Alcotest.(check bool) "parity run crossed partitions" true (a.P.cross_committed > 0)
 
 (* A branch step that loses an attempt to a lock timeout backs off
    ([Txn_effect.yield]) and retries.  On the pipe transport the branch runs
@@ -730,10 +774,63 @@ let prop_dup_reorder_decide_equiv =
 
 (* --- the chaos matrix (quick slice) ---------------------------------------- *)
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+(* run [f] with file descriptor 2 redirected to a scratch file; returns
+   [f]'s result and what was written there *)
+let capturing_stderr f =
+  let path = Filename.temp_file "acc-test-dist" ".err" in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let saved = Unix.dup Unix.stderr in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let ic = open_in_bin path in
+  let written = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  Sys.remove path;
+  (r, written)
+
+(* A pipe handler that raises drops the request either way; a participant
+   fault (anything but a simulated crash) also says so on stderr, once,
+   naming the request kind and the exception. *)
+let test_pipe_handler_failure_reported () =
+  let run fail =
+    capturing_stderr (fun () ->
+        let first = ref true in
+        let t =
+          Transport.pipe (fun msg ->
+              if !first then begin
+                first := false;
+                fail ()
+              end;
+              match msg with
+              | Transport.Prepare { gid; _ } -> Transport.Vote { gid; ok = true }
+              | m -> m)
+        in
+        let a = Transport.call ~deadline:0.2 t (Transport.Prepare { gid = 1; part = 0 }) in
+        let b = Transport.call ~deadline:5.0 t (Transport.Prepare { gid = 2; part = 0 }) in
+        Transport.close t;
+        (a, b))
+  in
+  let answered = Some (Transport.Vote { gid = 2; ok = true }) in
+  let (a, b), err = run (fun () -> failwith "participant bug") in
+  Alcotest.(check bool) "failed request unanswered" true (a = None);
+  Alcotest.(check bool) "next request answered" true (b = answered);
+  Alcotest.(check int) "one stderr line" 1
+    (List.length (List.filter (( <> ) "") (String.split_on_char '\n' err)));
+  Alcotest.(check bool) (Printf.sprintf "%S names the exception" err) true
+    (contains ~sub:"participant bug" err && contains ~sub:"prepare" err);
+  let (a, b), err = run (fun () -> raise (Fault.Crash { point = "dist.prepare"; hit = 1 })) in
+  Alcotest.(check bool) "crashed request unanswered" true (a = None);
+  Alcotest.(check bool) "next request answered after a crash" true (b = answered);
+  Alcotest.(check string) "a simulated crash writes nothing" "" err
 
 let test_harness_matrix_quick () =
   let config = { harness_config with Crash_harness.txns = 16; hits_per_point = 1 } in
@@ -768,6 +865,8 @@ let suites =
           prop_dup_reorder_decide_equiv;
         Alcotest.test_case "pipe: a branch step retries after a timeout" `Quick
           test_pipe_branch_retries;
+        Alcotest.test_case "pipe: a handler failure is reported, a crash is not" `Quick
+          test_pipe_handler_failure_reported;
       ] );
     ( "dist.decision_log",
       [
@@ -794,7 +893,13 @@ let suites =
           test_cross_pace_parity;
       ] );
     ( "dist.driver",
-      [ Alcotest.test_case "4 partitions: consistent, >=10%% cross" `Slow test_driver_4_partitions ] );
+      [
+        Alcotest.test_case "4 partitions: consistent, >=10%% cross" `Slow test_driver_4_partitions;
+        Alcotest.test_case "single-node knobs reach a partitioned run" `Slow
+          test_driver_knobs_reach_partitions;
+        Alcotest.test_case "refused partitioned configs name their field" `Quick
+          test_driver_refusals;
+      ] );
     ( "dist.harness",
       [
         Alcotest.test_case "sweep survives every dist point" `Slow test_harness_sweep;

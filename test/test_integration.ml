@@ -3,6 +3,7 @@
    orderings the paper's evaluation rests on. *)
 
 open Acc_tpcc
+module Driver = Acc_harness.Driver
 module Experiment = Acc_harness.Experiment
 module Tally = Acc_util.Stats.Tally
 

@@ -770,7 +770,7 @@ let test_metrics_multicore () =
 
 (* --- multi-domain TPC-C stress ------------------------------------------ *)
 
-module P = Acc_tpcc.Parallel_driver
+module P = Acc_harness.Parallel_driver
 
 let stress_cfg system txns =
   {

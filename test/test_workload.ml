@@ -6,7 +6,7 @@
    per compensable type, shared by inline aborts and crash replay. *)
 
 module W = Acc_workload
-module P = Acc_tpcc.Parallel_driver
+module P = Acc_harness.Parallel_driver
 module SB = Acc_workload.Smallbank
 module Executor = Acc_txn.Executor
 module Schedule = Acc_txn.Schedule

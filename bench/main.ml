@@ -427,8 +427,9 @@ let micro_tests () =
            | `Conflict _ -> ())))
   in
   let t_build =
+    let module W = (val Acc_tpcc.Tpcc_workload.make () : Acc_workload.S) in
     Test.make ~name:"interference: build TPC-C tables"
-      (Staged.stage (fun () -> ignore (Acc_core.Interference.build Acc_tpcc.Txns.workload)))
+      (Staged.stage (fun () -> ignore (Acc_core.Interference.build W.workload)))
   in
   [ t_predlock; t_predlock_acquire; t_build ]
 
@@ -543,8 +544,7 @@ let run_obs_gate () =
    The checkpoint path is the reason lib/wal/checkpoint.ml exists — this
    reports the observed replay reduction. *)
 let run_recovery ~quick =
-  let module Txns = Acc_tpcc.Txns in
-  let module Load = Acc_tpcc.Load in
+  let module W = (val Acc_tpcc.Tpcc_workload.make () : Acc_workload.S) in
   let module Executor = Acc_txn.Executor in
   let module Schedule = Acc_txn.Schedule in
   let module Database = Acc_relation.Database in
@@ -554,17 +554,16 @@ let run_recovery ~quick =
   let txns = if quick then 200 else 1_000 in
   let checkpoint_every = 256 in
   let seed = 7 in
-  let params = Acc_tpcc.Params.default in
-  Txns.reset_history_seq ();
-  let env = Txns.default_env ~seed params in
-  let inputs = Array.init txns (fun _ -> Txns.gen_input env) in
-  let db = Load.populate ~seed params in
+  W.reset_global ();
+  let env = W.make_env ~seed () in
+  let inputs = Array.init txns (fun _ -> W.gen_input env) in
+  let db = W.populate ~seed in
   let baseline = Database.copy db in
-  let eng = Executor.create ~sem:Txns.semantics db in
+  let eng = Executor.create ~sem:W.semantics db in
   let mgr = Checkpoint.Manager.create ~every:checkpoint_every () in
   Array.iter
     (fun input ->
-      Schedule.run eng [ (fun () -> ignore (Txns.run_acc eng env input)) ];
+      Schedule.run eng [ (fun () -> ignore (W.run_acc eng env input)) ];
       ignore (Checkpoint.Manager.maybe_take mgr (Executor.db eng) (Executor.log eng)))
     inputs;
   let log = Executor.log eng in

@@ -26,6 +26,12 @@ let report results =
     crashes (List.length failures);
   if failures <> [] then exit 1
 
+(* Refuse the [given] flags that the run would silently ignore. *)
+let refuse_ignored why flags =
+  match List.filter_map (fun (flag, given) -> if given then Some flag else None) flags with
+  | [] -> ()
+  | flags -> failwith (Printf.sprintf "%s would be ignored %s" (String.concat ", " flags) why)
+
 let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_every hits seed
     verbose dist partitions netfault coordinator_kill matrix quick metrics_dump workload
     list_workloads scale theta mix abort_rate =
@@ -33,32 +39,31 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
     Cli.print_workloads ();
     exit 0
   end;
-  (* the plugin knobs shape only a --workload run: without one they would
-     be silently ignored, so refuse them *)
-  (if workload = None then
-     match
-       List.filter_map
-         (fun (flag, given) -> if given then Some flag else None)
-         [
-           ("--scale", scale <> 1);
-           ("--theta", theta <> 0.);
-           ("--mix", mix <> None);
-           ("--abort-rate", abort_rate <> None);
-         ]
-     with
-     | [] -> ()
-     | flags ->
-         failwith
-           (Printf.sprintf
-              "without --workload, %s would be ignored: the default profile is TPC-C at \
-               a %.0f%% forced-abort rate"
-              (String.concat ", " flags)
-              (100. *. H.default_single.H.abort_rate)));
+  (* the plugin knobs shape only a --workload run *)
+  if workload = None then
+    refuse_ignored "without --workload: each system runs its fixed default profile"
+      [
+        ("--scale", scale <> 1);
+        ("--theta", theta <> 0.);
+        ("--mix", mix <> None);
+        ("--abort-rate", abort_rate <> None);
+      ];
+  (* each system reads only its own knobs *)
+  if dist then
+    refuse_ignored "with --dist: only the single engine reads them"
+      [ ("--step-fault-p", step_fault_p <> None); ("--checkpoint-every", checkpoint_every <> None) ]
+  else
+    refuse_ignored "without --dist: only the partitioned system reads them"
+      [
+        ("--partitions", partitions <> None);
+        ("--netfault", netfault <> None);
+        ("ACC_NETFAULT", Fault.Netfault.of_env () <> None);
+        ("--coordinator-kill", coordinator_kill);
+      ];
+  refuse_ignored "without --matrix" [ ("--quick", quick && not matrix) ];
   let wl = Option.map (Cli.resolve ~scale ~theta ?mix ?abort_rate) workload in
   if list_points then List.iter print_endline (Fault.registered ())
   else begin
-    if dist && wl <> None then
-      failwith "--workload is not supported with --dist (partitioned TPC-C only)";
     if matrix && not dist then
       failwith "--matrix is only supported with --dist (the matrix crosses message faults and restart modes)";
     let system =
@@ -69,20 +74,23 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
           | Some spec -> Fault.Netfault.parse spec
           | None -> Option.value (Fault.Netfault.of_env ()) ~default:Fault.Netfault.none
         in
-        H.Partitioned { H.default_partitioned with partitions; netfault; coordinator_kill }
-      else H.Single { H.default_single with workload = wl; step_fault_p; checkpoint_every }
+        H.Partitioned
+          { H.partitions = Option.value partitions ~default:H.default_partitioned.H.partitions;
+            netfault; coordinator_kill }
+      else
+        (* a plugin chosen by name need not reach every crash point *)
+        H.Single
+          { H.coverage = wl = None;
+            step_fault_p = Option.value step_fault_p ~default:H.default_single.H.step_fault_p;
+            checkpoint_every =
+              Option.value checkpoint_every ~default:H.default_single.H.checkpoint_every }
     in
     let base = H.default_config system in
-    (* the partitioned profile loads a fixed warehouse count *)
-    let warehouses = base.H.params.Acc_tpcc.Params.warehouses in
-    if dist && partitions > warehouses then
-      failwith
-        (Printf.sprintf "--partitions %d exceeds the %d warehouses the partitioned profile loads"
-           partitions warehouses);
     let config =
       {
         base with
-        H.txns = Option.value txns ~default:base.H.txns;
+        H.workload = Option.value wl ~default:base.H.workload;
+        txns = Option.value txns ~default:base.H.txns;
         chaos_p = Option.value chaos_p ~default:base.H.chaos_p;
         hits_per_point = hits;
         seed;
@@ -99,7 +107,8 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
       | None, false, true -> List.map (fun seed -> H.chaos config ~seed) seeds
       | None, false, false -> H.sweep config
     in
-    Cli.Trace.finish ~workload:(Option.value workload ~default:"tpcc") ts;
+    let module W = (val config.H.workload : Acc_workload.S) in
+    Cli.Trace.finish ~workload:W.name ts;
     (* the report exits directly on failure, so the exposition must be
        written as soon as the runs finish, not on the way out of main *)
     Cli.metrics_final metrics_dump;
@@ -136,10 +145,10 @@ let chaos_p =
              single_defaults.H.chaos_p partitioned_defaults.H.chaos_p))
 
 let step_fault_p =
-  Arg.(value & opt float H.default_single.H.step_fault_p & info [ "step-fault-p" ] ~docv:"P" ~doc:"Retryable injected step-failure probability.")
+  Arg.(value & opt (some float) None & info [ "step-fault-p" ] ~docv:"P" ~doc:(Printf.sprintf "Single engine only: retryable injected step-failure probability (default %g)." H.default_single.H.step_fault_p))
 
 let checkpoint_every =
-  Arg.(value & opt int H.default_single.H.checkpoint_every & info [ "checkpoint-every" ] ~docv:"N" ~doc:"Quiescent checkpoint cadence in log records.")
+  Arg.(value & opt (some int) None & info [ "checkpoint-every" ] ~docv:"N" ~doc:(Printf.sprintf "Single engine only: quiescent checkpoint cadence in log records (default %d)." H.default_single.H.checkpoint_every))
 
 let hits =
   Arg.(value & opt int single_defaults.H.hits_per_point & info [ "hits-per-point" ] ~docv:"N" ~doc:"Crash at this many spread hit counts per point.")
@@ -151,7 +160,7 @@ let dist =
   Arg.(value & flag & info [ "dist" ] ~doc:"Partitioned system under test: crash the 2PC coordinator paths and check the no-lost-decision oracle.")
 
 let partitions =
-  Arg.(value & opt int H.default_partitioned.H.partitions & info [ "partitions" ] ~docv:"N" ~doc:"Partition count in --dist mode, at most the 4 warehouses its profile loads.")
+  Arg.(value & opt (some int) None & info [ "partitions" ] ~docv:"N" ~doc:(Printf.sprintf "--dist mode: partition count (default %d), at most the workload's partition keys (TPC-C: its warehouses, 4 in the default profile)." H.default_partitioned.H.partitions))
 
 let netfault =
   Arg.(
@@ -184,7 +193,7 @@ let quick =
   Arg.(
     value & flag
     & info [ "quick" ]
-        ~doc:"With --matrix: one fault kind per point (the per-push smoke slice).")
+        ~doc:"--matrix only: one fault kind per point (the per-push smoke slice).")
 
 let metrics_dump = Cli.metrics_dump_arg
 

@@ -77,7 +77,7 @@ let main system domains seconds txns think_ms compute_ms seed warmup conflicts d
       partitions;
       transport = Acc_dist.Transport.kind_of_string transport;
       (* ACC_NETFAULT injects message faults on the partitions' transport
-         (see RECOVERY.md) *)
+         (see RECOVERY.md); the driver refuses it at one partition *)
       netfault = Option.value (Netfault.of_env ()) ~default:Netfault.none;
     }
   in
@@ -208,7 +208,9 @@ let transport =
         ~doc:"Partitioned mode: coordinator↔participant transport — \
               'loopback' (in-process, default) or 'pipe' (socketpair with \
               each partition's request loop on a dedicated domain).  \
-              ACC_NETFAULT=spec injects message faults on either.")
+              ACC_NETFAULT=spec injects message faults on either.  Both \
+              'pipe' and ACC_NETFAULT are refused at one partition, where \
+              nothing crosses a transport.")
 
 let trace = Cli.Trace.jsonl_arg
 let trace_chrome = Cli.Trace.chrome_arg

@@ -6,15 +6,16 @@
    - the single engine: one executor under group commit with quiescent
      checkpoints; restart sees the baseline snapshot, the WAL and the last
      durable checkpoint;
-   - the partitioned system: N partitions behind the 2PC coordinator,
-     driven over the loopback transport (framing, fault layer, retries and
-     idempotent handlers all under test, while loopback consults no wall
-     clock, so runs stay deterministic) with a file-backed, fsynced
-     decision log; restart sees each partition's (baseline, WAL) and the
-     reopened decision log — or, with [coordinator_kill], only the
-     coordinator dies and fails over.
+   - the partitioned system: N partitions of the workload's partitioning
+     capability behind the 2PC coordinator, driven over the loopback
+     transport (framing, fault layer, retries and idempotent handlers all
+     under test, while loopback consults no wall clock, so runs stay
+     deterministic) with a file-backed, fsynced decision log; restart sees
+     each partition's (baseline, WAL) and the reopened decision log — or,
+     with [coordinator_kill], only the coordinator dies and fails over.
 
-   A "crash" is {!Acc_fault.Fault.Crash} propagating out of the scheduler:
+   Both systems learn what they run from the workload plugin alone.  A
+   "crash" is {!Acc_fault.Fault.Crash} propagating out of the scheduler:
    the engines are discarded un-cleaned-up, exactly as a dead process
    leaves them.  The driver (observe-then-sweep with a coverage check,
    single crashes, the chaos matrix, seeded chaos) never looks inside a
@@ -32,25 +33,19 @@ module Record = Acc_wal.Record
 module Recovery = Acc_wal.Recovery
 module Checkpoint = Acc_wal.Checkpoint
 module Replay = Acc_core.Replay
-module Params = Acc_tpcc.Params
-module Txns = Acc_tpcc.Txns
-module Dist_txns = Acc_tpcc.Dist_txns
 module Coordinator = Acc_dist.Coordinator
 module Decision_log = Coordinator.Decision_log
 module Partition = Acc_dist.Partition
 module Transport = Acc_dist.Transport
 
 type single = {
-  workload : Acc_workload.t option;
-  abort_rate : float;
+  coverage : bool;
   step_fault_p : float;
   checkpoint_every : int;
 }
 
 type partitioned = {
   partitions : int;
-  remote_customer_rate : float;
-  remote_item_rate : float;
   netfault : Netfault.spec;
   coordinator_kill : bool;
 }
@@ -58,7 +53,7 @@ type partitioned = {
 type system = Single of single | Partitioned of partitioned
 
 type config = {
-  params : Params.t;
+  workload : Acc_workload.t;
   seed : int;
   txns : int;
   hits_per_point : int;
@@ -67,37 +62,26 @@ type config = {
   system : system;
 }
 
-let default_single =
-  {
-    workload = None;
-    (* elevated well past the spec's 1% so short runs exercise the inline
-       compensation path (and its comp.* crash points) *)
-    abort_rate = 0.15;
-    step_fault_p = 0.05;
-    checkpoint_every = 16;
-  }
-
-let default_partitioned =
-  {
-    partitions = 2;
-    (* elevated well past the spec's 15%/1% so a short run crosses
-       partitions often enough to trip every dist.* point repeatedly *)
-    remote_customer_rate = 0.5;
-    remote_item_rate = 0.2;
-    netfault = Netfault.none;
-    coordinator_kill = false;
-  }
+let default_single = { coverage = true; step_fault_p = 0.05; checkpoint_every = 16 }
+let default_partitioned = { partitions = 2; netfault = Netfault.none; coordinator_kill = false }
 
 let default_config system =
+  (* TPC-C's forced-abort and remote rates, elevated well past the spec's 1%
+     and 15%/1% so that short runs exercise inline compensation (and its
+     comp.* points) and cross partitions often enough to trip every dist.*
+     point repeatedly *)
   let single =
-    { params = Params.default; seed = 7; txns = 48; hits_per_point = 3; chaos_p = 0.004;
-      verbose = false; system }
+    { workload = Acc_tpcc.Tpcc_workload.make ~abort_rate:0.15 (); seed = 7; txns = 48;
+      hits_per_point = 3; chaos_p = 0.004; verbose = false; system }
   in
   match system with
   | Single _ -> single
   | Partitioned _ ->
-      { single with params = { Params.default with Params.warehouses = 4 }; txns = 40;
-        chaos_p = 0.01 }
+      let params = { Acc_tpcc.Params.default with warehouses = 4 } in
+      { single with
+        workload =
+          Acc_tpcc.Tpcc_workload.make ~params ~remote_customer_rate:0.5 ~remote_item_rate:0.2 ();
+        txns = 40; chaos_p = 0.01 }
 
 type result = { r_label : string; r_crashes : int; r_errors : string list }
 
@@ -264,12 +248,7 @@ let replay_with_retries errs label ~sem rep0 =
   Executor.db eng'
 
 let single cfg s =
-  let w =
-    match s.workload with
-    | Some w -> w
-    | None -> Acc_tpcc.Tpcc_workload.make ~params:cfg.params ~abort_rate:s.abort_rate ()
-  in
-  let module W = (val w : Acc_workload.S) in
+  let module W = (val cfg.workload : Acc_workload.S) in
   (* generated once, so every incarnation resubmits the same transactions
      (bodies draw no randomness — the crash-determinism rule every workload
      plugin obeys) *)
@@ -318,9 +297,7 @@ let single cfg s =
     (* the dist.* points and the Prepare record belong to two-phase commit,
        which a single engine never enters *)
     owns = (fun name -> not (is_dist name) && name <> "wal.append.prepare");
-    (* only the default TPC-C mix must reach every point: a workload with,
-       say, no compensating steps legitimately never reaches comp.* *)
-    coverage = Option.is_none s.workload;
+    coverage = s.coverage;
     (* crashes also land inside the compensation replay, exercising its
        re-recovery path *)
     rearm = false;
@@ -359,15 +336,14 @@ type deployment = {
 
 let coord d = Coordinator.Remote.core d.remote
 let dlog d = Coordinator.decision_log (coord d)
-let part_of d w = Partition.id (Coordinator.partition_of (coord d) w)
-let merged d = Acc_dist.Dist_driver.merged_db (Array.to_list d.parts)
+let part_of d key = Partition.id (Coordinator.partition_of (coord d) key)
 
-(* Was the crashed input's work durable?  Single-partition: a Commit record
-   in its home-log suffix.  Cross-partition: a Commit decision logged for a
-   gid drawn after [gid_before] — the decision log is the commit point;
-   everything after it is recovery's responsibility. *)
-let durably_committed d input =
-  match Dist_txns.partitions_of_input ~part_of:(part_of d) input with
+(* Was the crashed input's work durable, given the partitions it routes
+   to?  Single-partition: a Commit record in its home-log suffix.
+   Cross-partition: a Commit decision logged for a gid drawn after
+   [gid_before] — the decision log is the commit point; everything after it
+   is recovery's responsibility. *)
+let durably_committed d = function
   | [ pid ] -> committed_since (Executor.log (Partition.engine d.parts.(pid))) d.start_lsns.(pid)
   | _ ->
       let g = Decision_log.max_gid (dlog d) in
@@ -399,7 +375,7 @@ let transport_ask netfault log =
    resolution of the in-doubt branches over the transport, compensation
    replay of the pending ones, and the re-derivation oracle.  Returns the
    recovered database and the largest gid seen in doubt. *)
-let recover_partition errs label ~netfault d ~fresh_log idx =
+let recover_partition errs label ~sem ~netfault d ~fresh_log idx =
   let records = Log.to_list (Executor.log (Partition.engine d.parts.(idx))) in
   let rep = Recovery.recover ~baseline:d.baselines.(idx) records in
   (* recovery is a pure function of (baseline, log) *)
@@ -410,7 +386,7 @@ let recover_partition errs label ~netfault d ~fresh_log idx =
     List.fold_left (fun m (x : Recovery.in_doubt) -> max m x.Recovery.i_gid) 0 rep.Recovery.in_doubt
   in
   let base2 = Database.copy rep.Recovery.db in
-  let eng' = Executor.create ~sem:Dist_txns.semantics rep.Recovery.db in
+  let eng' = Executor.create ~sem rep.Recovery.db in
   let resolved, blocked =
     Coordinator.resolve_in_doubt_via ~ask:(transport_ask netfault fresh_log) eng' rep
   in
@@ -439,30 +415,27 @@ let recover_partition errs label ~netfault d ~fresh_log idx =
   (Executor.db eng', max_doubt_gid)
 
 let partitioned cfg p =
-  let env =
-    {
-      (Txns.default_env ~seed:cfg.seed cfg.params) with
-      Txns.remote_customer_rate = p.remote_customer_rate;
-      remote_item_rate = p.remote_item_rate;
-    }
+  let module W = (val cfg.workload : Acc_workload.S) in
+  let cap =
+    Acc_workload.capability ~who:"Crash_harness" ~name:W.name ~partitions:p.partitions
+      W.partitioning
   in
-  let inputs = Array.init cfg.txns (fun _ -> Txns.gen_input env) in
-  let ranges =
-    Array.of_list
-      (Partition.ranges ~warehouses:cfg.params.Params.warehouses ~partitions:p.partitions)
-  in
+  W.reset_global ();
+  let env = W.make_env ~seed:cfg.seed () in
+  let inputs = Array.init cfg.txns (fun _ -> W.gen_input env) in
+  let ranges = Array.of_list (Partition.ranges ~warehouses:cap.keys ~partitions:p.partitions) in
   let partition id db =
     let lo, hi = ranges.(id) in
-    Partition.make ~id ~lo ~hi (Executor.create ~sem:Dist_txns.semantics db)
+    Partition.make ~id ~lo ~hi (Executor.create ~sem:cap.semantics db)
   in
   let make_remote core = Coordinator.Remote.make ~transport:`Loopback ~faults:p.netfault core in
   let fresh () =
-    Txns.reset_history_seq ();
+    W.reset_global ();
     let baselines = Array.make (Array.length ranges) (Database.create ()) in
     let parts =
       Array.mapi
         (fun id (lo, hi) ->
-          let db = Acc_tpcc.Load.populate ~only:(fun w -> lo <= w && w <= hi) ~seed:cfg.seed cfg.params in
+          let db = cap.populate_range ~seed:cfg.seed ~lo ~hi in
           baselines.(id) <- Database.copy db;
           partition id db)
         ranges
@@ -470,24 +443,25 @@ let partitioned cfg p =
     let dlog_path = Filename.temp_file "acc_decision" ".log" in
     let remote = make_remote (Coordinator.create ~log:(Decision_log.open_file dlog_path) parts) in
     let d = { parts; baselines; dlog_path; remote; start_lsns = [||]; gid_before = 0 } in
-    (* C1/C8 (history) and C12 (stock vs. remote order lines) only hold of
-       the union, so the oracle runs on the merged database *)
-    let consistency () = Acc_tpcc.Consistency.check (merged d) in
+    let route input = cap.route ~part_of:(part_of d) input in
+    let consistency () =
+      cap.consistency (Array.to_list (Array.map (fun p -> Executor.db (Partition.engine p)) d.parts))
+    in
     (* one transaction per scheduler run: a single-partition input on its
        home engine, a cross-partition one through the coordinator *)
     let run at =
       let input = inputs.(at) in
       d.start_lsns <- Array.map (fun p -> Log.length (Executor.log (Partition.engine p))) d.parts;
       d.gid_before <- Decision_log.max_gid (dlog d);
-      match Dist_txns.partitions_of_input ~part_of:(part_of d) input with
+      match route input with
       | [ pid ] ->
           let eng = Partition.engine d.parts.(pid) in
-          Schedule.run eng [ (fun () -> ignore (Txns.run_acc eng env input)) ]
+          Schedule.run eng [ (fun () -> ignore (W.run_acc eng env input)) ]
       | _ ->
           let branches =
             List.map
               (fun (pid, inst) -> (d.parts.(pid), inst))
-              (Dist_txns.branches env ~part_of:(part_of d) input)
+              (cap.branches env ~part_of:(part_of d) input)
           in
           let home = Partition.engine (fst (List.hd branches)) in
           Schedule.run home [ (fun () -> ignore (Coordinator.Remote.run_cross d.remote branches)) ]
@@ -504,7 +478,9 @@ let partitioned cfg p =
       let max_gid = ref 0 in
       Array.iteri
         (fun idx _ ->
-          let db, doubt_gid = recover_partition errs label ~netfault:p.netfault d ~fresh_log idx in
+          let db, doubt_gid =
+            recover_partition errs label ~sem:cap.semantics ~netfault:p.netfault d ~fresh_log idx
+          in
           max_gid := max !max_gid doubt_gid;
           d.baselines.(idx) <- Database.copy db;
           d.parts.(idx) <- partition idx db)
@@ -537,7 +513,7 @@ let partitioned cfg p =
       check_consistency errs (label ^ Printf.sprintf "[post-failover txn %d]" at) (consistency ())
     in
     let recover errs label c =
-      let committed = durably_committed d inputs.(c.at) in
+      let committed = durably_committed d (route inputs.(c.at)) in
       if p.coordinator_kill && coordinator_point c.point then failover errs label ~at:c.at
       else restart errs label ~at:c.at;
       if committed then c.at + 1 else c.at

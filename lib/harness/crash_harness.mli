@@ -1,6 +1,7 @@
 (** Crash-restart harness: kill a system at registered crash points,
     restart it from what a dead process leaves behind, and check the §3.4
-    recovery invariants.  One driver serves two systems under test.
+    recovery invariants.  One driver serves two systems under test, and
+    both run the config's workload plugin.
 
     {b The single engine} ([Single]).  Each injected
     {!Acc_fault.Fault.Crash} discards the engine with its locks still held
@@ -16,8 +17,10 @@
       remaining transactions have been resubmitted and run to completion.
 
     {b The partitioned system} ([Partitioned]): the no-lost-decision
-    oracle.  A partitioned TPC-C workload runs one transaction at a time
-    with the coordinator driven over the loopback transport (framing, fault
+    oracle.  The workload's partitioning capability
+    ({!Acc_workload.partitioning}) splits its keys over the partitions, and
+    its inputs run one at a time, a cross-partition one as branches with
+    the coordinator driven over the loopback transport (framing, fault
     layer, retries and idempotent handlers all under test; loopback
     consults no wall clock, so runs stay deterministic) and a file-backed,
     fsynced decision log.  A crash restarts every partition from (baseline,
@@ -34,30 +37,23 @@
     - an unlogged one is presumed aborted and the transaction cleanly
       re-submitted under a fresh gid;
     - no locks survive resolution or failover settlement;
-    - the merged database satisfies the TPC-C consistency conditions right
+    - the capability's oracle over the partitions' databases holds right
       after every recovery and at the end.
 
     See RECOVERY.md for the crash-point map and the recovery model. *)
 
 type single = {
-  workload : Acc_workload.t option;
-      (** [None] crashes TPC-C ([Tpcc_workload.make ~params ~abort_rate]),
-          including the crash-point coverage check; [Some w] crashes any
-          workload plugin — every recovery invariant still applies, but dead
-          crash points are not reported (a workload without compensations
-          legitimately never reaches the comp.* points) *)
-  abort_rate : float;
-      (** TPC-C's forced new-order failure rate — elevated above the spec's
-          1% so short runs exercise inline compensation and its crash
-          points *)
+  coverage : bool;
+      (** the sweep reports a crash point the workload never reaches as a
+          failure.  Only the default profile must reach every point: a
+          workload without compensations legitimately never reaches the
+          comp.* points *)
   step_fault_p : float;  (** retryable injected step-failure probability *)
   checkpoint_every : int;  (** quiescent checkpoint cadence, in log records *)
 }
 
 type partitioned = {
   partitions : int;
-  remote_customer_rate : float;  (** elevated so short runs cross partitions *)
-  remote_item_rate : float;
   netfault : Acc_fault.Fault.Netfault.spec;
       (** message faults live on every coordinator↔participant connection
           (and the recovery-time Resolve path) for the whole run — the
@@ -72,7 +68,11 @@ type partitioned = {
 type system = Single of single | Partitioned of partitioned
 
 type config = {
-  params : Acc_tpcc.Params.t;
+  workload : Acc_workload.t;
+      (** what the system runs.  [Partitioned] needs a partitioning
+          capability with at least [partitions] keys: without one, every
+          entry point below raises [Invalid_argument] before any run, naming
+          the field as [Parallel_driver.validate] does *)
   seed : int;  (** input generation and population seed *)
   txns : int;  (** transactions per run *)
   hits_per_point : int;
@@ -84,16 +84,17 @@ type config = {
 }
 
 val default_single : single
-(** TPC-C at a 15% forced-abort rate, 5% step faults, a checkpoint every
-    16 log records. *)
+(** The coverage check, 5% step faults, a checkpoint every 16 log
+    records. *)
 
 val default_partitioned : partitioned
-(** 2 partitions, elevated remote rates, no message faults, full-restart
-    recovery. *)
+(** 2 partitions, no message faults, full-restart recovery. *)
 
 val default_config : system -> config
-(** Seed 7 and 3 hits per point; for [Single], one warehouse, 48
-    transactions and [chaos_p = 0.004]; for [Partitioned], 4 warehouses, 40
+(** Seed 7 and 3 hits per point, with each system's default profile.  For
+    [Single], TPC-C at one warehouse and a 15% forced-abort rate, 48
+    transactions and [chaos_p = 0.004].  For [Partitioned], TPC-C at 4
+    warehouses with 50% remote payments and 20% remote order lines, 40
     transactions and [chaos_p = 0.01]. *)
 
 type result = {

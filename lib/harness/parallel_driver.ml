@@ -61,10 +61,11 @@ type config = {
           [lock_deadline] a partitioned run uses 1 s, the backstop against
           cross-partition waits that no per-partition detector sees. *)
   transport : Transport.kind;
-      (** partitioned runs: how the coordinator reaches its participants *)
+      (** partitioned runs: how the coordinator reaches its participants;
+          must be [`Loopback] with [partitions = 1] *)
   netfault : Netfault.spec;
       (** partitioned runs: message faults on every coordinator↔participant
-          stream *)
+          stream; must be none with [partitions = 1] *)
 }
 
 let default_config =
@@ -203,7 +204,8 @@ let conflicts_by_txn_type_with ~step_txn_type conflicts =
     names
 
 (* Raises [Invalid_argument] for a config [run] cannot run, naming its
-   field and the tpcc_parallel flag that sets it. *)
+   field and the tpcc_parallel flag (or environment variable) that sets
+   it. *)
 let validate cfg =
   let refuse field fmt =
     Printf.ksprintf
@@ -216,7 +218,15 @@ let validate cfg =
   in
   if cfg.domains < 1 then invalid_arg "Parallel_driver.run: domains must be >= 1";
   if cfg.partitions < 1 then refuse "partitions" "must be >= 1";
-  if cfg.partitions > 1 then begin
+  if cfg.partitions = 1 then begin
+    if cfg.transport <> `Loopback then
+      refuse "transport" "must be loopback with partitions = 1: nothing crosses a transport";
+    if not (Netfault.is_none cfg.netfault) then
+      invalid_arg
+        "Parallel_driver.run: netfault (ACC_NETFAULT) must be none with partitions = 1: nothing \
+         crosses a transport"
+  end
+  else begin
     let module W = (val cfg.workload : Acc_workload.S) in
     if cfg.system <> Acc then
       refuse "system" "must be acc with partitions > 1: no strict-2PL comparator runs under 2PC";
@@ -227,12 +237,9 @@ let validate cfg =
             "must be unset with partitions > 1: one engine's admission gate cannot bound a \
              transaction that spans several")
       [ ("max_inflight", cfg.max_inflight <> None); ("shed_watermark", cfg.shed_watermark <> None) ];
-    match W.partitioning with
-    | None -> refuse "workload" "%s has no partitioning capability" W.name
-    | Some p ->
-        if cfg.partitions > p.Acc_workload.keys then
-          refuse "partitions" "= %d exceeds the %d partition keys of workload %s (its --scale)"
-            cfg.partitions p.Acc_workload.keys W.name
+    ignore
+      (Acc_workload.capability ~who:"Parallel_driver.run" ~name:W.name
+         ~partitions:cfg.partitions W.partitioning)
   end
 
 let run cfg =

@@ -34,7 +34,8 @@ let partitioning params : (env, Txns.input) W.partitioning =
   }
 
 let make ?(params = Params.default) ?(skewed_district = false) ?(mix = Standard)
-    ?(min_items = 5) ?(max_items = 15) ?(abort_rate = 0.01) () : W.t =
+    ?(min_items = 5) ?(max_items = 15) ?(abort_rate = 0.01) ?(remote_customer_rate = 0.15)
+    ?(remote_item_rate = 0.01) () : W.t =
   let partitioned = partitioning params in
   (module struct
     let name = "tpcc"
@@ -55,6 +56,8 @@ let make ?(params = Params.default) ?(skewed_district = false) ?(mix = Standard)
             min_items;
             max_items;
             new_order_abort_rate = abort_rate;
+            remote_customer_rate;
+            remote_item_rate;
             pace;
           };
         nop_mix = (mix = New_order_payment);

@@ -1,8 +1,9 @@
 (** TPC-C as a first-class {!Acc_workload.S} plugin.
 
     [make ()] is both drivers' default workload: {!Params.default} (one
-    warehouse), the standard mix, 5–15 items per new-order and the spec's
-    1% forced new-order aborts. *)
+    warehouse), the standard mix, 5–15 items per new-order, and the spec's
+    rates: 1% forced new-order aborts, 15% remote payments and 1% remote
+    order lines (inert with one warehouse). *)
 
 type mix = Standard | New_order_payment
 
@@ -23,6 +24,8 @@ val make :
   ?min_items:int ->
   ?max_items:int ->
   ?abort_rate:float ->
+  ?remote_customer_rate:float ->
+  ?remote_item_rate:float ->
   unit ->
   Acc_workload.t
 (** Raises [Invalid_argument] on invalid [params] ({!Params.validate}). *)

@@ -63,6 +63,22 @@ type ('env, 'input) partitioning = {
           partition-id order *)
 }
 
+(** [capability ~who ~name ~partitions p] is workload [name]'s capability
+    [p] for a run on [partitions] engines.  Raises [Invalid_argument],
+    prefixed by [who], naming the field and its flag when [p] is [None] or
+    has fewer keys than [partitions]. *)
+let capability ~who ~name ~partitions = function
+  | None ->
+      invalid_arg
+        (Printf.sprintf "%s: workload (--workload) %s has no partitioning capability" who name)
+  | Some p when partitions > p.keys ->
+      invalid_arg
+        (Printf.sprintf
+           "%s: partitions (--partitions) = %d exceeds the %d partition keys of workload %s \
+            (its --scale)"
+           who partitions p.keys name)
+  | Some p -> p
+
 (* ------------------------------------------------------------------ *)
 (* The interface *)
 

@@ -35,6 +35,15 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* [run ()] must raise [Invalid_argument] naming [field], not run *)
+let refused what field run =
+  match run () with
+  | _ -> Alcotest.failf "%s: ran" what
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names %s" what msg field)
+        true (contains ~sub:field msg)
+
 (* --- partitioning --------------------------------------------------------- *)
 
 let test_ranges () =
@@ -308,30 +317,27 @@ let test_driver_knobs_reach_partitions () =
     (List.exists (fun (st, _) -> r.P.step_label st = "payment_home.wh-ytd") r.P.step_hist)
 
 (* the configs a partitioned run refuses, each by the field that rules it
-   out *)
+   out, and the transport settings a one-partition run would ignore *)
 let test_driver_refusals () =
   let base = partitioned_cfg ~seed:1 ~domains:1 ~partitions:2 ~txns:1 in
-  let refused what field cfg =
-    match P.run cfg with
-    | _ -> Alcotest.failf "%s: ran" what
-    | exception Invalid_argument msg ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %S names %s" what msg field)
-          true (contains ~sub:field msg)
-  in
+  let refused what field cfg = refused what field (fun () -> P.run cfg) in
   refused "2pl under 2PC" "system" { base with P.system = P.Baseline };
   refused "admission cap" "max_inflight" { base with P.max_inflight = Some 2 };
   refused "shed watermark" "shed_watermark" { base with P.shed_watermark = Some 100. };
   refused "no capability" "workload"
     { base with P.workload = Acc_workload.Smallbank.make Acc_workload.default_spec };
-  refused "more partitions than keys" "partitions" { base with P.partitions = 5 }
+  refused "more partitions than keys" "partitions" { base with P.partitions = 5 };
+  refused "pipe at one partition" "--transport" { base with P.partitions = 1; transport = `Pipe };
+  refused "message faults at one partition" "ACC_NETFAULT"
+    { base with P.partitions = 1; netfault = Fault.Netfault.parse "drop=1.0" }
 
 (* --- crash harness --------------------------------------------------------- *)
 
 let harness_config =
   {
     (Crash_harness.default_config (Partitioned Crash_harness.default_partitioned)) with
-    Crash_harness.params = small_params;
+    Crash_harness.workload =
+      Tpcc_workload.make ~params:small_params ~remote_customer_rate:0.5 ~remote_item_rate:0.2 ();
     txns = 24;
     hits_per_point = 2;
   }
@@ -351,6 +357,38 @@ let test_harness_sweep () =
 
 let test_harness_chaos () =
   check_results [ Crash_harness.chaos { harness_config with txns = 16 } ~seed:2 ]
+
+(* the plugin at its own remote rates: every dist point is reached (the
+   sweep's coverage check) and crashed, and every recovery holds *)
+let test_harness_default_rates () =
+  let results =
+    Crash_harness.sweep
+      {
+        harness_config with
+        Crash_harness.workload = Tpcc_workload.make ~params:small_params ();
+        txns = 40;
+        hits_per_point = 1;
+      }
+  in
+  check_results results;
+  List.iter
+    (fun point ->
+      Alcotest.(check bool) (point ^ " crashed") true
+        (List.exists
+           (fun r ->
+             r.Crash_harness.r_crashes > 0
+             && String.starts_with ~prefix:(point ^ ":") r.Crash_harness.r_label)
+           results))
+    [ "dist.prepare"; "dist.decide"; "dist.decision.durable"; "dist.apply" ]
+
+(* a workload the partitioned system cannot run is refused before any run,
+   by the field that rules it out *)
+let test_harness_refusals () =
+  let refused what field workload =
+    refused what field (fun () -> Crash_harness.sweep { harness_config with Crash_harness.workload })
+  in
+  refused "no capability" "workload" (Acc_workload.Smallbank.make Acc_workload.default_spec);
+  refused "one warehouse at two partitions" "partitions" (Tpcc_workload.make ())
 
 (* crash-equivalence, coordinator edition: whatever the seed, crashing at
    random points leaves every partition decided (no in-doubt, no pending),
@@ -904,6 +942,9 @@ let suites =
       [
         Alcotest.test_case "sweep survives every dist point" `Slow test_harness_sweep;
         Alcotest.test_case "chaos seed survives" `Slow test_harness_chaos;
+        Alcotest.test_case "the plugin's own remote rates reach every dist point" `Slow
+          test_harness_default_rates;
+        Alcotest.test_case "refused workloads name their field" `Quick test_harness_refusals;
         Alcotest.test_case "chaos matrix quick slice survives" `Slow
           test_harness_matrix_quick;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xD157 |])

@@ -10,8 +10,9 @@ module Tally = Acc_util.Stats.Tally
 module Histogram = Acc_util.Metrics.Histogram
 module CA = Acc_obs.Conflict_accounting
 module P = Acc_harness.Parallel_driver
+module Registry = Acc_obs.Registry
 
-let schema_version = 4
+let schema_version = 5
 
 (* Build identity for trend tooling: without it, two BENCH files from
    different checkouts are indistinguishable.  Never fails the bench run —
@@ -41,16 +42,6 @@ let tally_json t =
       ("p50", Json.Float (pct t 0.50));
       ("p95", Json.Float (pct t 0.95));
       ("p99", Json.Float (pct t 0.99));
-    ]
-
-let hist_json h =
-  Json.Obj
-    [
-      ("count", Json.Int (Histogram.count h));
-      ("mean", Json.Float (Histogram.mean h));
-      ("p50", Json.Float (Histogram.percentile h 0.50));
-      ("p95", Json.Float (Histogram.percentile h 0.95));
-      ("p99", Json.Float (Histogram.percentile h 0.99));
     ]
 
 let side_json (s : Experiment.side) =
@@ -97,7 +88,9 @@ let figure_json (f : Figures.figure) =
 (* Every parallel cell self-describes: which workload produced it and which
    cell schema it speaks (v3 added the workload stamp and report-carried step
    labels, so a consumer must not decode step ids with the TPC-C table; v4
-   dropped the cell's [warehouses] stamp, which no plugin but TPC-C has). *)
+   dropped the cell's [warehouses] stamp, which no plugin but TPC-C has; v5
+   put the engine counters in one [stats] object keyed by their dotted
+   names, and added the per-domain and cross-partition counts). *)
 let parallel_report_json ?cfg (r : P.report) =
   let meta =
     match cfg with Some c -> meta_fields ~domains:c.P.domains | None -> []
@@ -114,27 +107,17 @@ let parallel_report_json ?cfg (r : P.report) =
       ("response", tally_json r.P.response);
       ("forced_aborts", Json.Int r.P.forced_aborts);
       ("compensations", Json.Int r.P.compensations);
-      ("deadlock_victims", Json.Int r.P.detector_victims);
+      ("degraded_runs", Json.Int r.P.degraded_runs);
+      ("per_domain_committed", Json.List (List.map (fun c -> Json.Int c) r.P.per_domain_committed));
+      ("cross_committed", Json.Int r.P.cross_committed);
+      ("cross_aborted", Json.Int r.P.cross_aborted);
+      ("cross_attempted", Json.Int r.P.cross_attempted);
+      ("prepare_hold", tally_json r.P.prepare_hold);
       ("leaked_locks", Json.Int r.P.leaked_locks);
       ("leaked_waiters", Json.Int r.P.leaked_waiters);
       ("violations", Json.Int (List.length r.P.violations));
-      ("lock_timeouts", Json.Int r.P.lock_timeouts);
-      ("shed", Json.Int r.P.shed);
-      ("degraded_runs", Json.Int r.P.degraded_runs);
-      ("degraded_trips", Json.Int r.P.degraded_trips);
-      ("lock_wait_count", Json.Int r.P.lock_wait_count);
-      ( "lock_wait_p99",
-        Json.Float (if r.P.lock_wait_count = 0 then 0. else r.P.lock_wait_p99) );
-      ("peak_queue_depth", Json.Int r.P.peak_queue_depth);
-      ("peak_oldest_wait", Json.Float r.P.peak_oldest_wait);
-      ("mutex_acquisitions", Json.Int r.P.mutex_acquisitions);
-      ("fast_path_attempts", Json.Int r.P.fast_path_attempts);
-      ("fast_path_hits", Json.Int r.P.fast_path_hits);
-      ( "fast_path_hit_rate",
-        Json.Float
-          (if r.P.fast_path_attempts = 0 then 0.
-           else float_of_int r.P.fast_path_hits /. float_of_int r.P.fast_path_attempts) );
-      ("wal_flushes", Json.Int r.P.wal_flushes);
+      ( "stats",
+        Json.Obj (List.map (fun (k, v) -> (k, Registry.sample_json v)) r.P.stats) );
       ( "gc",
         Json.Obj
           [
@@ -146,7 +129,7 @@ let parallel_report_json ?cfg (r : P.report) =
         Json.List
           (List.map
              (fun (st, h) ->
-               match hist_json h with
+               match Registry.sample_json (Registry.S_histogram (Histogram.snapshot h)) with
                | Json.Obj fields ->
                    Json.Obj
                      (("step_type", Json.Int st)

@@ -286,12 +286,11 @@ let run_overload ~quick =
   let r, phases = Bench_json.with_phases (fun () -> P.run cfg) in
   Format.fprintf ppf "%a@." P.pp_report r;
   List.iter (fun v -> Format.fprintf ppf "  violation: %s@." v) r.P.violations;
-  let attempts = r.P.shed + r.P.committed + r.P.forced_aborts + r.P.compensations in
-  let shed_rate =
-    if attempts > 0 then float_of_int r.P.shed /. float_of_int attempts else 0.
-  in
+  let shed = Acc_parallel.Engine.counter r.P.stats "admission.shed" in
+  let attempts = shed + r.P.committed + r.P.forced_aborts + r.P.compensations in
+  let shed_rate = if attempts > 0 then float_of_int shed /. float_of_int attempts else 0. in
   Format.fprintf ppf "  shed rate:           %.3f (%d of %d admission attempts)@."
-    shed_rate r.P.shed attempts;
+    shed_rate shed attempts;
   let json =
     [
       ( "overload",
@@ -349,12 +348,14 @@ let run_scale ~quick =
       (fun domains ->
         let cfg = { base with P.domains } in
         let r = P.run cfg in
+        let count = Acc_parallel.Engine.counter r.P.stats in
         let per c = float_of_int c /. float_of_int (max 1 r.P.committed) in
-        let acqs = per r.P.mutex_acquisitions in
-        let flushes = per r.P.wal_flushes in
+        let acqs = per (count "lock.mutex_acq") in
+        let flushes = per (count "wal.flushes") in
+        let attempts = count "lock.fast_attempts" in
         let hit_rate =
-          if r.P.fast_path_attempts = 0 then 0.
-          else float_of_int r.P.fast_path_hits /. float_of_int r.P.fast_path_attempts
+          if attempts = 0 then 0.
+          else float_of_int (count "lock.fast_hits") /. float_of_int attempts
         in
         Format.fprintf ppf "%8d %10.1f %12.1f %9.1f%% %12.2f@." domains r.P.throughput
           acqs (100. *. hit_rate) flushes;
@@ -664,26 +665,14 @@ let run_dist ~quick =
           r.P.throughput (P.cross_fraction r) r.P.cross_aborted
           (1000. *. Tally.percentile r.P.prepare_hold 0.95);
         Json.Obj
-          ((("warehouses", Json.Int params.Params.warehouses)
-           :: Bench_json.meta_fields ~domains:base.P.domains)
-          @ [
-              ("partitions", Json.Int partitions);
-              ("transport", Json.Str transport);
-              ("committed", Json.Int r.P.committed);
-              ("single_committed", Json.Int (r.P.committed - r.P.cross_committed));
-              ("cross_committed", Json.Int r.P.cross_committed);
-              ("cross_aborted", Json.Int r.P.cross_aborted);
-              ("compensations", Json.Int r.P.compensations);
-              ("cross_attempted", Json.Int r.P.cross_attempted);
-              ("cross_fraction", Json.Float (P.cross_fraction r));
-              ("throughput", Json.Float r.P.throughput);
-              ("elapsed", Json.Float r.P.elapsed);
-              ("prepare_hold", Bench_json.tally_json r.P.prepare_hold);
-              ("phases", phases);
-              ("violations", Json.Int (List.length r.P.violations));
-              ( "partition_committed",
-                Json.List (List.map (fun c -> Json.Int c) r.P.per_domain_committed) );
-            ]))
+          [
+            ("warehouses", Json.Int params.Params.warehouses);
+            ("partitions", Json.Int partitions);
+            ("transport", Json.Str transport);
+            ("cross_fraction", Json.Float (P.cross_fraction r));
+            ("report", Bench_json.parallel_report_json ~cfg:base r);
+            ("phases", phases);
+          ])
       grid
   in
   let json = [ ("cells", Json.List cells) ] in

@@ -52,7 +52,7 @@ let main system terminals servers horizon think compute_ms seed verbose workload
   Format.printf "completed          %d (%.2f txn/s)@." r.Driver.completed r.Driver.throughput;
   Format.printf "response mean      %.4f s@." (Driver.mean_response r);
   Format.printf "response p90       %.4f s@." (Tally.percentile r.Driver.response 0.9);
-  Format.printf "deadlock victims   %d@." r.Driver.deadlock_victims;
+  Format.printf "deadlock victims   %d@." r.Driver.victims;
   Format.printf "forced aborts      %d@." r.Driver.forced_aborts;
   Format.printf "compensations      %d@." r.Driver.compensations;
   Format.printf "server utilization %.2f@." r.Driver.cpu_utilization;

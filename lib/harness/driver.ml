@@ -49,7 +49,7 @@ type report = {
   lock_wait : Tally.t;
   per_type : (string * Tally.t) list;
   throughput : float;
-  deadlock_victims : int;
+  victims : int;
   forced_aborts : int;
   compensations : int;
   cpu_utilization : float;
@@ -191,7 +191,7 @@ let run cfg =
     throughput =
       (if cfg.horizon > cfg.warmup then float_of_int !completed /. (cfg.horizon -. cfg.warmup)
        else 0.);
-    deadlock_victims = Schedule.victims waits;
+    victims = Schedule.victims waits;
     forced_aborts = !forced_aborts;
     compensations = !compensations;
     cpu_utilization = Sim.Resource.utilization servers_pool ~at:quiesced_at;

@@ -53,7 +53,7 @@ type report = {
           bottleneck variable, measured directly *)
   per_type : (string * Acc_util.Stats.Tally.t) list;
   throughput : float;  (** completed per sim second of measured window *)
-  deadlock_victims : int;
+  victims : int;  (** deadlock victims, what the engine stats call [lock.victims] *)
   forced_aborts : int;  (** the 1% new-order rule *)
   compensations : int;
   cpu_utilization : float;

@@ -94,7 +94,7 @@ let run_side ?(variant = One_level) settings system =
   {
     s_response = avg Driver.mean_response;
     s_throughput = avg (fun r -> r.Driver.throughput);
-    s_deadlocks = avg (fun r -> float_of_int r.Driver.deadlock_victims);
+    s_deadlocks = avg (fun r -> float_of_int r.Driver.victims);
     s_compensations = avg (fun r -> float_of_int r.Driver.compensations);
     s_cpu = avg (fun r -> r.Driver.cpu_utilization);
     s_lock_wait =

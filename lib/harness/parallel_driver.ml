@@ -9,10 +9,8 @@ module Executor = Acc_txn.Executor
 module Backoff = Acc_txn.Backoff
 module Runtime = Acc_core.Runtime
 module Engine = Acc_parallel.Engine
-module Watchdog = Acc_parallel.Watchdog
 module Domain_pool = Acc_parallel.Domain_pool
 module Sharded_lock_table = Acc_parallel.Sharded_lock_table
-module Deadlock_detector = Acc_parallel.Deadlock_detector
 module Mode = Acc_lock.Mode
 module Prng = Acc_util.Prng
 module Metrics = Acc_util.Metrics
@@ -89,16 +87,12 @@ let default_config =
     netfault = Netfault.none;
   }
 
-(* With [partitions > 1] the engine counters (detector, leaks, timeouts,
-   shed, degraded trips, lock-path and WAL counts) sum over the partitions'
-   engines, the peaks are the largest, and the lock-wait quantiles come from
-   one merged histogram. *)
+(* With [partitions > 1] the leak counts sum over the partitions' engines,
+   and [stats] combines theirs by {!Acc_obs.Registry.combine}. *)
 type report = {
   committed : int;
   forced_aborts : int;
   compensations : int;
-  detector_victims : int;
-  detector_sweeps : int;
   response : Tally.t;
   elapsed : float;  (** whole run, warmup included *)
   measured : float;  (** the recording window: [elapsed - warmup], clamped *)
@@ -113,29 +107,12 @@ type report = {
   conflicts : Conflict_accounting.row list;
       (** lock-decision classification per step type; empty unless
           [cfg.accounting] *)
-  lock_timeouts : int;  (** lock waits expired by the watchdog *)
-  shed : int;  (** admissions refused by the overload gate *)
   degraded_runs : int;
       (** transactions executed on the fully isolated legacy path because
           degraded mode was on at admission time *)
-  degraded_trips : int;  (** watchdog degraded-mode trips *)
-  lock_wait_p99 : float;
-      (** 99th-percentile completed blocking lock wait, seconds ([nan] when
-          no wait ever blocked) *)
-  lock_wait_count : int;
-  peak_queue_depth : int;  (** largest waiter count the watchdog sampled *)
-  peak_oldest_wait : float;  (** largest oldest-waiter age it sampled, seconds *)
-  mutex_acquisitions : int;
-      (** explicit shard-mutex acquisitions in the lock manager over the whole
-          run — the contention-side quantity the lock-free fast path
-          avoids *)
-  fast_path_attempts : int;
-      (** lock requests that probed the lock-free fast path *)
-  fast_path_hits : int;
-      (** fast-path probes that granted without touching a shard mutex *)
-  wal_flushes : int;
-      (** WAL durability round trips: one per append with a direct WAL, one
-          per flushed batch under group commit *)
+  stats : Engine.stats;
+      (** every engine counter over the whole run, warmup included, read
+          after the engines shut down *)
   gc_minor_words : float;
       (** words allocated on the minor heaps per committed transaction over
           the recording window, every domain counted *)
@@ -157,8 +134,8 @@ type report = {
   cross_attempted : int;
   prepare_hold : Tally.t;
       (** per cross-partition transaction, from its first branch step to the
-          decision applied, seconds; the coordinator's tally over the whole
-          run, warmup included *)
+          decision applied, seconds; like the cross counts, only the holds
+          recorded once the recording window opened *)
 }
 
 (* Cross-partition transactions over all finished ones: a single-partition
@@ -336,36 +313,6 @@ let run cfg =
   let envs = Array.init cfg.domains (fun _ -> W.split_env base_env) in
   let started = Unix.gettimeofday () in
   let deadline = started +. cfg.duration in
-  (* warmup applies to duration mode only; fixed-count runs record everything *)
-  let record_after =
-    started +. (if cfg.txns_per_domain = None then Float.max 0.0 cfg.warmup else 0.0)
-  in
-  (* GC counters at the start of the recording window: taken here without a
-     warmup, else by the first worker past it ([Gc.quick_stat] counts every
-     domain, the others as of their last minor collection) *)
-  let gc_start = Atomic.make None in
-  let mark_gc_start () =
-    if Atomic.get gc_start = None then
-      ignore (Atomic.compare_and_set gc_start None (Some (Gc.quick_stat ())))
-  in
-  let recording =
-    if record_after <= started then begin
-      mark_gc_start ();
-      fun () -> true
-    end
-    else fun () ->
-      let on = Unix.gettimeofday () >= record_after in
-      if on then mark_gc_start ();
-      on
-  in
-  Array.iter
-    (fun engine ->
-      let eng = Engine.executor engine in
-      Executor.set_clock eng Unix.gettimeofday;
-      Executor.set_on_step_end eng (fun ~step_type ~dur ->
-          if step_type >= 0 && step_type < Array.length hists && recording () then
-            Metrics.Histogram.record hists.(step_type) dur))
-    engines;
   (* duration mode only: once the deadline passes, in-flight transactions
      stop issuing new steps and compensate out instead of running to
      completion — drain time is bounded by one step, not one transaction *)
@@ -382,6 +329,43 @@ let run cfg =
           Coordinator.Remote.make ~stop ~transport:cfg.transport ~faults:cfg.netfault coord ))
       partitioning
   in
+  let holds () =
+    Option.fold ~none:(Tally.create ()) cluster ~some:(fun (_, coord, _) ->
+        Coordinator.prepare_hold_snapshot coord)
+  in
+  (* warmup applies to duration mode only; fixed-count runs record everything *)
+  let record_after =
+    started +. (if cfg.txns_per_domain = None then Float.max 0.0 cfg.warmup else 0.0)
+  in
+  (* the GC counters and the coordinator's hold count at the start of the
+     recording window: taken here without a warmup, else by the first worker
+     past it ([Gc.quick_stat] counts every domain, the others as of their
+     last minor collection) *)
+  let window_start = Atomic.make None in
+  let mark_window () =
+    if Atomic.get window_start = None then begin
+      let held = Tally.count (holds ()) in
+      ignore (Atomic.compare_and_set window_start None (Some (Gc.quick_stat (), held)))
+    end
+  in
+  let recording =
+    if record_after <= started then begin
+      mark_window ();
+      fun () -> true
+    end
+    else fun () ->
+      let on = Unix.gettimeofday () >= record_after in
+      if on then mark_window ();
+      on
+  in
+  Array.iter
+    (fun engine ->
+      let eng = Engine.executor engine in
+      Executor.set_clock eng Unix.gettimeofday;
+      Executor.set_on_step_end eng (fun ~step_type ~dur ->
+          if step_type >= 0 && step_type < Array.length hists && recording () then
+            Metrics.Histogram.record hists.(step_type) dur))
+    engines;
   let part_of key =
     match cluster with
     | Some (_, coord, _) -> Acc_dist.Partition.id (Coordinator.partition_of coord key)
@@ -502,32 +486,31 @@ let run cfg =
      since they are what unwedges the final stragglers' deadlocks *)
   Option.iter (fun (_, _, remote) -> Coordinator.Remote.close remote) cluster;
   Array.iter Engine.shutdown engines;
-  (* engine counters sum over the partitions; peaks take the maximum *)
-  let sum f = Array.fold_left (fun acc engine -> acc + f engine) 0 engines in
-  let peak f = Array.fold_left (fun acc engine -> max acc (f engine)) (f engines.(0)) engines in
-  let locks f = sum (fun engine -> f (Engine.locks engine)) in
-  let lock_waits =
-    let snapshot engine = Metrics.Histogram.snapshot (Engine.lock_waits engine) in
-    Array.fold_left
-      (fun acc engine -> Metrics.Histogram.Snapshot.merge acc (snapshot engine))
-      (snapshot engines.(0))
-      (Array.sub engines 1 (Array.length engines - 1))
-  in
   let dbs =
     Array.to_list (Array.map (fun engine -> Executor.db (Engine.executor engine)) engines)
   in
   let measured = Float.max 0.0 (elapsed -. (record_after -. started)) in
   let gc_per_commit field =
-    match Atomic.get gc_start with
+    match Atomic.get window_start with
     | None -> 0.0
-    | Some s -> (field gc_end -. field s) /. float_of_int (max 1 (Metrics.Counter.get committed))
+    | Some (s, _) ->
+        (field gc_end -. field s) /. float_of_int (max 1 (Metrics.Counter.get committed))
+  in
+  (* leak counts first: [lock_count] and [waiter_count] take shard sections,
+     which count in [lock.mutex_acq] *)
+  let leaked f = Array.fold_left (fun acc engine -> acc + f (Engine.locks engine)) 0 engines in
+  let leaked_locks = leaked Sharded_lock_table.lock_count in
+  let leaked_waiters = leaked Sharded_lock_table.waiter_count in
+  let stats =
+    Array.fold_left
+      (List.map2 (fun (name, a) (_, b) -> (name, Acc_obs.Registry.combine a b)))
+      (Engine.stats engines.(0))
+      (Array.map Engine.stats (Array.sub engines 1 (Array.length engines - 1)))
   in
   {
     committed = Metrics.Counter.get committed;
     forced_aborts = Metrics.Counter.get forced_aborts;
     compensations = Metrics.Counter.get compensations;
-    detector_victims = sum (fun engine -> Deadlock_detector.victims (Engine.detector engine));
-    detector_sweeps = sum (fun engine -> Deadlock_detector.sweeps (Engine.detector engine));
     response = Metrics.Latency.snapshot response;
     elapsed;
     measured;
@@ -539,28 +522,16 @@ let run cfg =
       (match partitioning with
       | Some p -> p.Acc_workload.consistency dbs
       | None -> W.consistency (List.hd dbs));
-    leaked_locks = locks Sharded_lock_table.lock_count;
-    leaked_waiters = locks Sharded_lock_table.waiter_count;
+    leaked_locks;
+    leaked_waiters;
     step_hist =
       List.filter
         (fun (_, h) -> Metrics.Histogram.count h > 0)
         (List.mapi (fun i h -> (i, h)) (Array.to_list hists));
     conflicts =
       (match accounting with Some a -> Conflict_accounting.rows a | None -> []);
-    lock_timeouts = sum Engine.timeout_count;
-    shed = sum Engine.shed_count;
     degraded_runs = Metrics.Counter.get degraded_runs;
-    degraded_trips = sum (fun engine -> Watchdog.degraded_trips (Engine.watchdog engine));
-    lock_wait_p99 = Metrics.Histogram.Snapshot.percentile lock_waits 0.99;
-    lock_wait_count = Metrics.Histogram.Snapshot.count lock_waits;
-    peak_queue_depth = peak (fun engine -> Watchdog.peak_queue_depth (Engine.watchdog engine));
-    peak_oldest_wait =
-      peak (fun engine -> Watchdog.peak_oldest_wait (Engine.watchdog engine));
-    mutex_acquisitions = locks Sharded_lock_table.mutex_acquisitions;
-    fast_path_attempts = locks Sharded_lock_table.fast_attempts;
-    fast_path_hits = locks Sharded_lock_table.fast_hits;
-    wal_flushes =
-      sum (fun engine -> Acc_wal.Log.flush_count (Executor.log (Engine.executor engine)));
+    stats;
     gc_minor_words = gc_per_commit (fun g -> g.Gc.minor_words);
     gc_promoted_words = gc_per_commit (fun g -> g.Gc.promoted_words);
     gc_minor_collections = gc_per_commit (fun g -> float_of_int g.Gc.minor_collections);
@@ -572,8 +543,8 @@ let run cfg =
     cross_aborted = Metrics.Counter.get cross_aborted;
     cross_attempted = Metrics.Counter.get cross_attempted;
     prepare_hold =
-      (match cluster with
-      | Some (_, coord, _) -> Coordinator.prepare_hold_snapshot coord
+      (match Atomic.get window_start with
+      | Some (_, held) -> Tally.since (holds ()) held
       | None -> Tally.create ());
   }
 
@@ -595,12 +566,12 @@ let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>committed            %d@,throughput           %.1f txn/s@,\
      mean response        %.4f s@,p95 response         %.4f s@,\
-     forced aborts        %d@,compensations        %d@,\
-     detector victims     %d (over %d sweeps)@,per-domain committed %s@,\
+     forced aborts        %d@,compensations        %d@,degraded runs        %d@,\
+     per-domain committed %s@,\
      leaked locks         %d@,leaked waiters       %d@,consistency          %s@]"
     r.committed r.throughput (Tally.mean r.response)
     (Tally.percentile r.response 0.95)
-    r.forced_aborts r.compensations r.detector_victims r.detector_sweeps
+    r.forced_aborts r.compensations r.degraded_runs
     (String.concat ", " (List.map string_of_int r.per_domain_committed))
     r.leaked_locks r.leaked_waiters
     (match r.violations with
@@ -615,26 +586,13 @@ let pp_report ppf r =
       (Tally.mean r.prepare_hold)
       (Tally.percentile r.prepare_hold 0.95)
       (Tally.count r.prepare_hold);
-  Format.fprintf ppf "@.shard-mutex acquisitions %d" r.mutex_acquisitions;
-  if r.fast_path_attempts > 0 then
-    Format.fprintf ppf "@.fast-path hits       %d / %d (%.1f%%)" r.fast_path_hits
-      r.fast_path_attempts
-      (100.0 *. float_of_int r.fast_path_hits /. float_of_int r.fast_path_attempts);
-  Format.fprintf ppf "@.wal flushes          %d" r.wal_flushes;
   Format.fprintf ppf "@.gc per commit        %.0f minor words, %.0f promoted, %.4f minor GCs"
     r.gc_minor_words r.gc_promoted_words r.gc_minor_collections;
-  if
-    r.lock_timeouts > 0 || r.shed > 0 || r.degraded_trips > 0 || r.degraded_runs > 0
-    || r.lock_wait_count > 0
-  then
-    Format.fprintf ppf
-      "@.@[<v>lock timeouts        %d@,shed admissions      %d@,\
-       degraded             %d trip(s), %d legacy run(s)@,\
-       p99 lock wait        %.6f s (%d waits)@,\
-       peak queue depth     %d@,peak oldest wait     %.4f s@]"
-      r.lock_timeouts r.shed r.degraded_trips r.degraded_runs
-      (if r.lock_wait_count = 0 then 0. else r.lock_wait_p99)
-      r.lock_wait_count r.peak_queue_depth r.peak_oldest_wait;
+  List.iter
+    (fun (name, sample) ->
+      Format.fprintf ppf "@.%-27s %s" name
+        (Acc_obs.Json.to_string (Acc_obs.Registry.sample_json sample)))
+    r.stats;
   if r.extras <> [] then
     List.iter (fun (k, v) -> Format.fprintf ppf "@.%-20s %.0f" k v) r.extras;
   if r.step_hist <> [] then

@@ -91,6 +91,32 @@ let sample_of = function
   | Poll_counter f -> S_counter (f ())
   | Poll_gauge f -> S_gauge (f ())
 
+let combine a b =
+  match (a, b) with
+  | S_counter x, S_counter y -> S_counter (x + y)
+  | S_gauge x, S_gauge y -> S_gauge (Float.max x y)
+  | S_histogram x, S_histogram y -> S_histogram (Metrics.Histogram.Snapshot.merge x y)
+  | _ -> invalid_arg "Registry.combine: samples of different kinds"
+
+let sample_json = function
+  | S_counter n -> Json.Int n
+  | S_gauge v -> Json.Float v
+  | S_histogram s ->
+      let module S = Metrics.Histogram.Snapshot in
+      let p q = Json.Float (S.percentile s q) in
+      Json.Obj
+        [ ("count", Json.Int (S.count s)); ("sum", Json.Float (S.sum s));
+          ("p50", p 0.50); ("p95", p 0.95); ("p99", p 0.99) ]
+
+let prom_name name sample =
+  let base = "acc_" ^ String.map (function '.' -> '_' | c -> c) name in
+  let base =
+    if String.ends_with ~suffix:"_s" base then
+      String.sub base 0 (String.length base - 2) ^ "_seconds"
+    else base
+  in
+  match sample with S_counter _ -> base ^ "_total" | S_gauge _ | S_histogram _ -> base
+
 let snapshot ?(registry = default) () =
   Mutex.lock registry.mu;
   let metrics = registry.metrics in

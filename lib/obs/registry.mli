@@ -1,10 +1,11 @@
 (** A process-wide metric registry.
 
     Every counter, gauge and histogram in the system registers here under a
-    stable Prometheus-style name (DESIGN.md §16 has the naming scheme:
-    [acc_engine_*], [acc_watchdog_*], [acc_coordinator_*], …) so one
-    {!snapshot} sees them all — the {!Prom} exposition, the watchdog's
-    periodic dump hook and the binaries' [--metrics-dump] all read from it.
+    stable Prometheus-style name so one {!snapshot} sees them all — the
+    {!Prom} exposition, the watchdog's periodic dump hook and the binaries'
+    [--metrics-dump] all read from it.  An engine counter is named once,
+    dotted ([lock.victims]), and {!prom_name} derives its series name
+    ([acc_lock_victims_total]); DESIGN.md §16 has the naming scheme.
 
     The registry holds {e references}; the hot paths remain the metrics' own
     lock-free operations.  Registration is construction-time and snapshots
@@ -44,6 +45,23 @@ type sample =
   | S_counter of int
   | S_gauge of float
   | S_histogram of Metrics.Histogram.Snapshot.t
+
+val sample_of : value -> sample
+(** Read a value now; a poller runs on the calling domain. *)
+
+val combine : sample -> sample -> sample
+(** One quantity from two sources (two partitions' engines): counters sum,
+    gauges take the larger, histogram snapshots merge.  Raises
+    [Invalid_argument] on samples of different kinds. *)
+
+val sample_json : sample -> Json.t
+(** A counter as an int, a gauge as a float, a histogram as
+    [{count, sum, p50, p95, p99}]. *)
+
+val prom_name : string -> sample -> string
+(** The series name of a dotted stat name: prefix [acc_], dots to
+    underscores, a trailing [_s] to [_seconds], and [_total] on a counter —
+    [prom_name "lock.wait_s"] of a histogram is [acc_lock_wait_seconds]. *)
 
 type row = {
   r_name : string;

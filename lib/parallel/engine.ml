@@ -2,9 +2,9 @@ module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Backoff = Acc_txn.Backoff
 module Database = Acc_relation.Database
-module Prng = Acc_util.Prng
 module Metrics = Acc_util.Metrics
 module Trace = Acc_obs.Trace
+module Registry = Acc_obs.Registry
 
 type t = {
   exec : Executor.t;
@@ -19,33 +19,60 @@ type t = {
   lock_waits : Metrics.Histogram.t;
 }
 
-(* Every engine publishes its instruments in the process-wide registry; the
-   names are stable (DESIGN.md §16) and [metrics_labels] disambiguates
-   multi-engine processes ([Acc_dist.Dist_driver.build] labels each
-   partition's engine with [partition="N"]).  A single-engine re-run re-registers the same
-   (name, labels) pair and simply replaces the dead engine's entry. *)
+(* Every engine counter, once: a dotted name (BENCHMARK.json's stem where it
+   has one), a help string and a read into a registry value, which the
+   registry, [stats], the driver's report and bench JSON all iterate.  No
+   read takes a shard mutex: the metrics dump polls them every 250 ms, and
+   a shard section counts in [lock.mutex_acq]. *)
+let table =
+  let module D = Deadlock_detector in
+  let module L = Sharded_lock_table in
+  let module W = Watchdog in
+  let counter f t = Registry.Poll_counter (fun () -> f t) in
+  let gauge f t = Registry.Poll_gauge (fun () -> f t) in
+  let detector f = counter (fun t -> f t.detector) and locks f = counter (fun t -> f t.locks) in
+  let ticked f = counter (fun t -> f t.watchdog) and sampled f = gauge (fun t -> f t.watchdog) in
+  let depth f w = float_of_int (f w) in
+  [
+    ("lock.victims", "transactions killed by the deadlock detector", detector D.victims);
+    ("lock.detector_sweeps", "deadlock-detector sweeps", detector D.sweeps);
+    ("lock.timeouts", "lock waits withdrawn at their deadline", locks L.timeout_count);
+    ("lock.wait_s", "blocking lock-wait time", fun t -> Registry.Histogram t.lock_waits);
+    ("lock.mutex_acq", "shard-mutex acquisitions in the lock manager", locks L.mutex_acquisitions);
+    ("lock.fast_attempts", "lock requests that probed the fast path", locks L.fast_attempts);
+    ("lock.fast_hits", "fast-path probes granted without a mutex", locks L.fast_hits);
+    ( "wal.flushes", "WAL durability round trips",
+      counter (fun t -> Acc_wal.Log.flush_count (Executor.log t.exec)) );
+    ("admission.shed", "admissions the overload gate refused", fun t -> Registry.Counter t.shed);
+    ( "admission.inflight", "multi-step transactions currently admitted",
+      gauge (fun t -> float_of_int (Atomic.get t.inflight)) );
+    ("watchdog.ticks", "watchdog ticks since engine start", ticked W.ticks);
+    ("watchdog.queue_depth", "lock waiters at the last tick", sampled (depth W.queue_depth));
+    ("watchdog.peak_queue_depth", "peak sampled queue depth", sampled (depth W.peak_queue_depth));
+    ("watchdog.oldest_wait_s", "oldest-waiter age at the last tick", sampled W.oldest_wait);
+    ("watchdog.peak_oldest_wait_s", "peak sampled oldest wait", sampled W.peak_oldest_wait);
+    ("watchdog.abort_rate", "smoothed victims+timeouts per second", sampled W.abort_rate);
+    ("watchdog.degraded_trips", "times degraded mode tripped", ticked W.degraded_trips);
+  ]
+
+type stats = (string * Registry.sample) list
+
+let stats t = List.map (fun (name, _, read) -> (name, Registry.sample_of (read t))) table
+
+let counter stats name =
+  match List.assoc name stats with
+  | Registry.S_counter n -> n
+  | _ -> invalid_arg ("Engine.counter: " ^ name ^ " is not a counter")
+
+(* [metrics_labels] disambiguates multi-engine processes (partition engines
+   pass [partition="N"]); a re-run re-registers the same (name, labels)
+   pairs and replaces the dead engine's entries. *)
 let register_metrics t labels =
-  let reg ?help name v = Acc_obs.Registry.register ?help ~labels name v in
-  reg "acc_engine_shed_total" ~help:"admissions refused by the overload gate"
-    (Acc_obs.Registry.Counter t.shed);
-  reg "acc_engine_lock_wait_seconds" ~help:"blocking lock-acquisition wait time"
-    (Acc_obs.Registry.Histogram t.lock_waits);
-  reg "acc_engine_inflight" ~help:"multi-step transactions currently admitted"
-    (Acc_obs.Registry.Poll_gauge (fun () -> float_of_int (Atomic.get t.inflight)));
-  reg "acc_engine_lock_timeouts_total" ~help:"lock waits withdrawn at their deadline"
-    (Acc_obs.Registry.Poll_counter (fun () -> Sharded_lock_table.timeout_count t.locks));
-  reg "acc_detector_victims_total" ~help:"transactions killed by the deadlock detector"
-    (Acc_obs.Registry.Poll_counter (fun () -> Deadlock_detector.victims t.detector));
-  reg "acc_watchdog_queue_depth" ~help:"lock waiters at the last watchdog tick"
-    (Acc_obs.Registry.Poll_gauge (fun () -> float_of_int (Watchdog.queue_depth t.watchdog)));
-  reg "acc_watchdog_oldest_wait_seconds" ~help:"oldest-waiter age at the last tick"
-    (Acc_obs.Registry.Poll_gauge (fun () -> Watchdog.oldest_wait t.watchdog));
-  reg "acc_watchdog_abort_rate" ~help:"smoothed victims+timeouts per second"
-    (Acc_obs.Registry.Poll_gauge (fun () -> Watchdog.abort_rate t.watchdog));
-  reg "acc_watchdog_ticks_total" ~help:"watchdog ticks since engine start"
-    (Acc_obs.Registry.Poll_counter (fun () -> Watchdog.ticks t.watchdog));
-  reg "acc_watchdog_degraded_trips_total" ~help:"times degraded mode tripped"
-    (Acc_obs.Registry.Poll_counter (fun () -> Watchdog.degraded_trips t.watchdog))
+  List.iter
+    (fun (name, help, read) ->
+      let v = read t in
+      Registry.register ~help ~labels (Registry.prom_name name (Registry.sample_of v)) v)
+    table
 
 (* The engine's one background domain: it runs the watchdog's tick and the
    deadlock sweep, each on its own cadence, sleeping until the earlier one is
@@ -69,12 +96,12 @@ let background ~stop ~detector ~detector_cadence ~watchdog ~watchdog_cadence () 
     end
   done
 
-let create ?shards ?(detector_cadence = Deadlock_detector.default_cadence) ?cost ?lock_deadline
-    ?max_inflight ?shed_watermark ?max_bypass ?(watchdog_cadence = Watchdog.default_cadence)
-    ?degrade_after ?(metrics_labels = []) ?wal_policy ~sem db =
-  let locks = Sharded_lock_table.create ?shards ?max_bypass sem in
+let create ?shards ?(detector_cadence = Deadlock_detector.default_cadence) ?lock_deadline
+    ?max_inflight ?shed_watermark ?(watchdog_cadence = Watchdog.default_cadence)
+    ?(metrics_labels = []) ?wal_policy ~sem db =
+  let locks = Sharded_lock_table.create ?shards sem in
   let service = Sharded_lock_table.service locks in
-  let exec = Executor.create_with ?cost ?wal_policy ~service db in
+  let exec = Executor.create_with ?wal_policy ~service db in
   Executor.set_lock_deadline exec lock_deadline;
   let lock_waits = Metrics.Histogram.create () in
   Sharded_lock_table.set_on_wait locks (Some (Metrics.Histogram.record lock_waits));
@@ -99,7 +126,7 @@ let create ?shards ?(detector_cadence = Deadlock_detector.default_cadence) ?cost
     };
   let detector = Deadlock_detector.create service in
   let watchdog =
-    Watchdog.create ~cadence:watchdog_cadence ?degrade_after ?shed_watermark ~detector service
+    Watchdog.create ~cadence:watchdog_cadence ?shed_watermark ~detector service
   in
   let stop = Atomic.make false in
   let t =
@@ -126,10 +153,6 @@ let lock_service t = Executor.lock_service t.exec
 let detector t = t.detector
 let watchdog t = t.watchdog
 let lock_waits t = t.lock_waits
-let degraded t = Watchdog.degraded t.watchdog
-let inflight t = Atomic.get t.inflight
-let shed_count t = Metrics.Counter.get t.shed
-let timeout_count t = Sharded_lock_table.timeout_count t.locks
 
 (* Admission control: a token gate on multi-step transactions.  The cheap
    cap check bounds how many transactions can be mid-protocol at once
@@ -174,13 +197,13 @@ let shutdown t =
   end
 
 (* Transaction bodies still perform {!Txn_effect.Yield} (deadlock-retry
-   backoff points); on a worker domain that becomes a short randomized sleep
-   so colliding transactions desynchronize.  A {!Backoff.Jitter} state gives
-   the decorrelated schedule; the legacy [backoff_g] path keeps the capped
-   exponential with a randomized base.  {!Txn_effect.Wait_lock} must never
-   surface here — the custom backend blocks internally. *)
-let run_txn : type r. ?jitter:Backoff.Jitter.t -> ?backoff_g:Prng.t -> (unit -> r) -> r =
- fun ?jitter ?backoff_g f ->
+   backoff points); on a worker domain that becomes a short sleep.  A
+   {!Backoff.Jitter} state gives the decorrelated schedule that makes
+   colliding transactions desynchronize; without one the sleep grows capped
+   exponentially from 1 ms.  {!Txn_effect.Wait_lock} must never surface
+   here — the custom backend blocks internally. *)
+let run_txn : type r. ?jitter:Backoff.Jitter.t -> (unit -> r) -> r =
+ fun ?jitter f ->
   Effect.Deep.match_with f ()
     {
       retc = Fun.id;
@@ -191,18 +214,10 @@ let run_txn : type r. ?jitter:Backoff.Jitter.t -> ?backoff_g:Prng.t -> (unit -> 
           | Txn_effect.Yield attempt ->
               Some
                 (fun (k : (b, r) Effect.Deep.continuation) ->
-                  (match jitter with
-                  | Some j -> Unix.sleepf (Backoff.Jitter.next j ~attempt)
-                  | None ->
-                      let base =
-                        match backoff_g with
-                        | Some g -> 0.0002 +. Prng.exponential g ~mean:0.002
-                        | None -> 0.001
-                      in
-                      (* capped exponential growth with the retry attempt, on
-                         top of the randomized base so repeat colliders
-                         desync *)
-                      Unix.sleepf (base *. Backoff.factor ~attempt ()));
+                  Unix.sleepf
+                    (match jitter with
+                    | Some j -> Backoff.Jitter.next j ~attempt
+                    | None -> 0.001 *. Backoff.factor ~attempt ());
                   Effect.Deep.continue k ())
           | Txn_effect.Wait_lock _ ->
               Some

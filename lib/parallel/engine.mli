@@ -17,13 +17,10 @@ type t
 val create :
   ?shards:int ->
   ?detector_cadence:float ->
-  ?cost:Acc_txn.Cost_model.t ->
   ?lock_deadline:float ->
   ?max_inflight:int ->
   ?shed_watermark:float ->
-  ?max_bypass:int ->
   ?watchdog_cadence:float ->
-  ?degrade_after:float ->
   ?metrics_labels:(string * string) list ->
   ?wal_policy:Acc_wal.Log.policy ->
   sem:Acc_lock.Mode.semantics ->
@@ -35,18 +32,18 @@ val create :
     [watchdog_cadence] (default {!Watchdog.default_cadence}); pair with
     {!shutdown}.
 
-    Every engine registers its instruments ([acc_engine_*],
-    [acc_watchdog_*], [acc_detector_*]) in {!Acc_obs.Registry.default} under
-    [metrics_labels] — multi-engine processes must pass distinct labels
+    Every engine registers each entry of its stats table ({!val:stats}) in
+    {!Acc_obs.Registry.default}, named by {!Acc_obs.Registry.prom_name}
+    ([lock.victims] as [acc_lock_victims_total]), under [metrics_labels] —
+    multi-engine processes must pass distinct labels
     ({!Acc_dist.Dist_driver.build} passes [partition="N"]) or later engines
     replace earlier ones in the exposition.
 
     [lock_deadline] is a per-request wait budget in seconds (see
-    {!Acc_txn.Executor.set_lock_deadline}); omitted disables timeouts.  [max_inflight] caps concurrently admitted multi-step
-    transactions ({!try_admit}); [shed_watermark] is the abort rate
-    (victims + timeouts per second) above which admissions shed;
-    [max_bypass] is the lock tables' bounded-bypass fairness limit;
-    [degrade_after] is the oldest-waiter age that trips degraded mode.
+    {!Acc_txn.Executor.set_lock_deadline}); omitted disables timeouts.
+    [max_inflight] caps concurrently admitted multi-step transactions
+    ({!try_admit}); [shed_watermark] is the abort rate (victims + timeouts
+    per second) above which admissions shed.
 
     [wal_policy] selects the executor WAL's append policy
     ({!Acc_wal.Log.policy}, default [Direct]) — pass
@@ -67,11 +64,18 @@ val lock_waits : t -> Acc_util.Metrics.Histogram.t
 (** Every completed blocking lock wait (granted, victimized or timed out),
     in seconds — the p99 here is the overload bench's headline. *)
 
-val degraded : t -> bool
-(** Watchdog's degraded flag: drivers should fall back to the fully isolated
-    legacy path while set. *)
+type stats = (string * Acc_obs.Registry.sample) list
+(** Every engine counter by its dotted name ([lock.victims],
+    [lock.wait_s], [wal.flushes], [admission.shed], [watchdog.ticks], …;
+    README's metric table lists them all), in one fixed order. *)
 
-val timeout_count : t -> int
+val stats : t -> stats
+(** Read every counter now.  No read takes a shard mutex, so reading moves
+    no counter, [lock.mutex_acq] included. *)
+
+val counter : stats -> string -> int
+(** The named counter.  Raises [Not_found] on an unknown name and
+    [Invalid_argument] on a gauge or histogram. *)
 
 (** {1 Admission control} *)
 
@@ -90,20 +94,15 @@ val try_admit : t -> admission
 val finish : t -> unit
 (** Return an admission token. *)
 
-val inflight : t -> int
-val shed_count : t -> int
-
 val shutdown : t -> unit
 (** Stop and join the background domain, then expire every overdue wait
     once more.  Idempotent.  Call after worker domains have joined (the
     detector must outlive them: it breaks shutdown-time deadlocks; the
     watchdog likewise resolves in-flight deadline expiries). *)
 
-val run_txn :
-  ?jitter:Acc_txn.Backoff.Jitter.t -> ?backoff_g:Acc_util.Prng.t -> (unit -> 'r) -> 'r
+val run_txn : ?jitter:Acc_txn.Backoff.Jitter.t -> (unit -> 'r) -> 'r
 (** Run a transaction body on the calling domain under the parallel effect
     handler: [Yield] becomes a short sleep — decorrelated-jitter when a
     {!Acc_txn.Backoff.Jitter} state is given (preferred; each worker should
-    own one), else capped exponential over a randomized base from
-    [backoff_g]; [Wait_lock] raises [Stuck] — it cannot occur with the
-    blocking backend. *)
+    own one), else capped exponential from 1 ms; [Wait_lock] raises
+    [Stuck] — it cannot occur with the blocking backend. *)

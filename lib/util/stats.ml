@@ -70,6 +70,12 @@ module Tally = struct
     let t = create () in
     List.iter (add t) (List.rev_append a.values b.values);
     t
+
+  (* [values] is newest first *)
+  let since t n =
+    let s = create () in
+    List.iter (add s) (List.rev (List.filteri (fun i _ -> i < t.count - n) t.values));
+    s
 end
 
 module Counter = struct

@@ -27,6 +27,10 @@ module Tally : sig
 
   val merge : t -> t -> t
   (** Combined tally of both argument tallies (arguments unchanged). *)
+
+  val since : t -> int -> t
+  (** [since t n]: a tally of the observations added to [t] after its first
+      [n] ([t] unchanged). *)
 end
 
 module Counter : sig

@@ -331,6 +331,113 @@ let test_driver_refusals () =
   refused "message faults at one partition" "ACC_NETFAULT"
     { base with P.partitions = 1; netfault = Fault.Netfault.parse "drop=1.0" }
 
+(* the prepare-hold tally honours warmup as the cross counts do: it keeps
+   only the holds recorded once the recording window opened, each of which
+   belongs to a cross transaction that ended inside the window *)
+let test_driver_prepare_hold_warmup () =
+  let r =
+    P.run
+      {
+        (partitioned_cfg ~seed:3 ~domains:2 ~partitions:2 ~txns:0) with
+        P.txns_per_domain = None;
+        duration = 1.0;
+        warmup = 0.5;
+      }
+  in
+  let holds = Acc_util.Stats.Tally.count r.P.prepare_hold in
+  Alcotest.(check bool)
+    (Printf.sprintf "0 < %d holds <= %d cross attempts" holds r.P.cross_attempted)
+    true
+    (0 < holds && holds <= r.P.cross_attempted)
+
+module Registry = Acc_obs.Registry
+module Json = Acc_obs.Json
+
+(* Every engine stat of a 2-partition run equals its two [partition]
+   series in the Prometheus exposition combined by the rule the report
+   uses (counters sum, gauges take the larger, histograms merge), as
+   [Registry.sample_json] (bench JSON's rendering) renders both.  Four
+   domains pacing 1 ms with locks held make both partitions wait, so the
+   peak gauges are mostly nonzero on both sides.  Histograms are rebuilt
+   from their cumulative buckets; the exposition prints floats to 9
+   digits. *)
+let test_driver_stats_match_exposition () =
+  Registry.clear ();
+  let r =
+    P.run
+      { (partitioned_cfg ~seed:9 ~domains:4 ~partitions:2 ~txns:40) with P.compute_between = 0.001 }
+  in
+  (* (series, value) in exposition order *)
+  let rows =
+    List.filter_map
+      (fun line ->
+        match String.rindex_opt line ' ' with
+        | Some i when line.[0] <> '#' ->
+            Some
+              ( String.sub line 0 i,
+                float_of_string (String.sub line (i + 1) (String.length line - i - 1)) )
+        | _ -> None)
+      (String.split_on_char '\n' (Acc_obs.Prom.to_string ()))
+  in
+  let find key =
+    match List.assoc_opt key rows with
+    | Some v -> v
+    | None -> Alcotest.failf "no series %s in the exposition" key
+  in
+  let sample_of name kind part =
+    let label = Printf.sprintf "{partition=\"%d\"}" part in
+    match kind with
+    | Registry.S_counter _ -> Registry.S_counter (int_of_float (find (name ^ label)))
+    | Registry.S_gauge _ -> Registry.S_gauge (find (name ^ label))
+    | Registry.S_histogram s ->
+        let prefix = Printf.sprintf "%s_bucket{partition=\"%d\",le=" name part in
+        let cumulative =
+          List.filter_map
+            (fun (k, v) -> if String.starts_with ~prefix k then Some (int_of_float v) else None)
+            rows
+        in
+        let _, counts =
+          List.fold_left (fun (prev, acc) c -> (c, (c - prev) :: acc)) (0, []) cumulative
+        in
+        Registry.S_histogram
+          { s with counts = Array.of_list (List.rev counts); sum = find (name ^ "_sum" ^ label) }
+  in
+  let rec same a b =
+    match (a, b) with
+    | Json.Int x, Json.Int y -> x = y
+    | Json.Float x, Json.Float y ->
+        (Float.is_nan x && Float.is_nan y) || Float.abs (x -. y) <= (1e-6 *. Float.abs x) +. 1e-12
+    | Json.Obj xs, Json.Obj ys ->
+        List.length xs = List.length ys
+        && List.for_all2 (fun (k, x) (l, y) -> k = l && same x y) xs ys
+    | _ -> false
+  in
+  Alcotest.(check bool) "the stats are the table's" true (List.length r.P.stats > 10);
+  List.iter
+    (fun (name, value) ->
+      let prom = Registry.prom_name name value in
+      let combined =
+        match (sample_of prom value 0, sample_of prom value 1) with
+        | Registry.S_counter a, Registry.S_counter b -> Registry.S_counter (a + b)
+        | Registry.S_gauge a, Registry.S_gauge b -> Registry.S_gauge (Float.max a b)
+        | Registry.S_histogram a, Registry.S_histogram b ->
+            Registry.S_histogram (Acc_util.Metrics.Histogram.Snapshot.merge a b)
+        | _ -> Alcotest.failf "%s: partitions of different kinds" name
+      in
+      let expected = Registry.sample_json combined and got = Registry.sample_json value in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: report %s, exposition %s" name (Json.to_string got)
+           (Json.to_string expected))
+        true (same got expected))
+    r.P.stats;
+  Alcotest.(check bool) "both partitions flushed their WAL" true
+    (List.for_all
+       (fun p ->
+         match sample_of "acc_wal_flushes_total" (Registry.S_counter 0) p with
+         | Registry.S_counter n -> n > 0
+         | _ -> false)
+       [ 0; 1 ])
+
 (* --- crash harness --------------------------------------------------------- *)
 
 let harness_config =
@@ -932,11 +1039,14 @@ let suites =
       ] );
     ( "dist.driver",
       [
-        Alcotest.test_case "4 partitions: consistent, >=10%% cross" `Slow test_driver_4_partitions;
+        Alcotest.test_case "4 partitions: consistent, >=10% cross" `Slow test_driver_4_partitions;
         Alcotest.test_case "single-node knobs reach a partitioned run" `Slow
           test_driver_knobs_reach_partitions;
         Alcotest.test_case "refused partitioned configs name their field" `Quick
           test_driver_refusals;
+        Alcotest.test_case "engine stats equal the exposition's partition series" `Slow
+          test_driver_stats_match_exposition;
+        Alcotest.test_case "prepare holds honour warmup" `Slow test_driver_prepare_hold_warmup;
       ] );
     ( "dist.harness",
       [

@@ -40,7 +40,7 @@ let test_driver_deterministic () =
   Alcotest.(check int) "same completions" r1.Driver.completed r2.Driver.completed;
   Alcotest.(check (float 1e-12)) "same mean response" (Driver.mean_response r1)
     (Driver.mean_response r2);
-  Alcotest.(check int) "same deadlocks" r1.Driver.deadlock_victims r2.Driver.deadlock_victims
+  Alcotest.(check int) "same deadlocks" r1.Driver.victims r2.Driver.victims
 
 let test_driver_seed_sensitivity () =
   let r1 = Driver.run { base_cfg with Driver.system = Driver.Acc } in

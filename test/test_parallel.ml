@@ -663,6 +663,11 @@ let prop_sharded_bounded_bypass =
 
 module Engine = Acc_parallel.Engine
 
+let inflight e =
+  match List.assoc "admission.inflight" (Engine.stats e) with
+  | Acc_obs.Registry.S_gauge v -> v
+  | _ -> Alcotest.fail "admission.inflight is not a gauge"
+
 let test_admission_gate () =
   let db = Acc_relation.Database.create () in
   let e = Engine.create ~shards:2 ~max_inflight:2 ~sem:Mode.no_semantics db in
@@ -675,15 +680,15 @@ let test_admission_gate () =
           | Engine.Shed "capacity" -> ()
           | Engine.Shed r -> Alcotest.fail ("unexpected shed reason: " ^ r)
           | Engine.Admitted -> Alcotest.fail "admitted past the cap");
-          Alcotest.(check int) "shed counted" 1 (Engine.shed_count e);
-          Alcotest.(check int) "inflight at cap" 2 (Engine.inflight e);
+          Alcotest.(check int) "shed counted" 1 (Engine.counter (Engine.stats e) "admission.shed");
+          Alcotest.(check (float 0.)) "inflight at cap" 2. (inflight e);
           Engine.finish e;
           (match Engine.try_admit e with
           | Engine.Admitted -> ()
           | Engine.Shed _ -> Alcotest.fail "returned token not re-admitted");
           Engine.finish e;
           Engine.finish e;
-          Alcotest.(check int) "inflight drains to zero" 0 (Engine.inflight e)
+          Alcotest.(check (float 0.)) "inflight drains to zero" 0. (inflight e)
       | _ -> Alcotest.fail "initial admissions refused")
 
 (* --- the engine's background domain ------------------------------------- *)
@@ -825,7 +830,48 @@ let test_overload_admission () =
   Alcotest.(check int) "no leaked locks" 0 r.P.leaked_locks;
   Alcotest.(check int) "no leaked waiters" 0 r.P.leaked_waiters;
   Alcotest.(check bool) "made progress" true (r.P.committed > 0);
-  Alcotest.(check bool) "gate shed under 4x overload" true (r.P.shed > 0)
+  Alcotest.(check bool) "gate shed under 4x overload" true
+    (Engine.counter r.P.stats "admission.shed" > 0)
+
+(* Reading the stats takes no shard mutex, so polling them (the metrics
+   dump does every 250 ms) moves no counter, [lock.mutex_acq] included,
+   while [lock_count], which a report reads once at the end, does.  A table
+   X lock takes the mutex path and leaves its shard non-empty.  The reads
+   run right after a background pass, whose tick and sweep walk the shards
+   too, and are retried if another pass lands among them. *)
+let test_stats_read_lock_free () =
+  let e =
+    Engine.create ~shards:2 ~detector_cadence:0.2 ~watchdog_cadence:0.2 ~sem:Mode.no_semantics
+      (Acc_relation.Database.create ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      let locks = Engine.locks e in
+      ignore
+        (Sharded.submit locks (Lock_request.make ~txn:1 ~step_type:0 Mode.X (Resource_id.Table "t")));
+      let acq () = Engine.counter (Engine.stats e) "lock.mutex_acq" in
+      let passes () = (Detector.sweeps (Engine.detector e), Watchdog.ticks (Engine.watchdog e)) in
+      let rec quiet_reads attempts =
+        let p0 = passes () in
+        while passes () = p0 do
+          Unix.sleepf 0.001
+        done;
+        (* the sweep runs right after the tick: wait for both *)
+        Unix.sleepf 0.01;
+        let p1 = passes () and before = acq () in
+        for _ = 1 to 200 do
+          ignore (Engine.stats e)
+        done;
+        let after = acq () in
+        if passes () = p1 then (before, after)
+        else if attempts > 1 then quiet_reads (attempts - 1)
+        else Alcotest.fail "a background pass landed among every batch of reads"
+      in
+      let before, after = quiet_reads 5 in
+      Alcotest.(check int) "200 stats reads take no shard mutex" before after;
+      ignore (Sharded.lock_count locks);
+      Alcotest.(check bool) "lock_count takes one" true (acq () > after))
 
 let suites =
   [
@@ -871,7 +917,10 @@ let suites =
           test_overload_admission;
       ] );
     ( "parallel.metrics",
-      [ Alcotest.test_case "counters and tallies across 4 domains" `Quick test_metrics_multicore ] );
+      [
+        Alcotest.test_case "counters and tallies across 4 domains" `Quick test_metrics_multicore;
+        Alcotest.test_case "stats reads take no shard mutex" `Quick test_stats_read_lock_free;
+      ] );
     ( "parallel.tpcc",
       [
         Alcotest.test_case "4 domains x 250 acc txns, consistent, no leaks" `Slow

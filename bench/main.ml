@@ -81,6 +81,21 @@ let run_one ~quick id =
 
 (* ---------- multicore scaling ------------------------------------------ *)
 
+(* Every run of the multicore modes (parallel, workloads, overload, scale,
+   dist) passes through [check_run]: it prints the run's consistency
+   violations and leaked locks or waiters, and marks the mode failed, so
+   that the mode exits 1 once its JSON is written. *)
+let failed = ref false
+
+let check_run label (r : Acc_harness.Parallel_driver.report) =
+  let module P = Acc_harness.Parallel_driver in
+  List.iter (fun v -> Format.fprintf ppf "!! %s: violation: %s@." label v) r.P.violations;
+  let leaked = r.P.leaked_locks > 0 || r.P.leaked_waiters > 0 in
+  if leaked then
+    Format.fprintf ppf "!! %s: %d leaked locks, %d leaked waiters@." label r.P.leaked_locks
+      r.P.leaked_waiters;
+  if leaked || r.P.violations <> [] then failed := true
+
 (* TPC-C's high-conflict core, new-order/payment 50/50: the workload of
    every parallel-engine mode below but [workloads] *)
 let nop_tpcc ?skewed_district () =
@@ -90,7 +105,7 @@ let nop_tpcc ?skewed_district () =
    real-domain engine (no simulator): the contended regime — client compute
    at each pace point while locks are held — where step-boundary release
    pays.  Wall-clock, so numbers vary with the host; the shape is the
-   point. *)
+   point.  Exits non-zero on violations or leaks. *)
 let run_parallel ~quick =
   let module P = Acc_harness.Parallel_driver in
   let seconds = if quick then 1.5 else 4.0 in
@@ -114,11 +129,8 @@ let run_parallel ~quick =
            role is the clean baseline trajectory) *)
         let acc, phases = Bench_json.with_phases (fun () -> P.run (cfg P.Acc)) in
         let bl = P.run (cfg P.Baseline) in
-        (match (acc.P.violations, bl.P.violations) with
-        | [], [] -> ()
-        | va, vb ->
-            Format.fprintf ppf "!! consistency violations: acc=%d 2pl=%d@." (List.length va)
-              (List.length vb));
+        check_run (Printf.sprintf "acc, %d domains" domains) acc;
+        check_run (Printf.sprintf "2pl, %d domains" domains) bl;
         Format.fprintf ppf "%8d %12.1f %12.1f %8.2f@." domains acc.P.throughput
           bl.P.throughput
           (if bl.P.throughput > 0. then acc.P.throughput /. bl.P.throughput else nan);
@@ -149,6 +161,7 @@ let run_parallel ~quick =
     }
   in
   let inst = P.run inst_cfg in
+  check_run "instrumented cell" inst;
   Format.fprintf ppf "@.--- instrumented cell (accounting on, %d domains) ---@." inst_domains;
   Acc_obs.Conflict_accounting.pp_table ppf ~label:inst.P.step_label ~header:"lock decisions"
     inst.P.conflicts;
@@ -183,7 +196,6 @@ let run_workloads ~quick =
     domains per_domain;
   Format.fprintf ppf "%18s %10s %10s %7s %12s %12s %12s@." "workload" "acc tx/s"
     "2pl tx/s" "ratio" "granted" "false-confl" "true-confl";
-  let failures = ref 0 in
   let cells =
     List.map
       (fun name ->
@@ -209,13 +221,8 @@ let run_workloads ~quick =
         in
         let acc = P.run (cfg P.Acc) in
         let bl = P.run (cfg P.Baseline) in
-        let bad r = r.P.violations <> [] || r.P.leaked_locks > 0 || r.P.leaked_waiters > 0 in
-        if bad acc || bad bl then begin
-          incr failures;
-          List.iter
-            (fun v -> Format.fprintf ppf "  violation (%s): %s@." name v)
-            (acc.P.violations @ bl.P.violations)
-        end;
+        check_run (name ^ ", acc") acc;
+        check_run (name ^ ", 2pl") bl;
         (* the accounting totals come from the ACC run: every grant is also
            checked against a shadow strict-2PL lock table, so r_passed_2pl
            counts exactly the false conflicts the assertional modes dissolve *)
@@ -244,13 +251,7 @@ let run_workloads ~quick =
           ])
       names
   in
-  let json = [ ("cells", Json.List cells) ] in
-  if !failures > 0 then begin
-    Bench_json.write ~mode:"workloads" json;
-    Format.fprintf ppf "!! workload sweep left violations or leaks@.";
-    exit 1
-  end;
-  json
+  [ ("cells", Json.List cells) ]
 
 (* ---------- overload bench --------------------------------------------- *)
 
@@ -285,33 +286,25 @@ let run_overload ~quick =
     domains max_inflight seconds (deadline *. 1000.);
   let r, phases = Bench_json.with_phases (fun () -> P.run cfg) in
   Format.fprintf ppf "%a@." P.pp_report r;
-  List.iter (fun v -> Format.fprintf ppf "  violation: %s@." v) r.P.violations;
+  check_run "overload" r;
   let shed = Acc_parallel.Engine.counter r.P.stats "admission.shed" in
   let attempts = shed + r.P.committed + r.P.forced_aborts + r.P.compensations in
   let shed_rate = if attempts > 0 then float_of_int shed /. float_of_int attempts else 0. in
   Format.fprintf ppf "  shed rate:           %.3f (%d of %d admission attempts)@."
     shed_rate shed attempts;
-  let json =
-    [
-      ( "overload",
-        Json.Obj
-          [
-            ("domains", Json.Int domains);
-            ("max_inflight", Json.Int max_inflight);
-            ("deadline_ms", Json.Float (deadline *. 1000.));
-            ("shed_watermark", Json.Float 200.);
-            ("shed_rate", Json.Float shed_rate);
-            ("report", Bench_json.parallel_report_json ~cfg r);
-            ("phases", phases);
-          ] );
-    ]
-  in
-  if r.P.violations <> [] || r.P.leaked_locks > 0 || r.P.leaked_waiters > 0 then begin
-    Bench_json.write ~mode:"overload" json;
-    Format.fprintf ppf "!! overload run left violations or leaks@.";
-    exit 1
-  end;
-  json
+  [
+    ( "overload",
+      Json.Obj
+        [
+          ("domains", Json.Int domains);
+          ("max_inflight", Json.Int max_inflight);
+          ("deadline_ms", Json.Float (deadline *. 1000.));
+          ("shed_watermark", Json.Float 200.);
+          ("shed_rate", Json.Float shed_rate);
+          ("report", Bench_json.parallel_report_json ~cfg r);
+          ("phases", phases);
+        ] );
+  ]
 
 (* ---------- lock fast path + group commit scaling ---------------------- *)
 
@@ -323,7 +316,8 @@ let run_overload ~quick =
    (uncontended, so the fast path should carry most requests) and the
    4-domain acqs/txn against the pre-fast-path batched baseline (184.7).
    The cells run untraced, so each report's GC counters are the engine's
-   own and CI can bound the 1-domain cell's promotion. *)
+   own and CI can bound the 1-domain cell's promotion.  Exits non-zero on
+   violations or leaks. *)
 let run_scale ~quick =
   let module P = Acc_harness.Parallel_driver in
   let domain_counts = if quick then [ 1; 2; 4 ] else [ 1; 2; 4; 8; 16 ] in
@@ -359,9 +353,7 @@ let run_scale ~quick =
         in
         Format.fprintf ppf "%8d %10.1f %12.1f %9.1f%% %12.2f@." domains r.P.throughput
           acqs (100. *. hit_rate) flushes;
-        if r.P.violations <> [] then
-          Format.fprintf ppf "!! %d consistency violations at %d domains@."
-            (List.length r.P.violations) domains;
+        check_run (Printf.sprintf "%d domains" domains) r;
         Json.Obj
           [
             ("domains", Json.Int domains);
@@ -618,7 +610,7 @@ let run_recovery ~quick =
    layer itself: same protocol, but pipe adds the socketpair hop and a
    handler domain per partition (multi-partition cells only — with one
    partition nothing crosses, so the transport is never exercised).  Exits
-   non-zero on merged-database violations. *)
+   non-zero on merged-database violations or leaks. *)
 let run_dist ~quick =
   let module P = Acc_harness.Parallel_driver in
   let module Tally = Acc_util.Stats.Tally in
@@ -638,7 +630,6 @@ let run_dist ~quick =
     seconds;
   Format.fprintf ppf "%10s %10s %10s %12s %10s %16s@." "partitions" "transport"
     "txn/s" "cross-frac" "aborts" "prep-hold p95 ms";
-  let failures = ref 0 in
   let grid =
     List.concat_map
       (fun partitions ->
@@ -656,11 +647,8 @@ let run_dist ~quick =
         let r, phases =
           Bench_json.with_phases (fun () -> P.run { base with P.partitions; transport })
         in
-        if r.P.violations <> [] then begin
-          incr failures;
-          List.iter (fun v -> Format.fprintf ppf "  violation: %s@." v) r.P.violations
-        end;
         let transport = Acc_dist.Transport.kind_name transport in
+        check_run (Printf.sprintf "%d partitions, %s" partitions transport) r;
         Format.fprintf ppf "%10d %10s %10.1f %12.3f %10d %16.3f@." partitions transport
           r.P.throughput (P.cross_fraction r) r.P.cross_aborted
           (1000. *. Tally.percentile r.P.prepare_hold 0.95);
@@ -675,13 +663,7 @@ let run_dist ~quick =
           ])
       grid
   in
-  let json = [ ("cells", Json.List cells) ] in
-  if !failures > 0 then begin
-    Bench_json.write ~mode:"dist" json;
-    Format.fprintf ppf "!! dist run left consistency violations@.";
-    exit 1
-  end;
-  json
+  [ ("cells", Json.List cells) ]
 
 let figures_json figs =
   ("figures", Json.List (List.map Bench_json.figure_json figs))
@@ -695,7 +677,7 @@ let () =
         Format.eprintf "usage: main.exe [MODE] [--quick]@.";
         exit 2
   in
-  match mode with
+  (match mode with
   | "all" | "quick" ->
       let figs = run_figures ~quick:(quick || mode = "quick") in
       let micro = run_micro () in
@@ -717,4 +699,8 @@ let () =
          (use all|quick|fig2|fig3|fig4|servers|ablation|items|micro|parallel|workloads|overload|scale|obs-gate|recovery|dist, \
          and --quick for the short variant)@."
         other;
-      exit 2
+      exit 2);
+  if !failed then begin
+    Format.fprintf ppf "!! %s left consistency violations or leaks@." mode;
+    exit 1
+  end

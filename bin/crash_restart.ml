@@ -33,7 +33,7 @@ let refuse_ignored why flags =
   | flags -> failwith (Printf.sprintf "%s would be ignored %s" (String.concat ", " flags) why)
 
 let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_every hits seed
-    verbose dist partitions netfault coordinator_kill matrix quick metrics_dump workload
+    verbose dist partitions netfault coordinator_kill matrix quick workload
     list_workloads scale theta mix abort_rate =
   if list_workloads then begin
     Cli.print_workloads ();
@@ -109,9 +109,6 @@ let main list_points point hit chaos seeds txns chaos_p step_fault_p checkpoint_
     in
     let module W = (val config.H.workload : Acc_workload.S) in
     Cli.Trace.finish ~workload:W.name ts;
-    (* the report exits directly on failure, so the exposition must be
-       written as soon as the runs finish, not on the way out of main *)
-    Cli.metrics_final metrics_dump;
     report results
   end
 
@@ -195,8 +192,6 @@ let quick =
     & info [ "quick" ]
         ~doc:"--matrix only: one fault kind per point (the per-push smoke slice).")
 
-let metrics_dump = Cli.metrics_dump_arg
-
 let cmd =
   let doc = "crash a workload at registered fault points, recover, check invariants" in
   Cmd.v
@@ -204,7 +199,7 @@ let cmd =
     Term.(
       const main $ list_points $ point $ hit $ chaos $ seeds $ txns $ chaos_p $ step_fault_p
       $ checkpoint_every $ hits $ seed $ verbose $ dist $ partitions $ netfault
-      $ coordinator_kill $ matrix $ quick $ metrics_dump $ Cli.workload_opt_arg
+      $ coordinator_kill $ matrix $ quick $ Cli.workload_opt_arg
       $ Cli.list_workloads_arg $ Cli.scale_arg $ Cli.theta_arg $ Cli.wl_mix_arg
       $ Cli.wl_abort_rate_arg)
 

@@ -38,26 +38,6 @@ let register ~txn_type ~step_type handler =
 
 let handler txn_type = Option.map snd (Hashtbl.find_opt registry txn_type)
 
-(* Replay runs on a quiesced engine, but the compensating bodies still
-   perform [Yield] on retry; resume those inline.  A lock wait cannot be
-   granted by anyone on an idle engine, so it is a protocol bug here. *)
-let with_inline_scheduler f =
-  Effect.Deep.match_with f ()
-    {
-      retc = Fun.id;
-      exnc = raise;
-      effc =
-        (fun (type b) (eff : b Effect.t) ->
-          match eff with
-          | Txn_effect.Yield _ ->
-              Some (fun (k : (b, _) Effect.Deep.continuation) -> Effect.Deep.continue k ())
-          | Txn_effect.Wait_lock _ ->
-              Some
-                (fun (_ : (b, _) Effect.Deep.continuation) ->
-                  raise (Txn_effect.Stuck "Replay: lock wait on a quiesced engine"))
-          | _ -> None);
-    }
-
 (* Run the registered compensating step on a freshly adopted context; the
    adoption happens only once the handler is known to exist. *)
 let compensate_adopted ~txn ~txn_type ~completed adopt =
@@ -68,7 +48,9 @@ let compensate_adopted ~txn ~txn_type ~completed adopt =
            txn)
   | Some (step_type, body) ->
       let ctx = adopt () in
-      with_inline_scheduler (fun () ->
+      (* replay runs on a quiesced engine: a retry's [Yield] resumes at
+         once, and a lock wait, which no one could grant, is a bug *)
+      Txn_effect.run_inline ~on_yield:ignore (fun () ->
           Runtime.run_compensation ctx ~step_type ~completed
             ~release:(fun _ mode -> Mode.conventional mode)
             body)

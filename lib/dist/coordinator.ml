@@ -278,16 +278,17 @@ module Remote = struct
     transport_kind : Transport.kind;
     retries : int;
     prepare_deadline : float;
-    decide_deadline : float;
   }
+
+  (* each wait for a decision's acknowledgement on the pipe transport *)
+  let decide_deadline = 0.2
 
   let core r = !(r.cell)
   let participants r = Array.map (fun l -> l.participant) r.links
   let transport r = r.transport_kind
 
   let make ?stop ?(retries = 4) ?(transport = `Loopback)
-      ?(faults = Fault.Netfault.none) ?(prepare_deadline = 5.0)
-      ?(decide_deadline = 0.2) core =
+      ?(faults = Fault.Netfault.none) ?(prepare_deadline = 5.0) core =
     let connect handler =
       match transport with
       | `Loopback -> Transport.loopback ~faults handler
@@ -324,7 +325,6 @@ module Remote = struct
       transport_kind = transport;
       retries;
       prepare_deadline;
-      decide_deadline;
     }
 
   let link_of r part =
@@ -399,7 +399,7 @@ module Remote = struct
     List.iter
       (fun link ->
         (match
-           rpc r link.conn ~deadline:r.decide_deadline
+           rpc r link.conn ~deadline:decide_deadline
              (Transport.Decide { gid; commit })
          with
         | Some (Transport.Ack _) -> ()
@@ -454,7 +454,7 @@ module Remote = struct
     r.cell := create ~log ~first_gid (partitions old);
     let ask g =
       match
-        rpc r r.resolver ~deadline:r.decide_deadline
+        rpc r r.resolver ~deadline:decide_deadline
           (Transport.Resolve { gid = g })
       with
       | Some (Transport.Decide { commit; _ }) -> Some commit

@@ -112,14 +112,13 @@ module Remote : sig
     ?transport:Transport.kind ->
     ?faults:Acc_fault.Fault.Netfault.spec ->
     ?prepare_deadline:float ->
-    ?decide_deadline:float ->
     coordinator ->
     t
   (** Wrap a coordinator core: one participant + connection per partition
       (pipe connections each get a dedicated handler domain).  [retries]
       (default 4) bounds re-sends per RPC; [prepare_deadline] (default 5s,
-      the branch runs inside it) and [decide_deadline] (default 0.2s)
-      bound each wait on the pipe transport — loopback never waits. *)
+      the branch runs inside it) and a fixed 0.2s for a decision bound each
+      wait on the pipe transport — loopback never waits. *)
 
   val core : t -> coordinator
   (** The current core ({!recover} swaps it). *)

@@ -161,25 +161,19 @@ let metrics_dump_arg =
     value
     & opt (some string) None
     & info [ "metrics-dump" ] ~docv:"FILE"
-        ~doc:"Write the metric registry as Prometheus text format to FILE \
-              after the runs.")
+        ~doc:"Write the metric registry as Prometheus text format to FILE, \
+              refreshed every 250 ms while the run is live and once more \
+              at its end.")
 
-(* Live mode (the parallel driver): refresh the exposition on the watchdog's
-   snapshot cadence while the run is live; the returned closure uninstalls
-   the hook and writes the final values. *)
+(* Refresh the exposition on the engines' snapshot cadence while the run is
+   live; the returned closure uninstalls the hook and writes the final
+   values. *)
 let metrics_live = function
   | None -> fun () -> ()
   | Some path ->
-      Acc_parallel.Watchdog.set_snapshot_hook
+      Acc_parallel.Engine.set_snapshot_hook
         (Some (0.25, fun () -> Acc_obs.Prom.dump_file path));
       fun () ->
-        Acc_parallel.Watchdog.set_snapshot_hook None;
+        Acc_parallel.Engine.set_snapshot_hook None;
         Acc_obs.Prom.dump_file path;
         Format.printf "wrote %s@." path
-
-(* One-shot mode (sim driver, crash harness): dump once, now. *)
-let metrics_final = function
-  | None -> ()
-  | Some path ->
-      Acc_obs.Prom.dump_file path;
-      Format.printf "wrote %s@." path

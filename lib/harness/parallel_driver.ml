@@ -496,8 +496,6 @@ let run cfg =
     | Some (s, _) ->
         (field gc_end -. field s) /. float_of_int (max 1 (Metrics.Counter.get committed))
   in
-  (* leak counts first: [lock_count] and [waiter_count] take shard sections,
-     which count in [lock.mutex_acq] *)
   let leaked f = Array.fold_left (fun acc engine -> acc + f (Engine.locks engine)) 0 engines in
   let leaked_locks = leaked Sharded_lock_table.lock_count in
   let leaked_waiters = leaked Sharded_lock_table.waiter_count in

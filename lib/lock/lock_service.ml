@@ -10,12 +10,8 @@ module type S = sig
   val wait_edges : unit -> (int * int) list
   val find_cycle : from:int -> int list option
   val compensating_waiter : txn:int -> bool
-  val expire : now:float -> Lock_table.expired list
-  val kill : txn:int -> int
   val lock_count : unit -> int
   val waiter_count : unit -> int
-  val oldest_wait : now:float -> float
-  val timeout_count : unit -> int
   val set_observer : (Lock_table.observation -> unit) option -> unit
   val pp_state : Format.formatter -> unit -> unit
 end
@@ -33,12 +29,8 @@ let holders (module M : S) res = M.holders res
 let wait_edges (module M : S) = M.wait_edges ()
 let find_cycle (module M : S) ~from = M.find_cycle ~from
 let compensating_waiter (module M : S) ~txn = M.compensating_waiter ~txn
-let expire (module M : S) ~now = M.expire ~now
-let kill (module M : S) ~txn = M.kill ~txn
 let lock_count (module M : S) = M.lock_count ()
 let waiter_count (module M : S) = M.waiter_count ()
-let oldest_wait (module M : S) ~now = M.oldest_wait ~now
-let timeout_count (module M : S) = M.timeout_count ()
 let set_observer (module M : S) obs = M.set_observer obs
 let pp_state ppf (module M : S) = M.pp_state ppf ()
 
@@ -60,20 +52,8 @@ let of_table ~wait ~deliver table : t =
     let find_cycle ~from = Lock_table.find_cycle table ~from
     let compensating_waiter ~txn = Lock_table.compensating_waiter table ~txn
 
-    let expire ~now =
-      let expired, wakeups = Lock_table.expire_overdue table ~now in
-      deliver wakeups;
-      expired
-
-    let kill ~txn =
-      let tickets = Lock_table.outstanding_tickets table ~txn in
-      List.iter (fun ticket -> deliver (Lock_table.cancel table ~ticket)) tickets;
-      List.length tickets
-
     let lock_count () = Lock_table.lock_count table
     let waiter_count () = Lock_table.waiter_count table
-    let oldest_wait ~now = Lock_table.oldest_wait table ~now
-    let timeout_count () = 0
     let set_observer obs = Lock_table.set_observer table obs
     let pp_state ppf () = Lock_table.pp_state ppf table
   end)

@@ -3,9 +3,12 @@
     Both lock managers — the sequential {!Lock_table} driven by schedulers
     through tickets and wakeups, and the multi-domain sharded table of
     lib/parallel that blocks the calling domain — implement this first-class
-    module type.  The executor, the ACC runtime, the deadlock detector, the
-    watchdog and the drivers all program against [t]; which manager backs an
-    engine is decided once, at construction.
+    module type.  The executor, the ACC runtime, the schedulers'
+    {!Acc_txn.Schedule.sweep} and the drivers all program against [t]; which
+    manager backs an engine is decided once, at construction.  Deadline
+    expiry and victimization are the backend's own business: the sequential
+    scheduler expires and kills through its {!Lock_table}, the multicore
+    engine's tick through the sharded table.
 
     Requests are {!Lock_request.t} values, and a step takes its locks one at
     a time, as it touches each item (§3.3): one {!acquire} per checked
@@ -42,24 +45,8 @@ module type S = sig
   val find_cycle : from:int -> int list option
   val compensating_waiter : txn:int -> bool
 
-  val expire : now:float -> Lock_table.expired list
-  (** Withdraw every non-compensating wait whose deadline passed, deliver
-      the promotions, and (sharded) wake the blocked acquirers with
-      [Lock_timeout].  Tickets in the result are in the backend's encoding
-      (globalized on the sharded table). *)
-
-  val kill : txn:int -> int
-  (** Victimize: withdraw every outstanding wait of the transaction, waking
-      blocked acquirers with [Deadlock_victim] on the sharded backend.
-      Returns the number of waits withdrawn. *)
-
   val lock_count : unit -> int
   val waiter_count : unit -> int
-  val oldest_wait : now:float -> float
-
-  val timeout_count : unit -> int
-  (** Lock waits expired over the backend's lifetime (0 on the sequential
-      backend, which leaves expiry to its scheduler). *)
 
   val set_observer : (Lock_table.observation -> unit) option -> unit
   val pp_state : Format.formatter -> unit -> unit
@@ -84,12 +71,8 @@ val holders : t -> Resource_id.t -> (int * Mode.t * int) list
 val wait_edges : t -> (int * int) list
 val find_cycle : t -> from:int -> int list option
 val compensating_waiter : t -> txn:int -> bool
-val expire : t -> now:float -> Lock_table.expired list
-val kill : t -> txn:int -> int
 val lock_count : t -> int
 val waiter_count : t -> int
-val oldest_wait : t -> now:float -> float
-val timeout_count : t -> int
 val set_observer : t -> (Lock_table.observation -> unit) option -> unit
 val pp_state : Format.formatter -> t -> unit
 
@@ -104,7 +87,5 @@ val of_table :
     request's suspension — the executor passes a closure performing
     [Txn_effect.Wait_lock] (this library cannot depend on the effect
     declarations, which live above it).  [deliver] receives every wakeup
-    list produced by releases, cancellations and expiry, in the order the
-    table produced them.  {!kill} withdraws waits but resuming the
-    victim's fiber remains the scheduler's job, as it always was on this
-    backend. *)
+    list produced by releases and cancellations, in the order the table
+    produced them. *)

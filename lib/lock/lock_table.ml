@@ -13,6 +13,8 @@ type expired = {
   ex_waited : float; (* seconds spent queued, in the table's clock *)
 }
 
+type waits = { waiting : int; oldest : float; overdue : bool }
+
 (* the hold/waiter shapes and all compatibility decisions live in the pure
    [Lock_core], shared with the sharded multi-domain table (lib/parallel) *)
 type hold = Lock_core.hold = {
@@ -734,8 +736,6 @@ let is_overdue ~now w =
   | Some d -> d <= now && not w.w_compensating
   | None -> false
 
-let has_overdue t ~now = Hashtbl.fold (fun _ w acc -> acc || is_overdue ~now w) t.tickets false
-
 (* Withdraw every non-compensating waiter whose deadline has passed.  The
    expired requests are reported to the caller (who turns them into timeout
    aborts); the wakeups are the promotions their withdrawal enabled. *)
@@ -759,8 +759,14 @@ let expire_overdue t ~now =
   in
   (expired, wakeups)
 
-let oldest_wait t ~now =
-  Hashtbl.fold (fun _ w acc -> Float.max acc (now -. w.w_enqueued)) t.tickets 0.
+let waits t ~now =
+  let oldest = ref 0. and overdue = ref false in
+  Hashtbl.iter
+    (fun _ w ->
+      oldest := Float.max !oldest (now -. w.w_enqueued);
+      if is_overdue ~now w then overdue := true)
+    t.tickets;
+  { waiting = Hashtbl.length t.tickets; oldest = !oldest; overdue = !overdue }
 
 let max_bypassed t = Hashtbl.fold (fun _ w acc -> max acc w.w_bypassed) t.tickets 0
 

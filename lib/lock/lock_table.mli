@@ -38,6 +38,13 @@ type expired = {
 }
 (** A queued request withdrawn by {!expire_overdue}. *)
 
+type waits = {
+  waiting : int;  (** outstanding queued requests *)
+  oldest : float;  (** age in seconds of the longest-queued one (0 when none) *)
+  overdue : bool;  (** would {!expire_overdue} withdraw anything? *)
+}
+(** The table's waiters summed up in one pass: {!waits}. *)
+
 (** {2 Decision observations}
 
     Every grant/block decision, grant promotion, release and cancellation can
@@ -161,13 +168,11 @@ val expire_overdue : t -> now:float -> expired list * wakeup list
     caller turns into timeout aborts — and the promotions their withdrawal
     enabled. *)
 
-val has_overdue : t -> now:float -> bool
-(** Would {!expire_overdue} withdraw anything?  Changes nothing, so a
-    caller can look before it enters a mutating section. *)
-
-val oldest_wait : t -> now:float -> float
-(** Age in seconds of the longest-queued outstanding request (0 when the
-    queue is empty) — the watchdog's wedge signal. *)
+val waits : t -> now:float -> waits
+(** Count, oldest age and overdue flag of the outstanding requests, read in
+    one pass at [now] (in the table's clock).  Changes nothing, so a caller
+    can look before it enters a mutating section; the engine's tick samples
+    its gauges and its wedge signal from it. *)
 
 val max_bypassed : t -> int
 (** Largest bypass count over outstanding waiters (fairness introspection). *)

@@ -9,7 +9,7 @@
     [+Inf] bucket.
 
     There is no HTTP server here on purpose: the binaries dump to a file
-    ([--metrics-dump], the watchdog's periodic hook) and anything that wants
+    ([--metrics-dump], the engine tick's periodic hook) and anything that wants
     a [/metrics] endpoint can serve that file. *)
 
 val to_string : ?registry:Registry.t -> unit -> string

@@ -1,6 +1,6 @@
 (* A process-wide metric registry: every counter/gauge/histogram in the
    system registers under a stable Prometheus-style name so one snapshot
-   call can see them all (the Prom exposition, the watchdog's periodic dump,
+   call can see them all (the Prom exposition, the engine tick's periodic dump,
    the binaries' --metrics-dump).
 
    Registration is rare (engine/coordinator construction) and snapshots are

@@ -2,7 +2,7 @@
 
     Every counter, gauge and histogram in the system registers here under a
     stable Prometheus-style name so one {!snapshot} sees them all — the
-    {!Prom} exposition, the watchdog's periodic dump hook and the binaries'
+    {!Prom} exposition, the engine tick's periodic dump hook and the binaries'
     [--metrics-dump] all read from it.  An engine counter is named once,
     dotted ([lock.victims]), and {!prom_name} derives its series name
     ([acc_lock_victims_total]); DESIGN.md §16 has the naming scheme.

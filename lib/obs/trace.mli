@@ -77,7 +77,7 @@ type event =
           for the in-flight cap, ["watermark"] for the abort-rate shedder,
           ["degraded"] while degraded mode is on) *)
   | Degraded of { on : bool; oldest_wait : float }
-      (** the watchdog tripped (or cleared) degraded mode; [oldest_wait] is
+      (** the engine's tick tripped (or cleared) degraded mode; [oldest_wait] is
           the oldest-waiter age that triggered the transition *)
   | Prepare of { txn : int; gid : int }
       (** a 2PC participant branch voted yes for global transaction [gid];

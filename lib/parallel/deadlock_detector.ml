@@ -1,8 +1,6 @@
-module Lock_service = Acc_lock.Lock_service
 module Counter = Acc_util.Metrics.Counter
 
-(* Periodic sweep over the global waits-for graph, run by the engine's
-   background domain.
+(* A sweep over the global waits-for graph, run by the engine's tick.
 
    The edge snapshot is assembled shard by shard, so it is not an atomic
    picture of the whole table — but a real deadlock is stable (none of its
@@ -14,12 +12,11 @@ module Counter = Acc_util.Metrics.Counter
    cancels waits that still exist at kill time. *)
 
 let sweep locks =
-  Acc_txn.Schedule.sweep Acc_txn.Schedule.spare_compensating locks ~kill:(fun txn ->
-      Lock_service.kill locks ~txn)
+  Acc_txn.Schedule.sweep Acc_txn.Schedule.spare_compensating
+    (Sharded_lock_table.service locks) ~kill:(fun txn -> Sharded_lock_table.kill locks ~txn)
 
-type t = { locks : Lock_service.t; sweeps : Counter.t; victims : Counter.t }
+type t = { locks : Sharded_lock_table.t; sweeps : Counter.t; victims : Counter.t }
 
-let default_cadence = 0.02
 let create locks = { locks; sweeps = Counter.create (); victims = Counter.create () }
 
 let run t =

@@ -2,14 +2,13 @@
 
     Blocking {!Sharded_lock_table.acquire_req} cannot run an at-block cycle
     check the way the sequential scheduler does (it would need a consistent
-    global graph while holding one shard's mutex), so the engine's
-    background domain ({!Engine}) periodically runs the sequential
-    scheduler's own {!Acc_txn.Schedule.sweep} over the
-    {!Acc_lock.Lock_service.t} it is given, with the paper's §3.4 victim
-    policy ({!Acc_txn.Schedule.spare_compensating} — never a transaction
-    waiting on behalf of a compensating step) and
-    {!Acc_lock.Lock_service.kill} to withdraw the victims' waits.  This
-    module spawns no domain.
+    global graph while holding one shard's mutex), so the engine's tick
+    ({!Engine}) runs the sequential scheduler's own
+    {!Acc_txn.Schedule.sweep} over the table's {!Sharded_lock_table.service}
+    view, with the paper's §3.4 victim policy
+    ({!Acc_txn.Schedule.spare_compensating} — never a transaction waiting on
+    behalf of a compensating step) and {!Sharded_lock_table.kill} to
+    withdraw the victims' waits.  This module spawns no domain.
 
     Snapshots are per-shard and therefore not globally atomic; real
     deadlocks are stable and always found, while a stale snapshot can at
@@ -17,20 +16,17 @@
     wasted work, never lost safety). *)
 
 type t
-(** A service to sweep, with the counts of the sweeps run so far. *)
+(** A table to sweep, with the counts of the sweeps run so far. *)
 
-val default_cadence : float
-(** 20ms between sweeps. *)
-
-val sweep : Acc_lock.Lock_service.t -> int
+val sweep : Sharded_lock_table.t -> int
 (** One synchronous detection pass; returns the number of waits victimized.
     Exposed for deterministic tests. *)
 
-val create : Acc_lock.Lock_service.t -> t
-(** A detector for the service, with no sweep run yet. *)
+val create : Sharded_lock_table.t -> t
+(** A detector for the table, with no sweep run yet. *)
 
 val run : t -> unit
-(** One {!sweep} of the detector's service, counted in {!sweeps} and
+(** One {!sweep} of the detector's table, counted in {!sweeps} and
     {!victims}. *)
 
 val sweeps : t -> int

@@ -44,8 +44,8 @@ module Txn_effect = Acc_txn.Txn_effect
    the decision window and the install is rolled back (it was never
    acknowledged, so at worst it transiently over-blocked — never
    under-blocks).  Sections that change no table (introspection, the
-   watchdog's and detector's walks) take the mutex without touching the
-   seqlock, so they never force a retreat.  Conversely, a slow request
+   engine tick's and the detector's walks) take the mutex without touching
+   the seqlock, so they never force a retreat.  Conversely, a slow request
    {e migrates} the fast holds of its resource (and — for child-sweep
    requests — of the whole table's tuples) into the lock table before
    deciding, so the sequential decision path sees every hold.  Either the
@@ -69,7 +69,7 @@ type shard = {
   table : Lock_table.t;
   granted : (int, unit) Hashtbl.t;  (* global tickets granted while waiter slept *)
   victims : (int, unit) Hashtbl.t;  (* global tickets cancelled by the detector *)
-  timed_out : (int, unit) Hashtbl.t;  (* global tickets expired by the watchdog *)
+  timed_out : (int, unit) Hashtbl.t;  (* global tickets expired by [expire] *)
   seq : int Atomic.t;
       (* seqlock: odd while a mutex-held mutating section runs; even and
          stable across a fast path's [read … CAS … recheck] window proves no
@@ -102,11 +102,13 @@ type t = {
   use_fast : bool;
   timeouts : int Atomic.t;  (* lock waits expired over the table's lifetime *)
   mutex_ops : int Atomic.t;
-      (* explicit shard-mutex acquisitions (one per synchronous operation,
-         one per blocking acquire, one per attach that misses the fast path)
-         — the quantity the fast path avoids entirely.
-         Condition.wait's internal reacquisitions are not counted: they are
-         wakeups, not request round-trips. *)
+      (* mutating sections entered (one per synchronous operation that may
+         change a table, one per blocking acquire or attach that misses the
+         fast path) — the quantity the fast path avoids entirely.  Read-only
+         sections are not counted: they are the engine's own walks and
+         introspection, not lock traffic.  Condition.wait's internal
+         reacquisitions are not counted either: they are wakeups, not
+         request round-trips. *)
   fast_attempts : int Atomic.t;  (* fast-path installs attempted *)
   fast_hits : int Atomic.t;  (* fast-path installs that stuck *)
   mutable obs : (Lock_table.observation -> unit) option;
@@ -130,8 +132,9 @@ let parent_bucket = function
   | Resource_id.Table _ -> -1
 
 (* OCaml's [Condition] has no timed wait, so deadline expiry cannot be driven
-   by the waiter itself: an external sweeper (the engine's watchdog tick, on
-   its background domain) calls {!expire} periodically, which cancels overdue waits and broadcasts.
+   by the waiter itself: an external sweeper (the engine's tick, on its
+   background domain) calls {!expire} periodically, which cancels overdue
+   waits and broadcasts.
    The shard clock is wall-clock time; deadlines passed to {!acquire} are
    absolute [Unix.gettimeofday] values. *)
 let create ?(shards = default_shards) ?max_bypass ?(fast = true) sem =
@@ -207,10 +210,10 @@ let with_shard t s f =
 
 (* A read-only section: the mutex without the seqlock, for operations that
    change no table.  A fast install racing it need not retreat, since no
-   grant decision can depend on what it does.  Nothing in it may create or
-   collect a table entry (the entry hook would move a gate unseen). *)
-let with_shard_ro t s f =
-  Atomic.incr t.mutex_ops;
+   grant decision can depend on what it does, and it does not count in
+   [mutex_ops].  Nothing in it may create or collect a table entry (the
+   entry hook would move a gate unseen). *)
+let with_shard_ro s f =
   Mutex.lock s.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.mu) f
 
@@ -698,16 +701,16 @@ let cancel t ~ticket =
 
 let outstanding t ~ticket =
   let s = t.shards.(ticket_shard t ticket) in
-  with_shard_ro t s (fun () -> Lock_table.outstanding s.table ~ticket:(localize t ticket))
+  with_shard_ro s (fun () -> Lock_table.outstanding s.table ~ticket:(localize t ticket))
 
 (* Fold a per-table quantity over the shards whose table may be non-empty.
    Waiters live only in the lock table, so this covers every waiter-directed
    walk; the emptiness snapshot is refreshed on slow-section exit, so a miss
-   can only last one watchdog or detector cadence. *)
+   can only last one tick of the engine. *)
 let fold_tables t f combine init =
   Array.fold_left
     (fun acc s ->
-      if table_nonempty s then combine acc (with_shard_ro t s (fun () -> f s.table)) else acc)
+      if table_nonempty s then combine acc (with_shard_ro s (fun () -> f s.table)) else acc)
     init t.shards
 
 (* the shards where [txn] may hold or wait, each read in a read-only section *)
@@ -716,7 +719,7 @@ let fold_txn_shards t ~txn f =
   Array.iteri
     (fun idx s ->
       if Atomic.get s.activity.(txn_slot txn) <> 0 then
-        acc := !acc @ with_shard_ro t s (fun () -> f idx s))
+        acc := !acc @ with_shard_ro s (fun () -> f idx s))
     t.shards;
   !acc
 
@@ -733,7 +736,7 @@ let holders t res =
   let s = t.shards.(shard_index t res) in
   let bi = bucket_index res in
   let locked () =
-    with_shard_ro t s (fun () -> Lock_table.holders s.table res @ fast_holders s bi res)
+    with_shard_ro s (fun () -> Lock_table.holders s.table res @ fast_holders s bi res)
   in
   let seq0 = Atomic.get s.seq in
   if seq0 land 1 = 0 && Atomic.get s.bucket_entries.(bi) = 0 then
@@ -761,7 +764,7 @@ let compensating_waiter t ~txn =
   Array.exists
     (fun s ->
       Atomic.get s.activity.(txn_slot txn) <> 0
-      && with_shard_ro t s (fun () -> Lock_table.compensating_waiter s.table ~txn))
+      && with_shard_ro s (fun () -> Lock_table.compensating_waiter s.table ~txn))
     t.shards
 
 (* a per-bucket quantity summed over every bucket, lock-free *)
@@ -776,56 +779,69 @@ let lock_count t =
 
 let waiter_count t = fold_tables t Lock_table.waiter_count ( + ) 0
 let entry_count t = fold_tables t Lock_table.entry_count ( + ) 0 + sum_buckets t List.length
-let oldest_wait t ~now = fold_tables t (Lock_table.oldest_wait ~now) Float.max 0.
 let max_bypassed t = fold_tables t Lock_table.max_bypassed max 0
 
-(* --- deadline expiry (watchdog side) ------------------------------------ *)
+(* --- deadline expiry (the engine's tick) -------------------------------- *)
 
-(* Withdraw every overdue wait, wake its blocked acquirer with
-   [Txn_effect.Lock_timeout], and publish the promotions the withdrawals
-   enabled.  Returns the expired requests with globalized tickets.  Shards
-   with an empty lock table hold no waiters and are skipped without touching
-   their mutex; a shard with no overdue waiter costs one read-only section,
-   so a watchdog tick with nothing to expire never moves a seqlock and never
-   makes a racing fast install retreat. *)
+let no_waits = { Lock_table.waiting = 0; oldest = 0.; overdue = false }
+
+let add_waits (a : Lock_table.waits) (b : Lock_table.waits) =
+  {
+    Lock_table.waiting = a.waiting + b.waiting;
+    oldest = Float.max a.oldest b.oldest;
+    overdue = a.overdue || b.overdue;
+  }
+
+(* Expire one shard's overdue waits in a mutating section: mark each for its
+   sleeper, publish the promotions, and sum up the waits left behind. *)
+let expire_shard t idx s ~now =
+  with_shard t s (fun () ->
+      let overdue, wakeups = Lock_table.expire_overdue s.table ~now in
+      let overdue =
+        List.map
+          (fun ex ->
+            let g = globalize t idx ex.Lock_table.ex_ticket in
+            Hashtbl.replace s.timed_out g ();
+            Atomic.incr t.timeouts;
+            { ex with Lock_table.ex_ticket = g })
+          overdue
+      in
+      ignore (publish t idx s wakeups);
+      if overdue <> [] then Condition.broadcast s.cond;
+      (Lock_table.waits s.table ~now, overdue))
+
+(* One read-only section per shard whose table may hold an entry sums up
+   its waits; only a shard with something overdue enters a mutating section
+   to expire it.  So a tick with nothing to expire moves no seqlock, makes
+   no racing fast install retreat, and counts nothing in [mutex_ops]. *)
 let expire t ~now =
-  let all = ref [] in
+  let waits = ref no_waits and expired = ref [] in
   Array.iteri
     (fun idx s ->
-      if
-        table_nonempty s
-        && with_shard_ro t s (fun () -> Lock_table.has_overdue s.table ~now)
-      then
-        with_shard t s (fun () ->
-            let expired, wakeups = Lock_table.expire_overdue s.table ~now in
-            if expired <> [] then begin
-              List.iter
-                (fun ex ->
-                  Hashtbl.replace s.timed_out
-                    (globalize t idx ex.Lock_table.ex_ticket)
-                    ();
-                  Atomic.incr t.timeouts)
-                expired;
-              ignore (publish t idx s wakeups);
-              Condition.broadcast s.cond;
-              all :=
-                List.map
-                  (fun ex ->
-                    { ex with Lock_table.ex_ticket = globalize t idx ex.Lock_table.ex_ticket })
-                  expired
-                @ !all
-            end
-            else ignore (publish t idx s wakeups)))
+      if table_nonempty s then begin
+        let w = with_shard_ro s (fun () -> Lock_table.waits s.table ~now) in
+        let w =
+          if not w.Lock_table.overdue then w
+          else begin
+            let w, overdue = expire_shard t idx s ~now in
+            expired := overdue @ !expired;
+            w
+          end
+        in
+        waits := add_waits !waits w
+      end)
     t.shards;
-  !all
+  (!waits, !expired)
 
 (* --- victimization (detector side) -------------------------------------- *)
 
+(* Only shards where the victim may wait are entered: its activity counter
+   (which counts waiters too) and a non-empty table. *)
 let kill t ~txn =
   let killed = ref 0 in
   Array.iteri
     (fun idx s ->
-      if table_nonempty s then
+      if Atomic.get s.activity.(txn_slot txn) <> 0 && table_nonempty s then
         with_shard t s (fun () ->
             List.iter
               (fun local ->
@@ -896,7 +912,7 @@ let acquire_req t (r : Lock_request.t) =
 let pp_state ppf t =
   Array.iteri
     (fun idx s ->
-      with_shard_ro t s (fun () ->
+      with_shard_ro s (fun () ->
           if Lock_table.entry_count s.table > 0 then
             Format.fprintf ppf "shard %d:@.%a" idx Lock_table.pp_state s.table;
           Array.iter
@@ -927,12 +943,8 @@ let service t : Lock_service.t =
     let wait_edges () = wait_edges t
     let find_cycle ~from = Lock_core.find_cycle ~edges:(wait_edges ()) ~from
     let compensating_waiter ~txn = compensating_waiter t ~txn
-    let expire ~now = expire t ~now
-    let kill ~txn = kill t ~txn
     let lock_count () = lock_count t
     let waiter_count () = waiter_count t
-    let oldest_wait ~now = oldest_wait t ~now
-    let timeout_count () = timeout_count t
     let set_observer obs = set_observer t obs
     let pp_state ppf () = pp_state ppf t
   end)

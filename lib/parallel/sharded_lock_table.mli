@@ -22,9 +22,10 @@
     absolute mode, or seqlock movement falls back to the mutex path, after
     {e migrating} the resource's fast holds into the lock table so the
     sequential decision logic — {!Acc_lock.Lock_core}, unchanged — sees
-    every hold.  Operations that change no table (introspection, the
-    watchdog's and detector's walks) take the mutex without moving the
-    seqlock, so they never force a fast install to retreat.  The installed
+    every hold.  Operations that change no table (introspection, the engine
+    tick's and the detector's walks) take the mutex in a read-only section:
+    it does not move the seqlock, so it never forces a fast install to
+    retreat, and it does not count in {!mutex_acquisitions}.  The installed
     observer fires on both paths.
 
     Tickets returned here are globally unique encodings of per-shard tickets
@@ -53,14 +54,15 @@ val timeout_count : t -> int
 (** Lock waits expired by {!expire} over the table's lifetime. *)
 
 val mutex_acquisitions : t -> int
-(** Explicit shard-mutex acquisitions over the table's lifetime: one per
-    synchronous operation that visits a shard, one per blocking
+(** Mutating shard sections over the table's lifetime: one per synchronous
+    operation that may change a shard's table, one per blocking
     {!acquire_req} that misses the fast path, and one per {!attach_req} that
-    misses it — the quantity the fast path avoids entirely.
-    Fast-path installs, lock-free {!holders} reads, and shards skipped by the
-    per-transaction activity index or because their table is empty cost
-    none.  Condition-variable reacquisitions during sleeps are not
-    counted. *)
+    misses it — the quantity the fast path avoids entirely.  Fast-path
+    installs and releases, shards skipped by the per-transaction activity
+    index or because their table is empty, and read-only sections (counts,
+    {!wait_edges}, {!holders}, {!expire}'s look at a shard with nothing
+    overdue) cost none, so an idle engine's tick leaves it still.
+    Condition-variable reacquisitions during sleeps are not counted. *)
 
 val fast_attempts : t -> int
 (** Lock-free fast-path installs attempted by requests ({!acquire_req},
@@ -116,26 +118,28 @@ val lock_count : t -> int
 val waiter_count : t -> int
 val entry_count : t -> int
 
-val oldest_wait : t -> now:float -> float
-(** Age in seconds of the longest-queued outstanding wait across all shards
-    (0 when idle) — the watchdog's wedge signal. *)
-
 val max_bypassed : t -> int
 (** Largest bounded-bypass count over outstanding waiters, across shards. *)
 
-val expire : t -> now:float -> Acc_lock.Lock_table.expired list
+val expire :
+  t -> now:float -> Acc_lock.Lock_table.waits * Acc_lock.Lock_table.expired list
 (** Withdraw every non-compensating wait whose deadline is at or before
     [now], wake the blocked acquirers with [Txn_effect.Lock_timeout], and
-    publish the promotions the withdrawals enabled.  Driven periodically by
-    the engine's watchdog tick (OCaml's [Condition] has no timed wait, so
-    waiters cannot expire themselves).  A shard with no overdue waiter is
-    only read, so a tick with nothing to expire makes no fast install
-    retreat.  Returned tickets are globalized. *)
+    publish the promotions the withdrawals enabled.  Returns the waits left
+    behind, summed over the shards (count, oldest age as of [now], and no
+    overdue one), with the expired requests, whose tickets are globalized.
+    Run by the engine's tick (OCaml's [Condition] has no timed wait, so
+    waiters cannot expire themselves): each shard whose table has an entry
+    costs one read-only section, and only a shard with something overdue
+    enters a mutating section, so a tick with nothing to expire counts
+    nothing in {!mutex_acquisitions} and makes no fast install retreat. *)
 
 val kill : t -> txn:int -> int
 (** Victimize: cancel every outstanding wait of the transaction and wake the
-    blocked acquirer with {!Acc_txn.Txn_effect.Deadlock_victim}.  Returns the
-    number of waits cancelled (0 if the transaction was not waiting). *)
+    blocked acquirer with {!Acc_txn.Txn_effect.Deadlock_victim}.  Enters a
+    mutating section only on shards where the transaction's activity counter
+    says it may wait.  Returns the number of waits cancelled (0 if the
+    transaction was not waiting). *)
 
 (** {2 Blocking surface} *)
 
@@ -151,6 +155,7 @@ val pp_state : Format.formatter -> t -> unit
 
 val service : t -> Acc_lock.Lock_service.t
 (** The table as a {!Acc_lock.Lock_service.t}: [acquire] is the blocking
-    surface above, [expire]/[kill] wake sleepers, counters sum
-    across shards.  This is what {!Engine} hands to the executor, the
-    deadlock detector and the watchdog. *)
+    surface above, counters sum across shards.  This is what {!Engine}
+    hands to the executor, and what {!Deadlock_detector} sweeps through
+    ({!Acc_txn.Schedule.sweep}); expiry and victimization stay on this
+    module ({!expire}, {!kill}). *)

@@ -39,8 +39,6 @@ let make ?(params = Params.default) ?(skewed_district = false) ?(mix = Standard)
   let partitioned = partitioning params in
   (module struct
     let name = "tpcc"
-    let describe = "the paper's Sec 5 workload: five txn types over one warehouse"
-    let conflict_shape = "district counter hotspot; payment/new-order ytd overlap"
 
     type input = Txns.input
     type nonrec env = env

@@ -36,3 +36,27 @@ exception Abort_requested
 exception Stuck of string
 (** Raised by schedulers when no fiber is runnable but some are still
     suspended: indicates a scheduling bug or an undetected deadlock. *)
+
+(* The one handler outside the simulator, for callers whose lock backend
+   never suspends a fiber: it answers [Yield] with [on_yield] and resumes,
+   and a lock wait reaching it is a protocol bug. *)
+let run_inline : type r. on_yield:(int -> unit) -> (unit -> r) -> r =
+ fun ~on_yield f ->
+  Effect.Deep.match_with f ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type b) (eff : b Effect.t) ->
+          match eff with
+          | Yield attempt ->
+              Some
+                (fun (k : (b, r) Effect.Deep.continuation) ->
+                  on_yield attempt;
+                  Effect.Deep.continue k ())
+          | Wait_lock _ ->
+              Some
+                (fun (_ : (b, r) Effect.Deep.continuation) ->
+                  raise (Stuck "Wait_lock under a handler with no fiber to park"))
+          | _ -> None);
+    }

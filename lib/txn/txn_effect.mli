@@ -48,3 +48,9 @@ exception Abort_requested
 exception Stuck of string
 (** Raised by schedulers when no fiber is runnable but some are still
     suspended: indicates a scheduling bug or an undetected deadlock. *)
+
+val run_inline : on_yield:(int -> unit) -> (unit -> 'r) -> 'r
+(** Run a transaction body on the calling fiber, for a lock backend that
+    never suspends one (the multicore engine's blocking table, or crash
+    replay on a quiesced engine): [Yield attempt] runs [on_yield attempt]
+    and resumes at once; [Wait_lock] raises {!Stuck}. *)

@@ -11,7 +11,7 @@ end
 
 module Gauge = struct
   (* A boxed-float atomic: set allocates, so gauges belong on sampling paths
-     (the watchdog's cadence), not per-operation hot paths. *)
+     (the engine's tick), not per-operation hot paths. *)
   type t = float Atomic.t
 
   let create () = Atomic.make 0.
@@ -56,28 +56,25 @@ module Histogram = struct
      linearly inside the winning bucket. *)
 
   type t = {
-    base : float;  (* upper bound of bucket 0, in the recorded unit *)
     counts : int Atomic.t array;
     total : int Atomic.t;
     sum_ns : int Atomic.t;  (* sum scaled by 1e9 to stay an atomic int *)
   }
 
-  let default_base = 1e-6
-  let default_buckets = 48
+  let base = 1e-6
+  let buckets = 48
 
-  let create ?(base = default_base) ?(buckets = default_buckets) () =
-    if base <= 0. || buckets < 2 then invalid_arg "Histogram.create";
+  let create () =
     {
-      base;
       counts = Array.init buckets (fun _ -> Atomic.make 0);
       total = Atomic.make 0;
       sum_ns = Atomic.make 0;
     }
 
   let bucket_of t v =
-    if not (v > t.base) then 0
+    if not (v > base) then 0
     else
-      let i = 1 + int_of_float (Float.floor (Float.log2 (v /. t.base) -. 1e-9)) in
+      let i = 1 + int_of_float (Float.floor (Float.log2 (v /. base) -. 1e-9)) in
       min i (Array.length t.counts - 1)
 
   let record t v =
@@ -167,7 +164,7 @@ module Histogram = struct
 
   let snapshot t =
     {
-      Snapshot.base = t.base;
+      Snapshot.base;
       counts = Array.map Atomic.get t.counts;
       sum = float_of_int (Atomic.get t.sum_ns) /. 1e9;
     }

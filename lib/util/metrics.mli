@@ -40,7 +40,7 @@ end
 
 module Gauge : sig
   type t
-  (** A last-value float cell any domain may set or read (e.g. the watchdog's
+  (** A last-value float cell any domain may set or read (e.g. the engine tick's
       sampled queue depth and oldest-waiter age).  [set] boxes the float, so
       use gauges on sampling cadences, not per-operation hot paths. *)
 
@@ -89,13 +89,14 @@ module Histogram : sig
       and O(1) hot path for ~2× worst-case relative quantile error (one
       bucket width). *)
 
-  val default_base : float
-  (** [1e-6] — with seconds as the unit, bucket 0 is "at most 1µs". *)
+  val base : float
+  (** [1e-6], the upper bound of bucket 0 — with seconds as the unit,
+      bucket 0 is "at most 1µs". *)
 
-  val default_buckets : int
+  val buckets : int
   (** 48 — an upper span of 1µs·2{^47} ≈ 1.6 days. *)
 
-  val create : ?base:float -> ?buckets:int -> unit -> t
+  val create : unit -> t
 
   val record : t -> float -> unit
   (** Negative and NaN samples are clamped to 0 (they land in bucket 0).

@@ -77,20 +77,3 @@ module Tally = struct
     List.iter (add s) (List.rev (List.filteri (fun i _ -> i < t.count - n) t.values));
     s
 end
-
-module Counter = struct
-  type t = (string, int) Hashtbl.t
-
-  let create () = Hashtbl.create 16
-
-  let add t name n =
-    let cur = Option.value ~default:0 (Hashtbl.find_opt t name) in
-    Hashtbl.replace t name (cur + n)
-
-  let incr t name = add t name 1
-  let get t name = Option.value ~default:0 (Hashtbl.find_opt t name)
-
-  let to_list t =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-end

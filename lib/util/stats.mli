@@ -32,16 +32,3 @@ module Tally : sig
   (** [since t n]: a tally of the observations added to [t] after its first
       [n] ([t] unchanged). *)
 end
-
-module Counter : sig
-  (** Named integer counters, e.g. commits/aborts/deadlocks per experiment. *)
-
-  type t
-
-  val create : unit -> t
-  val incr : t -> string -> unit
-  val add : t -> string -> int -> unit
-  val get : t -> string -> int
-  val to_list : t -> (string * int) list
-  (** Sorted by name. *)
-end

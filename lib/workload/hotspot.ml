@@ -263,8 +263,6 @@ let make (spec : W.spec) : W.t =
   let mix = spec.W.mix in
   (module struct
     let name = "hotspot"
-    let describe = "Zipfian multi-row increments; step-boundary release vs 2PL hold-to-commit"
-    let conflict_shape = "k-row read-modify-write on Zipf-hot counters"
 
     type nonrec input = input
     type nonrec env = env

@@ -386,8 +386,6 @@ let make (spec : W.spec) : W.t =
   let mix = spec.W.mix in
   (module struct
     let name = "longreader"
-    let describe = "long audit scans vs two-step posts; shadow predicate-lock comparator"
-    let conflict_shape = "region-predicate readers against point-write transfer pairs"
 
     type nonrec input = input
     type nonrec env = env

@@ -373,8 +373,6 @@ let make (spec : W.spec) : W.t =
   let mix = spec.W.mix in
   (module struct
     let name = "order-processing"
-    let describe = "the paper's Sec 4 scenario: counter-gated orders with admission-locked bills"
-    let conflict_shape = "global order counter + admission gate on in-flight orders"
 
     type nonrec input = input
     type nonrec env = env

@@ -551,8 +551,6 @@ let make (spec : W.spec) : W.t =
   let mix = spec.W.mix in
   (module struct
     let name = "smallbank"
-    let describe = "SmallBank banking mix; write-skew anomaly guarded by an interstep assertion"
-    let conflict_shape = "read-two-balances/deduct-one write-skew on hot accounts"
 
     type nonrec input = input
     type nonrec env = env

@@ -268,8 +268,6 @@ let make (spec : W.spec) : W.t =
   let mix = spec.W.mix in
   (module struct
     let name = "stock-trading"
-    let describe = "multi-lot buys with no interstep assertions; histories need not be CSR"
-    let conflict_shape = "all buys chase the cheapest lot; pure write-write contention"
 
     type nonrec input = input
     type nonrec env = env

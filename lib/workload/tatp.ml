@@ -353,8 +353,6 @@ let make (spec : W.spec) : W.t =
   let mix = spec.W.mix in
   (module struct
     let name = "tatp"
-    let describe = "TATP-style read-mostly telecom mix with pipelined location updates"
-    let conflict_shape = "80% point reads; counter-claim pipeline on hot subscribers"
 
     type nonrec input = input
     type nonrec env = env

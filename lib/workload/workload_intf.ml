@@ -84,11 +84,6 @@ let capability ~who ~name ~partitions = function
 
 module type S = sig
   val name : string
-  val describe : string
-  (** One-line summary for [--workload] listings. *)
-
-  val conflict_shape : string
-  (** Short label for docs/bench tables, e.g. "write-skew on two balances". *)
 
   type input
   (** One generated transaction request: all randomness is drawn at

@@ -335,7 +335,7 @@ let test_histogram_clamps () =
   Metrics.Histogram.record h Float.nan;
   Alcotest.(check int) "both counted" 2 (Metrics.Histogram.count h);
   match Metrics.Histogram.nonzero_buckets h with
-  | [ (ub, 2) ] -> Alcotest.(check bool) "bucket 0" true (ub <= Metrics.Histogram.default_base +. 1e-12)
+  | [ (ub, 2) ] -> Alcotest.(check bool) "bucket 0" true (ub <= Metrics.Histogram.base +. 1e-12)
   | _ -> Alcotest.fail "expected everything in bucket 0"
 
 let test_histogram_multi_domain () =

@@ -87,7 +87,7 @@ let woken_txns wakeups =
 let sorted_held tbl_held = List.sort compare tbl_held
 
 (* Run [f] while another domain loops over the read-only walks the
-   watchdog and the deadlock detector make.  They share the shard mutexes
+   engine's tick and the deadlock detector make.  They share the shard mutexes
    with [f]'s slow sections but must never change a decision. *)
 let with_walker sha f =
   let stop = Atomic.make false in
@@ -375,7 +375,7 @@ let test_fast_shared_buckets () =
   Alcotest.(check int) "no residue" 0 (Sharded.lock_count t);
   Alcotest.(check int) "no entries" 0 (Sharded.entry_count t)
 
-(* The watchdog's walks leave a long-lived assertional hold on the fast
+(* The engine tick's walks leave a long-lived assertional hold on the fast
    path.  A foreign A 100 sits on a tuple while a second domain calls
    [waiter_count], [lock_count], [wait_edges] and [expire] every
    millisecond, and X rounds on the tuple from step 11 (which does not
@@ -525,7 +525,7 @@ let test_deadlock_kill () =
         while !victims = 0 && !attempts < 2000 do
           incr attempts;
           Unix.sleepf 0.002;
-          victims := !victims + Detector.sweep (Sharded.service t)
+          victims := !victims + Detector.sweep t
         done;
         !victims)
   in
@@ -551,7 +551,7 @@ let test_victim_policy_spares_compensation () =
   Sharded.acquire_req t (Lock_request.make ~txn:2 ~step_type:0 Mode.X b);
   ignore (Sharded.submit t (Lock_request.make ~txn:1 ~step_type:0 ~compensating:true Mode.X b));
   ignore (Sharded.submit t (Lock_request.make ~txn:2 ~step_type:0 Mode.X a));
-  ignore (Detector.sweep (Sharded.service t));
+  ignore (Detector.sweep t);
   (* txn 1's wait must survive; txn 2's must have been cancelled *)
   Alcotest.(check int) "compensating wait survives" 1
     (List.length (Sharded.outstanding_tickets t ~txn:1));
@@ -561,7 +561,7 @@ let test_victim_policy_spares_compensation () =
 (* --- lock-wait deadlines under real domains (DESIGN.md §13) ------------- *)
 
 (* A real two-domain deadlock where one side carries a wait deadline: the
-   expiry sweep (the watchdog's job, driven manually here) must break the
+   expiry sweep (the engine tick's job, driven manually here) must break the
    cycle by timing that side out, and the subsequent detector pass and kill
    must find nothing left — timeout before detection never double-aborts or
    leaks a queue entry. *)
@@ -605,7 +605,7 @@ let test_timeout_breaks_cycle () =
   | `Granted -> Alcotest.fail "deadlocked wait was granted");
   Alcotest.(check int) "exactly one timeout" 1 (Sharded.timeout_count t);
   (* the cycle is already broken: detection and victimization find nothing *)
-  Alcotest.(check int) "detector sweep finds no cycle" 0 (Detector.sweep (Sharded.service t));
+  Alcotest.(check int) "detector sweep finds no cycle" 0 (Detector.sweep t);
   Alcotest.(check int) "kill after timeout is a no-op" 0 (Sharded.kill t ~txn:2);
   (* txn 2's release promoted the survivor's queued request *)
   (match g with
@@ -691,68 +691,94 @@ let test_admission_gate () =
           Alcotest.(check (float 0.)) "inflight drains to zero" 0. (inflight e)
       | _ -> Alcotest.fail "initial admissions refused")
 
+(* The tick samples its gauges after it expires: a waiter whose 100 ms
+   deadline passes is withdrawn by the tick that finds it overdue before
+   that tick sums up the waits, so the peak oldest wait stays below the
+   deadline, while earlier ticks saw the waiter queued and later ones see
+   the queue empty. *)
+let test_gauges_after_expiry () =
+  let e = Engine.create ~shards:2 ~sem:Mode.no_semantics (Acc_relation.Database.create ()) in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      let locks = Engine.locks e in
+      let r = Resource_id.Table "t" and deadline = 0.1 in
+      Sharded.acquire_req locks (Lock_request.make ~txn:1 ~step_type:0 Mode.X r);
+      let waiter =
+        Domain.spawn (fun () ->
+            match
+              Sharded.acquire_req locks
+                (Lock_request.make ~txn:2 ~step_type:0
+                   ~deadline:(Unix.gettimeofday () +. deadline) Mode.X r)
+            with
+            | () -> `Granted
+            | exception Txn_effect.Lock_timeout -> `Timed_out)
+      in
+      Alcotest.(check bool) "the wait timed out" true (Domain.join waiter = `Timed_out);
+      (* two more ticks: the expiring one has then sampled its gauges *)
+      let ticks () = Engine.counter (Engine.stats e) "watchdog.ticks" in
+      let t0 = ticks () in
+      while ticks () < t0 + 2 do
+        Unix.sleepf 0.001
+      done;
+      let stats = Engine.stats e in
+      let gauge name =
+        match List.assoc name stats with
+        | Acc_obs.Registry.S_gauge v -> v
+        | _ -> Alcotest.failf "%s is not a gauge" name
+      in
+      Alcotest.(check int) "one timeout" 1 (Engine.counter stats "lock.timeouts");
+      Alcotest.(check (float 0.)) "peak queue depth saw the waiter" 1.
+        (gauge "watchdog.peak_queue_depth");
+      let peak = gauge "watchdog.peak_oldest_wait_s" in
+      if not (peak > 0. && peak < deadline) then
+        Alcotest.failf "peak oldest wait %.4f s, not within (0, %.3f s)" peak deadline;
+      Alcotest.(check (float 0.)) "queue empty after expiry" 0. (gauge "watchdog.queue_depth");
+      Alcotest.(check (float 0.)) "no oldest wait after expiry" 0.
+        (gauge "watchdog.oldest_wait_s");
+      ignore (Sharded.release_all locks ~txn:1))
+
 (* --- the engine's background domain ------------------------------------- *)
 
-module Watchdog = Acc_parallel.Watchdog
-
-(* One domain runs the deadlock sweep and the watchdog tick, each on its own
-   cadence whichever is the shorter: both counts keep advancing, a
-   cross-domain deadlock is still broken, and [shutdown] joins the domain.
-   The bounds are a quarter of the nominal counts, so a slow runner does not
-   flake. *)
+(* One domain runs the tick and, when two transactions wait, the deadlock
+   sweep: ticks keep advancing, a cross-domain deadlock is broken with
+   exactly one victim, and [shutdown] joins the domain.  The tick bound is a
+   quarter of the nominal count, so a slow runner does not flake. *)
 let test_background_domain () =
-  List.iter
-    (fun (detector_cadence, watchdog_cadence) ->
-      let label = Printf.sprintf "%.0f ms / %.0f ms" (detector_cadence *. 1e3) (watchdog_cadence *. 1e3) in
-      let e =
-        Engine.create ~shards:4 ~detector_cadence ~watchdog_cadence ~sem:Mode.no_semantics
-          (Acc_relation.Database.create ())
-      in
-      let counts () = (Detector.sweeps (Engine.detector e), Watchdog.ticks (Engine.watchdog e)) in
-      let advance window =
-        let s0, t0 = counts () in
-        Unix.sleepf window;
-        let s1, t1 = counts () in
-        let at_least cadence = int_of_float (window /. cadence /. 4.) in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %d sweeps in %.0f ms" label (s1 - s0) (window *. 1e3))
-          true
-          (s1 - s0 >= max 1 (at_least detector_cadence));
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %d ticks in %.0f ms" label (t1 - t0) (window *. 1e3))
-          true
-          (t1 - t0 >= max 1 (at_least watchdog_cadence))
-      in
-      advance 0.1;
-      advance 0.1;
-      let t = Engine.locks e in
-      let a = Resource_id.Tuple ("t", [ Value.Int 1 ])
-      and b = Resource_id.Tuple ("u", [ Value.Int 1 ]) in
-      let holding = Atomic.make 0 in
-      let outcomes =
-        Domain_pool.run ~domains:2 (fun i ->
-            let txn, first, second = if i = 0 then (1, a, b) else (2, b, a) in
-            Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 Mode.X first);
-            Atomic.incr holding;
-            while Atomic.get holding < 2 do
-              Domain.cpu_relax ()
-            done;
-            let outcome =
-              match Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 Mode.X second) with
-              | () -> `Done
-              | exception Txn_effect.Deadlock_victim -> `Victim
-            in
-            ignore (Sharded.release_all t ~txn);
-            outcome)
-      in
-      Alcotest.(check int) (label ^ ": one victim") 1
-        (List.length (List.filter (fun o -> o = `Victim) outcomes));
-      Alcotest.(check int) (label ^ ": victims counted") 1 (Detector.victims (Engine.detector e));
-      Engine.shutdown e;
-      let joined = counts () in
-      Unix.sleepf (2. *. Float.max detector_cadence watchdog_cadence);
-      Alcotest.(check bool) (label ^ ": nothing runs after shutdown") true (counts () = joined))
-    [ (0.001, 0.005); (0.020, 0.005) ]
+  let e = Engine.create ~shards:4 ~sem:Mode.no_semantics (Acc_relation.Database.create ()) in
+  let stat name = Engine.counter (Engine.stats e) name in
+  let counts () = (stat "lock.detector_sweeps", stat "watchdog.ticks") in
+  let t0 = stat "watchdog.ticks" in
+  Unix.sleepf 0.1;
+  let ticks = stat "watchdog.ticks" - t0 in
+  Alcotest.(check bool) (Printf.sprintf "%d ticks in 100 ms" ticks) true (ticks >= 5);
+  let t = Engine.locks e in
+  let a = Resource_id.Tuple ("t", [ Value.Int 1 ])
+  and b = Resource_id.Tuple ("u", [ Value.Int 1 ]) in
+  let holding = Atomic.make 0 in
+  let outcomes =
+    Domain_pool.run ~domains:2 (fun i ->
+        let txn, first, second = if i = 0 then (1, a, b) else (2, b, a) in
+        Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 Mode.X first);
+        Atomic.incr holding;
+        while Atomic.get holding < 2 do
+          Domain.cpu_relax ()
+        done;
+        let outcome =
+          match Sharded.acquire_req t (Lock_request.make ~txn ~step_type:0 Mode.X second) with
+          | () -> `Done
+          | exception Txn_effect.Deadlock_victim -> `Victim
+        in
+        ignore (Sharded.release_all t ~txn);
+        outcome)
+  in
+  Alcotest.(check int) "one victim" 1 (List.length (List.filter (fun o -> o = `Victim) outcomes));
+  Alcotest.(check int) "victims counted" 1 (stat "lock.victims");
+  Alcotest.(check bool) "the deadlock was swept" true (stat "lock.detector_sweeps" >= 1);
+  Engine.shutdown e;
+  let joined = counts () in
+  Unix.sleepf 0.04;
+  Alcotest.(check bool) "nothing runs after shutdown" true (counts () = joined)
 
 (* --- metrics ------------------------------------------------------------ *)
 
@@ -835,43 +861,50 @@ let test_overload_admission () =
 
 (* Reading the stats takes no shard mutex, so polling them (the metrics
    dump does every 250 ms) moves no counter, [lock.mutex_acq] included,
-   while [lock_count], which a report reads once at the end, does.  A table
-   X lock takes the mutex path and leaves its shard non-empty.  The reads
-   run right after a background pass, whose tick and sweep walk the shards
-   too, and are retried if another pass lands among them. *)
+   while a request on the mutex path moves it by one.  Table X locks take
+   the mutex path; the first leaves its shard non-empty, so every tick
+   looks at that shard meanwhile, in read-only sections that do not
+   count. *)
 let test_stats_read_lock_free () =
-  let e =
-    Engine.create ~shards:2 ~detector_cadence:0.2 ~watchdog_cadence:0.2 ~sem:Mode.no_semantics
-      (Acc_relation.Database.create ())
-  in
+  let e = Engine.create ~shards:2 ~sem:Mode.no_semantics (Acc_relation.Database.create ()) in
   Fun.protect
     ~finally:(fun () -> Engine.shutdown e)
     (fun () ->
       let locks = Engine.locks e in
-      ignore
-        (Sharded.submit locks (Lock_request.make ~txn:1 ~step_type:0 Mode.X (Resource_id.Table "t")));
+      let x txn table = Lock_request.make ~txn ~step_type:0 Mode.X (Resource_id.Table table) in
+      ignore (Sharded.submit locks (x 1 "t"));
       let acq () = Engine.counter (Engine.stats e) "lock.mutex_acq" in
-      let passes () = (Detector.sweeps (Engine.detector e), Watchdog.ticks (Engine.watchdog e)) in
-      let rec quiet_reads attempts =
-        let p0 = passes () in
-        while passes () = p0 do
-          Unix.sleepf 0.001
-        done;
-        (* the sweep runs right after the tick: wait for both *)
-        Unix.sleepf 0.01;
-        let p1 = passes () and before = acq () in
-        for _ = 1 to 200 do
-          ignore (Engine.stats e)
-        done;
-        let after = acq () in
-        if passes () = p1 then (before, after)
-        else if attempts > 1 then quiet_reads (attempts - 1)
-        else Alcotest.fail "a background pass landed among every batch of reads"
-      in
-      let before, after = quiet_reads 5 in
+      let before = acq () in
+      for _ = 1 to 200 do
+        ignore (Engine.stats e)
+      done;
+      let after = acq () in
       Alcotest.(check int) "200 stats reads take no shard mutex" before after;
-      ignore (Sharded.lock_count locks);
-      Alcotest.(check bool) "lock_count takes one" true (acq () > after))
+      ignore (Sharded.submit locks (x 2 "u"));
+      Alcotest.(check int) "a mutex-path request takes one" (after + 1) (acq ()))
+
+(* An idle engine's tick is not lock traffic.  With one table X lock held
+   (so every tick looks at its shard) and no waiter, half a second of ticks
+   leaves [lock.mutex_acq] where it was, and runs no deadlock sweep: a
+   waits-for cycle needs two waiting transactions. *)
+let test_idle_tick_quiet () =
+  let e = Engine.create ~shards:2 ~sem:Mode.no_semantics (Acc_relation.Database.create ()) in
+  Fun.protect
+    ~finally:(fun () -> Engine.shutdown e)
+    (fun () ->
+      ignore
+        (Sharded.submit (Engine.locks e)
+           (Lock_request.make ~txn:1 ~step_type:0 Mode.X (Resource_id.Table "t")));
+      let read name = Engine.counter (Engine.stats e) name in
+      let names = [ "lock.mutex_acq"; "lock.detector_sweeps"; "watchdog.ticks" ] in
+      let before = List.map read names in
+      Unix.sleepf 0.5;
+      match List.map2 (fun name b -> read name - b) names before with
+      | [ acq; sweeps; ticks ] ->
+          Alcotest.(check int) "idle ticks take no shard mutex" 0 acq;
+          Alcotest.(check int) "no sweep without two waiters" 0 sweeps;
+          Alcotest.(check bool) (Printf.sprintf "%d ticks in 0.5 s" ticks) true (ticks >= 25)
+      | _ -> assert false)
 
 let suites =
   [
@@ -915,11 +948,14 @@ let suites =
           prop_sharded_bounded_bypass;
         Alcotest.test_case "4 domains vs cap 1: sheds, drains, stays consistent" `Slow
           test_overload_admission;
+        Alcotest.test_case "gauges sampled after expiry" `Quick test_gauges_after_expiry;
       ] );
     ( "parallel.metrics",
       [
         Alcotest.test_case "counters and tallies across 4 domains" `Quick test_metrics_multicore;
         Alcotest.test_case "stats reads take no shard mutex" `Quick test_stats_read_lock_free;
+        Alcotest.test_case "idle ticks take no mutex and run no sweep" `Quick
+          test_idle_tick_quiet;
       ] );
     ( "parallel.tpcc",
       [

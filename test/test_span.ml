@@ -431,14 +431,14 @@ let prop_snapshot_merge_order_independent =
       && (S.count merged_fwd = 0
          || S.percentile merged_fwd 0.95 = S.percentile merged_perm 0.95))
 
+(* every histogram shares one shape, so a foreign one is built by hand *)
 let test_snapshot_merge_mismatch () =
   let module S = Metrics.Histogram.Snapshot in
-  let h1 = Metrics.Histogram.create ~base:1e-6 () in
-  let h2 = Metrics.Histogram.create ~base:1e-3 () in
+  let mine = Metrics.Histogram.snapshot (Metrics.Histogram.create ()) in
+  let foreign = { mine with S.base = 1e-3 } in
   Alcotest.check_raises "base mismatch"
     (Invalid_argument "Histogram.Snapshot.merge: shape mismatch")
-    (fun () ->
-      ignore (S.merge (Metrics.Histogram.snapshot h1) (Metrics.Histogram.snapshot h2)))
+    (fun () -> ignore (S.merge mine foreign))
 
 (* --- registry + exposition --------------------------------------------- *)
 

@@ -213,19 +213,6 @@ let test_welford_against_naive () =
     "variance matches naive" true
     (Float.abs (var -. Stats.Tally.variance t) /. var < 1e-9)
 
-let test_counter () =
-  let c = Stats.Counter.create () in
-  Alcotest.(check int) "absent is 0" 0 (Stats.Counter.get c "commits");
-  Stats.Counter.incr c "commits";
-  Stats.Counter.incr c "commits";
-  Stats.Counter.add c "aborts" 5;
-  Alcotest.(check int) "commits" 2 (Stats.Counter.get c "commits");
-  Alcotest.(check int) "aborts" 5 (Stats.Counter.get c "aborts");
-  Alcotest.(check (list (pair string int)))
-    "sorted dump"
-    [ ("aborts", 5); ("commits", 2) ]
-    (Stats.Counter.to_list c)
-
 (* --- qcheck properties ------------------------------------------------ *)
 
 let prop_int_in_range =
@@ -289,7 +276,6 @@ let suites =
         Alcotest.test_case "percentile cache invalidation" `Quick test_percentile_after_add;
         Alcotest.test_case "merge" `Quick test_merge;
         Alcotest.test_case "welford vs naive" `Quick test_welford_against_naive;
-        Alcotest.test_case "counter" `Quick test_counter;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_tally_mean_bounded;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_percentile_monotone;
       ] );

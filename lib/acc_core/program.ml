@@ -38,10 +38,11 @@ type txn_type_def = {
   tt_name : string;
   tt_steps : step_def list;
   tt_comp : step_def option;
+  tt_compensate : (Acc_txn.Executor.ctx -> completed:int -> unit) option;
   tt_assertions : Assertion.t list;
 }
 
-let txn_type ~name ~steps ?comp ~assertions () =
+let txn_type ~name ~steps ?comp ?compensate ~assertions () =
   if steps = [] then invalid_arg (name ^ ": no steps");
   List.iteri
     (fun i sd ->
@@ -51,11 +52,12 @@ let txn_type ~name ~steps ?comp ~assertions () =
         invalid_arg (Printf.sprintf "%s: step %s has index %d, expected %d" name sd.sd_name
            sd.sd_index (i + 1)))
     steps;
-  (match comp with
-  | Some c ->
+  (match (comp, compensate) with
+  | None, Some _ -> invalid_arg (name ^ ": a compensating body needs a compensating step")
+  | Some c, _ ->
       if c.sd_txn_type <> name then invalid_arg (name ^ ": foreign compensating step");
       if c.sd_index <> 0 then invalid_arg (name ^ ": compensating step must have index 0")
-  | None ->
+  | None, None ->
       (* a transaction that can expose intermediate results across a step
          boundary must be able to roll back logically (§3.4) *)
       if List.length steps > 1 || List.exists (fun s -> s.sd_repeats) steps then
@@ -66,7 +68,13 @@ let txn_type ~name ~steps ?comp ~assertions () =
         invalid_arg (Printf.sprintf "%s: assertion %s belongs to %s" name a.Assertion.name
            a.Assertion.txn_type))
     assertions;
-  { tt_name = name; tt_steps = steps; tt_comp = comp; tt_assertions = assertions }
+  {
+    tt_name = name;
+    tt_steps = steps;
+    tt_comp = comp;
+    tt_compensate = compensate;
+    tt_assertions = assertions;
+  }
 
 type workload = {
   types : txn_type_def list;
@@ -165,10 +173,14 @@ let instance ~def ~steps ?(assertions = []) ?(admission = []) ?compensate
     ?(comp_area = fun () -> []) ?(read_isolation = Exposed) () =
   if steps = [] then invalid_arg (def.tt_name ^ ": empty instance");
   check_step_sequence def steps;
-  (match (def.tt_comp, compensate) with
-  | Some _, None -> invalid_arg (def.tt_name ^ ": compensation body required")
-  | None, Some _ -> invalid_arg (def.tt_name ^ ": unexpected compensation body")
-  | Some _, Some _ | None, None -> ());
+  let compensate =
+    match (def.tt_comp, def.tt_compensate, compensate) with
+    | _, Some _, Some _ -> invalid_arg (def.tt_name ^ ": the type declares its compensating body")
+    | Some _, None, None -> invalid_arg (def.tt_name ^ ": compensation body required")
+    | None, _, Some _ -> invalid_arg (def.tt_name ^ ": unexpected compensation body")
+    | _, (Some _ as declared), None -> declared
+    | _, None, given -> given
+  in
   {
     i_def = def;
     i_steps = Array.of_list steps;

@@ -7,8 +7,8 @@
     The {e run-time} side ({!instance}) binds a static type to concrete
     arguments: executable step bodies (closures over a private workspace),
     resolved assertion windows and checkers, the admission item list of
-    [pre(S_1)], the work area each step end logs, and the type's
-    compensating body. *)
+    [pre(S_1)], the work area each step end logs, and the compensating
+    body. *)
 
 type step_def = {
   sd_id : int;  (** globally unique step type; {!legacy_step_id} is reserved *)
@@ -39,6 +39,10 @@ type txn_type_def = {
   tt_name : string;
   tt_steps : step_def list;  (** forward steps, in order *)
   tt_comp : step_def option;  (** compensating step type, if decomposed *)
+  tt_compensate : (Acc_txn.Executor.ctx -> completed:int -> unit) option;
+      (** the compensating step's body, if the type declares one: what
+          every instance runs on an inline abort and what
+          {!Replay} runs after a crash *)
   tt_assertions : Assertion.t list;
 }
 
@@ -46,11 +50,21 @@ val txn_type :
   name:string ->
   steps:step_def list ->
   ?comp:step_def ->
+  ?compensate:(Acc_txn.Executor.ctx -> completed:int -> unit) ->
   assertions:Assertion.t list ->
   unit ->
   txn_type_def
 (** Validates step indices (1..n in order, with [repeats] allowed to stand
-    for a run of indices) and assertion ownership. *)
+    for a run of indices) and assertion ownership; refuses [compensate]
+    without [comp].
+
+    [compensate] is the body of the compensating step [comp], run at step
+    [completed + 1] with the context flagged compensating.  It must read
+    its inputs only from {!Acc_txn.Executor.work_area}, never from the
+    workspace the step bodies close over: then the one body serves both an
+    inline abort and crash replay, where no workspace exists.  A type that
+    declares [comp] but no body leaves it to each {!instance}; such a
+    transaction cannot be replayed after a crash. *)
 
 type workload
 (** A validated set of transaction types with globally unique step and
@@ -61,6 +75,8 @@ val workload : txn_type_def list -> workload
 
 val txn_types : workload -> txn_type_def list
 val find_txn_type : workload -> string -> txn_type_def
+(** Raises [Invalid_argument] when the workload has no type of that name. *)
+
 val all_steps : workload -> step_def list
 (** Every forward and compensating step, plus the legacy pseudo-step. *)
 
@@ -102,8 +118,8 @@ type instance = {
   i_admission : (assertion_instance * Acc_lock.Resource_id.t list) list;
       (** the items of [pre(S_1)] known before initiation *)
   i_compensate : (Acc_txn.Executor.ctx -> completed:int -> unit) option;
-      (** the type's compensating body, run at step [completed + 1]; it
-          reads its inputs only from {!Acc_txn.Executor.work_area} *)
+      (** the compensating body, run at step [completed + 1]: the type's
+          [tt_compensate] when it declares one *)
   i_comp_area : unit -> (string * Acc_relation.Value.t) list;
       (** the work area, evaluated at every forward step end and logged in
           that step's end-of-step record *)
@@ -122,17 +138,17 @@ val instance :
   instance
 (** Validates that the steps belong to [def] and appear in a legal order
     (non-repeating steps exactly once, in index order; repeating steps any
-    number of consecutive times), and that a compensation body is given iff
-    [def.tt_comp] exists.
+    number of consecutive times).
+
+    The compensating body is the type's [tt_compensate] when it declares
+    one, and passing [compensate] as well is refused.  A type with [tt_comp]
+    but no declared body needs [compensate] here, a body that may close
+    over this instance's values; a type without [tt_comp] refuses one.
+    All three refusals raise [Invalid_argument] naming the type.
 
     [comp_area ()] (default [[]]) is the work area: it is evaluated at every
     forward step end, after the step body ran, and the end-of-step record
-    carries it — the durable work area of §5.  [compensate] is the type's
-    compensating body.  It should read its inputs only from
-    {!Acc_txn.Executor.work_area}, never from the workspace the step bodies
-    close over: then one top-level function per type serves both an inline
-    abort and crash replay, where no workspace exists — pass it here and
-    register the same function with {!Replay.register}.
+    carries it — the durable work area of §5.
 
     Step bodies take their conventional locks dynamically, one at a time,
     as they touch each item (§3.3). *)

@@ -244,12 +244,12 @@ type outcome = Committed | Aborted
    coordinator, with the durable log as fallback).  [None] leaves the
    branch blocked — the caller decides whether presumed abort applies, not
    this function. *)
-let resolve_in_doubt_via ~ask eng (report : Recovery.report) =
+let resolve_in_doubt_via ~ask ~workload eng (report : Recovery.report) =
   List.fold_left
     (fun (resolved, blocked) (d : Recovery.in_doubt) ->
       match ask d.Recovery.i_gid with
       | Some commit ->
-          Replay.resolve_in_doubt eng ~commit d;
+          Replay.resolve_in_doubt ~workload eng ~commit d;
           (resolved + 1, blocked)
       | None -> (resolved, blocked + 1))
     (0, 0) report.Recovery.in_doubt

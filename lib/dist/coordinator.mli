@@ -81,11 +81,13 @@ val prepare_hold_snapshot : t -> Acc_util.Stats.Tally.t
 
 val resolve_in_doubt_via :
   ask:(int -> bool option) ->
+  workload:Acc_core.Program.workload ->
   Acc_txn.Executor.t ->
   Acc_wal.Recovery.report ->
   int * int
 (** Post-recovery resolution for one partition: each in-doubt branch in the
-    report is committed when [ask gid = Some true] and compensated when
+    report is committed when [ask gid = Some true] and compensated, by the
+    body its type declares in [workload] (what the partition serves), when
     [Some false].  [ask] is normally a Resolve RPC against the coordinator,
     with the durable log as fallback.  [ask gid = None] leaves that branch
     blocked — whether presumed abort applies is the caller's judgment, not

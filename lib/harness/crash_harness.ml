@@ -218,10 +218,10 @@ let merge_carried carried (rep : Recovery.report) =
    from the incarnation's snapshot over its own log, merges the carried
    obligations, and replays what is left.  Past 100 tries the faults are
    disarmed so chaos mode always terminates. *)
-let replay_with_retries errs label ~sem rep0 =
+let replay_with_retries errs label ~workload ~sem rep0 =
   let rec go ~snapshot ~carried ~tries =
     let eng' = Executor.create ~wal_policy:harness_wal ~sem (Database.copy snapshot) in
-    match List.iter (Replay.replay_one eng') carried with
+    match List.iter (Replay.replay_one ~workload eng') carried with
     | () -> (snapshot, carried, eng')
     | exception Fault.Crash _ ->
         if tries >= 100 then Fault.disarm ();
@@ -280,7 +280,10 @@ let single cfg s =
        was durable *)
     let recover errs label c =
       let committed = committed_since (Executor.log !e.eng) !start_lsn in
-      let db = replay_with_retries errs label ~sem:W.semantics (recover_verified errs label !e) in
+      let db =
+        replay_with_retries errs label ~workload:W.workload ~sem:W.semantics
+          (recover_verified errs label !e)
+      in
       check_consistency errs label (W.consistency db);
       e := boot db;
       if committed then c.at + 1 else c.at
@@ -375,7 +378,7 @@ let transport_ask netfault log =
    resolution of the in-doubt branches over the transport, compensation
    replay of the pending ones, and the re-derivation oracle.  Returns the
    recovered database and the largest gid seen in doubt. *)
-let recover_partition errs label ~sem ~netfault d ~fresh_log idx =
+let recover_partition errs label ~workload ~sem ~netfault d ~fresh_log idx =
   let records = Log.to_list (Executor.log (Partition.engine d.parts.(idx))) in
   let rep = Recovery.recover ~baseline:d.baselines.(idx) records in
   (* recovery is a pure function of (baseline, log) *)
@@ -388,14 +391,14 @@ let recover_partition errs label ~sem ~netfault d ~fresh_log idx =
   let base2 = Database.copy rep.Recovery.db in
   let eng' = Executor.create ~sem rep.Recovery.db in
   let resolved, blocked =
-    Coordinator.resolve_in_doubt_via ~ask:(transport_ask netfault fresh_log) eng' rep
+    Coordinator.resolve_in_doubt_via ~ask:(transport_ask netfault fresh_log) ~workload eng' rep
   in
   if blocked > 0 then err errs label "partition %d: %d in-doubt branches left blocked" idx blocked;
   if resolved <> List.length rep.Recovery.in_doubt then
     err errs label "partition %d: %d in-doubt branches, %d resolved" idx
       (List.length rep.Recovery.in_doubt)
       resolved;
-  ignore (Replay.replay_pending eng' rep);
+  ignore (Replay.replay_pending ~workload eng' rep);
   (* the oracle: re-deriving the partition from (post-recovery snapshot,
      resolution log) must show nothing in doubt and nothing pending — a
      second crash right here would find a fully decided partition *)
@@ -479,7 +482,8 @@ let partitioned cfg p =
       Array.iteri
         (fun idx _ ->
           let db, doubt_gid =
-            recover_partition errs label ~sem:cap.semantics ~netfault:p.netfault d ~fresh_log idx
+            recover_partition errs label ~workload:cap.workload ~sem:cap.semantics
+              ~netfault:p.netfault d ~fresh_log idx
           in
           max_gid := max !max_gid doubt_gid;
           d.baselines.(idx) <- Database.copy db;

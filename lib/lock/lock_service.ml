@@ -8,7 +8,6 @@ module type S = sig
   val outstanding : ticket:int -> bool
   val holders : Resource_id.t -> (int * Mode.t * int) list
   val wait_edges : unit -> (int * int) list
-  val find_cycle : from:int -> int list option
   val compensating_waiter : txn:int -> bool
   val lock_count : unit -> int
   val waiter_count : unit -> int
@@ -27,7 +26,6 @@ let cancel (module M : S) ~ticket = M.cancel ~ticket
 let outstanding (module M : S) ~ticket = M.outstanding ~ticket
 let holders (module M : S) res = M.holders res
 let wait_edges (module M : S) = M.wait_edges ()
-let find_cycle (module M : S) ~from = M.find_cycle ~from
 let compensating_waiter (module M : S) ~txn = M.compensating_waiter ~txn
 let lock_count (module M : S) = M.lock_count ()
 let waiter_count (module M : S) = M.waiter_count ()
@@ -49,7 +47,6 @@ let of_table ~wait ~deliver table : t =
     let outstanding ~ticket = Lock_table.outstanding table ~ticket
     let holders res = Lock_table.holders table res
     let wait_edges () = Lock_table.wait_edges table
-    let find_cycle ~from = Lock_table.find_cycle table ~from
     let compensating_waiter ~txn = Lock_table.compensating_waiter table ~txn
 
     let lock_count () = Lock_table.lock_count table

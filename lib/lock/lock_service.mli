@@ -42,7 +42,6 @@ module type S = sig
   val outstanding : ticket:int -> bool
   val holders : Resource_id.t -> (int * Mode.t * int) list
   val wait_edges : unit -> (int * int) list
-  val find_cycle : from:int -> int list option
   val compensating_waiter : txn:int -> bool
 
   val lock_count : unit -> int
@@ -69,7 +68,6 @@ val cancel : t -> ticket:int -> unit
 val outstanding : t -> ticket:int -> bool
 val holders : t -> Resource_id.t -> (int * Mode.t * int) list
 val wait_edges : t -> (int * int) list
-val find_cycle : t -> from:int -> int list option
 val compensating_waiter : t -> txn:int -> bool
 val lock_count : t -> int
 val waiter_count : t -> int

@@ -941,7 +941,6 @@ let service t : Lock_service.t =
     let outstanding ~ticket = outstanding t ~ticket
     let holders res = holders t res
     let wait_edges () = wait_edges t
-    let find_cycle ~from = Lock_core.find_cycle ~edges:(wait_edges ()) ~from
     let compensating_waiter ~txn = compensating_waiter t ~txn
     let lock_count () = lock_count t
     let waiter_count () = waiter_count t

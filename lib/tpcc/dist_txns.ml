@@ -29,6 +29,42 @@ let cols cs = Footprint.Columns cs
 let fresh = Footprint.Fresh
 let fnum = Value.number
 
+(* ====================================================================== *)
+(* Compensating bodies                                                     *)
+(* ====================================================================== *)
+
+(* The two home branches reuse {!Txns.new_order_compensate} and
+   {!Txns.payment_compensate}; the remote branches have their own.  Like
+   every compensating body these read only the work area, so an inline
+   abort and crash replay run them alike. *)
+
+(* the remote-customer branch: customer rollback + history delete *)
+let payment_rcust_compensate ctx ~completed =
+  if completed >= 1 then begin
+    let field = Executor.area_field ctx in
+    let amount = fnum (field "amount") in
+    let c_w = as_int (field "c_w") and c_d = as_int (field "c_d") in
+    ignore
+      (Executor.update ctx "customer"
+         (Load.customer_key ~w:c_w ~d:c_d ~c:(as_int (field "c")))
+         (fun row ->
+           row.(6) <- Float (fnum row.(6) +. amount);
+           row.(7) <- Float (fnum row.(7) -. amount);
+           row.(8) <- Int (as_int row.(8) - 1);
+           row));
+    Executor.delete ctx "history" [ field "h_id" ]
+  end
+
+(* the remote-stock branch: restock the first [completed] draws *)
+let new_order_rstock_compensate ctx ~completed =
+  let field name = as_int (Executor.area_field ctx name) in
+  for k = 0 to min completed (field "n") - 1 do
+    Txns.undo_stock ctx
+      ~supply:(field (Printf.sprintf "w%d" k))
+      ~item:(field (Printf.sprintf "i%d" k))
+      ~qty:(field (Printf.sprintf "q%d" k))
+  done
+
 (* --- payment_home: 2 forward steps + compensation --- *)
 
 let ph_wh =
@@ -51,7 +87,7 @@ let ph_comp =
 
 let payment_home_type =
   Program.txn_type ~name:"payment_home" ~steps:[ ph_wh; ph_dist ] ~comp:ph_comp
-    ~assertions:[] ()
+    ~compensate:Txns.payment_compensate ~assertions:[] ()
 
 (* --- payment_rcust: 1 forward step + compensation --- *)
 
@@ -77,7 +113,7 @@ let pr_comp =
 
 let payment_rcust_type =
   Program.txn_type ~name:"payment_rcust" ~steps:[ pr_cust ] ~comp:pr_comp
-    ~assertions:[] ()
+    ~compensate:payment_rcust_compensate ~assertions:[] ()
 
 (* --- new_order_home: the four-step decomposition, remote stock skipped --- *)
 
@@ -146,7 +182,7 @@ let a_nh_lines =
 let new_order_home_type =
   Program.txn_type ~name:"new_order_home"
     ~steps:[ nh_reads; nh_insert; nh_line; nh_final ]
-    ~comp:nh_comp
+    ~comp:nh_comp ~compensate:Txns.new_order_compensate
     ~assertions:[ a_nh_seq; a_nh_lines ]
     ()
 
@@ -167,7 +203,7 @@ let nr_comp =
 
 let new_order_rstock_type =
   Program.txn_type ~name:"new_order_rstock" ~steps:[ nr_stock ] ~comp:nr_comp
-    ~assertions:[] ()
+    ~compensate:new_order_rstock_compensate ~assertions:[] ()
 
 let branch_types =
   [ payment_home_type; payment_rcust_type; new_order_home_type; new_order_rstock_type ]
@@ -193,42 +229,6 @@ let interference =
 let semantics = Interference.semantics interference
 
 (* ====================================================================== *)
-(* Compensating bodies                                                     *)
-(* ====================================================================== *)
-
-(* The two home branches reuse {!Txns.new_order_compensate} and
-   {!Txns.payment_compensate}; the remote branches have their own.  Like
-   every compensating body these read only the work area, so the instances
-   and [Recovery_comp]'s replay registrations share them. *)
-
-(* the remote-customer branch: customer rollback + history delete *)
-let payment_rcust_compensate ctx ~completed =
-  if completed >= 1 then begin
-    let field = Executor.area_field ctx in
-    let amount = fnum (field "amount") in
-    let c_w = as_int (field "c_w") and c_d = as_int (field "c_d") in
-    ignore
-      (Executor.update ctx "customer"
-         (Load.customer_key ~w:c_w ~d:c_d ~c:(as_int (field "c")))
-         (fun row ->
-           row.(6) <- Float (fnum row.(6) +. amount);
-           row.(7) <- Float (fnum row.(7) -. amount);
-           row.(8) <- Int (as_int row.(8) - 1);
-           row));
-    Executor.delete ctx "history" [ field "h_id" ]
-  end
-
-(* the remote-stock branch: restock the first [completed] draws *)
-let new_order_rstock_compensate ctx ~completed =
-  let field name = as_int (Executor.area_field ctx name) in
-  for k = 0 to min completed (field "n") - 1 do
-    Txns.undo_stock ctx
-      ~supply:(field (Printf.sprintf "w%d" k))
-      ~item:(field (Printf.sprintf "i%d" k))
-      ~qty:(field (Printf.sprintf "q%d" k))
-  done
-
-(* ====================================================================== *)
 (* Branch instances                                                        *)
 (* ====================================================================== *)
 
@@ -240,7 +240,6 @@ let new_order_rstock_compensate ctx ~completed =
 let payment_home_instance env (i : Txns.payment_input) =
   let steps = [ (ph_wh, Txns.pay_step1 env i); (ph_dist, Txns.pay_step2 env i) ] in
   Program.instance ~def:payment_home_type ~steps
-    ~compensate:Txns.payment_compensate
     ~comp_area:(fun () ->
       [ ("w", Int i.Txns.p_w); ("d", Int i.Txns.p_d); ("amount", Float i.Txns.p_amount) ])
     ()
@@ -248,7 +247,6 @@ let payment_home_instance env (i : Txns.payment_input) =
 let payment_rcust_instance env (i : Txns.payment_input) =
   let ws = { Txns.h_id = 0; w_customer = 0 } in
   Program.instance ~def:payment_rcust_type ~steps:[ (pr_cust, Txns.pay_step3 env i ws) ]
-    ~compensate:payment_rcust_compensate
     ~comp_area:(fun () ->
       [
         ("c_w", Int i.Txns.p_c_w);
@@ -285,7 +283,6 @@ let new_order_home_instance env ~local (i : Txns.new_order_input) =
     ]
   in
   Program.instance ~def:new_order_home_type ~steps ~assertions
-    ~compensate:Txns.new_order_compensate
     ~comp_area:(fun () -> Txns.new_order_area ~w ~d ~o:ws.Txns.o_id ~c ~n:n_items)
     ()
 
@@ -304,7 +301,6 @@ let new_order_rstock_instance env items =
          items)
   in
   Program.instance ~def:new_order_rstock_type ~steps
-    ~compensate:new_order_rstock_compensate
     ~comp_area:(fun () ->
       ("n", Int n)
       :: List.concat

@@ -10,29 +10,16 @@
 
 (** {1 Static branch definitions} *)
 
-val ph_comp : Acc_core.Program.step_def
-val pr_comp : Acc_core.Program.step_def
-val nh_comp : Acc_core.Program.step_def
-val nr_comp : Acc_core.Program.step_def
-
 val workload : Acc_core.Program.workload
 (** The single-node workload plus the four branch types: what a partition
-    engine serves. *)
+    engine serves, and what {!Acc_core.Replay} finds each branch's
+    compensating body in.  The home branches declare
+    {!Txns.new_order_compensate} and {!Txns.payment_compensate}; the remote
+    branches declare their own: the remote-customer branch takes back the
+    customer update and deletes the history row, and the remote-stock
+    branch restocks the first [completed] draws its work area lists. *)
 
 val semantics : Acc_lock.Mode.semantics
-
-(** {1 Compensating bodies}
-
-    The home branches use {!Txns.new_order_compensate} and
-    {!Txns.payment_compensate}; the remote branches have these.  Each reads
-    only {!Acc_txn.Executor.work_area} and is both the instances'
-    [~compensate] and the body {!Recovery_comp} registers for replay. *)
-
-val payment_rcust_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
-(** Take back the customer update and delete the history row. *)
-
-val new_order_rstock_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
-(** Restock the first [completed] draws the work area lists. *)
 
 (** {1 Routing} *)
 

@@ -6,10 +6,6 @@ module W = Acc_workload
 module Runtime = Acc_core.Runtime
 module Prng = Acc_util.Prng
 
-(* the compensation-replay handlers register themselves when Recovery_comp
-   is linked; any workload user must be recoverable *)
-let _force_handler_registration = Recovery_comp.complete
-
 type mix = Standard | New_order_payment
 
 type env = {

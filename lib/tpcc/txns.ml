@@ -233,13 +233,6 @@ let a_no_lines =
         fp ~fresh "new_order" Footprint.All_columns;
       ]
 
-let new_order_type =
-  Program.txn_type ~name:"new_order"
-    ~steps:[ no_reads; no_insert; no_line; no_final ]
-    ~comp:no_comp
-    ~assertions:[ a_no_seq; a_no_lines ]
-    ()
-
 (* --- payment: 3 forward steps + compensation --- *)
 
 let pay_wh =
@@ -284,13 +277,6 @@ let a_pay_applied =
     ~until:Assertion.until_commit
     ~refs:[ fp ~fresh "history" Footprint.All_columns ]
 
-let payment_type =
-  Program.txn_type ~name:"payment"
-    ~steps:[ pay_wh; pay_dist; pay_cust ]
-    ~comp:pay_comp
-    ~assertions:[ a_pay_applied ]
-    ()
-
 (* --- delivery: 2 forward steps + compensation --- *)
 
 let dl_init =
@@ -334,13 +320,6 @@ let a_dl_progress =
         fp "new_order" Footprint.All_columns;
       ]
 
-let delivery_type =
-  Program.txn_type ~name:"delivery"
-    ~steps:[ dl_init; dl_district ]
-    ~comp:dl_comp
-    ~assertions:[ a_dl_progress ]
-    ()
-
 (* --- order_status and stock_level: analyzed read-only single steps --- *)
 
 let os_read =
@@ -367,23 +346,6 @@ let sl_read =
     ~writes:[] ()
 
 let stock_level_type = Program.txn_type ~name:"stock_level" ~steps:[ sl_read ] ~assertions:[] ()
-
-let workload =
-  Program.workload
-    [ new_order_type; payment_type; delivery_type; order_status_type; stock_level_type ]
-
-(* the hand-proved compatibilities (monotone counter): foreign counter
-   increments cannot invalidate a_no_seq *)
-let interference =
-  Interference.build ~compatible:[ (no_reads.Program.sd_id, a_no_seq.Assertion.id) ] workload
-
-let semantics = Interference.semantics interference
-
-let forward_step_count =
-  List.length
-    (List.filter
-       (fun (s : Program.step_def) -> s.Program.sd_index > 0 && s.Program.sd_id <> 0)
-       (Program.all_steps workload))
 
 (* ====================================================================== *)
 (* Shared SQL-ish pieces                                                   *)
@@ -527,6 +489,13 @@ let new_order_compensate ctx ~completed =
     Executor.delete ctx "new_order" [ Int w; Int d; Int o ]
   end
 
+let new_order_type =
+  Program.txn_type ~name:"new_order"
+    ~steps:[ no_reads; no_insert; no_line; no_final ]
+    ~comp:no_comp ~compensate:new_order_compensate
+    ~assertions:[ a_no_seq; a_no_lines ]
+    ()
+
 (* new_order's work area at every step end; the home branch of a
    partitioned new_order logs the same shape *)
 let new_order_area ~w ~d ~o ~c ~n =
@@ -605,6 +574,13 @@ let payment_compensate ctx ~completed =
     (* the exact history row is named in the work area *)
     Executor.delete ctx "history" [ Int (int "h_id") ]
   end
+
+let payment_type =
+  Program.txn_type ~name:"payment"
+    ~steps:[ pay_wh; pay_dist; pay_cust ]
+    ~comp:pay_comp ~compensate:payment_compensate
+    ~assertions:[ a_pay_applied ]
+    ()
 
 (* --- delivery pieces --- *)
 
@@ -715,6 +691,32 @@ let delivery_compensate ctx ~completed =
     Executor.insert ctx "new_order" [| Int w; Int d; Int o |]
   done
 
+let delivery_type =
+  Program.txn_type ~name:"delivery"
+    ~steps:[ dl_init; dl_district ]
+    ~comp:dl_comp ~compensate:delivery_compensate
+    ~assertions:[ a_dl_progress ]
+    ()
+
+(* --- the static workload: every type, each with its compensating body --- *)
+
+let workload =
+  Program.workload
+    [ new_order_type; payment_type; delivery_type; order_status_type; stock_level_type ]
+
+(* the hand-proved compatibilities (monotone counter): foreign counter
+   increments cannot invalidate a_no_seq *)
+let interference =
+  Interference.build ~compatible:[ (no_reads.Program.sd_id, a_no_seq.Assertion.id) ] workload
+
+let semantics = Interference.semantics interference
+
+let forward_step_count =
+  List.length
+    (List.filter
+       (fun (s : Program.step_def) -> s.Program.sd_index > 0 && s.Program.sd_id <> 0)
+       (Program.all_steps workload))
+
 (* --- order_status and stock_level pieces --- *)
 
 let order_status_body env (i : order_status_input) ctx =
@@ -810,7 +812,6 @@ let new_order_instance env (i : new_order_input) =
     ]
   in
   Program.instance ~def:new_order_type ~steps ~assertions
-    ~compensate:new_order_compensate
     ~comp_area:(fun () ->
       new_order_area ~w:i.no_w ~d:i.no_d ~o:ws.o_id ~c:i.no_c ~n:(List.length i.no_items))
     ()
@@ -824,7 +825,6 @@ let payment_instance env (i : payment_input) =
     [ { Program.ai_assertion = a_pay_applied; ai_from = 2; ai_until = 3; ai_check = None } ]
   in
   Program.instance ~def:payment_type ~steps ~assertions
-    ~compensate:payment_compensate
     ~comp_area:(fun () ->
       [
         ("w", Int i.p_w);
@@ -852,7 +852,6 @@ let delivery_instance env (i : delivery_input) =
     [ { Program.ai_assertion = a_dl_progress; ai_from = 2; ai_until = n; ai_check = None } ]
   in
   Program.instance ~def:delivery_type ~steps ~assertions
-    ~compensate:delivery_compensate
     ~comp_area:(fun () ->
       (* flatten the delivered list, newest first: the compensation undoes
          each (district, order, customer, amount) quadruple in that order *)

@@ -100,10 +100,6 @@ val semantics : Acc_lock.Mode.semantics
 val forward_step_count : int
 (** = 11, the paper's "eleven distinct forward step types". *)
 
-val no_comp : Acc_core.Program.step_def
-(** new_order's compensating step (cancel-order); {!Recovery_comp}
-    registers {!new_order_compensate} under its design-time id. *)
-
 val no_reads : Acc_core.Program.step_def
 (** new_order's first forward step (reads + order counter); named so
     {!Dist_txns} can extend the counter's interference compatibility to the
@@ -112,18 +108,14 @@ val no_reads : Acc_core.Program.step_def
 val a_no_seq : Acc_core.Assertion.t
 (** the order-counter sequencing assertion, for the same reason. *)
 
-val pay_comp : Acc_core.Program.step_def
-(** payment's compensating step (refund). *)
-
-val dl_comp : Acc_core.Program.step_def
-(** delivery's compensating step (undeliver). *)
-
 (** {1 Compensating bodies}
 
-    One per compensable type, each reading only
-    {!Acc_txn.Executor.work_area}: the instances pass them as
-    [~compensate], and {!Recovery_comp} registers the same functions with
-    {!Acc_core.Replay}, so an inline abort and crash replay run one body. *)
+    Each compensable type declares its body
+    ({!Acc_core.Program.txn_type}'s [~compensate]), which reads only
+    {!Acc_txn.Executor.work_area}: every instance runs it on an inline
+    abort, and {!Acc_core.Replay} finds it in {!workload} after a crash.
+    Two are exported because the partitioned home branches ({!Dist_txns})
+    declare them too. *)
 
 val new_order_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
 (** Cancel the order: a burnt order number becomes a cancelled header; the
@@ -141,9 +133,6 @@ val payment_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
     and after step 3 the customer update and its history row.  Also the body
     of the partitioned home branch, whose two steps are payment's first
     two. *)
-
-val delivery_compensate : Acc_txn.Executor.ctx -> completed:int -> unit
-(** Undeliver every order the work area lists, newest first. *)
 
 val reset_history_seq : unit -> unit
 (** Reset the process-wide surrogate history-key sequence.  Call before a

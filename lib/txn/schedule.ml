@@ -91,7 +91,7 @@ let wait : type r.
   if not (Lock_service.outstanding h.locks ~ticket) then Effect.Deep.continue k ()
   else begin
     let self_victim =
-      match Lock_service.find_cycle h.locks ~from:txn with
+      match Lock_core.find_cycle ~edges:(Lock_service.wait_edges h.locks) ~from:txn with
       | None -> false
       | Some cycle ->
           let victims = victims_of h.policy h.locks ~requester:txn ~cycle in

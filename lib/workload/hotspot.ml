@@ -19,7 +19,6 @@ module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
-module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Prng = Acc_util.Prng
@@ -133,8 +132,23 @@ let a_hb_mine =
     ~until:Assertion.until_commit
     ~refs:[ fp ~fresh "hot_audit" Footprint.All_columns ]
 
+let compensate ctx ~completed =
+  (* undo increments k = completed .. 1; journal keys are derivable from
+     the surrogate, so the work area alone suffices *)
+  let field name = as_int (Executor.area_field ctx name) in
+  let txn = field "txn" in
+  for k = min completed (field "n") downto 1 do
+    let row = field (Printf.sprintf "r%d" (k - 1)) in
+    ignore
+      (Executor.update ctx "hot" [ Int row ] (fun r ->
+           r.(1) <- Int (as_int r.(1) - 1);
+           r));
+    Executor.delete ctx "hot_audit" [ Int txn; Int k ]
+  done
+
 let bump_type =
-  Program.txn_type ~name:"hs_bump" ~steps:[ hb_inc ] ~comp:hb_comp ~assertions:[ a_hb_mine ] ()
+  Program.txn_type ~name:"hs_bump" ~steps:[ hb_inc ] ~comp:hb_comp ~compensate
+    ~assertions:[ a_hb_mine ] ()
 
 let hs_read =
   Program.step ~id:3 ~name:"sum" ~txn_type:"hs_sum" ~index:1
@@ -165,26 +179,7 @@ let sum_body env ~threshold ctx =
   let total = List.fold_left (fun acc r -> acc + as_int r.(1)) 0 rows in
   ignore (total > threshold)
 
-let compensate ctx ~completed =
-  (* undo increments k = completed .. 1; journal keys are derivable from
-     the surrogate, so the work area alone suffices *)
-  let field name = as_int (Executor.area_field ctx name) in
-  let txn = field "txn" in
-  for k = min completed (field "n") downto 1 do
-    let row = field (Printf.sprintf "r%d" (k - 1)) in
-    ignore
-      (Executor.update ctx "hot" [ Int row ] (fun r ->
-           r.(1) <- Int (as_int r.(1) - 1);
-           r));
-    Executor.delete ctx "hot_audit" [ Int txn; Int k ]
-  done
-
-let register_replay () =
-  Replay.register ~txn_type:"hs_bump" ~step_type:hb_comp.Program.sd_id compensate
-
-let reset_global () =
-  Atomic.set txn_seq 1_000_000;
-  register_replay ()
+let reset_global () = Atomic.set txn_seq 1_000_000
 
 (* ------------------------------------------------------------------ *)
 (* Instances *)
@@ -199,7 +194,6 @@ let bump_instance env ~txn ~rows ~fail =
   in
   Program.instance ~def:bump_type ~steps
     ~assertions:[ { Program.ai_assertion = a_hb_mine; ai_from = 2; ai_until = n; ai_check = None } ]
-    ~compensate
     ~comp_area:(fun () ->
       ("txn", Int txn) :: ("n", Int n)
       :: List.mapi (fun i row -> (Printf.sprintf "r%d" i, Int row)) rows)

@@ -27,7 +27,6 @@ module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
-module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Predicate_lock = Acc_lock.Predicate_lock
@@ -204,9 +203,26 @@ let post_comp =
     ~writes:[ fp "ledger" (cols [ "l_amount" ]) ]
     ()
 
+let post_compensate ctx ~completed =
+  (* abort after the credit cannot happen mid-transaction (credit is the
+     last step), but a crash between the final end-of-step and commit can:
+     undo newest-first *)
+  let field = Executor.area_field ctx in
+  let amount = fnum (field "amount") in
+  if completed >= 2 then
+    ignore
+      (Executor.update ctx "ledger" [ field "dst" ] (fun row ->
+           row.(2) <- Float (fnum row.(2) -. amount);
+           row));
+  if completed >= 1 then
+    ignore
+      (Executor.update ctx "ledger" [ field "src" ] (fun row ->
+           row.(2) <- Float (fnum row.(2) +. amount);
+           row))
+
 let post_type =
   Program.txn_type ~name:"lr_post" ~steps:[ post_debit; post_credit ] ~comp:post_comp
-    ~assertions:[] ()
+    ~compensate:post_compensate ~assertions:[] ()
 
 let audit_read =
   Program.step ~id:4 ~name:"region-scan" ~txn_type:"lr_audit" ~index:1
@@ -268,33 +284,9 @@ let audit_body env ~id ~region ctx =
     [| Int id; Int (match region with Some r -> r | None -> 0); Float !sum; Int !n |];
   Shadow.release ~txn:(Executor.txn_id ctx)
 
-(* ------------------------------------------------------------------ *)
-(* Compensation *)
-
-let post_compensate ctx ~completed =
-  (* abort after the credit cannot happen mid-transaction (credit is the
-     last step), but a crash between the final end-of-step and commit can:
-     undo newest-first *)
-  let field = Executor.area_field ctx in
-  let amount = fnum (field "amount") in
-  if completed >= 2 then
-    ignore
-      (Executor.update ctx "ledger" [ field "dst" ] (fun row ->
-           row.(2) <- Float (fnum row.(2) -. amount);
-           row));
-  if completed >= 1 then
-    ignore
-      (Executor.update ctx "ledger" [ field "src" ] (fun row ->
-           row.(2) <- Float (fnum row.(2) +. amount);
-           row))
-
-let register_replay () =
-  Replay.register ~txn_type:"lr_post" ~step_type:post_comp.Program.sd_id post_compensate
-
 let reset_global () =
   Atomic.set audit_seq 1_000_000;
-  Shadow.reset ();
-  register_replay ()
+  Shadow.reset ()
 
 (* ------------------------------------------------------------------ *)
 (* Execution *)
@@ -306,7 +298,6 @@ let post_instance env ~src ~dst ~amount ~fail =
         (post_debit, fun ctx -> debit_body env ~src ~amount ctx);
         (post_credit, fun ctx -> credit_body env ~dst ~amount ~fail ctx);
       ]
-    ~compensate:post_compensate
     ~comp_area:(fun () -> [ ("src", Int src); ("dst", Int dst); ("amount", Float amount) ])
     ()
 

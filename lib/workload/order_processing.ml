@@ -21,7 +21,6 @@ module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
-module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Rid = Acc_lock.Resource_id
@@ -84,6 +83,28 @@ let make_db stock_levels =
 let populate ~items ~seed =
   let g = Prng.create ~seed in
   make_db (List.init items (fun i -> (i + 1, init_stock, 5 + Prng.int g 50)))
+
+(* ------------------------------------------------------------------ *)
+(* Compensation (area-driven: the in-memory path and replay share it) *)
+
+let cancel_order ctx ~completed =
+  let order = as_int (Executor.area_field ctx "order_id") in
+  if completed >= 1 && order >= 0 then begin
+    (* the lines are this instance's own fresh rows: hunt them through the
+       by_order index and return their stock *)
+    let lines =
+      Executor.scan ctx "orderlines" ~where:(Predicate.Eq ("order_id", v_int order)) ()
+    in
+    List.iter
+      (fun row ->
+        let item = as_int row.(1) and filled = as_int row.(3) in
+        let level = as_int (Executor.read_exn ctx "stock" [ v_int item ]).(1) in
+        Executor.set_column ctx "stock" [ v_int item ] "s_level" (v_int (level + filled));
+        Executor.delete ctx "orderlines" [ v_int order; v_int item ])
+      lines;
+    if Executor.read ctx "orders" [ v_int order ] <> None then
+      Executor.delete ctx "orders" [ v_int order ]
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Static decomposition (the §4 step/assertion ids of the example) *)
@@ -153,37 +174,12 @@ let a_bill_i1 =
 
 let new_order_type =
   Program.txn_type ~name:"op_order" ~steps:[ step_header; step_line ] ~comp:step_cancel
-    ~assertions:[ a_loop_inv ] ()
+    ~compensate:cancel_order ~assertions:[ a_loop_inv ] ()
 
 let bill_type = Program.txn_type ~name:"op_bill" ~steps:[ step_bill ] ~assertions:[ a_bill_i1 ] ()
 let workload = Program.workload [ new_order_type; bill_type ]
 let interference = Interference.build workload
 let semantics = Interference.semantics interference
-
-(* ------------------------------------------------------------------ *)
-(* Compensation (area-driven: the in-memory path and replay share it) *)
-
-let cancel_order ctx ~completed =
-  let order = as_int (Executor.area_field ctx "order_id") in
-  if completed >= 1 && order >= 0 then begin
-    (* the lines are this instance's own fresh rows: hunt them through the
-       by_order index and return their stock *)
-    let lines =
-      Executor.scan ctx "orderlines" ~where:(Predicate.Eq ("order_id", v_int order)) ()
-    in
-    List.iter
-      (fun row ->
-        let item = as_int row.(1) and filled = as_int row.(3) in
-        let level = as_int (Executor.read_exn ctx "stock" [ v_int item ]).(1) in
-        Executor.set_column ctx "stock" [ v_int item ] "s_level" (v_int (level + filled));
-        Executor.delete ctx "orderlines" [ v_int order; v_int item ])
-      lines;
-    if Executor.read ctx "orders" [ v_int order ] <> None then
-      Executor.delete ctx "orders" [ v_int order ]
-  end
-
-let register_replay () =
-  Replay.register ~txn_type:"op_order" ~step_type:step_cancel.Program.sd_id cancel_order
 
 (* ------------------------------------------------------------------ *)
 (* Run-time instances (shared with the example binary) *)
@@ -222,7 +218,6 @@ let new_order ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~items () 
             ai_check = None;
           };
         ]
-      ~compensate:cancel_order
       ~comp_area:(fun () -> [ ("order_id", v_int !order_id) ])
       ()
   in
@@ -320,9 +315,7 @@ let gen_input env =
     Place { items = draw [] k; fail = Prng.chance g env.abort_rate }
   end
 
-let reset_global () =
-  Atomic.set placed_hint 0;
-  register_replay ()
+let reset_global () = Atomic.set placed_hint 0
 
 let instance env input =
   match input with

@@ -22,7 +22,6 @@ module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
-module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Prng = Acc_util.Prng
@@ -142,6 +141,61 @@ let gen_input env =
 let au_seq = Atomic.make 1_000_000
 let next_au () = 1 + Atomic.fetch_and_add au_seq 1
 
+let reset_global () = Atomic.set au_seq 1_000_000
+
+(* ------------------------------------------------------------------ *)
+(* Compensations: one body per type, reading only the work area, shared
+   by an inline abort and crash replay *)
+
+(* undo one journaled single-balance change: the deposit's credit to
+   checking, or the transact's adjustment of savings *)
+let unapply ~table ctx =
+  let field = Executor.area_field ctx in
+  let amount = fnum (field "amount") in
+  ignore
+    (Executor.update ctx table [ field "acct" ] (fun row ->
+         row.(1) <- Float (fnum row.(1) -. amount);
+         row));
+  Executor.delete ctx "sb_audit" [ field "au" ]
+
+let dc_compensate ctx ~completed = if completed >= 1 then unapply ~table:"checking" ctx
+let ts_compensate ctx ~completed = if completed >= 1 then unapply ~table:"saving" ctx
+
+let wc_compensate ctx ~completed =
+  (* step 1 is read-only; only a completed deduct leaves anything to undo *)
+  if completed >= 2 then begin
+    let field = Executor.area_field ctx in
+    let amount = fnum (field "amount") in
+    ignore
+      (Executor.update ctx "checking" [ field "acct" ] (fun row ->
+           row.(1) <- Float (fnum row.(1) +. amount);
+           row));
+    Executor.delete ctx "sb_audit" [ field "au" ]
+  end
+
+let am_compensate ctx ~completed =
+  let field = Executor.area_field ctx in
+  let ms = fnum (field "ms") and mc = fnum (field "mc") in
+  if completed >= 2 then begin
+    let au = as_int (field "au") in
+    ignore
+      (Executor.update ctx "checking" [ field "dst" ] (fun row ->
+           row.(1) <- Float (fnum row.(1) -. (ms +. mc));
+           row));
+    Executor.delete ctx "sb_audit" [ Int au ];
+    Executor.delete ctx "sb_audit" [ Int (au + 1000000000) ]
+  end;
+  if completed >= 1 then begin
+    ignore
+      (Executor.update ctx "saving" [ field "src" ] (fun row ->
+           row.(1) <- Float (fnum row.(1) +. ms);
+           row));
+    ignore
+      (Executor.update ctx "checking" [ field "src" ] (fun row ->
+           row.(1) <- Float (fnum row.(1) +. mc);
+           row))
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Static decomposition *)
 
@@ -168,7 +222,8 @@ let dc_comp =
     ()
 
 let deposit_type =
-  Program.txn_type ~name:"sb_deposit" ~steps:[ dc_apply ] ~comp:dc_comp ~assertions:[] ()
+  Program.txn_type ~name:"sb_deposit" ~steps:[ dc_apply ] ~comp:dc_comp ~compensate:dc_compensate
+    ~assertions:[] ()
 
 let ts_apply =
   Program.step ~id:4 ~name:"adjust" ~txn_type:"sb_transact" ~index:1
@@ -182,7 +237,8 @@ let ts_comp =
     ()
 
 let transact_type =
-  Program.txn_type ~name:"sb_transact" ~steps:[ ts_apply ] ~comp:ts_comp ~assertions:[] ()
+  Program.txn_type ~name:"sb_transact" ~steps:[ ts_apply ] ~comp:ts_comp ~compensate:ts_compensate
+    ~assertions:[] ()
 
 let wc_check =
   Program.step ~id:6 ~name:"verify-funds" ~txn_type:"sb_write_check" ~index:1
@@ -208,7 +264,7 @@ let a_wc_funds =
 
 let write_check_type =
   Program.txn_type ~name:"sb_write_check" ~steps:[ wc_check; wc_deduct ] ~comp:wc_comp
-    ~assertions:[ a_wc_funds ] ()
+    ~compensate:wc_compensate ~assertions:[ a_wc_funds ] ()
 
 let am_take =
   Program.step ~id:9 ~name:"drain-src" ~txn_type:"sb_amalgamate" ~index:1
@@ -239,7 +295,7 @@ let a_am_moved =
 
 let amalgamate_type =
   Program.txn_type ~name:"sb_amalgamate" ~steps:[ am_take; am_put ] ~comp:am_comp
-    ~assertions:[ a_am_moved ] ()
+    ~compensate:am_compensate ~assertions:[ a_am_moved ] ()
 
 let workload =
   Program.workload
@@ -366,69 +422,6 @@ let am_put_body env ~src ~dst ~fail (ws : am_ws) ctx =
   audit ctx ~au:(ws.au + 1000000000) ~op:"am_in" ~acct:dst ~delta:total
 
 (* ------------------------------------------------------------------ *)
-(* Compensations: one body per type, reading only the work area, shared
-   by an inline abort and crash replay *)
-
-(* undo one journaled single-balance change: the deposit's credit to
-   checking, or the transact's adjustment of savings *)
-let unapply ~table ctx =
-  let field = Executor.area_field ctx in
-  let amount = fnum (field "amount") in
-  ignore
-    (Executor.update ctx table [ field "acct" ] (fun row ->
-         row.(1) <- Float (fnum row.(1) -. amount);
-         row));
-  Executor.delete ctx "sb_audit" [ field "au" ]
-
-let dc_compensate ctx ~completed = if completed >= 1 then unapply ~table:"checking" ctx
-let ts_compensate ctx ~completed = if completed >= 1 then unapply ~table:"saving" ctx
-
-let wc_compensate ctx ~completed =
-  (* step 1 is read-only; only a completed deduct leaves anything to undo *)
-  if completed >= 2 then begin
-    let field = Executor.area_field ctx in
-    let amount = fnum (field "amount") in
-    ignore
-      (Executor.update ctx "checking" [ field "acct" ] (fun row ->
-           row.(1) <- Float (fnum row.(1) +. amount);
-           row));
-    Executor.delete ctx "sb_audit" [ field "au" ]
-  end
-
-let am_compensate ctx ~completed =
-  let field = Executor.area_field ctx in
-  let ms = fnum (field "ms") and mc = fnum (field "mc") in
-  if completed >= 2 then begin
-    let au = as_int (field "au") in
-    ignore
-      (Executor.update ctx "checking" [ field "dst" ] (fun row ->
-           row.(1) <- Float (fnum row.(1) -. (ms +. mc));
-           row));
-    Executor.delete ctx "sb_audit" [ Int au ];
-    Executor.delete ctx "sb_audit" [ Int (au + 1000000000) ]
-  end;
-  if completed >= 1 then begin
-    ignore
-      (Executor.update ctx "saving" [ field "src" ] (fun row ->
-           row.(1) <- Float (fnum row.(1) +. ms);
-           row));
-    ignore
-      (Executor.update ctx "checking" [ field "src" ] (fun row ->
-           row.(1) <- Float (fnum row.(1) +. mc);
-           row))
-  end
-
-let register_replay () =
-  Replay.register ~txn_type:"sb_deposit" ~step_type:dc_comp.Program.sd_id dc_compensate;
-  Replay.register ~txn_type:"sb_transact" ~step_type:ts_comp.Program.sd_id ts_compensate;
-  Replay.register ~txn_type:"sb_write_check" ~step_type:wc_comp.Program.sd_id wc_compensate;
-  Replay.register ~txn_type:"sb_amalgamate" ~step_type:am_comp.Program.sd_id am_compensate
-
-let reset_global () =
-  Atomic.set au_seq 1_000_000;
-  register_replay ()
-
-(* ------------------------------------------------------------------ *)
 (* Instances *)
 
 let balance_instance env ~acct =
@@ -440,7 +433,6 @@ let deposit_instance env ~acct ~amount =
   let ws = { au1 = 0 } in
   Program.instance ~def:deposit_type
     ~steps:[ (dc_apply, fun ctx -> dc_body env ~acct ~amount ws ctx) ]
-    ~compensate:dc_compensate
     ~comp_area:(fun () ->
       [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au1) ])
     ()
@@ -449,7 +441,6 @@ let transact_instance env ~acct ~amount =
   let ws = { au1 = 0 } in
   Program.instance ~def:transact_type
     ~steps:[ (ts_apply, fun ctx -> ts_body env ~acct ~amount ws ctx) ]
-    ~compensate:ts_compensate
     ~comp_area:(fun () ->
       [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au1) ])
     ()
@@ -463,7 +454,6 @@ let write_check_instance env ~acct ~amount ~fail =
         (wc_deduct, fun ctx -> wc_deduct_body env ~acct ~amount ~fail ws ctx);
       ]
     ~assertions:[ { Program.ai_assertion = a_wc_funds; ai_from = 2; ai_until = 2; ai_check = None } ]
-    ~compensate:wc_compensate
     ~comp_area:(fun () -> [ ("acct", Int acct); ("amount", Float amount); ("au", Int ws.au) ])
     ()
 
@@ -476,7 +466,6 @@ let amalgamate_instance env ~src ~dst ~fail =
         (am_put, fun ctx -> am_put_body env ~src ~dst ~fail ws ctx);
       ]
     ~assertions:[ { Program.ai_assertion = a_am_moved; ai_from = 2; ai_until = 2; ai_check = None } ]
-    ~compensate:am_compensate
     ~comp_area:(fun () ->
       [
         ("src", Int src); ("dst", Int dst); ("ms", Float ws.ms); ("mc", Float ws.mc);

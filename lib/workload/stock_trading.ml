@@ -17,7 +17,6 @@ module Predicate = Acc_relation.Predicate
 module Program = Acc_core.Program
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
-module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Prng = Acc_util.Prng
@@ -64,6 +63,22 @@ let populate ~lots ~seed =
   make_db (List.init lots (fun i -> (i + 1, 20 + Prng.int g 30, init_shares)))
 
 (* ------------------------------------------------------------------ *)
+(* Compensation: walk my ledger entries back into their lots *)
+
+let return_shares ctx ~completed =
+  if completed >= 1 then begin
+    let buyer = as_int (Executor.area_field ctx "buyer") in
+    let mine = Executor.scan ctx "ledger" ~where:(Predicate.Eq ("buyer", v_int buyer)) () in
+    List.iter
+      (fun row ->
+        let entry = as_int row.(1) and lot = as_int row.(2) and shares = as_int row.(4) in
+        let avail = as_int (Executor.read_exn ctx "sell_orders" [ v_int lot ]).(2) in
+        Executor.set_column ctx "sell_orders" [ v_int lot ] "shares" (v_int (avail + shares));
+        Executor.delete ctx "ledger" [ v_int buyer; v_int entry ])
+      mine
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Static decomposition: one repeating lot-step, no assertions *)
 
 let step_lot =
@@ -93,29 +108,11 @@ let step_return =
     ()
 
 let buy_type =
-  Program.txn_type ~name:"st_buy" ~steps:[ step_lot ] ~comp:step_return ~assertions:[] ()
+  Program.txn_type ~name:"st_buy" ~steps:[ step_lot ] ~comp:step_return
+    ~compensate:return_shares ~assertions:[] ()
 let workload = Program.workload [ buy_type ]
 let interference = Interference.build workload
 let semantics = Interference.semantics interference
-
-(* ------------------------------------------------------------------ *)
-(* Compensation: walk my ledger entries back into their lots *)
-
-let return_shares ctx ~completed =
-  if completed >= 1 then begin
-    let buyer = as_int (Executor.area_field ctx "buyer") in
-    let mine = Executor.scan ctx "ledger" ~where:(Predicate.Eq ("buyer", v_int buyer)) () in
-    List.iter
-      (fun row ->
-        let entry = as_int row.(1) and lot = as_int row.(2) and shares = as_int row.(4) in
-        let avail = as_int (Executor.read_exn ctx "sell_orders" [ v_int lot ]).(2) in
-        Executor.set_column ctx "sell_orders" [ v_int lot ] "shares" (v_int (avail + shares));
-        Executor.delete ctx "ledger" [ v_int buyer; v_int entry ])
-      mine
-  end
-
-let register_replay () =
-  Replay.register ~txn_type:"st_buy" ~step_type:step_return.Program.sd_id return_shares
 
 (* ------------------------------------------------------------------ *)
 (* Run-time instance *)
@@ -163,7 +160,6 @@ let buy ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~buyer ~want ~st
   let inst =
     Program.instance ~def:buy_type
       ~steps:(List.init steps (fun i -> (step_lot, lot_step (i + 1))))
-      ~compensate:return_shares
       ~comp_area:(fun () -> [ ("buyer", v_int buyer) ])
       ()
   in
@@ -202,9 +198,7 @@ let gen_input env =
       }
   else Quote
 
-let reset_global () =
-  Atomic.set buyer_seq 1;
-  register_replay ()
+let reset_global () = Atomic.set buyer_seq 1
 
 let quote_body ctx = ignore (cheapest_lot ctx)
 

@@ -18,7 +18,6 @@ module Assertion = Acc_core.Assertion
 module Footprint = Acc_core.Footprint
 module Interference = Acc_core.Interference
 module Runtime = Acc_core.Runtime
-module Replay = Acc_core.Replay
 module Executor = Acc_txn.Executor
 module Txn_effect = Acc_txn.Txn_effect
 module Prng = Acc_util.Prng
@@ -133,6 +132,23 @@ let gen_input env =
   else upd_loc ()
 
 (* ------------------------------------------------------------------ *)
+(* Compensations *)
+
+(* bit flips are last-writer-wins noise; semantic undo is a no-op beyond
+   honoring the obligation *)
+let ub_compensate _ctx ~completed:_ = ()
+
+(* the claimed sequence number is exposed and stays burnt (TPC-C's order
+   id); journal it as a cancelled update so the counter still reconciles *)
+let ul_compensate ctx ~completed =
+  let sub = as_int (Executor.area_field ctx "sub") in
+  let seq = as_int (Executor.area_field ctx "seq") in
+  if seq > 0 then begin
+    if completed >= 2 then ignore (Executor.delete ctx "tatp_audit" [ Int sub; Int seq ]);
+    if completed >= 1 then Executor.insert ctx "tatp_audit" [| Int sub; Int seq; Int (-1) |]
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Static decomposition *)
 
 let fp = Footprint.make
@@ -167,7 +183,8 @@ let ub_comp =
     ()
 
 let update_bit_type =
-  Program.txn_type ~name:"tatp_update_bit" ~steps:[ ub_write ] ~comp:ub_comp ~assertions:[] ()
+  Program.txn_type ~name:"tatp_update_bit" ~steps:[ ub_write ] ~comp:ub_comp
+    ~compensate:ub_compensate ~assertions:[] ()
 
 let ul_bump =
   Program.step ~id:5 ~name:"claim-seq" ~txn_type:"tatp_update_location" ~index:1
@@ -201,7 +218,7 @@ let a_ul_seq =
 
 let update_location_type =
   Program.txn_type ~name:"tatp_update_location" ~steps:[ ul_bump; ul_write ] ~comp:ul_comp
-    ~assertions:[ a_ul_seq ] ()
+    ~compensate:ul_compensate ~assertions:[ a_ul_seq ] ()
 
 let workload =
   Program.workload
@@ -252,29 +269,8 @@ let ul_write_body env ~sub ~loc ~fail (ws : ul_ws) ctx =
   env.pace ();
   Executor.insert ctx "tatp_audit" [| Int sub; Int ws.seq; Int loc |]
 
-(* ------------------------------------------------------------------ *)
-(* Compensations *)
-
-(* bit flips are last-writer-wins noise; semantic undo is a no-op beyond
-   honoring the obligation *)
-let ub_compensate _ctx ~completed:_ = ()
-
-(* the claimed sequence number is exposed and stays burnt (TPC-C's order
-   id); journal it as a cancelled update so the counter still reconciles *)
-let ul_compensate ctx ~completed =
-  let sub = as_int (Executor.area_field ctx "sub") in
-  let seq = as_int (Executor.area_field ctx "seq") in
-  if seq > 0 then begin
-    if completed >= 2 then ignore (Executor.delete ctx "tatp_audit" [ Int sub; Int seq ]);
-    if completed >= 1 then Executor.insert ctx "tatp_audit" [| Int sub; Int seq; Int (-1) |]
-  end
-
-let register_replay () =
-  Replay.register ~txn_type:"tatp_update_bit" ~step_type:ub_comp.Program.sd_id ub_compensate;
-  Replay.register ~txn_type:"tatp_update_location" ~step_type:ul_comp.Program.sd_id
-    ul_compensate
-
-let reset_global () = register_replay ()
+(* no process-wide state *)
+let reset_global () = ()
 
 (* ------------------------------------------------------------------ *)
 (* Instances *)
@@ -292,7 +288,6 @@ let instance env input =
   | Update_bit { sub; bit } ->
       Program.instance ~def:update_bit_type
         ~steps:[ (ub_write, fun ctx -> ub_body env ~sub ~bit ctx) ]
-        ~compensate:ub_compensate
         ~comp_area:(fun () -> [ ("sub", Int sub) ])
         ()
   | Update_location { sub; loc; fail } ->
@@ -305,7 +300,6 @@ let instance env input =
           ]
         ~assertions:
           [ { Program.ai_assertion = a_ul_seq; ai_from = 2; ai_until = 2; ai_check = None } ]
-        ~compensate:ul_compensate
         ~comp_area:(fun () -> [ ("sub", Int sub); ("seq", Int ws.seq) ])
         ()
 

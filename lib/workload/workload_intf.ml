@@ -49,7 +49,8 @@ type ('env, 'input) partitioning = {
           [populate]'s *)
   workload : Program.workload;
       (** what a partition engine serves: the single-node types plus the
-          branch types *)
+          branch types, each compensable one with its declared body, which
+          a partition's recovery replays *)
   semantics : Mode.semantics;  (** of [workload] *)
   route : part_of:(int -> int) -> 'input -> int list;
       (** sorted, distinct ids of the partitions the input touches;
@@ -106,20 +107,21 @@ module type S = sig
 
   val reset_global : unit -> unit
   (** Reset process-wide state (surrogate-id sequences, shadow-lock
-      counters) and make sure the workload's {!Acc_core.Replay} handlers
-      are registered.  Crash harnesses call this once per fresh run. *)
+      counters).  Crash harnesses call this once per fresh run. *)
 
   val gen_input : env -> input
   val txn_name : input -> string
 
   val forced_abort : input -> bool
   (** The input was generated flagged to fail at its last step (TPC-C's
-      1%% aborted New-Orders); drivers count its compensation as a forced
+      1% aborted New-Orders); drivers count its compensation as a forced
       abort, not an anomaly. *)
 
   val workload : Program.workload
   (** The design-time step/assertion declarations, for step-histogram
-      labels and conflict attribution. *)
+      labels and conflict attribution.  Each compensable type declares its
+      compensating body here, so this is also where crash replay
+      ({!Acc_core.Replay.replay_pending}) finds it. *)
 
   val interference : Interference.t
   val semantics : Mode.semantics

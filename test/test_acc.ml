@@ -79,6 +79,43 @@ let test_program_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* A type that declares its compensating body gives that body to every
+   instance and refuses an instance's own; a type with a compensating step
+   but no body still needs one per instance; and a body needs a
+   compensating step.  Each refusal names the type. *)
+let test_declared_compensation () =
+  let step id name index =
+    Program.step ~id ~name ~txn_type:"d" ~index ~reads:[] ~writes:[] ()
+  in
+  let s1 = step 92 "a" 1 and s2 = step 93 "b" 2 and comp = step 94 "undo" 0 in
+  let steps = [ (s1, ignore); (s2, ignore) ] in
+  let body _ ~completed:_ = () in
+  let refused what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) (what ^ ": names the type") true
+          (String.starts_with ~prefix:"d: " msg)
+  in
+  let runs_body what (inst : Program.instance) =
+    match inst.Program.i_compensate with
+    | Some b -> Alcotest.(check bool) what true (b == body)
+    | None -> Alcotest.failf "%s: no compensating body" what
+  in
+  let declared =
+    Program.txn_type ~name:"d" ~steps:[ s1; s2 ] ~comp ~compensate:body ~assertions:[] ()
+  in
+  runs_body "first instance runs the declared body" (Program.instance ~def:declared ~steps ());
+  runs_body "second instance runs it too" (Program.instance ~def:declared ~steps ());
+  refused "instance override of a declared body" (fun () ->
+      Program.instance ~def:declared ~steps ~compensate:(fun _ ~completed:_ -> ()) ());
+  let undeclared = Program.txn_type ~name:"d" ~steps:[ s1; s2 ] ~comp ~assertions:[] () in
+  refused "instance without a body" (fun () -> Program.instance ~def:undeclared ~steps ());
+  runs_body "instance body of an undeclared type"
+    (Program.instance ~def:undeclared ~steps ~compensate:body ());
+  refused "body without a compensating step" (fun () ->
+      Program.txn_type ~name:"d" ~steps:[ s1 ] ~compensate:body ~assertions:[] ())
+
 let test_workload_registry () =
   Alcotest.(check int) "txn types" 3 (List.length (Program.txn_types W.workload));
   (* legacy + 3 new_order (incl comp) + 1 bill + 3 audit (incl comp) *)
@@ -564,6 +601,38 @@ let pair_engine () =
   List.iter (fun i -> ignore (Table.insert stock [| v_int i; v_int 0 |])) [ 1; 2; 3; 4 ];
   Executor.create ~sem:(Interference.semantics pair_interference) db
 
+(* Replay finds a pending transaction's body in the workload the engine
+   serves.  A type that leaves its body to the instances ([pair]), or a type
+   the workload does not have, fails with the type's name before the
+   pending transaction is adopted, so nothing reaches the log. *)
+let test_replay_needs_declared_body () =
+  let eng = pair_engine () in
+  let logged () = Acc_wal.Log.length (Executor.log eng) in
+  let before = logged () in
+  List.iter
+    (fun (txn_type, why) ->
+      let pending =
+        { Acc_wal.Recovery.p_txn = 7; p_txn_type = txn_type; p_completed_steps = 1; p_area = [] }
+      in
+      let report =
+        {
+          Acc_wal.Recovery.db = Executor.db eng;
+          pending = [ pending ];
+          in_doubt = [];
+          committed = [];
+          physically_undone = [];
+          already_resolved = [];
+        }
+      in
+      match Replay.replay_pending ~workload:pair_workload eng report with
+      | _ -> Alcotest.failf "%s: replayed" txn_type
+      | exception Failure msg ->
+          Alcotest.(check bool) (txn_type ^ ": names the type") true
+            (contains_substring msg txn_type);
+          Alcotest.(check bool) (txn_type ^ ": says why") true (contains_substring msg why))
+    [ ("pair", "declares no compensating body"); ("no_such_type", "not a type") ];
+  Alcotest.(check int) "nothing logged" before (logged ())
+
 let stock_val eng i =
   Value.as_int (Table.get_exn (Database.table (Executor.db eng) "stock") [ v_int i ]).(1)
 
@@ -876,6 +945,7 @@ let suites =
         Alcotest.test_case "footprint overlap" `Quick test_footprint_overlap;
         Alcotest.test_case "assertion validation" `Quick test_assertion_validation;
         Alcotest.test_case "program validation" `Quick test_program_validation;
+        Alcotest.test_case "declared compensating body" `Quick test_declared_compensation;
         Alcotest.test_case "workload registry" `Quick test_workload_registry;
         Alcotest.test_case "interference table (the §4 facts)" `Quick test_interference_table;
         Alcotest.test_case "prefix table" `Quick test_prefix_table;
@@ -889,6 +959,7 @@ let suites =
         Alcotest.test_case "bill after commit" `Quick test_bill_after_commit;
         Alcotest.test_case "forced abort compensates" `Quick test_forced_abort_compensates;
         Alcotest.test_case "abort at first step" `Quick test_abort_at_first_step_physical;
+        Alcotest.test_case "replay needs a declared body" `Quick test_replay_needs_declared_body;
       ] );
     ( "acc.interleaving",
       [

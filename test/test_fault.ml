@@ -284,7 +284,7 @@ let run_crashed ~seed ~inputs ~point ~hit =
           in
           let rep = Recovery.recover ~baseline (Log.to_list (Executor.log eng)) in
           let eng' = Executor.create ~sem:Txns.semantics (Database.copy rep.Recovery.db) in
-          List.iter (Replay.replay_one eng') rep.Recovery.pending;
+          ignore (Replay.replay_pending ~workload:Txns.workload eng' rep);
           (Executor.db eng', Crashed_at { at = i; committed; pending = rep.Recovery.pending })
   in
   Fun.protect ~finally:Fault.disarm (fun () -> go 0)

@@ -146,7 +146,10 @@ let test_crash_recovery_from_driver_log () =
   let cuts = List.init ((n / 7) + 1) (fun i -> i * 7) @ [ n ] in
   List.iter
     (fun cut ->
-      let db = Recovery_comp.recover_and_compensate ~baseline (Acc_wal.Log.prefix log cut) in
+      let rep = Acc_wal.Recovery.recover ~baseline (Acc_wal.Log.prefix log cut) in
+      let eng' = Acc_txn.Executor.create ~sem:Txns.semantics rep.Acc_wal.Recovery.db in
+      ignore (Acc_core.Replay.replay_pending ~workload:Txns.workload eng' rep);
+      let db = rep.Acc_wal.Recovery.db in
       match Consistency.check db with
       | [] -> ()
       | problems ->

@@ -19,7 +19,6 @@ module Fault = Acc_fault.Fault
 module Log = Acc_wal.Log
 module Recovery = Acc_wal.Recovery
 module Database = Acc_relation.Database
-module Txns = Acc_tpcc.Txns
 
 let registered () =
   W.Builtin.ensure ();
@@ -167,69 +166,38 @@ let test_write_skew_guarded () =
 
 (* --- one compensating body per type --------------------------------------- *)
 
-(* For every compensable type a test can build, the instance's compensating
-   body is physically the function its workload registered with Replay: an
-   inline abort and crash replay run the same code, reading only the work
-   area. *)
+(* Every compensable type of every registered plugin, and of the workload
+   a TPC-C partition serves (the single-node types plus the four branch
+   types), declares its compensating body: [Program.instance] hands that
+   body to every instance, and crash replay finds it by type name in the
+   workload.  A type that left its body to the instances could not be
+   replayed after a crash. *)
 let test_one_body_per_type () =
-  ignore (registered ());
-  List.iter
-    (fun reset -> reset ())
-    [
-      SB.reset_global; W.Tatp.reset_global; W.Hotspot.reset_global;
-      W.Long_reader.reset_global; W.Order_processing.reset_global;
-      W.Stock_trading.reset_global;
-    ];
-  let check (inst : Program.instance) =
-    let name = inst.Program.i_def.Program.tt_name in
-    match (inst.Program.i_compensate, Replay.handler name) with
-    | Some body, Some registered ->
-        Alcotest.(check bool) (name ^ ": instance body == registered body") true
-          (body == registered)
-    | None, _ -> Alcotest.failf "%s: the instance has no compensating body" name
-    | _, None -> Alcotest.failf "%s: no body registered with Replay" name
+  let plugin (name, _) =
+    match W.Registry.find name with
+    | Some make ->
+        let module M = (val make W.default_spec : W.S) in
+        (name, M.workload)
+    | None -> Alcotest.failf "%s: listed but not found" name
   in
-  let tpcc = Txns.default_env Acc_tpcc.Params.default in
-  let new_order items =
-    Txns.New_order { no_w = 1; no_d = 1; no_c = 1; no_items = items; no_fail_last = false }
+  let workloads =
+    ("tpcc partitions", Acc_tpcc.Dist_txns.workload) :: List.map plugin (registered ())
   in
-  let payment ~c_w =
-    Txns.Payment
-      { p_w = 1; p_d = 1; p_c_w = c_w; p_c_d = 1; p_customer = Txns.By_id 1; p_amount = 5. }
-  in
+  let declared = ref 0 in
   List.iter
-    (fun input -> check (Txns.instance tpcc input))
-    [ new_order [ (1, 1, 1) ]; payment ~c_w:1; Txns.Delivery { dl_w = 1; dl_carrier = 1 } ];
-  (* a remote customer and a remote supplier: all four branch types *)
-  List.iter
-    (fun input ->
-      List.iter (fun (_, inst) -> check inst)
-        (Acc_tpcc.Dist_txns.branches tpcc ~part_of:Fun.id input))
-    [ payment ~c_w:2; new_order [ (1, 1, 1); (2, 1, 2) ] ];
-  let sb = SB.make_env ~accounts:4 ~skew:0. ~abort_rate:0. ~mix:None ~seed:1 () in
-  List.iter
-    (fun input -> check (SB.instance sb input))
-    [
-      SB.Deposit { acct = 1; amount = 1. };
-      SB.Transact { acct = 1; amount = 1. };
-      SB.Write_check { acct = 1; amount = 1.; fail = false };
-      SB.Amalgamate { src = 1; dst = 2; fail = false };
-    ];
-  let tatp =
-    W.Tatp.make_env ~subscribers:10 ~skew:0. ~abort_rate:0. ~mix:None ~seed:1 ()
-  in
-  List.iter
-    (fun input -> check (W.Tatp.instance tatp input))
-    [
-      W.Tatp.Update_bit { sub = 1; bit = 1 };
-      W.Tatp.Update_location { sub = 1; loc = 1; fail = false };
-    ];
-  let hot = W.Hotspot.make_env ~rows:4 ~skew:0. ~abort_rate:0. ~mix:None ~seed:1 () in
-  check (W.Hotspot.bump_instance hot ~txn:1 ~rows:[ 1; 2 ] ~fail:false);
-  let lr = W.Long_reader.make_env ~rows:4 ~skew:0. ~abort_rate:0. ~mix:None ~seed:1 () in
-  check (W.Long_reader.post_instance lr ~src:1 ~dst:2 ~amount:1. ~fail:false);
-  check (fst (W.Order_processing.new_order ~items:[ (1, 1) ] ()));
-  check (fst (W.Stock_trading.buy ~buyer:1 ~want:1 ~steps:1 ()))
+    (fun (name, workload) ->
+      List.iter
+        (fun (tt : Program.txn_type_def) ->
+          match (tt.Program.tt_comp, tt.Program.tt_compensate) with
+          | Some _, Some _ -> incr declared
+          | Some _, None ->
+              Alcotest.failf "%s: %s declares no compensating body" name tt.Program.tt_name
+          | None, _ -> ())
+        (Program.txn_types workload))
+    workloads;
+  (* TPC-C's 3 on one engine and again beside the 4 branch types, and 10 in
+     the other six plugins *)
+  Alcotest.(check int) "compensable types" 20 !declared
 
 (* A compensating step that writes nothing — SmallBank's void-check after
    the read-only verify step — ends with its Abort record and no step end
@@ -259,7 +227,7 @@ let test_no_write_compensation_crash () =
     Executor.create ~wal_policy:Log.Direct ~sem:SB.semantics
       (Database.copy rep.Recovery.db)
   in
-  Alcotest.(check int) "one replayed" 1 (Replay.replay_pending eng' rep);
+  Alcotest.(check int) "one replayed" 1 (Replay.replay_pending ~workload:SB.workload eng' rep);
   Alcotest.(check (list string)) "no violations" [] (SB.consistency (Executor.db eng'))
 
 let suites =

@@ -19,8 +19,10 @@ val table_names : t -> string list
 (** Sorted. *)
 
 val copy : t -> t
-(** Deep copy of every table: used by crash-recovery tests to rebuild a
-    database from a log against a pristine baseline. *)
+(** An independent copy of every table ({!Table.copy}: fresh row tables and
+    indexes over the shared, never-written stored rows): checkpoints and
+    crash recovery use it to rebuild a database from a log against a
+    pristine baseline. *)
 
 val total_rows : t -> int
 (** Sum of all table cardinalities. *)

@@ -60,6 +60,22 @@ let last_scan_cost t = t.last_scan_cost
 
 let index_key idx row = Array.to_list (Array.map (fun i -> row.(i)) idx.index_positions)
 
+let compare_key = List.compare Value.compare
+
+(* Every stored integer in [-2, 4094) is one of these preallocated blocks:
+   ids, counters, quantities and the -1/-2 sentinels recur across many
+   rows, and a stored row then points at the shared box instead of
+   holding a box of its own.  A wider range would mostly add TPC-C's item
+   ids, each of which recurs in few rows (DESIGN.md §17.4). *)
+let small_lo = -2
+let small_ints = Array.init 4096 (fun i -> Value.Int (small_lo + i))
+
+let intern = function
+  | Value.Int n as v ->
+      let i = n - small_lo in
+      if i >= 0 && i < Array.length small_ints then small_ints.(i) else v
+  | v -> v
+
 (* Do rows [a] and [b] agree on the columns at [positions], from the [i]th
    on, under the key tables' equality?  Compared in place: no key list is
    built. *)
@@ -125,7 +141,7 @@ let validate t row =
 
 let insert t row =
   validate t row;
-  let row = Array.copy row in
+  let row = Array.map intern row in
   let pk = Schema.key_of_row t.schema row in
   if Key_tbl.mem t.rows pk then raise (Duplicate_key (name t, pk));
   Key_tbl.add t.rows pk row;
@@ -146,7 +162,7 @@ let update t pk f =
   | Some old_row ->
       let new_row = f (Array.copy old_row) in
       validate t new_row;
-      let new_row = Array.copy new_row in
+      let new_row = Array.map intern new_row in
       if not (same_at (Schema.key_positions t.schema) old_row new_row) then
         raise (Invalid_row (Printf.sprintf "%s: update may not change the primary key" (name t)));
       Key_tbl.replace t.rows pk new_row;
@@ -258,7 +274,7 @@ let candidates t where =
 
 let scan_matches ?(where = Predicate.True) t f =
   let test = Predicate.compile t.schema where in
-  let pks = List.sort compare (candidates t where) in
+  let pks = List.sort compare_key (candidates t where) in
   t.last_scan_cost <- List.length pks;
   List.iter
     (fun pk ->
@@ -288,21 +304,40 @@ let index_lookup t ~index probe =
   | Some idx -> begin
       match Key_tbl.find_opt idx.entries probe with
       | None -> []
-      | Some set -> List.sort compare (Key_tbl.fold (fun pk () acc -> pk :: acc) set [])
+      | Some set -> List.sort compare_key (Key_tbl.fold (fun pk () acc -> pk :: acc) set [])
     end
 
-let iter f t =
-  let snapshot = Key_tbl.fold (fun pk row acc -> (pk, Array.copy row) :: acc) t.rows [] in
-  List.iter (fun (pk, row) -> f pk row) (List.sort compare snapshot)
+(* The stored (key, row) pairs in ascending key order.  The rows are the
+   table's own arrays: never written in place, they stay a snapshot without
+   being copied. *)
+let sorted_rows t =
+  let pairs = Array.make (Key_tbl.length t.rows) ([], [||]) in
+  let i = ref 0 in
+  Key_tbl.iter
+    (fun pk row ->
+      pairs.(!i) <- (pk, row);
+      incr i)
+    t.rows;
+  Array.stable_sort (fun (a, _) (b, _) -> compare_key a b) pairs;
+  pairs
+
+let iter f t = Array.iter (fun (pk, row) -> f pk (Array.copy row)) (sorted_rows t)
 
 let fold f t init =
-  let acc = ref init in
-  iter (fun pk row -> acc := f pk row !acc) t;
-  !acc
+  Array.fold_left (fun acc (pk, row) -> f pk (Array.copy row) acc) init (sorted_rows t)
 
+(* A fresh row table over the same stored arrays, which neither side writes
+   in place; the indexes are rebuilt. *)
 let copy t =
-  let fresh = create t.schema in
-  Key_tbl.iter (fun pk row -> Key_tbl.add fresh.rows pk (Array.copy row)) t.rows;
+  let fresh =
+    {
+      schema = t.schema;
+      rows = Key_tbl.copy t.rows;
+      indexes = [];
+      ordered = [];
+      last_scan_cost = t.last_scan_cost;
+    }
+  in
   List.iter
     (fun idx ->
       let cols =
@@ -319,7 +354,6 @@ let copy t =
       Key_tbl.iter (fun pk row -> Ordered_index.insert fresh_idx ~pk row) fresh.rows;
       fresh.ordered <- (fresh_idx, positions) :: fresh.ordered)
     (List.rev t.ordered);
-  fresh.last_scan_cost <- t.last_scan_cost;
   fresh
 
 let col_names t positions =

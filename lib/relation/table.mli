@@ -5,9 +5,16 @@
     array and leaves the one it replaces untouched.  {!insert} and {!update}
     hand back the table's own arrays, and the write-ahead log keeps exactly
     those as its images, so an update's before image is the row it replaced
-    and costs no copy.  Callers must not write the arrays {!insert},
-    {!update} and {!delete} return; every read ({!get}, {!scan}, {!iter},
-    ...) hands out copies. *)
+    and costs no copy.  The same invariant lets {!iter}, {!fold} and {!copy}
+    work on the stored arrays without copying them.  Callers must not write
+    the arrays {!insert}, {!update} and {!delete} return; every read
+    ({!get}, {!scan}, {!iter}, ...) hands out copies.
+
+    {b A stored row shares its small integers}: {!insert} and {!update}
+    store every [Value.Int n] with [-2 <= n < 4094] as one preallocated
+    block per value, so the ids, counters and sentinels that recur across
+    rows cost one pointer each.  The stored row is equal to the given one
+    under {!same_row}; only its blocks' identity differs. *)
 
 type t
 
@@ -36,10 +43,10 @@ val add_index : t -> name:string -> string list -> unit
     index names or unknown columns. *)
 
 val insert : t -> Value.t array -> key * Value.t array
-(** Stores a copy of the row and returns the primary key and the row as the
-    table holds them (not to be written).  Raises {!Invalid_row} if the row
-    does not satisfy the schema and {!Duplicate_key} if the primary key is
-    taken. *)
+(** Stores a copy of the row, its small integers shared, and returns the
+    primary key and the row as the table holds them (not to be written).
+    Raises {!Invalid_row} if the row does not satisfy the schema and
+    {!Duplicate_key} if the primary key is taken. *)
 
 val get : t -> key -> Value.t array option
 (** Point lookup; the returned array is a copy. *)
@@ -52,12 +59,12 @@ val mem : t -> key -> bool
 
 val update :
   t -> key -> (Value.t array -> Value.t array) -> Value.t array * Value.t array
-(** [update t k f] replaces the row at [k] with a copy of [f row] and returns
-    [(replaced, stored)]: the row it held before and the row it holds now,
-    both the table's own arrays (not to be written).  [f] receives a private
-    copy.  Raises {!No_such_row} if absent, {!Invalid_row} if the result is
-    schema-invalid or changes the primary key (delete + insert is the
-    supported way to move a row). *)
+(** [update t k f] replaces the row at [k] with a copy of [f row], its small
+    integers shared, and returns [(replaced, stored)]: the row it held
+    before and the row it holds now, both the table's own arrays (not to be
+    written).  [f] receives a private copy.  Raises {!No_such_row} if
+    absent, {!Invalid_row} if the result is schema-invalid or changes the
+    primary key (delete + insert is the supported way to move a row). *)
 
 val set_column : t -> key -> string -> Value.t -> Value.t array
 (** Specialised single-column update; returns the stored row, as {!update}
@@ -96,8 +103,10 @@ val min_lookup :
 (** Smallest entry of an ordered index, optionally strictly above a key. *)
 
 val iter : (key -> Value.t array -> unit) -> t -> unit
-(** Iterate over a snapshot of the rows; the visited arrays are copies, and
-    mutating the table from the callback is allowed. *)
+(** Iterate over a snapshot of the rows in ascending key order.  The
+    snapshot is one array of the stored keys and rows, which no later write
+    changes; each visit gets a copy of its row, and mutating the table from
+    the callback is allowed. *)
 
 val fold : (key -> Value.t array -> 'a -> 'a) -> t -> 'a -> 'a
 (** {!iter} as a fold, with the same snapshot semantics. *)
@@ -107,7 +116,9 @@ val last_scan_cost : t -> int
     [scan_keys]: the harness reads this to charge simulated CPU. *)
 
 val copy : t -> t
-(** Deep copy (rows and indexes). *)
+(** An independent table with the same rows: its row table and indexes are
+    fresh, and it shares the stored row arrays, which neither table writes
+    in place.  A write to either table leaves the other as it was. *)
 
 val index_specs : t -> (string * string list) list
 (** Name and column list of every secondary hash index, in creation order;

@@ -109,13 +109,18 @@ let create_all db =
   let _h = Database.create_table db history in
   let o = Database.create_table db orders in
   Table.add_index o ~name:"by_customer" [ "o_w_id"; "o_d_id"; "o_c_id" ];
+  (* One index per access path.  An ordered index serves an equality probe
+     on a prefix of its columns with the same candidate set a hash index on
+     that prefix would give, so neither table keeps one beside it.
+     [queue_order] serves delivery's hunt for a district's queue (equal
+     warehouse and district). *)
   let n = Database.create_table db new_order in
-  Table.add_index n ~name:"by_district" [ "no_w_id"; "no_d_id" ];
   Table.add_ordered_index n ~name:"queue_order" [ "no_w_id"; "no_d_id"; "no_o_id" ];
+  (* [ol_order_range] serves order-status's lines of one order (equal
+     warehouse, district and order) and stock-level's lines of the
+     district's last 20 orders (equal warehouse and district, order id at
+     least a bound). *)
   let ol = Database.create_table db order_line in
-  Table.add_index ol ~name:"by_order" [ "ol_w_id"; "ol_d_id"; "ol_o_id" ];
-  (* composite ordered index: stock-level's "last 20 orders of the district"
-     range probe runs off this instead of a full scan *)
   Table.add_ordered_index ol ~name:"ol_order_range" [ "ol_w_id"; "ol_d_id"; "ol_o_id" ];
   let _i = Database.create_table db item in
   let _s = Database.create_table db stock in

@@ -1,9 +1,10 @@
 (** Quiescent checkpoints: bound the log prefix recovery must replay.
 
-    A checkpoint is a deep copy of the database plus the log position it
-    reflects.  It must be taken at a {e transaction-quiescent} point (no
-    transaction between its [Begin] and its final [Commit]/[Abort]) — the
-    engine-level wrapper {!Acc_txn.Executor.checkpoint} enforces this.
+    A checkpoint is a copy of the database ([Acc_relation.Database.copy])
+    plus the log position it reflects.  It must be taken at a
+    {e transaction-quiescent} point (no transaction between its [Begin]
+    and its final [Commit]/[Abort]) — the engine-level wrapper
+    {!Acc_txn.Executor.checkpoint} enforces this.
     Recovery then starts from the snapshot and replays only the suffix; the
     result is identical to recovering the whole log from the original
     baseline (property-tested).

@@ -226,9 +226,13 @@ let test_fast_racing_compatible_installs () =
   Alcotest.(check int) "no residue" 0 (Sharded.lock_count t);
   Alcotest.(check bool) "fast path actually exercised" true (Sharded.fast_hits t > 0)
 
-(* Conflicting installers racing on one resource: exactly one side's CAS can
-   install; the loser must land in the slow path's queue, never as a second
-   incompatible hold.  Both submit orders occur across iterations. *)
+(* Conflicting installers racing on one resource: at most one side's CAS
+   installs, and the loser lands in the slow path's queue, never as a second
+   incompatible hold.  Both sides may answer [Queued]: the other side's slow
+   section can migrate a fast install into the table, and the install's
+   retreat then promotes the queued request.  Either way exactly one
+   transaction holds [r] afterwards and exactly one ticket is outstanding.
+   Both submit orders occur across iterations. *)
 let test_fast_racing_conflicting_installs () =
   let t = Sharded.create ~shards:1 Mode.no_semantics in
   let r = Resource_id.Tuple ("t", [ Value.Int 1 ]) in
@@ -240,10 +244,15 @@ let test_fast_racing_conflicting_installs () =
           | Lock_table.Queued ticket -> `Queued ticket)
     in
     let granted = List.filter_map (function `Granted t -> Some t | _ -> None) grants in
-    let queued = List.filter_map (function `Queued k -> Some k | _ -> None) grants in
-    Alcotest.(check int) "exactly one grant" 1 (List.length granted);
-    Alcotest.(check int) "the loser queued" 1 (List.length queued);
-    List.iter (fun ticket -> ignore (Sharded.cancel t ~ticket)) queued;
+    let waiting =
+      List.filter_map
+        (function `Queued k when Sharded.outstanding t ~ticket:k -> Some k | _ -> None)
+        grants
+    in
+    Alcotest.(check bool) "at most one grant" true (List.length granted <= 1);
+    Alcotest.(check int) "exactly one holder" 1 (List.length (Sharded.holders t r));
+    Alcotest.(check int) "exactly one ticket outstanding" 1 (List.length waiting);
+    List.iter (fun ticket -> ignore (Sharded.cancel t ~ticket)) waiting;
     ignore (Sharded.release_all t ~txn:1);
     ignore (Sharded.release_all t ~txn:2)
   done;

@@ -300,6 +300,9 @@ let test_table_fold () =
   let total = Table.fold (fun _ row acc -> acc + Value.as_int row.(2)) t 0 in
   Alcotest.(check int) "sum balances" 400 total
 
+(* A copy shares the stored rows, which neither side writes in place: an
+   update or a delete on either side leaves the other side's row as it
+   was. *)
 let test_table_copy_independent () =
   let t = make_accounts () in
   Table.add_index t ~name:"by_owner" [ "owner" ];
@@ -307,7 +310,35 @@ let test_table_copy_independent () =
   ignore (Table.delete t [ v_int 1 ]);
   Alcotest.(check int) "copy keeps row" 3 (Table.cardinality c);
   Alcotest.(check int) "copy index intact" 2
-    (List.length (Table.index_lookup c ~index:"by_owner" [ v_str "alice" ]))
+    (List.length (Table.index_lookup c ~index:"by_owner" [ v_str "alice" ]));
+  ignore (Table.set_column t [ v_int 2 ] "balance" (v_int 999));
+  ignore (Table.set_column c [ v_int 3 ] "balance" (v_int 1));
+  ignore (Table.delete c [ v_int 2 ]);
+  let balance tbl k = Option.map (fun row -> Value.as_int row.(2)) (Table.get tbl [ v_int k ]) in
+  Alcotest.(check (option int)) "original's update" (Some 999) (balance t 2);
+  Alcotest.(check (option int)) "original's row 3 untouched by the copy" (Some 50) (balance t 3);
+  Alcotest.(check (option int)) "copy's row 1 untouched by the delete" (Some 100) (balance c 1);
+  Alcotest.(check (option int)) "copy's update" (Some 1) (balance c 3);
+  Alcotest.(check (option int)) "copy's delete" None (balance c 2)
+
+(* Small integers are stored as one shared block each: rows written with
+   integers built at run time hold the same [Int 7], whether inserted or
+   updated; an integer outside the shared range is stored as given. *)
+let test_table_small_ints_shared () =
+  let t = Table.create (accounts_schema ()) in
+  let fresh n = Value.Int (Sys.opaque_identity n) in
+  let _, a = Table.insert t [| v_int 1; v_str "a"; fresh 7; Value.Null |] in
+  let _, b = Table.insert t [| v_int 2; v_str "b"; fresh 7; Value.Null |] in
+  Alcotest.(check bool) "two inserted 7s are one block" true (a.(2) == b.(2));
+  let _, c =
+    Table.update t [ v_int 1 ] (fun row ->
+        row.(2) <- fresh 7;
+        row)
+  in
+  Alcotest.(check bool) "an updated 7 is that block" true (c.(2) == b.(2));
+  let large = fresh 1_000_000_007 in
+  let _, d = Table.insert t [| v_int 3; v_str "c"; large; Value.Null |] in
+  Alcotest.(check bool) "a large int is stored as given" true (d.(2) == large)
 
 let test_field () =
   let t = make_accounts () in
@@ -600,8 +631,17 @@ let prop_table_matches_model =
       let table = Table.create (accounts_schema ()) in
       Table.add_index table ~name:"by_balance" [ "balance" ];
       Table.add_ordered_index table ~name:"balance_order" [ "balance" ];
-      let model = ref [] in
-      List.iter (apply_op model table) ops;
+      (* the twin's only index is the ordered one: it serves the equality
+         probes the hash index serves in [table] *)
+      let twin = Table.create (accounts_schema ()) in
+      Table.add_ordered_index twin ~name:"balance_order" [ "balance" ];
+      let model = ref [] and twin_model = ref [] in
+      List.iter
+        (fun op ->
+          apply_op model table op;
+          apply_op twin_model twin op)
+        ops;
+      let sorted_model = List.sort compare !model in
       (* cardinality and every row agree with the model *)
       Table.cardinality table = List.length !model
       && List.for_all
@@ -626,7 +666,21 @@ let prop_table_matches_model =
              in
              List.sort compare via_index = List.sort compare via_scan
              && ranged = List.map (fun (b, k) -> ([ v_int b ], [ v_int k ])) expected)
-           !model)
+           !model
+      (* the twin's ordered index finds the model's keys in ascending order,
+         and a walk visits ascending keys with the model's values *)
+      && List.for_all
+           (fun (_, (_, v)) ->
+             Table.scan_keys ~where:(Predicate.Eq ("balance", v_int v)) twin
+             = List.filter_map
+                 (fun (k, (_, b)) -> if b = v then Some [ v_int k ] else None)
+                 sorted_model)
+           !model
+      && List.rev
+           (Table.fold
+              (fun pk row acc -> (pk, Value.as_str row.(1), Value.as_int row.(2)) :: acc)
+              twin [])
+         = List.map (fun (k, (owner, v)) -> ([ v_int k ], owner, v)) sorted_model)
 
 let suites =
   [
@@ -673,6 +727,7 @@ let suites =
         Alcotest.test_case "iter snapshot" `Quick test_table_iter_sorted_snapshot;
         Alcotest.test_case "fold" `Quick test_table_fold;
         Alcotest.test_case "copy independent" `Quick test_table_copy_independent;
+        Alcotest.test_case "stored small ints are shared" `Quick test_table_small_ints_shared;
         Alcotest.test_case "field by name" `Quick test_field;
         Alcotest.test_case "float key equality" `Quick test_table_float_key_equality;
         Alcotest.test_case "NaN row equals its copy" `Quick test_table_equal_nan_row;

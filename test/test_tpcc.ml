@@ -146,6 +146,18 @@ let test_load_deterministic () =
   let row db = Table.get_exn (Database.table db "district") (Load.district_key ~w:1 ~d:3) in
   Alcotest.(check bool) "same district row" true (row a = row b)
 
+(* The populated database holds each small integer once and no second
+   index on an ordered index's leading columns.  [Obj.reachable_words] of a
+   seed-7 load is deterministic: 213 271 words when every stored integer
+   was its own block, the walks copied and [new_order] and [order_line]
+   kept hash indexes beside their ordered ones; 180 442 words since.  The
+   bound sits midway. *)
+let test_load_footprint () =
+  let db = Load.populate ~seed:7 params in
+  let words = Obj.reachable_words (Obj.repr db) in
+  if words > 196_857 then
+    Alcotest.failf "populated database: %d words reachable, bound 196 857" words
+
 (* --- the decomposition ------------------------------------------------------ *)
 
 let test_eleven_forward_steps () =
@@ -467,6 +479,7 @@ let suites =
         Alcotest.test_case "cardinalities" `Quick test_load_cardinalities;
         Alcotest.test_case "fresh db consistent" `Quick test_load_consistent;
         Alcotest.test_case "deterministic" `Quick test_load_deterministic;
+        Alcotest.test_case "footprint" `Quick test_load_footprint;
       ] );
     ( "tpcc.decomposition",
       [

@@ -148,10 +148,9 @@ let test_load_deterministic () =
 
 (* The populated database holds each small integer once and no second
    index on an ordered index's leading columns.  [Obj.reachable_words] of a
-   seed-7 load is deterministic: 213 271 words when every stored integer
-   was its own block, the walks copied and [new_order] and [order_line]
-   kept hash indexes beside their ordered ones; 180 442 words since.  The
-   bound sits midway. *)
+   seed-7 load is deterministic: 213 271 words with a block per stored
+   integer and hash indexes beside [new_order]'s and [order_line]'s
+   ordered ones, 180 442 words with neither.  The bound sits midway. *)
 let test_load_footprint () =
   let db = Load.populate ~seed:7 params in
   let words = Obj.reachable_words (Obj.repr db) in

@@ -17,67 +17,33 @@ module Json = Acc_obs.Json
 
 let ppf = Format.std_formatter
 
-let check_consistency fig =
+(* render a figure and report its consistency violations *)
+let show fig =
+  Figures.render ppf fig;
   let v = Figures.consistency_violations fig in
   if v > 0 then Format.fprintf ppf "!! %d consistency violations (semantic correctness broken)@." v
-  else Format.fprintf ppf "consistency: all runs ended in a consistent database@."
+  else Format.fprintf ppf "consistency: all runs ended in a consistent database@.";
+  fig
 
-(* fig3 and fig4 share fig2's standard sweep; run it once *)
 let run_figures ~quick =
   let settings = Experiment.default_settings in
-  let fig2 = Figures.fig2 ~quick settings in
-  Figures.render ppf fig2;
-  check_consistency fig2;
-  let std_series =
-    match List.find_opt (fun s -> s.Figures.name = "standard") fig2.Figures.series with
-    | Some s -> s
-    | None ->
-        failwith
-          (Printf.sprintf
-             "fig2 produced no \"standard\" series (got: %s); fig3/fig4 splice from it"
-             (String.concat ", " (List.map (fun s -> s.Figures.name) fig2.Figures.series)))
-  in
-  let fig3 =
-    let computed = Figures.fig3 ~quick settings in
-    {
-      computed with
-      Figures.series =
-        (match computed.Figures.series with
-        | [ _without; with_compute ] ->
-            [ { std_series with Figures.name = "w/o compute time" }; with_compute ]
-        | other -> other);
-    }
-  in
-  Figures.render ppf fig3;
-  check_consistency fig3;
-  let fig4 = { (Figures.fig4 ~quick settings) with Figures.series = [ std_series ] } in
-  Figures.render ppf fig4;
-  let servers = Figures.servers ~quick settings in
-  Figures.render ppf servers;
-  check_consistency servers;
-  let items = Figures.items ~quick settings in
-  Figures.render ppf items;
-  check_consistency items;
-  let ablation = Figures.ablation ~quick settings in
-  Figures.render ppf ablation;
-  check_consistency ablation;
-  [ fig2; fig3; fig4; servers; items; ablation ]
+  let paper = List.map show (Figures.figs_2_to_4 ~quick settings) in
+  let servers = show (Figures.servers ~quick settings) in
+  let items = show (Figures.items ~quick settings) in
+  let ablation = show (Figures.ablation ~quick settings) in
+  paper @ [ servers; items; ablation ]
 
 let run_one ~quick id =
   let settings = Experiment.default_settings in
-  let fig =
-    match id with
+  show
+    (match id with
     | "fig2" -> Figures.fig2 ~quick settings
     | "fig3" -> Figures.fig3 ~quick settings
     | "fig4" -> Figures.fig4 ~quick settings
     | "servers" -> Figures.servers ~quick settings
     | "ablation" -> Figures.ablation ~quick settings
     | "items" -> Figures.items ~quick settings
-    | _ -> invalid_arg "unknown figure"
-  in
-  Figures.render ppf fig;
-  check_consistency fig;
-  fig
+    | _ -> invalid_arg "unknown figure")
 
 (* ---------- multicore scaling ------------------------------------------ *)
 
@@ -561,17 +527,26 @@ let run_recovery ~quick =
     inputs;
   let log = Executor.log eng in
   let records = Log.to_list log in
+  (* the first, untimed run's result, and the mean time of [reps] more *)
   let time_ms reps f =
-    ignore (f ());
+    let first = f () in
     let t0 = Unix.gettimeofday () in
     for _ = 1 to reps do
       ignore (f ())
     done;
-    (Unix.gettimeofday () -. t0) *. 1e3 /. float_of_int reps
+    (first, (Unix.gettimeofday () -. t0) *. 1e3 /. float_of_int reps)
   in
   let reps = if quick then 3 else 10 in
-  let full_ms = time_ms reps (fun () -> Recovery.recover ~baseline records) in
-  let ckpt_ms = time_ms reps (fun () -> Checkpoint.Manager.recover mgr ~baseline log) in
+  let full, full_ms = time_ms reps (fun () -> Recovery.recover ~baseline records) in
+  let ckpt, ckpt_ms = time_ms reps (fun () -> Checkpoint.Manager.recover mgr ~baseline log) in
+  (* both paths must reach the same state, or the timing compares nothing *)
+  let pending (r : Recovery.report) =
+    List.sort compare (List.map (fun p -> p.Recovery.p_txn) r.Recovery.pending)
+  in
+  if not (Database.equal full.Recovery.db ckpt.Recovery.db && pending full = pending ckpt) then begin
+    Format.fprintf ppf "!! checkpoint recovery and full-log recovery reached different states@.";
+    failed := true
+  end;
   let from_lsn =
     match Checkpoint.Manager.latest mgr with
     | Some c -> Checkpoint.position c

@@ -21,15 +21,15 @@ let trim ~quick settings =
   else settings
 
 let axis ~quick = if quick then quick_axis else terminals_axis
+let sweep ~quick settings = Experiment.sweep_terminals settings (axis ~quick)
 
-let fig2 ?(quick = false) settings =
-  let settings = trim ~quick settings in
-  let std =
-    Experiment.sweep_terminals { settings with Experiment.skewed = false } (axis ~quick)
-  in
-  let skew =
-    Experiment.sweep_terminals { settings with Experiment.skewed = true } (axis ~quick)
-  in
+(* The standard mix: uniform districts, no compute between statements.
+   Figures 2, 3 and 4 each plot it; the [_of] functions take it as [std]. *)
+let standard ~quick settings =
+  sweep ~quick { settings with Experiment.skewed = false; compute_between = 0.0 }
+
+let fig2_of ~quick settings std =
+  let skew = sweep ~quick { settings with Experiment.skewed = true } in
   {
     fig_id = "fig2";
     title = "Figure 2: The Effect of Hotspots (response-time ratio non-ACC/ACC)";
@@ -39,14 +39,8 @@ let fig2 ?(quick = false) settings =
     series = [ { name = "standard"; points = std }; { name = "skewed"; points = skew } ];
   }
 
-let fig3 ?(quick = false) settings =
-  let settings = trim ~quick settings in
-  let without =
-    Experiment.sweep_terminals { settings with Experiment.compute_between = 0.0 } (axis ~quick)
-  in
-  let with_compute =
-    Experiment.sweep_terminals { settings with Experiment.compute_between = 0.004 } (axis ~quick)
-  in
+let fig3_of ~quick settings std =
+  let with_compute = sweep ~quick { settings with Experiment.compute_between = 0.004 } in
   {
     fig_id = "fig3";
     title = "Figure 3: The Effect of Transaction Duration (response-time ratio)";
@@ -55,16 +49,12 @@ let fig3 ?(quick = false) settings =
        ratio to ~1.8 at 60 terminals; the no-compute curve matches Figure 2's standard curve";
     series =
       [
-        { name = "w/o compute time"; points = without };
+        { name = "w/o compute time"; points = std };
         { name = "with compute time"; points = with_compute };
       ];
   }
 
-let fig4 ?(quick = false) settings =
-  let settings = trim ~quick settings in
-  let std =
-    Experiment.sweep_terminals { settings with Experiment.skewed = false } (axis ~quick)
-  in
+let fig4_of std =
   {
     fig_id = "fig4";
     title = "Figure 4: Response Time and Throughput (both ratios, standard mix)";
@@ -74,6 +64,23 @@ let fig4 ?(quick = false) settings =
        and completes more";
     series = [ { name = "standard"; points = std } ];
   }
+
+let fig2 ?(quick = false) settings =
+  let settings = trim ~quick settings in
+  fig2_of ~quick settings (standard ~quick settings)
+
+let fig3 ?(quick = false) settings =
+  let settings = trim ~quick settings in
+  fig3_of ~quick settings (standard ~quick settings)
+
+let fig4 ?(quick = false) settings = fig4_of (standard ~quick (trim ~quick settings))
+
+let figs_2_to_4 ~quick settings =
+  let settings = trim ~quick settings in
+  let std = standard ~quick settings in
+  let fig2 = fig2_of ~quick settings std in
+  let fig3 = fig3_of ~quick settings std in
+  [ fig2; fig3; fig4_of std ]
 
 let servers ?(quick = false) settings =
   let settings = trim ~quick settings in

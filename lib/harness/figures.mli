@@ -28,6 +28,11 @@ val fig3 : ?quick:bool -> Experiment.settings -> figure
 val fig4 : ?quick:bool -> Experiment.settings -> figure
 (** Figure 4, "Response Time and Throughput": both ratios, standard mix. *)
 
+val figs_2_to_4 : quick:bool -> Experiment.settings -> figure list
+(** [[fig2; fig3; fig4]], each as its own function builds it, from one run
+    of the standard sweep (uniform districts, no compute time) that all
+    three plot. *)
+
 val servers : ?quick:bool -> Experiment.settings -> figure
 (** The §5.3 fourth experiment: database-server count 1–4 at a fixed,
     contended terminal count. *)

@@ -20,9 +20,9 @@ val table_names : t -> string list
 
 val copy : t -> t
 (** An independent copy of every table ({!Table.copy}: fresh row tables and
-    indexes over the shared, never-written stored rows): checkpoints and
-    crash recovery use it to rebuild a database from a log against a
-    pristine baseline. *)
+    hash indexes over the shared, never-written stored rows and ordered
+    index trees): checkpoints and crash recovery use it to rebuild a
+    database from a log against a pristine baseline. *)
 
 val total_rows : t -> int
 (** Sum of all table cardinalities. *)

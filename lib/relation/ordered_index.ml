@@ -16,7 +16,9 @@ type t = {
 
 let create ~name ~key_of = { idx_name = name; key_of; root = Leaf }
 let name t = t.idx_name
-let projection t = t.key_of
+
+(* nodes are never written: an update on either side rebuilds its path *)
+let copy t = { t with root = t.root }
 
 let node_size = function Leaf -> 0 | Node { size; _ } -> size
 let size t = node_size t.root

@@ -22,8 +22,11 @@ val name : t -> string
 val size : t -> int
 (** Number of entries. *)
 
-val projection : t -> Value.t array -> Value.t list
-(** The index's key projection (for rebuilding a copy). *)
+val copy : t -> t
+(** An independent index with the same name, projection and entries.  It
+    shares the tree: nodes are never written, so an insert or remove on
+    either side builds new nodes along one path and leaves the other side's
+    tree as it was. *)
 
 val insert : t -> pk:Value.t list -> Value.t array -> unit
 (** Add one row's entry. *)

@@ -327,14 +327,15 @@ let fold f t init =
   Array.fold_left (fun acc (pk, row) -> f pk (Array.copy row) acc) init (sorted_rows t)
 
 (* A fresh row table over the same stored arrays, which neither side writes
-   in place; the indexes are rebuilt. *)
+   in place; each ordered index shares its tree, whose nodes are never
+   written either, and the hash indexes are rebuilt. *)
 let copy t =
   let fresh =
     {
       schema = t.schema;
       rows = Key_tbl.copy t.rows;
       indexes = [];
-      ordered = [];
+      ordered = List.map (fun (o, positions) -> (Ordered_index.copy o, positions)) t.ordered;
       last_scan_cost = t.last_scan_cost;
     }
   in
@@ -346,14 +347,6 @@ let copy t =
       in
       add_index fresh ~name:idx.index_name cols)
     (List.rev t.indexes);
-  List.iter
-    (fun (o, positions) ->
-      let fresh_idx =
-        Ordered_index.create ~name:(Ordered_index.name o) ~key_of:(Ordered_index.projection o)
-      in
-      Key_tbl.iter (fun pk row -> Ordered_index.insert fresh_idx ~pk row) fresh.rows;
-      fresh.ordered <- (fresh_idx, positions) :: fresh.ordered)
-    (List.rev t.ordered);
   fresh
 
 let col_names t positions =

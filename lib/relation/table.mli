@@ -116,9 +116,10 @@ val last_scan_cost : t -> int
     [scan_keys]: the harness reads this to charge simulated CPU. *)
 
 val copy : t -> t
-(** An independent table with the same rows: its row table and indexes are
-    fresh, and it shares the stored row arrays, which neither table writes
-    in place.  A write to either table leaves the other as it was. *)
+(** An independent table with the same rows: its row table and hash indexes
+    are fresh, and it shares the stored row arrays and each ordered index's
+    tree ({!Ordered_index.copy}), neither of which a table writes in place.
+    A write to either table leaves the other as it was. *)
 
 val index_specs : t -> (string * string list) list
 (** Name and column list of every secondary hash index, in creation order;

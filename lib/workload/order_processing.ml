@@ -7,8 +7,10 @@
    [op_bill] is a single analyzed step whose precondition IS that
    conjunct: its admission assertional lock parks it while the same
    order's op_order is in flight, and only then — bills of other orders
-   pass straight through.  The example binary is now a thin wrapper over
-   this module's schema, steps and instances. *)
+   pass straight through.  Both assertions carry executable checkers
+   ([ai_check]), which [Runtime.options.verify_assertions] evaluates at
+   each step boundary of their window.  The example binary, the [acc.*]
+   and explorer tests run this module's schema, steps and instances. *)
 
 module W = Workload_intf
 module Value = Acc_relation.Value
@@ -83,6 +85,10 @@ let make_db stock_levels =
 let populate ~items ~seed =
   let g = Prng.create ~seed in
   make_db (List.init items (fun i -> (i + 1, init_stock, 5 + Prng.int g 50)))
+
+(* how many lines order [o] has: one side of I1 *)
+let lines_of db o =
+  Table.scan_count ~where:(Predicate.Eq ("order_id", v_int o)) (Database.table db "orderlines")
 
 (* ------------------------------------------------------------------ *)
 (* Compensation (area-driven: the in-memory path and replay share it) *)
@@ -186,6 +192,8 @@ let semantics = Interference.semantics interference
 
 let new_order ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~items () =
   let order_id = ref (-1) in
+  (* idempotent under step retry: assigned from the line's position *)
+  let lines_done = ref 0 in
   let n_items = List.length items in
   let header ctx =
     let row =
@@ -203,7 +211,17 @@ let new_order ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~items () 
     let level = as_int (Executor.read_exn ctx "stock" [ v_int item ]).(1) in
     let filled = min qty level in
     Executor.set_column ctx "stock" [ v_int item ] "s_level" (v_int (level - filled));
-    Executor.insert ctx "orderlines" [| v_int !order_id; v_int item; v_int qty; v_int filled |]
+    Executor.insert ctx "orderlines" [| v_int !order_id; v_int item; v_int qty; v_int filled |];
+    lines_done := idx + 1
+  in
+  (* I1_mine: my header is in place and my order has exactly the lines
+     filled so far *)
+  let loop_inv_check db =
+    !order_id >= 0
+    &&
+    match Table.get (Database.table db "orders") [ v_int !order_id ] with
+    | None -> false
+    | Some row -> as_int row.(1) = n_items && lines_of db !order_id = !lines_done
   in
   let inst =
     Program.instance ~def:new_order_type
@@ -215,7 +233,7 @@ let new_order ?(pace = fun () -> Txn_effect.yield ()) ?(fail = false) ~items () 
             Program.ai_assertion = a_loop_inv;
             ai_from = 2;
             ai_until = 1 + n_items;
-            ai_check = None;
+            ai_check = Some loop_inv_check;
           };
         ]
       ~comp_area:(fun () -> [ ("order_id", v_int !order_id) ])
@@ -245,8 +263,14 @@ let bill_body ?(total = ref (-1)) ~order ctx =
 
 let bill ~order =
   let total = ref (-1) in
+  (* I1_billed: the billed order, if placed, has all its lines *)
+  let i1_check db =
+    match Table.get (Database.table db "orders") [ v_int order ] with
+    | None -> true (* vacuous: an assertion about a missing order *)
+    | Some row -> as_int row.(1) = lines_of db order
+  in
   let admission =
-    { Program.ai_assertion = a_bill_i1; ai_from = 1; ai_until = 1; ai_check = None }
+    { Program.ai_assertion = a_bill_i1; ai_from = 1; ai_until = 1; ai_check = Some i1_check }
   in
   let inst =
     Program.instance ~def:bill_type
@@ -330,32 +354,54 @@ let run_flat ?stop eng env input =
 (* ------------------------------------------------------------------ *)
 (* Invariants *)
 
-let consistency db =
+(* The constraint I at quiescence, over a database whose item [i] was
+   stocked with [initial_level i] units. *)
+let check_consistency ~initial_level db =
   let violations = ref [] in
   let add fmt = Printf.ksprintf (fun m -> violations := m :: !violations) fmt in
   let orders = Database.table db "orders" in
   let orderlines = Database.table db "orderlines" in
   let stock = Database.table db "stock" in
-  (* I1 globally: every order's line count matches its header *)
+  let price item = as_int (Table.get_exn (Database.table db "prices") [ v_int item ]).(1) in
+  (* I1 globally: every order's line count matches its header, and a billed
+     total is what its lines cost *)
   Table.iter
     (fun _ row ->
-      let o = as_int row.(0) and n = as_int row.(1) in
-      let actual = Table.scan_count ~where:(Predicate.Eq ("order_id", v_int o)) orderlines in
-      if n <> actual then add "order_processing: order %d has %d lines, header says %d" o actual n)
+      let o = as_int row.(0) and n = as_int row.(1) and total = as_int row.(2) in
+      let lines = Table.scan ~where:(Predicate.Eq ("order_id", v_int o)) orderlines in
+      let actual = List.length lines in
+      if n <> actual then add "order_processing: order %d has %d lines, header says %d" o actual n;
+      let cost = List.fold_left (fun acc l -> acc + (as_int l.(3) * price (as_int l.(1)))) 0 lines in
+      if total >= 0 && total <> cost then
+        add "order_processing: order %d billed %d, its lines cost %d" o total cost)
     orders;
-  (* stock conservation: every unit missing from stock is filled on a line *)
-  let filled = Table.fold (fun _ row acc -> acc + as_int row.(3)) orderlines 0 in
-  let on_hand = Table.fold (fun _ row acc -> acc + as_int row.(1)) stock 0 in
-  let n_items = Table.cardinality stock in
-  if on_hand + filled <> n_items * init_stock then
-    add "order_processing: stock %d + filled %d != initial %d" on_hand filled
-      (n_items * init_stock);
+  (* every line belongs to an order and fills at most what it ordered *)
+  let filled = Hashtbl.create 64 in
   Table.iter
     (fun _ row ->
-      if as_int row.(1) < 0 then
-        add "order_processing: item %d oversold (%d)" (as_int row.(0)) (as_int row.(1)))
+      let o = as_int row.(0) and item = as_int row.(1) in
+      if not (Table.mem orders [ v_int o ]) then
+        add "order_processing: line for item %d of missing order %d" item o;
+      if as_int row.(3) > as_int row.(2) then
+        add "order_processing: order %d item %d filled %d > ordered %d" o item (as_int row.(3))
+          (as_int row.(2));
+      Hashtbl.replace filled item
+        (as_int row.(3) + Option.value ~default:0 (Hashtbl.find_opt filled item)))
+    orderlines;
+  (* stock conservation per item: every unit missing from stock is filled
+     on a line *)
+  Table.iter
+    (fun _ row ->
+      let item = as_int row.(0) and level = as_int row.(1) in
+      let on_lines = Option.value ~default:0 (Hashtbl.find_opt filled item) in
+      if level < 0 then add "order_processing: item %d oversold (%d)" item level;
+      if level + on_lines <> initial_level item then
+        add "order_processing: item %d stock %d + filled %d != initial %d" item level on_lines
+          (initial_level item))
     stock;
   List.rev !violations
+
+let consistency = check_consistency ~initial_level:(fun _ -> init_stock)
 
 (* ------------------------------------------------------------------ *)
 

@@ -1,9 +1,10 @@
 (* Tests for acc.core: interference analysis, the one-level ACC runtime
    (admission, step interleaving, compensation, legacy isolation), and the
-   semantic-correctness properties on the §4-style order workload. *)
+   semantic-correctness properties on the §4 order-processing workload, the
+   plugin the drivers run. *)
 
 open Acc_core
-module W = Workload_orders
+module OP = Acc_workload.Order_processing
 module Database = Acc_relation.Database
 module Table = Acc_relation.Table
 module Value = Acc_relation.Value
@@ -21,16 +22,71 @@ module Resource_id = Acc_lock.Resource_id
 let v_int n = Value.Int n
 let opts = { Runtime.default_options with verify_assertions = true }
 
+(* (item, initial stock level, price) *)
 let stock2 = [ (1, 15, 10); (2, 15, 20) ]
 
+let make_engine stock = Executor.create ~sem:OP.semantics (OP.make_db stock)
+
+let violations ~initial_stock db =
+  OP.check_consistency db ~initial_level:(fun item ->
+      List.fold_left (fun acc (i, level, _) -> if i = item then level else acc) 0 initial_stock)
+
 let check_consistent ?(what = "consistency") ~initial_stock eng =
-  match W.check_consistency ~initial_stock (Executor.db eng) with
+  match violations ~initial_stock (Executor.db eng) with
   | [] -> ()
   | problems -> Alcotest.fail (what ^ ": " ^ String.concat "; " problems)
+
+(* (item, filled) of each line of [order] *)
+let fills eng order =
+  Table.scan
+    ~where:(Predicate.Eq ("order_id", v_int order))
+    (Database.table (Executor.db eng) "orderlines")
+  |> List.map (fun row -> (Value.as_int row.(1), Value.as_int row.(3)))
 
 let expect_committed what = function
   | Runtime.Committed -> ()
   | Runtime.Compensated _ -> Alcotest.fail (what ^ ": unexpectedly compensated")
+
+(* --- a read-only audit, for the read-isolation tests ------------------------- *)
+
+(* reads the same stock item in both steps *)
+let step_audit_1 =
+  Program.step ~id:14 ~name:"audit1" ~txn_type:"audit" ~index:1
+    ~reads:[ Footprint.make "stock" (Footprint.Columns [ "s_level" ]) ]
+    ~writes:[] ()
+
+let step_audit_2 =
+  Program.step ~id:15 ~name:"audit2" ~txn_type:"audit" ~index:2
+    ~reads:[ Footprint.make "stock" (Footprint.Columns [ "s_level" ]) ]
+    ~writes:[] ()
+
+let step_audit_comp =
+  Program.step ~id:16 ~name:"audit_undo" ~txn_type:"audit" ~index:0 ~reads:[] ~writes:[] ()
+
+let audit_type =
+  Program.txn_type ~name:"audit" ~steps:[ step_audit_1; step_audit_2 ] ~comp:step_audit_comp
+    ~assertions:[] ()
+
+(* the §4 types plus the audit: what the analysis tests inspect *)
+let workload = Program.workload [ OP.new_order_type; OP.bill_type; audit_type ]
+let interference = Interference.build workload
+
+type audit_result = { mutable a_first : int; mutable a_second : int }
+
+let audit_instance ?read_isolation ~item () =
+  let result = { a_first = -1; a_second = -1 } in
+  let read_level ctx = Value.as_int (Executor.read_exn ctx "stock" [ v_int item ]).(1) in
+  let inst =
+    Program.instance ~def:audit_type
+      ~steps:
+        [
+          (step_audit_1, fun ctx -> result.a_first <- read_level ctx);
+          (step_audit_2, fun ctx -> result.a_second <- read_level ctx);
+        ]
+      ~compensate:(fun _ctx ~completed:_ -> ())
+      ?read_isolation ()
+  in
+  (inst, result)
 
 (* --- footprints & analysis ------------------------------------------------ *)
 
@@ -59,7 +115,7 @@ let test_assertion_validation () =
      with Invalid_argument _ -> true);
   Alcotest.(check (list string)) "tables deduped"
     [ "orderlines"; "orders" ]
-    (Assertion.tables W.assert_loop_inv)
+    (Assertion.tables OP.a_loop_inv)
 
 let test_program_validation () =
   (* multi-step without compensation is rejected *)
@@ -117,18 +173,18 @@ let test_declared_compensation () =
       Program.txn_type ~name:"d" ~steps:[ s1 ] ~compensate:body ~assertions:[] ())
 
 let test_workload_registry () =
-  Alcotest.(check int) "txn types" 3 (List.length (Program.txn_types W.workload));
-  (* legacy + 3 new_order (incl comp) + 1 bill + 3 audit (incl comp) *)
-  Alcotest.(check int) "steps" 8 (List.length (Program.all_steps W.workload));
+  Alcotest.(check int) "txn types" 3 (List.length (Program.txn_types workload));
+  (* legacy + 3 op_order (incl comp) + 1 op_bill + 3 audit (incl comp) *)
+  Alcotest.(check int) "steps" 8 (List.length (Program.all_steps workload));
   Alcotest.(check int) "assertions incl legacy" 3
-    (List.length (Program.all_assertions W.workload));
+    (List.length (Program.all_assertions workload));
   Alcotest.(check bool) "find step" true
-    (match Program.find_step W.workload 11 with
+    (match Program.find_step workload 11 with
     | Some s -> s.Program.sd_name = "line"
     | None -> false)
 
 let si step assertion =
-  Interference.step_interferes W.interference ~step_type:step ~assertion
+  Interference.step_interferes interference ~step_type:step ~assertion
 
 let test_interference_table () =
   (* the §4 facts, mechanically derived from footprints *)
@@ -150,7 +206,7 @@ let test_interference_table () =
 
 let test_prefix_table () =
   let pi holder req =
-    Interference.prefix_interferes W.interference ~holder_assertion:holder ~assertion:req
+    Interference.prefix_interferes interference ~holder_assertion:holder ~assertion:req
   in
   (* holder of the new_order loop invariant has executed the header, whose
      partial effect breaks I1 for its order: bill admission must wait *)
@@ -162,7 +218,7 @@ let test_interference_override () =
   let override ~prefix_of ~assertion =
     if prefix_of.Assertion.id = 100 && assertion.Assertion.id = 101 then Some false else None
   in
-  let t = Interference.build ~override W.workload in
+  let t = Interference.build ~override workload in
   Alcotest.(check bool) "override applied" false
     (Interference.prefix_interferes t ~holder_assertion:100 ~assertion:101);
   Alcotest.(check bool) "others unchanged" true
@@ -174,24 +230,24 @@ let contains_substring haystack needle =
   at 0
 
 let test_interference_pp () =
-  let s = Format.asprintf "%a" Interference.pp W.interference in
+  let s = Format.asprintf "%a" Interference.pp interference in
   Alcotest.(check bool) "mentions the header step" true (contains_substring s "header");
-  Alcotest.(check bool) "mentions bill's assertion" true (contains_substring s "bill_I1")
+  Alcotest.(check bool) "mentions bill's assertion" true (contains_substring s "I1_billed")
 
 (* --- basic runtime ---------------------------------------------------------- *)
 
 let test_single_new_order () =
-  let eng = W.make_engine stock2 in
-  let inst, result = W.new_order_instance ~items:[ (1, 5); (2, 3) ] in
+  let eng = make_engine stock2 in
+  let inst, order = OP.new_order ~pace:ignore ~items:[ (1, 5); (2, 3) ] () in
   let outcome = ref None in
   Schedule.run ~policy:Runtime.victim_policy eng
     [ (fun () -> outcome := Some (Runtime.run ~options:opts eng inst)) ];
   (match !outcome with
   | Some Runtime.Committed -> ()
   | _ -> Alcotest.fail "expected commit");
-  Alcotest.(check int) "order id assigned" 1 result.W.r_order_id;
+  Alcotest.(check int) "order id assigned" 1 !order;
   Alcotest.(check bool) "fills recorded" true
-    (List.sort compare result.W.r_filled = [ (1, 5); (2, 3) ]);
+    (List.sort compare (fills eng !order) = [ (1, 5); (2, 3) ]);
   check_consistent ~initial_stock:stock2 eng;
   Alcotest.(check int) "locks drained" 0 (Lock_service.lock_count (Executor.lock_service eng));
   (* stock decremented *)
@@ -199,31 +255,31 @@ let test_single_new_order () =
   Alcotest.(check int) "item 1 stock" 10 (Value.as_int (Table.get_exn stock [ v_int 1 ]).(1))
 
 let test_insufficient_stock_partial_fill () =
-  let eng = W.make_engine [ (1, 3, 10) ] in
-  let inst, result = W.new_order_instance ~items:[ (1, 5) ] in
+  let eng = make_engine [ (1, 3, 10) ] in
+  let inst, order = OP.new_order ~pace:ignore ~items:[ (1, 5) ] () in
   Schedule.run ~policy:Runtime.victim_policy eng
     [ (fun () -> expect_committed "new_order" (Runtime.run ~options:opts eng inst)) ];
-  Alcotest.(check bool) "partial fill" true (result.W.r_filled = [ (1, 3) ]);
+  Alcotest.(check bool) "partial fill" true (fills eng !order = [ (1, 3) ]);
   check_consistent ~initial_stock:[ (1, 3, 10) ] eng
 
 let test_bill_after_commit () =
-  let eng = W.make_engine stock2 in
-  let no, _ = W.new_order_instance ~items:[ (1, 2) ] in
+  let eng = make_engine stock2 in
+  let no, _ = OP.new_order ~pace:ignore ~items:[ (1, 2) ] () in
   let bill_total = ref (-1) in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
         expect_committed "new_order" (Runtime.run ~options:opts eng no);
-        let bi, bres = W.bill_instance ~order:1 in
+        let bi, total = OP.bill ~order:1 in
         expect_committed "bill" (Runtime.run ~options:opts eng bi);
-        bill_total := bres.W.b_total);
+        bill_total := !total);
     ];
   Alcotest.(check int) "billed 2 x 10" 20 !bill_total;
   check_consistent ~initial_stock:stock2 eng
 
 let test_forced_abort_compensates () =
-  let eng = W.make_engine stock2 in
-  let inst, result = W.new_order_instance ~items:[ (1, 5); (2, 3) ] in
+  let eng = make_engine stock2 in
+  let inst, order = OP.new_order ~pace:ignore ~items:[ (1, 5); (2, 3) ] () in
   let outcome = ref None in
   Schedule.run ~policy:Runtime.victim_policy eng
     [ (fun () -> outcome := Some (Runtime.run ~options:opts ~abort_at:2 eng inst)) ];
@@ -233,7 +289,7 @@ let test_forced_abort_compensates () =
   (* the order is gone, stock restored *)
   let db = Executor.db eng in
   Alcotest.(check bool) "order removed" false
-    (Table.mem (Database.table db "orders") [ v_int result.W.r_order_id ]);
+    (Table.mem (Database.table db "orders") [ v_int !order ]);
   let stock = Database.table db "stock" in
   Alcotest.(check int) "item 1 stock restored" 15 (Value.as_int (Table.get_exn stock [ v_int 1 ]).(1));
   check_consistent ~initial_stock:stock2 eng;
@@ -243,8 +299,8 @@ let test_forced_abort_compensates () =
   Alcotest.(check int) "counter advanced" 2 (Value.as_int (Table.get_exn counter [ v_int 0 ]).(1))
 
 let test_abort_at_first_step_physical () =
-  let eng = W.make_engine stock2 in
-  let inst, _ = W.new_order_instance ~items:[ (1, 5) ] in
+  let eng = make_engine stock2 in
+  let inst, _ = OP.new_order ~pace:ignore ~items:[ (1, 5) ] () in
   let outcome = ref None in
   Schedule.run ~policy:Runtime.victim_policy eng
     [ (fun () -> outcome := Some (Runtime.run ~options:opts ~abort_at:1 eng inst)) ];
@@ -255,29 +311,17 @@ let test_abort_at_first_step_physical () =
 
 (* --- interleaving ----------------------------------------------------------- *)
 
-(* new_order instance whose line bodies yield first, to force interleaving *)
-let yielding_new_order ~items =
-  let inst, result = W.new_order_instance ~items in
-  let steps =
-    Array.to_list inst.Program.i_steps
-    |> List.map (fun (sd, body) ->
-           if sd.Program.sd_name = "line" then
-             ( sd,
-               fun ctx ->
-                 Txn_effect.yield ();
-                 body ctx )
-           else (sd, body))
-  in
-  ( { inst with Program.i_steps = Array.of_list steps }, result )
+(* [OP.new_order]'s default pace yields at the start of every line, so
+   line steps of concurrent orders interleave *)
 
 let test_new_orders_interleave_nonserializably () =
   (* the paper's television/VCR scenario: both transactions get one full and
      one partial fill, impossible in any serial order *)
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let checker = Serializability.create () in
   Executor.set_trace eng (Some (Serializability.hook checker));
-  let i1, r1 = yielding_new_order ~items:[ (1, 10); (2, 10) ] in
-  let i2, r2 = yielding_new_order ~items:[ (2, 10); (1, 10) ] in
+  let i1, o1 = OP.new_order ~items:[ (1, 10); (2, 10) ] () in
+  let i2, o2 = OP.new_order ~items:[ (2, 10); (1, 10) ] () in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
@@ -288,9 +332,9 @@ let test_new_orders_interleave_nonserializably () =
         Serializability.note_commit checker 2);
     ];
   Alcotest.(check bool) "T1 crosswise fills" true
-    (List.sort compare r1.W.r_filled = [ (1, 10); (2, 5) ]);
+    (List.sort compare (fills eng !o1) = [ (1, 10); (2, 5) ]);
   Alcotest.(check bool) "T2 crosswise fills" true
-    (List.sort compare r2.W.r_filled = [ (1, 5); (2, 10) ]);
+    (List.sort compare (fills eng !o2) = [ (1, 5); (2, 10) ]);
   (* semantically correct ... *)
   check_consistent ~initial_stock:stock2 eng;
   (* ... but NOT serializable: the outcome could not arise from any serial
@@ -299,8 +343,8 @@ let test_new_orders_interleave_nonserializably () =
     (Serializability.conflict_serializable checker)
 
 let test_bill_blocked_by_inflight_new_order () =
-  let eng = W.make_engine stock2 in
-  let no, nres = yielding_new_order ~items:[ (1, 5) ] in
+  let eng = make_engine stock2 in
+  let no, order = OP.new_order ~items:[ (1, 5) ] () in
   let billed_before_commit = ref None in
   let new_order_committed = ref false in
   Schedule.run ~policy:Runtime.victim_policy eng
@@ -310,26 +354,25 @@ let test_bill_blocked_by_inflight_new_order () =
         new_order_committed := true);
       (fun () ->
         (* runs once new_order is mid-flight (parked at the line yield) *)
-        Alcotest.(check bool) "new_order started" true (nres.W.r_order_id >= 0);
-        let bi, bres = W.bill_instance ~order:nres.W.r_order_id in
+        Alcotest.(check bool) "new_order started" true (!order >= 0);
+        let bi, _ = OP.bill ~order:!order in
         expect_committed "bill" (Runtime.run ~options:opts eng bi);
-        billed_before_commit := Some !new_order_committed;
-        ignore bres.W.b_total);
+        billed_before_commit := Some !new_order_committed);
     ];
   (* bill's admission had to wait for the new_order commit *)
   Alcotest.(check (option bool)) "bill waited" (Some true) !billed_before_commit;
   check_consistent ~initial_stock:stock2 eng
 
 let test_bill_other_order_not_blocked () =
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   (* create order 1 up front *)
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
-        let i, _ = W.new_order_instance ~items:[ (2, 1) ] in
+        let i, _ = OP.new_order ~pace:ignore ~items:[ (2, 1) ] () in
         expect_committed "setup" (Runtime.run ~options:opts eng i));
     ];
-  let no, _ = yielding_new_order ~items:[ (1, 5) ] in
+  let no, _ = OP.new_order ~items:[ (1, 5) ] () in
   let new_order_committed = ref false in
   let bill_ran_during_flight = ref false in
   Schedule.run ~policy:Runtime.victim_policy eng
@@ -338,7 +381,7 @@ let test_bill_other_order_not_blocked () =
         expect_committed "new_order" (Runtime.run ~options:opts eng no);
         new_order_committed := true);
       (fun () ->
-        let bi, _ = W.bill_instance ~order:1 in
+        let bi, _ = OP.bill ~order:1 in
         expect_committed "bill" (Runtime.run ~options:opts eng bi);
         bill_ran_during_flight := not !new_order_committed);
     ];
@@ -350,17 +393,17 @@ let test_two_level_false_conflict () =
      two-level design) a bill is delayed by an in-flight new_order on a
      DIFFERENT order — the false conflict the one-level item-granularity
      design eliminates (cf. test_bill_other_order_not_blocked) *)
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let two_level =
     { opts with Runtime.assertion_granularity = Runtime.Table }
   in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
-        let i, _ = W.new_order_instance ~items:[ (2, 1) ] in
+        let i, _ = OP.new_order ~pace:ignore ~items:[ (2, 1) ] () in
         expect_committed "setup" (Runtime.run ~options:two_level eng i));
     ];
-  let no, _ = yielding_new_order ~items:[ (1, 5) ] in
+  let no, _ = OP.new_order ~items:[ (1, 5) ] () in
   let new_order_committed = ref false in
   let bill_ran_during_flight = ref None in
   Schedule.run ~policy:Runtime.victim_policy eng
@@ -371,7 +414,7 @@ let test_two_level_false_conflict () =
       (fun () ->
         (* bill order 1, which committed before the in-flight new_order even
            started: under two-level it must still wait *)
-        let bi, _ = W.bill_instance ~order:1 in
+        let bi, _ = OP.bill ~order:1 in
         expect_committed "bill" (Runtime.run ~options:two_level eng bi);
         bill_ran_during_flight := Some (not !new_order_committed));
     ];
@@ -380,8 +423,8 @@ let test_two_level_false_conflict () =
   check_consistent ~initial_stock:stock2 eng
 
 let test_legacy_isolated_from_decomposed () =
-  let eng = W.make_engine stock2 in
-  let no, nres = yielding_new_order ~items:[ (1, 5) ] in
+  let eng = make_engine stock2 in
+  let no, order = OP.new_order ~items:[ (1, 5) ] () in
   let new_order_committed = ref false in
   let legacy_saw_committed_state = ref None in
   Schedule.run ~policy:Runtime.victim_policy eng
@@ -393,7 +436,7 @@ let test_legacy_isolated_from_decomposed () =
         (* new_order is mid-flight; its header insert is exposed to other
            decomposed transactions but must NOT be visible here before
            commit *)
-        let o = nres.W.r_order_id in
+        let o = !order in
         ignore
           (Runtime.run_legacy eng ~txn_type:"report" (fun ctx ->
                match Executor.read ctx "orders" [ v_int o ] with
@@ -405,12 +448,12 @@ let test_legacy_isolated_from_decomposed () =
   check_consistent ~initial_stock:stock2 eng
 
 let test_decomposed_blocked_by_legacy () =
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   (* seed one order so the legacy transaction has something to hold *)
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
-        let i, _ = W.new_order_instance ~items:[ (1, 1) ] in
+        let i, _ = OP.new_order ~pace:ignore ~items:[ (1, 1) ] () in
         expect_committed "setup" (Runtime.run ~options:opts eng i));
     ];
   let legacy_committed = ref false in
@@ -427,7 +470,7 @@ let test_decomposed_blocked_by_legacy () =
         legacy_committed := true);
       (fun () ->
         (* a decomposed new_order writing that stock item must wait *)
-        let i, _ = W.new_order_instance ~items:[ (1, 2) ] in
+        let i, _ = OP.new_order ~pace:ignore ~items:[ (1, 2) ] () in
         expect_committed "new_order" (Runtime.run ~options:opts eng i);
         writer_waited := Some !legacy_committed);
     ];
@@ -438,7 +481,7 @@ let test_decomposed_blocked_by_legacy () =
 
 (* audit with a yield between its steps so a writer can try to slip in *)
 let yielding_audit ?read_isolation ~item () =
-  let inst, result = W.audit_instance ?read_isolation ~item () in
+  let inst, result = audit_instance ?read_isolation ~item () in
   let steps =
     Array.to_list inst.Program.i_steps
     |> List.map (fun (sd, body) ->
@@ -452,8 +495,8 @@ let yielding_audit ?read_isolation ~item () =
 let test_exposed_reads_see_intermediate () =
   (* default: an audit interleaved with an in-flight new_order observes the
      exposed intermediate stock level *)
-  let eng = W.make_engine stock2 in
-  let no, _ = yielding_new_order ~items:[ (1, 5) ] in
+  let eng = make_engine stock2 in
+  let no, _ = OP.new_order ~items:[ (1, 5) ] () in
   let observed = ref (-1) in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
@@ -461,9 +504,9 @@ let test_exposed_reads_see_intermediate () =
       (fun () ->
         (* the new_order is parked mid-line having not yet written stock;
            run after it wrote: park order matters, so just read both steps *)
-        let a, res = W.audit_instance ~item:1 () in
+        let a, res = audit_instance ~item:1 () in
         expect_committed "audit" (Runtime.run eng a);
-        observed := res.W.a_second);
+        observed := res.a_second);
     ];
   (* whether it saw 15 or 10 depends on interleaving; the point is it never
      blocked and the run is consistent *)
@@ -473,7 +516,7 @@ let test_exposed_reads_see_intermediate () =
 (* new_order that yields AFTER each line body: parks with the stock write
    exposed (compensation lock held) *)
 let post_yielding_new_order ~items =
-  let inst, result = W.new_order_instance ~items in
+  let inst, result = OP.new_order ~pace:ignore ~items () in
   let steps =
     Array.to_list inst.Program.i_steps
     |> List.map (fun (sd, body) ->
@@ -490,7 +533,7 @@ let post_yielding_new_order ~items =
 let test_committed_only_waits () =
   (* Committed_only: the audit's read of a stock item written by an
      in-flight new_order waits for its commit *)
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let no, _ = post_yielding_new_order ~items:[ (1, 5) ] in
   let new_order_committed = ref false in
   let audit_waited = ref None in
@@ -502,9 +545,9 @@ let test_committed_only_waits () =
       (fun () ->
         (* runs while the new_order is parked inside its line step, after the
            header exposed the order but before commit *)
-        let a, res = W.audit_instance ~read_isolation:Program.Committed_only ~item:1 () in
+        let a, res = audit_instance ~read_isolation:Program.Committed_only ~item:1 () in
         expect_committed "audit" (Runtime.run eng a);
-        audit_waited := Some (!new_order_committed, res.W.a_second));
+        audit_waited := Some (!new_order_committed, res.a_second));
     ];
   (match !audit_waited with
   | Some (waited, level) ->
@@ -516,7 +559,7 @@ let test_committed_only_waits () =
 let test_snapshot_reads_stable () =
   (* Snapshot: both reads of the audit agree even though a writer tried to
      update the item between its steps; the writer proceeds after commit *)
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let a, res = yielding_audit ~read_isolation:Program.Snapshot ~item:1 () in
   let writer_done = ref false in
   Schedule.run ~policy:Runtime.victim_policy eng
@@ -525,29 +568,29 @@ let test_snapshot_reads_stable () =
         expect_committed "audit" (Runtime.run eng a);
         Alcotest.(check bool) "writer still blocked at audit commit" false !writer_done);
       (fun () ->
-        let no, _ = W.new_order_instance ~items:[ (1, 5) ] in
+        let no, _ = OP.new_order ~pace:ignore ~items:[ (1, 5) ] () in
         expect_committed "new_order" (Runtime.run ~options:opts eng no);
         writer_done := true);
     ];
-  Alcotest.(check int) "first read" 15 res.W.a_first;
-  Alcotest.(check int) "second read stable" 15 res.W.a_second;
+  Alcotest.(check int) "first read" 15 res.a_first;
+  Alcotest.(check int) "second read stable" 15 res.a_second;
   Alcotest.(check bool) "writer eventually ran" true !writer_done;
   check_consistent ~initial_stock:stock2 eng
 
 let test_exposed_reads_can_be_unstable () =
   (* contrast: without Snapshot the same interleaving yields two different
      values across the audit's steps *)
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let a, res = yielding_audit ~item:1 () in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () -> expect_committed "audit" (Runtime.run eng a));
       (fun () ->
-        let no, _ = W.new_order_instance ~items:[ (1, 5) ] in
+        let no, _ = OP.new_order ~pace:ignore ~items:[ (1, 5) ] () in
         expect_committed "new_order" (Runtime.run ~options:opts eng no));
     ];
-  Alcotest.(check int) "first read pre-write" 15 res.W.a_first;
-  Alcotest.(check int) "second read post-write" 10 res.W.a_second;
+  Alcotest.(check int) "first read pre-write" 15 res.a_first;
+  Alcotest.(check int) "second read post-write" 10 res.a_second;
   check_consistent ~initial_stock:stock2 eng
 
 (* --- deadlock handling in the ACC ------------------------------------------- *)
@@ -596,9 +639,7 @@ let pair_instance ~anchor ~first ~second =
     ~compensate ()
 
 let pair_engine () =
-  let db = Database.create () in
-  let stock = Database.create_table db W.stock_schema in
-  List.iter (fun i -> ignore (Table.insert stock [| v_int i; v_int 0 |])) [ 1; 2; 3; 4 ];
+  let db = OP.make_db (List.map (fun i -> (i, 0, 0)) [ 1; 2; 3; 4 ]) in
   Executor.create ~sem:(Interference.semantics pair_interference) db
 
 (* Replay finds a pending transaction's body in the workload the engine
@@ -725,9 +766,7 @@ let scan_comp_instance ~item =
     ~compensate ()
 
 let test_scanning_compensations_resolve () =
-  let db = Database.create () in
-  let stock = Database.create_table db W.stock_schema in
-  List.iter (fun i -> ignore (Table.insert stock [| v_int i; v_int 0 |])) [ 1; 2 ];
+  let db = OP.make_db [ (1, 0, 0); (2, 0, 0) ] in
   let sem = Interference.semantics (Interference.build (Program.workload [ scan_comp_type ])) in
   let eng = Executor.create ~sem db in
   let o1 = ref None and o2 = ref None in
@@ -748,8 +787,8 @@ let test_scanning_compensations_resolve () =
 let test_buggy_step_body_cleans_up () =
   (* an exception in a step body compensates the completed steps, drains the
      locks, and surfaces to the caller *)
-  let eng = W.make_engine stock2 in
-  let inst, res = W.new_order_instance ~items:[ (1, 3); (2, 2) ] in
+  let eng = make_engine stock2 in
+  let inst, _ = OP.new_order ~pace:ignore ~items:[ (1, 3); (2, 2) ] () in
   (* sabotage the second line step *)
   let steps =
     Array.to_list inst.Program.i_steps
@@ -771,11 +810,10 @@ let test_buggy_step_body_cleans_up () =
   let db = Executor.db eng in
   Alcotest.(check int) "stock restored" 15
     (Value.as_int (Table.get_exn (Database.table db "stock") [ v_int 1 ]).(1));
-  check_consistent ~initial_stock:stock2 eng;
-  ignore res
+  check_consistent ~initial_stock:stock2 eng
 
 let test_buggy_legacy_cleans_up () =
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let surfaced = ref false in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
@@ -793,14 +831,14 @@ let test_buggy_legacy_cleans_up () =
 (* A READ COMMITTED read gives each S lock back at once, but the table IS
    lock and the transaction itself must not outlive a failing body. *)
 let test_buggy_read_committed_cleans_up () =
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   let surfaced = ref false in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
         try
           ignore
-            (Runtime.run_single ~step_type:W.step_bill.Program.sd_id eng ~txn_type:"bug"
+            (Runtime.run_single ~step_type:OP.step_bill.Program.sd_id eng ~txn_type:"bug"
                (fun ctx ->
                  ignore (Executor.read_committed ctx "stock" [ v_int 1 ]);
                  failwith "read-committed boom"))
@@ -820,11 +858,11 @@ let test_assertion_checker_fires () =
      row out from under a billed order; with verification on, running a bill
      with a stale assertion would raise.  We simulate by corrupting the db
      directly and then running bill with verify_assertions. *)
-  let eng = W.make_engine stock2 in
+  let eng = make_engine stock2 in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
-        let i, _ = W.new_order_instance ~items:[ (1, 2); (2, 1) ] in
+        let i, _ = OP.new_order ~pace:ignore ~items:[ (1, 2); (2, 1) ] () in
         expect_committed "setup" (Runtime.run ~options:opts eng i));
     ];
   (* corrupt behind the CC's back *)
@@ -834,61 +872,73 @@ let test_assertion_checker_fires () =
      Schedule.run ~policy:Runtime.victim_policy eng
        [
          (fun () ->
-           let bi, _ = W.bill_instance ~order:1 in
+           let bi, _ = OP.bill ~order:1 in
            ignore (Runtime.run ~options:opts eng bi));
        ]
-   with Runtime.Assertion_violated { assertion = "bill_I1"; _ } -> raised := true);
+   with Runtime.Assertion_violated { assertion = "I1_billed"; _ } -> raised := true);
   Alcotest.(check bool) "verification caught the violation" true !raised
+
+(* The plugin's two checkers under the load of the golden simulator config
+   (ACC, 40 terminals, horizon 60, think 0.5): each is evaluated at every
+   step boundary of its window, and none may fail. *)
+let test_plugin_assertions_hold_simulated () =
+  let module Driver = Acc_harness.Driver in
+  let cfg =
+    {
+      Driver.default_config with
+      Driver.system = Driver.Acc;
+      terminals = 40;
+      horizon = 60.0;
+      warmup = 6.0;
+      think_mean = 0.5;
+      cpu_per_unit = 0.005;
+      acc_options = opts;
+      workload =
+        OP.make { Acc_workload.scale = 1; skew = 0.0; mix = None; abort_rate = None };
+    }
+  in
+  match Driver.run cfg with
+  | r ->
+      Alcotest.(check bool) "bills and orders committed" true
+        (List.mem_assoc "op_bill" r.Driver.per_type && List.mem_assoc "op_order" r.Driver.per_type);
+      Alcotest.(check (list string)) "consistent at quiescence" [] r.Driver.violations
+  | exception Runtime.Assertion_violated { txn; assertion; at_step } ->
+      Alcotest.failf "%s failed for txn %d before step %d" assertion txn at_step
 
 (* --- recovery of decomposed transactions -------------------------------------- *)
 
-let run_compensation_on_recovered db (p : Acc_wal.Recovery.pending) =
-  (* the driver-side completion of a pending compensation: §4's semantic undo
-     re-executed from the saved work area *)
-  Alcotest.(check string) "pending type" "new_order" p.Acc_wal.Recovery.p_txn_type;
-  let o =
-    match List.assoc_opt "order_id" p.Acc_wal.Recovery.p_area with
-    | Some v -> Value.as_int v
-    | None -> Alcotest.fail "work area lacks order_id"
-  in
-  let orders = Database.table db "orders" in
-  let orderlines = Database.table db "orderlines" in
-  let stock = Database.table db "stock" in
-  List.iter
-    (fun key ->
-      let row = Table.get_exn orderlines key in
-      let item = Value.as_int row.(1) and filled = Value.as_int row.(3) in
-      let srow = Table.get_exn stock [ v_int item ] in
-      ignore
-        (Table.update stock [ v_int item ] (fun r ->
-             r.(1) <- v_int (Value.as_int srow.(1) + filled);
-             r));
-      ignore (Table.delete orderlines key))
-    (Table.scan_keys ~where:(Predicate.Eq ("order_id", v_int o)) orderlines);
-  if Table.mem orders [ v_int o ] then ignore (Table.delete orders [ v_int o ])
-
 let test_crash_recovery_every_prefix () =
   (* run two new_orders to completion, then crash at every log prefix and
-     check that recovery + pending compensation restores consistency *)
-  let eng = W.make_engine stock2 in
+     check that recovery + replay of the pending compensations, through the
+     body the plugin declares, restores consistency *)
+  let eng = make_engine stock2 in
   let baseline = Database.copy (Executor.db eng) in
   Schedule.run ~policy:Runtime.victim_policy eng
     [
       (fun () ->
-        let a, _ = W.new_order_instance ~items:[ (1, 5); (2, 3) ] in
+        let a, _ = OP.new_order ~pace:ignore ~items:[ (1, 5); (2, 3) ] () in
         expect_committed "A" (Runtime.run ~options:opts eng a);
-        let b, _ = W.new_order_instance ~items:[ (2, 4) ] in
+        let b, _ = OP.new_order ~pace:ignore ~items:[ (2, 4) ] () in
         expect_committed "B" (Runtime.run ~options:opts eng b));
     ];
   let log = Executor.log eng in
+  let replayed = ref 0 in
   for cut = 0 to Acc_wal.Log.length log do
     let r = Acc_wal.Recovery.recover ~baseline (Acc_wal.Log.prefix log cut) in
-    List.iter (run_compensation_on_recovered r.Acc_wal.Recovery.db) r.Acc_wal.Recovery.pending;
-    match W.check_consistency ~initial_stock:stock2 r.Acc_wal.Recovery.db with
+    List.iter
+      (fun (p : Acc_wal.Recovery.pending) ->
+        Alcotest.(check string) "pending type" "op_order" p.Acc_wal.Recovery.p_txn_type;
+        if not (List.mem_assoc "order_id" p.Acc_wal.Recovery.p_area) then
+          Alcotest.fail "work area lacks order_id")
+      r.Acc_wal.Recovery.pending;
+    let recovered = Executor.create ~sem:OP.semantics r.Acc_wal.Recovery.db in
+    replayed := !replayed + Replay.replay_pending ~workload:OP.workload recovered r;
+    match violations ~initial_stock:stock2 (Executor.db recovered) with
     | [] -> ()
     | problems ->
         Alcotest.fail (Printf.sprintf "cut %d: %s" cut (String.concat "; " problems))
-  done
+  done;
+  Alcotest.(check bool) "some cut left a compensation pending" true (!replayed > 0)
 
 (* --- properties -------------------------------------------------------------- *)
 
@@ -906,7 +956,7 @@ let prop_semantic_correctness =
            bool (* yield in line steps *)))
     (fun specs ->
       let initial_stock = [ (1, 30, 5); (2, 30, 7); (3, 30, 11) ] in
-      let eng = W.make_engine initial_stock in
+      let eng = make_engine initial_stock in
       let expected = ref [] in
       let dedupe items =
         (* an order names each item at most once *)
@@ -919,8 +969,8 @@ let prop_semantic_correctness =
           (fun (items, abort_code, yields) ->
             fun () ->
               let items = dedupe items in
-              let inst, _res =
-                if yields then yielding_new_order ~items else W.new_order_instance ~items
+              let inst, _ =
+                if yields then OP.new_order ~items () else OP.new_order ~pace:ignore ~items ()
               in
               let abort_at = if abort_code >= 7 then Some 1 else None in
               let outcome = Runtime.run ~options:opts ?abort_at eng inst in
@@ -935,7 +985,7 @@ let prop_semantic_correctness =
           | Runtime.Compensated { completed_steps = 1 }, Some 1 -> true
           | (Runtime.Committed | Runtime.Compensated _), _ -> false)
         !expected
-      && W.check_consistency ~initial_stock (Executor.db eng) = []
+      && violations ~initial_stock (Executor.db eng) = []
       && Lock_service.lock_count (Executor.lock_service eng) = 0)
 
 let suites =
@@ -1001,6 +1051,8 @@ let suites =
         Alcotest.test_case "buggy read-committed cleans up" `Quick
           test_buggy_read_committed_cleans_up;
         Alcotest.test_case "assertion checker fires" `Quick test_assertion_checker_fires;
+        Alcotest.test_case "plugin assertions hold, simulated" `Quick
+          test_plugin_assertions_hold_simulated;
         Alcotest.test_case "crash recovery at every prefix" `Quick
           test_crash_recovery_every_prefix;
         QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xACC |]) prop_semantic_correctness;

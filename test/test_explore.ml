@@ -4,7 +4,7 @@
    executed and checked, not a random sample. *)
 
 open Acc_txn
-module W = Workload_orders
+module OP = Acc_workload.Order_processing
 module Database = Acc_relation.Database
 module Table = Acc_relation.Table
 module Schema = Acc_relation.Schema
@@ -136,22 +136,17 @@ let test_finds_lost_update () =
 
 (* --- exhaustive semantic correctness of the §4 workload --------------------- *)
 
+(* (item, initial stock level, price); [OP.new_order]'s default pace
+   yields at the start of every line *)
 let stock2 = [ (1, 15, 10); (2, 15, 20) ]
 
-let no_with_yields ~items =
-  let inst, result = W.new_order_instance ~items in
-  let steps =
-    Array.to_list inst.Program.i_steps
-    |> List.map (fun (sd, body) ->
-           ( sd,
-             fun ctx ->
-               if sd.Program.sd_name = "line" then Txn_effect.yield ();
-               body ctx ))
-  in
-  ({ inst with Program.i_steps = Array.of_list steps }, result)
+let make_engine () = Executor.create ~sem:OP.semantics (OP.make_db stock2)
 
 let check_orders_consistent eng =
-  match W.check_consistency ~initial_stock:stock2 (Executor.db eng) with
+  let initial_level item =
+    List.fold_left (fun acc (i, level, _) -> if i = item then level else acc) 0 stock2
+  in
+  match OP.check_consistency ~initial_level (Executor.db eng) with
   | exception e -> Error (Printexc.to_string e)
   | [] ->
       if Lock_service.lock_count (Executor.lock_service eng) = 0 then Ok ()
@@ -163,9 +158,9 @@ let test_exhaustive_two_new_orders () =
      ends in a consistent database with both committed *)
   let outcomes = ref (0, 0) in
   let make () =
-    let eng = W.make_engine stock2 in
-    let i1, _ = no_with_yields ~items:[ (1, 10); (2, 10) ] in
-    let i2, _ = no_with_yields ~items:[ (2, 10); (1, 10) ] in
+    let eng = make_engine () in
+    let i1, _ = OP.new_order ~items:[ (1, 10); (2, 10) ] () in
+    let i2, _ = OP.new_order ~items:[ (2, 10); (1, 10) ] () in
     let fiber inst () =
       match Runtime.run eng inst with
       | Runtime.Committed -> outcomes := (fst !outcomes + 1, snd !outcomes)
@@ -190,9 +185,9 @@ let test_exhaustive_with_forced_abort () =
      interleaving of forward steps with the compensating step stays
      consistent *)
   let make () =
-    let eng = W.make_engine stock2 in
-    let i1, _ = no_with_yields ~items:[ (1, 5) ] in
-    let i2, _ = no_with_yields ~items:[ (2, 5); (1, 5) ] in
+    let eng = make_engine () in
+    let i1, _ = OP.new_order ~items:[ (1, 5) ] () in
+    let i2, _ = OP.new_order ~items:[ (2, 5); (1, 5) ] () in
     ( eng,
       [
         (fun () -> ignore (Runtime.run eng i1));
@@ -213,16 +208,16 @@ let test_exhaustive_new_order_with_bill () =
   (* a bill of the first order races two new_orders: the admission lock must
      hold in every schedule — the bill always totals a complete order *)
   let make () =
-    let eng = W.make_engine stock2 in
-    let i1, r1 = no_with_yields ~items:[ (1, 2) ] in
-    let i2, _ = no_with_yields ~items:[ (2, 3) ] in
+    let eng = make_engine () in
+    let i1, o1 = OP.new_order ~items:[ (1, 2) ] () in
+    let i2, _ = OP.new_order ~items:[ (2, 3) ] () in
     let fiber_bill () =
       Txn_effect.yield ();
-      if r1.W.r_order_id >= 0 then begin
-        let b, bres = W.bill_instance ~order:r1.W.r_order_id in
+      if !o1 >= 0 then begin
+        let b, total = OP.bill ~order:!o1 in
         match Runtime.run eng b with
         | Runtime.Committed ->
-            if bres.W.b_total <> 2 * 10 then failwith "bill totalled an incomplete order"
+            if !total <> 2 * 10 then failwith "bill totalled an incomplete order"
         | Runtime.Compensated _ -> failwith "bill compensated"
       end
     in

@@ -300,20 +300,38 @@ let test_table_fold () =
   let total = Table.fold (fun _ row acc -> acc + Value.as_int row.(2)) t 0 in
   Alcotest.(check int) "sum balances" 400 total
 
-(* A copy shares the stored rows, which neither side writes in place: an
-   update or a delete on either side leaves the other side's row as it
-   was. *)
+(* A copy shares the stored rows and its ordered indexes' trees, which
+   neither side writes in place: an insert, update or delete on either side
+   leaves the other side's rows, and its range, minimum and equality-scan
+   answers, as they were. *)
 let test_table_copy_independent () =
   let t = make_accounts () in
   Table.add_index t ~name:"by_owner" [ "owner" ];
+  Table.add_ordered_index t ~name:"by_owner_balance" [ "owner"; "balance" ];
   let c = Table.copy t in
+  let answers tbl =
+    ( Table.range_lookup tbl ~index:"by_owner_balance" ~lo:[ v_str "alice" ]
+        ~hi:[ v_str "alice"; v_int 500 ] (),
+      Table.min_lookup tbl ~index:"by_owner_balance" ~above:[ v_str "alice" ] (),
+      Table.scan_keys ~where:(Predicate.Eq ("owner", v_str "alice")) tbl )
+  in
+  let copy_before = answers c in
   ignore (Table.delete t [ v_int 1 ]);
   Alcotest.(check int) "copy keeps row" 3 (Table.cardinality c);
   Alcotest.(check int) "copy index intact" 2
     (List.length (Table.index_lookup c ~index:"by_owner" [ v_str "alice" ]));
   ignore (Table.set_column t [ v_int 2 ] "balance" (v_int 999));
+  ignore (Table.insert t [| v_int 4; v_str "alice"; v_int 70; Value.Null |]);
+  ignore (Table.insert t [| v_int 5; v_str "bob"; v_int 10; Value.Null |]);
+  Alcotest.(check bool) "the original's writes moved its answers" false
+    (answers t = copy_before);
+  Alcotest.(check bool) "the copy's answers stand" true (answers c = copy_before);
+  let original_before = answers t in
   ignore (Table.set_column c [ v_int 3 ] "balance" (v_int 1));
   ignore (Table.delete c [ v_int 2 ]);
+  ignore (Table.insert c [| v_int 6; v_str "alice"; v_int 20; Value.Null |]);
+  ignore (Table.insert c [| v_int 7; v_str "bob"; v_int 5; Value.Null |]);
+  Alcotest.(check bool) "the original's answers stand" true (answers t = original_before);
   let balance tbl k = Option.map (fun row -> Value.as_int row.(2)) (Table.get tbl [ v_int k ]) in
   Alcotest.(check (option int)) "original's update" (Some 999) (balance t 2);
   Alcotest.(check (option int)) "original's row 3 untouched by the copy" (Some 50) (balance t 3);

@@ -189,8 +189,16 @@ let test_ordered_index_extras () =
   in
   Alcotest.(check bool) "fold ascending" true
     (keys = [ [ v_int 7 ]; [ v_int 8 ]; [ v_int 9 ] ]);
-  Alcotest.(check bool) "projection usable" true
-    (Ordered_index.projection idx [| v_int 42 |] = [ v_int 42 ])
+  let c = Ordered_index.copy idx in
+  Ordered_index.insert c ~pk:[ v_int 4 ] [| v_int 42 |];
+  Ordered_index.remove idx ~pk:[ v_int 1 ] [| v_int 9 |];
+  Alcotest.(check bool) "copy independent" true
+    (Ordered_index.size c = 4
+    && Ordered_index.size idx = 2
+    && Ordered_index.max_entry c = Some ([ v_int 42 ], [ v_int 4 ])
+    && Ordered_index.max_entry idx = Some ([ v_int 8 ], [ v_int 2 ])
+    && Ordered_index.invariant_ok c
+    && Ordered_index.invariant_ok idx)
 
 (* --- prng edges -------------------------------------------------------------------------- *)
 
